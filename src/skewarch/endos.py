@@ -4,10 +4,16 @@ An endomorphism is validated at build time: it must fix 1 and respect +
 and * (exhaustively on finite rings, on a generating set plus sampled
 scope pairs on truncated models).  Rejection carries a witness pair.
 
-Predicate semantics on truncated models follow the scope rule: scans run
-over support-bounded elements and every product is evaluated in a
-widened copy of the ring, so a reported zero is never a truncation
-artifact.  Results carry exact=False plus a note in that case.
+The predicates follow one scan rule (rings.scan_domain): a finite ring
+scans every value in the ring itself; a truncated model scans its scope
+values (support <= the ring's bounded support) lifted into the 2x widened
+copy, and evaluates every product and image there, so a reported zero or
+collision is never a truncation artifact.  Scope results carry
+exact=False and a note naming the support bound.  Two predicates bend the
+rule: is_compatible shrinks the scope support until at most
+PAIR_SCAN_BUDGET pairs remain, and preserves_nonunits tests units in the
+ring itself, because a truncated model computes the constant term, and so
+the unit test, exactly.
 """
 
 from __future__ import annotations
@@ -16,10 +22,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .prng import CONSTRUCTION_SEED, SplitMix64, fnv1a64
-from .rings import Element, RingConstructionError, construct_ring
+from .rings import Element, RingConstructionError, construct_ring, scan_domain
 
 ENDO_SAMPLE_PAIRS = 10_000
-POWER_CACHE_DEPTH = 16
 PAIR_SCAN_BUDGET = 40_000     # quadratic scope scans shrink support to fit
 
 
@@ -54,8 +59,9 @@ class Endo:
         raise NotImplementedError
 
     def power_apply_v(self, t: int, v):
-        """Apply the t-th power of the map.  Finite rings build value maps
-        once and reuse them up to at least POWER_CACHE_DEPTH."""
+        """Apply the t-th power of the map.  Finite rings build one value
+        map per power on first use and keep it; truncated models apply the
+        map t times."""
         if t == 0 or self.is_identity:
             return v
         if self.ring.truncated:
@@ -287,12 +293,9 @@ class EndoVerdict:
     note: str
 
 
-def _scope_setup(endo: Endo):
-    ring = endo.ring
-    wide = ring.widen(2)
-    wendo = endo.on_widened(wide)
-    pool = ring.scope_values()
-    return ring, wide, wendo, pool
+def _twist_on(endo: Endo, dom):
+    """The twist acting on the ring where the scan domain takes products."""
+    return endo if dom.exact else endo.on_widened(dom.ring)
 
 
 def is_injective(endo: Endo) -> EndoVerdict:
@@ -300,34 +303,21 @@ def is_injective(endo: Endo) -> EndoVerdict:
     if got is not None:
         return got
     ring = endo.ring
-    if not ring.truncated:
-        seen = {}
-        res = EndoVerdict(True, None, True, "exhaustive image scan")
-        for a in ring.values():
-            img = endo.apply_v(a)
-            if img in seen:
-                res = EndoVerdict(False,
-                                  {"a": ring.text_of_v(seen[img]),
-                                   "b": ring.text_of_v(a),
-                                   "image": ring.text_of_v(img)},
-                                  True, "image collision")
-                break
-            seen[img] = a
-    else:
-        ring, wide, wendo, pool = _scope_setup(endo)
-        seen = {}
-        res = EndoVerdict(True, None, False,
-                          "scope-exact image scan, support <= %d" % ring.bounded_support())
-        for a in pool:
-            img = wendo.apply_v(ring.lift_v(a, wide))
-            if img in seen:
-                res = EndoVerdict(False,
-                                  {"a": ring.text_of_v(seen[img]),
-                                   "b": ring.text_of_v(a),
-                                   "image": wide.text_of_v(img)},
-                                  False, "image collision at scope")
-                break
-            seen[img] = a
+    dom = scan_domain(ring)
+    apply = _twist_on(endo, dom).apply_v
+    seen = {}
+    res = EndoVerdict(True, None, dom.exact, dom.note("image scan"))
+    for a, la in zip(dom.values, dom.lifted):
+        img = apply(la)
+        if img in seen:
+            res = EndoVerdict(False,
+                              {"a": ring.text_of_v(seen[img]),
+                               "b": ring.text_of_v(a),
+                               "image": dom.ring.text_of_v(img)},
+                              dom.exact, "image collision" if dom.exact
+                              else "image collision at scope")
+            break
+        seen[img] = a
     endo._cache["injective"] = res
     return res
 
@@ -338,25 +328,16 @@ def is_rigid(endo: Endo) -> EndoVerdict:
     if got is not None:
         return got
     ring = endo.ring
-    if not ring.truncated:
-        res = EndoVerdict(True, None, True, "exhaustive scan of a*alpha(a)")
-        for a in ring.values():
-            if a != ring.zero_v and ring.k_mul(a, endo.apply_v(a)) == ring.zero_v:
-                res = EndoVerdict(False, {"a": ring.text_of_v(a)}, True,
-                                  "a*alpha(a) = 0 with a != 0")
-                break
-    else:
-        ring, wide, wendo, pool = _scope_setup(endo)
-        res = EndoVerdict(True, None, False,
-                          "scope-exact scan of a*alpha(a), support <= %d" % ring.bounded_support())
-        for a in pool:
-            if a == ring.zero_v:
-                continue
-            la = ring.lift_v(a, wide)
-            if wide.k_mul(la, wendo.apply_v(la)) == wide.zero_v:
-                res = EndoVerdict(False, {"a": ring.text_of_v(a)}, False,
-                                  "a*alpha(a) = 0 in the widened model")
-                break
+    dom = scan_domain(ring)
+    apply = _twist_on(endo, dom).apply_v
+    mul, wz = dom.ring.k_mul, dom.ring.zero_v
+    res = EndoVerdict(True, None, dom.exact, dom.note("scan of a*alpha(a)"))
+    for a, la in zip(dom.values, dom.lifted):
+        if la != wz and mul(la, apply(la)) == wz:
+            res = EndoVerdict(False, {"a": ring.text_of_v(a)}, dom.exact,
+                              "a*alpha(a) = 0 with a != 0" if dom.exact
+                              else "a*alpha(a) = 0 in the widened model")
+            break
     endo._cache["rigid"] = res
     return res
 
@@ -367,69 +348,53 @@ def is_compatible(endo: Endo) -> EndoVerdict:
     if got is not None:
         return got
     ring = endo.ring
-
-    def verdict_for(pool, mul, lifted, images, zero, exact, note):
-        for i, la in enumerate(lifted):
-            for j, lb in enumerate(lifted):
-                plain = mul(la, lb)
-                twisted = mul(la, images[j])
-                if (plain == zero) != (twisted == zero):
-                    direction = ("a*b = 0 but a*alpha(b) != 0"
-                                 if plain == zero else
-                                 "a*alpha(b) = 0 but a*b != 0")
-                    return EndoVerdict(False,
-                                       {"a": ring.text_of_v(pool[i]),
-                                        "b": ring.text_of_v(pool[j]),
-                                        "direction": direction},
-                                       exact, direction)
-        return EndoVerdict(True, None, exact, note)
-
-    if not ring.truncated:
-        pool = ring.values()
-        res = verdict_for(pool, ring.k_mul, pool,
-                          [endo.apply_v(v) for v in pool], ring.zero_v,
-                          True, "exhaustive pair scan")
-    else:
-        rr, wide, wendo, pool = _scope_setup(endo)
-        s = rr.bounded_support()
-        while s > 1 and len(pool) * len(pool) > PAIR_SCAN_BUDGET:
-            s -= 1
-            pool = rr.scope_values(max_support=s)
-        lifted = [rr.lift_v(v, wide) for v in pool]
-        res = verdict_for(pool, wide.k_mul, lifted,
-                          [wendo.apply_v(lv) for lv in lifted], wide.zero_v,
-                          False, "scope-exact pair scan, support <= %d" % s)
+    dom = scan_domain(ring)
+    # quadratic scan: scope support shrinks until the pairs fit the budget
+    while (not dom.exact and dom.support > 1
+           and len(dom.values) ** 2 > PAIR_SCAN_BUDGET):
+        dom = scan_domain(ring, dom.support - 1)
+    apply = _twist_on(endo, dom).apply_v
+    mul, wz = dom.ring.k_mul, dom.ring.zero_v
+    lifted = dom.lifted
+    images = [apply(lb) for lb in lifted]
+    res = EndoVerdict(True, None, dom.exact, dom.note("pair scan"))
+    for i, la in enumerate(lifted):
+        for j, lb in enumerate(lifted):
+            plain = mul(la, lb) == wz
+            if plain != (mul(la, images[j]) == wz):
+                direction = ("a*b = 0 but a*alpha(b) != 0" if plain
+                             else "a*alpha(b) = 0 but a*b != 0")
+                res = EndoVerdict(False,
+                                  {"a": ring.text_of_v(dom.values[i]),
+                                   "b": ring.text_of_v(dom.values[j]),
+                                   "direction": direction},
+                                  dom.exact, direction)
+                break
+        if not res.holds:
+            break
     endo._cache["compatible"] = res
     return res
 
 
 def preserves_nonunits(endo: Endo) -> EndoVerdict:
-    """Images of nonunits stay nonunits."""
+    """Images of nonunits stay nonunits.  Scans the domain's values in the
+    ring itself: a truncated model decides units by the constant term,
+    which it computes exactly."""
     got = endo._cache.get("preserves_nonunits")
     if got is not None:
         return got
     ring = endo.ring
-    if not ring.truncated:
-        res = EndoVerdict(True, None, True, "exhaustive nonunit scan")
-        for a in ring.values():
-            if ring.is_unit_v(a) is None and ring.is_unit_v(endo.apply_v(a)) is not None:
-                res = EndoVerdict(False,
-                                  {"a": ring.text_of_v(a),
-                                   "image": ring.text_of_v(endo.apply_v(a))},
-                                  True, "nonunit mapped to a unit")
-                break
-    else:
-        # unit test in a truncated model reads the constant term, which the
-        # model computes exactly, so no widening is needed here
-        res = EndoVerdict(True, None, False,
-                          "scope-exact nonunit scan, support <= %d" % ring.bounded_support())
-        for a in ring.scope_values():
-            if ring.is_unit_v(a) is None and ring.is_unit_v(endo.apply_v(a)) is not None:
-                res = EndoVerdict(False,
-                                  {"a": ring.text_of_v(a),
-                                   "image": ring.text_of_v(endo.apply_v(a))},
-                                  False, "nonunit mapped to a unit at scope")
-                break
+    dom = scan_domain(ring)
+    res = EndoVerdict(True, None, dom.exact, dom.note("nonunit scan"))
+    for a in dom.values:
+        if ring.is_unit_v(a) is None and ring.is_unit_v(endo.apply_v(a)) is not None:
+            res = EndoVerdict(False,
+                              {"a": ring.text_of_v(a),
+                               "image": ring.text_of_v(endo.apply_v(a))},
+                              dom.exact, "nonunit mapped to a unit"
+                              if dom.exact else
+                              "nonunit mapped to a unit at scope")
+            break
     endo._cache["preserves_nonunits"] = res
     return res
 

@@ -49,9 +49,6 @@ class SplitMix64:
         assert n > 0
         return self.next_u64() % n
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
 
 def fnv1a64(text: str) -> int:
     h = _FNV_OFFSET

@@ -59,11 +59,6 @@ TAG_QUOTIENT_GLUE = "Proposition 4.7"
 TAG_CROSSED_SERIES = "Example 4.8"
 TAG_TWISTED_MODEL = "Example 4.9"
 
-PREDICTION_TAGS = (TAG_ARCH_DOMAIN_MODELS, TAG_POLY_RIGHT, TAG_POLY_LEFT,
-                   TAG_POLY_UNTWISTED, TAG_SERIES_RIGHT, TAG_SERIES_LEFT,
-                   TAG_SERIES_UNTWISTED)
-
-
 @dataclass(frozen=True)
 class Verdict:
     status: str
@@ -118,30 +113,6 @@ def random_series(ring, endo: Endo, rng: SplitMix64, precision: int,
     for _ in range(rng.below(max_terms) + 1):
         coeffs[rng.below(top + 1)] = pool[rng.below(len(pool))]
     return TruncSeries(ring, endo, precision, coeffs)
-
-
-def _inner_order(ring, v) -> Optional[int]:
-    """Least degree of a nonzero coefficient of a truncated-model value;
-    None for zero.  Finite ring elements count as order 0 when nonzero."""
-    if v == ring.zero_v:
-        return None
-    if not ring.truncated:
-        return 0
-    if ring.kind == "tser":
-        for i, c in enumerate(v):
-            if c != ring.base.zero_v:
-                return i
-        return None
-    fz = ring.field.zero_v
-    if v[0] != fz:
-        return 0
-    best = None
-    for block in (v[1], v[2]):
-        for i, c in enumerate(block):
-            if c != fz:
-                best = i + 1 if best is None else min(best, i + 1)
-                break
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -867,9 +838,9 @@ def _square_in_base_window(s) -> bool:
         return True
     supp = [(i, c) for i, c in enumerate(s.coeffs) if c != ring.zero_v]
     for i, ci in supp:
-        dxi, dyi = _block_degrees(ring, ci)
+        dxi, dyi = ring.block_degrees(ci)
         for j, cj in supp:
-            dxj, dyj = _block_degrees(ring, cj)
+            dxj, dyj = ring.block_degrees(cj)
             tw = _twisted_degree_bound(endo, i, dxj, dyj)
             if tw is None:
                 return False
@@ -1062,26 +1033,6 @@ def twisted_power_product_equivalence(ring, endo: Endo, max_len: int = 3,
                                                                bounds))
 
 
-def _block_degrees(ring, v):
-    """Degree bounds (x-part, y-part) of a truncated-model value; a plain
-    series counts entirely as the x-part."""
-    if ring.kind == "tser":
-        top = 0
-        for i, c in enumerate(v):
-            if c != ring.base.zero_v:
-                top = i
-        return top, 0
-    fz = ring.field.zero_v
-    dx = dy = 0
-    for i, c in enumerate(v[1]):
-        if c != fz:
-            dx = i + 1
-    for i, c in enumerate(v[2]):
-        if c != fz:
-            dy = i + 1
-    return dx, dy
-
-
 def _twisted_degree_bound(endo: Endo, t: int, dx: int, dy: int):
     """Degree bounds after applying the twist t times; None means the
     growth is unknown for this twist."""
@@ -1102,7 +1053,7 @@ def _scope_power_product_equivalence(ring, endo: Endo, rig, seed: int,
     wendo = endo.on_widened(wide)
     rng = derive_rng(seed, "powerprod/%s/%s" % (ring.spec_text, endo.text))
     pool = [v for v in _sample_pool(ring) if v != ring.zero_v]
-    degs = [_block_degrees(ring, v) for v in pool]
+    degs = [ring.block_degrees(v) for v in pool]
     zero = wide.zero_v
     checked = 0
     draws = 0
@@ -1315,7 +1266,7 @@ def _scope_falsifier(ring, endo: Endo, precision: int, depth: int,
     examined = 0
     notes = []
     for v in nonunit_pool:
-        if _inner_order(ring, v) is None or _inner_order(ring, v) < 1:
+        if ring.inner_order(v) is None or ring.inner_order(v) < 1:
             return Verdict(
                 INCONCLUSIVE, {"candidate": ring.text_of_v(v)},
                 "a nonunit constant of inner order zero defeats the "
@@ -1347,7 +1298,7 @@ def _scope_falsifier(ring, endo: Endo, precision: int, depth: int,
         # >= 1; a zero constant term instead kills the low degrees outright
         need_base = depth if g.coeffs[0] != ring.zero_v else 0
         for m, c in enumerate(G.coeffs):
-            inner = _inner_order(ring, c)
+            inner = ring.inner_order(c)
             need = max(0, need_base - m) if need_base else 0
             if c != ring.zero_v and inner is not None and inner < need:
                 return Verdict(
@@ -1558,7 +1509,7 @@ def _order_escape_audit(f, g, h_list, depth, side, stages) -> Verdict:
     carry inner order at least depth minus its degree."""
     ring = f.ring
     g0 = g.coeffs[0]
-    min_ord = _inner_order(ring, g0)
+    min_ord = ring.inner_order(g0)
     if min_ord is not None and min_ord < 1:
         return Verdict(
             INCONCLUSIVE, {"stages": stages},
@@ -1568,7 +1519,7 @@ def _order_escape_audit(f, g, h_list, depth, side, stages) -> Verdict:
     checked = []
     for m in range(min(f.precision, depth - 1) + 1):
         c = f.coeffs[m]
-        inner = _inner_order(ring, c)
+        inner = ring.inner_order(c)
         if c != ring.zero_v and (inner is None or inner < depth - m):
             return Verdict(
                 FAILS,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .prng import CONSTRUCTION_SEED, SplitMix64, fnv1a64
@@ -135,15 +136,6 @@ def _is_prime(p: int) -> bool:
 
 
 # -- dense little-endian polynomial helpers over Z/p, used only for GF setup
-
-
-def _pmul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
 
 
 def _pmod(a, m, p):
@@ -440,8 +432,6 @@ class RingHandle:
         return self._index[v]
 
     def sort_key_v(self, v):
-        if self.truncated:
-            return v
         return self.index_of_v(v)
 
     def random_v(self, rng: SplitMix64):
@@ -466,6 +456,11 @@ class RingHandle:
     def is_unit_v(self, v):
         """Inverse value, or None."""
         return self._unit_map().get(v)
+
+    def inner_order(self, v) -> Optional[int]:
+        """Least degree of a nonzero coefficient of a truncated-model value;
+        None for zero.  Finite ring elements count as order 0 when nonzero."""
+        return None if v == self.zero_v else 0
 
     # -- element-level conveniences
 
@@ -846,13 +841,22 @@ class TruncSeriesRing(RingHandle):
         out[k] = c
         return tuple(out)
 
-    def support_v(self, v) -> int:
+    def inner_order(self, v) -> Optional[int]:
         zero = self.base.zero_v
-        top = -1
+        for i, c in enumerate(v):
+            if c != zero:
+                return i
+        return None
+
+    def block_degrees(self, v):
+        """Degree bounds (x-part, y-part); a plain series counts entirely
+        as the x-part."""
+        zero = self.base.zero_v
+        top = 0
         for i, c in enumerate(v):
             if c != zero:
                 top = i
-        return top
+        return top, 0
 
     @property
     def scope(self) -> int:
@@ -1015,19 +1019,30 @@ class XYQuotientRing(RingHandle):
         ys[power - 1] = c
         return (fz, (fz,) * self.precision, tuple(ys))
 
-    def support_v(self, v) -> int:
-        """Largest degree carrying a nonzero coefficient (0 for constants)."""
+    def inner_order(self, v) -> Optional[int]:
         fz = self.field.zero_v
-        top = 0
         if v[0] != fz:
-            top = 0
+            return 0
+        best = None
+        for block in (v[1], v[2]):
+            for i, c in enumerate(block):
+                if c != fz:
+                    best = i + 1 if best is None else min(best, i + 1)
+                    break
+        return best
+
+    def block_degrees(self, v):
+        """Largest degrees (x-block, y-block) carrying a nonzero
+        coefficient; 0 for a block that is all zero."""
+        fz = self.field.zero_v
+        dx = dy = 0
         for i, c in enumerate(v[1]):
             if c != fz:
-                top = max(top, i + 1)
+                dx = i + 1
         for i, c in enumerate(v[2]):
             if c != fz:
-                top = max(top, i + 1)
-        return top
+                dy = i + 1
+        return dx, dy
 
     @property
     def scope(self) -> int:
@@ -1146,6 +1161,9 @@ def construct_ring(spec) -> RingHandle:
         ring = XYQuotientRing(spec, construct_ring(spec.field))
     else:
         raise RingConstructionError("unknown spec %r" % (spec,))
+    if ring.card is not None and ring.card > ENUMERATION_CAP:
+        raise RingConstructionError("%s has %d elements, beyond the enumeration "
+                                    "cap %d" % (key, ring.card, ENUMERATION_CAP))
     _validate_ring(ring)
     _RING_CACHE[key] = ring
     return ring
@@ -1156,17 +1174,17 @@ def _axiom_triples(ring):
         vals = ring.values()
         n = len(vals)
         if n ** 3 <= AXIOM_TRIPLE_BUDGET:
-            return itertools.product(vals, vals, vals), True
+            return itertools.product(vals, vals, vals)
         samples = (PRODUCT_AXIOM_SAMPLES if ring.componentwise
                    else AXIOM_SAMPLES)
         rng = SplitMix64(CONSTRUCTION_SEED ^ fnv1a64(ring.spec_text))
-        return (((vals[rng.below(n)], vals[rng.below(n)], vals[rng.below(n)])
-                 for _ in range(samples)), False)
+        return ((vals[rng.below(n)], vals[rng.below(n)], vals[rng.below(n)])
+                for _ in range(samples))
     pool = ring.scope_values()
     n = len(pool)
     rng = SplitMix64(CONSTRUCTION_SEED ^ fnv1a64(ring.spec_text))
-    return (((pool[rng.below(n)], pool[rng.below(n)], pool[rng.below(n)])
-             for _ in range(TRUNCATED_AXIOM_SAMPLES)), False)
+    return ((pool[rng.below(n)], pool[rng.below(n)], pool[rng.below(n)])
+            for _ in range(TRUNCATED_AXIOM_SAMPLES))
 
 
 def _validate_ring(ring):
@@ -1191,8 +1209,7 @@ def _validate_ring(ring):
         if ring.k_add(a, ring.k_neg(a)) != z:
             raise RingConstructionError("%s: negation fails at %s"
                                         % (ring.spec_text, ring.text_of_v(a)))
-    triples, _exhaustive = _axiom_triples(ring)
-    for a, b, c in triples:
+    for a, b, c in _axiom_triples(ring):
         if ring.k_add(ring.k_add(a, b), c) != ring.k_add(a, ring.k_add(b, c)):
             raise RingConstructionError("%s: + not associative" % ring.spec_text)
         if ring.k_add(a, b) != ring.k_add(b, a):
@@ -1261,14 +1278,14 @@ def is_nilpotent(ring, a: Element, bound: int = 16) -> NilpotenceResult:
     av = ring.lift_v(a.v, wide)
     half = wide.precision // 2
     p = av
-    clean = ring.support_v(a.v) <= half
+    clean = max(ring.block_degrees(a.v)) <= half
     for k in range(2, bound + 1):
         p = wide.k_mul(p, av)
         if p == wide.zero_v:
             note = ("zero power reached in widened model"
                     if clean else "zero power reached; truncation artifact possible")
             return NilpotenceResult(True, k, clean, note)
-        if wide.support_v(p) > half:
+        if max(wide.block_degrees(p)) > half:
             clean = False
     return NilpotenceResult(False, None, False,
                             "no zero power within bound %d at scope" % bound)
@@ -1351,6 +1368,52 @@ def principal_power_chain(ring, a: Element, side: str = "right"):
     return chain, chain[-1]
 
 
+@dataclass
+class ScanDomain:
+    """The values an exact-or-scope predicate scans.  A finite ring scans
+    every value and takes products in itself; a truncated model scans its
+    scope values and takes products of their lifts in the 2x widened copy,
+    so a zero found there is never a truncation artifact.  The widened
+    copy is built on first use of `ring` or `lifted`."""
+    scanned: RingHandle
+    values: list
+    exact: bool
+    support: Optional[int]  # scope support bound; None when exact
+
+    @cached_property
+    def ring(self) -> RingHandle:
+        """Where products are taken."""
+        return self.scanned if self.exact else self.scanned.widen(2)
+
+    @cached_property
+    def lifted(self) -> list:
+        """The values, lifted into `ring`."""
+        if self.exact:
+            return self.values
+        return [self.scanned.lift_v(v, self.ring) for v in self.values]
+
+    def note(self, scan: str) -> str:
+        if self.exact:
+            return "exhaustive " + scan
+        return "scope-exact %s, support <= %d" % (scan, self.support)
+
+
+def scan_domain(ring, support: Optional[int] = None) -> ScanDomain:
+    """Cached per ring and support; support defaults to the ring's
+    bounded support and is ignored on finite rings."""
+    key = ("scan-domain", support)
+    got = ring._cache.get(key)
+    if got is None:
+        if not ring.truncated:
+            got = ScanDomain(ring, ring.values(), True, None)
+        else:
+            got = ScanDomain(ring, ring.scope_values(max_support=support), False,
+                             ring.bounded_support() if support is None
+                             else support)
+        ring._cache[key] = got
+    return got
+
+
 @dataclass(frozen=True)
 class ReducedResult:
     reduced: bool
@@ -1361,30 +1424,19 @@ class ReducedResult:
 
 def is_reduced(ring, bound: int = 16) -> ReducedResult:
     """A ring has a nonzero nilpotent iff it has a nonzero square-zero
-    element, so one square scan decides.  Truncated models scan scope
-    elements with squares taken in the widened ring."""
+    element, so one square scan over the scan domain decides."""
     got = ring._cache.get("reduced")
     if got is not None:
         return got
-    if not ring.truncated:
-        res = ReducedResult(True, None, True, "exhaustive square scan")
-        for a in ring.values():
-            if a != ring.zero_v and ring.k_mul(a, a) == ring.zero_v:
-                res = ReducedResult(False, Element(ring, a), True,
-                                    "square-zero witness")
-                break
-    else:
-        wide = ring.widen(2)
-        res = ReducedResult(True, None, False,
-                            "scope-exact square scan, support <= %d" % ring.bounded_support())
-        for a in ring.scope_values():
-            if a == ring.zero_v:
-                continue
-            lifted = ring.lift_v(a, wide)
-            if wide.k_mul(lifted, lifted) == wide.zero_v:
-                res = ReducedResult(False, Element(ring, a), False,
-                                    "square-zero witness (exact in widened model)")
-                break
+    dom = scan_domain(ring)
+    mul, wz = dom.ring.k_mul, dom.ring.zero_v
+    res = ReducedResult(True, None, dom.exact, dom.note("square scan"))
+    for a, la in zip(dom.values, dom.lifted):
+        if la != wz and mul(la, la) == wz:
+            res = ReducedResult(False, Element(ring, a), dom.exact,
+                                "square-zero witness" if dom.exact else
+                                "square-zero witness (exact in widened model)")
+            break
     ring._cache["reduced"] = res
     return res
 
@@ -1401,43 +1453,22 @@ def is_domain(ring) -> DomainResult:
     got = ring._cache.get("domain")
     if got is not None:
         return got
-    if not ring.truncated:
-        res = DomainResult(True, None, True, "exhaustive pair scan")
-        vals = ring.values()
-        z = ring.zero_v
-        done = False
-        for a in vals:
-            if a == z:
-                continue
-            for b in vals:
-                if b != z and ring.k_mul(a, b) == z:
-                    res = DomainResult(False, (Element(ring, a), Element(ring, b)),
-                                       True, "zero product witness")
-                    done = True
-                    break
-            if done:
+    dom = scan_domain(ring)
+    mul, wz = dom.ring.k_mul, dom.ring.zero_v
+    lifted = dom.lifted
+    res = DomainResult(True, None, dom.exact, dom.note("pair scan"))
+    for a, la in zip(dom.values, lifted):
+        if la == wz:
+            continue
+        for j, lb in enumerate(lifted):
+            if lb != wz and mul(la, lb) == wz:
+                res = DomainResult(
+                    False, (Element(ring, a), Element(ring, dom.values[j])),
+                    dom.exact, "zero product witness" if dom.exact else
+                    "zero product (exact in widened model)")
                 break
-    else:
-        wide = ring.widen(2)
-        res = DomainResult(True, None, False,
-                           "scope-exact pair scan, support <= %d" % ring.bounded_support())
-        pool = ring.scope_values()
-        z = ring.zero_v
-        done = False
-        for a in pool:
-            if a == z:
-                continue
-            la = ring.lift_v(a, wide)
-            for b in pool:
-                if b == z:
-                    continue
-                if wide.k_mul(la, ring.lift_v(b, wide)) == wide.zero_v:
-                    res = DomainResult(False, (Element(ring, a), Element(ring, b)),
-                                       False, "zero product (exact in widened model)")
-                    done = True
-                    break
-            if done:
-                break
+        if not res.domain:
+            break
     ring._cache["domain"] = res
     return res
 

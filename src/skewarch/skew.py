@@ -264,14 +264,6 @@ def parse_poly_text(text: str):
     return TruncSeries(ring, endo, precision, coeffs)
 
 
-def skew_add(f, g):
-    return f + g
-
-
-def skew_mul(f, g):
-    return f * g
-
-
 # ---------------------------------------------------------------------------
 # inverses
 
@@ -404,7 +396,7 @@ def _widened_replay_is_zero(f: TruncSeries, index: int) -> bool:
     for _ in range(index - 1):
         power = power * lifted
         for c in power.coeffs:
-            if c != wide.zero_v and wide.support_v(c) > inner_half:
+            if c != wide.zero_v and max(wide.block_degrees(c)) > inner_half:
                 return False
     return power.is_zero
 
