@@ -1,14 +1,17 @@
-"""Frozen outputs: the report bytes of the full matrix at seed 42, and the
+"""Frozen outputs: the report bytes of the full matrix at seed 42, the
 full verdicts (flag, witness, exactness, note) of the six coefficient
-predicates.  Most predicate notes never reach a report, so only the
-second test guards them."""
+predicates, and the model conditions and classification built on them.
+Most predicate notes and condition parts never reach a report, so only
+the last two tests guard them."""
 
 import hashlib
+import json
 
 import pytest
 
 from skewarch.endos import (build_endo, is_compatible, is_injective,
                             is_rigid, preserves_nonunits)
+from skewarch.props import classify, poly_ring_conditions, series_ring_conditions
 from skewarch.registry import ENTRIES, RunConfig, startup_self_check
 from skewarch.reports import render_json, render_report_text
 from skewarch.rings import Element, construct_ring, is_domain, is_reduced
@@ -18,6 +21,8 @@ GOLDEN_JSON = ("5e93f34048e1b2bfea9733a1d01d51b0ba542bd775ecc17ddf63c5dfb14c84dc
                166_283)
 GOLDEN_EXPLAIN = ("fba156199c162d29d9619863fc5c84c434ad647d4611daf377ef149f9a8d34d2",
                   117_301)
+GOLDEN_CONDITIONS = ("1e68695622a73b36e2e2d5a4fa4ad6efb932e7b7c9e6baafde4665984e628bea",
+                     46_881)
 
 
 def _digest(text: str):
@@ -139,3 +144,19 @@ def test_predicate_verdicts_pinned(ring_spec, endo_spec):
         v = pred(endo)
         got[name] = (v.holds, v.witness, v.exact, v.note)
     assert got == PINNED_VERDICTS[(ring_spec, endo_spec)]
+
+
+def test_model_conditions_pinned():
+    # the polynomial and series conditions on both sides, and the
+    # classification, over every pinned (ring, twist) pair
+    rows = []
+    for ring_spec, endo_spec in sorted(PINNED_VERDICTS):
+        ring = construct_ring(ring_spec)
+        endo = build_endo(ring, endo_spec)
+        rows.append([ring_spec, endo_spec]
+                    + [conditions(ring, endo, side)
+                       for side in ("right", "left")
+                       for conditions in (poly_ring_conditions,
+                                          series_ring_conditions)]
+                    + [classify(ring, endo).as_witness()])
+    assert _digest(json.dumps(rows, ensure_ascii=False)) == GOLDEN_CONDITIONS
