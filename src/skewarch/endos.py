@@ -59,16 +59,11 @@ class Endo:
         raise NotImplementedError
 
     def power_apply_v(self, t: int, v):
-        """Apply the t-th power of the map.  Finite rings build one value
-        map per power on first use and keep it; truncated models apply the
-        map t times."""
+        """Apply the t-th power of the map: one value map per power, built
+        on first use and kept.  Only finite rings get here; the twists a
+        truncated model accepts (the identity, endo:xsq) skip the maps."""
         if t == 0 or self.is_identity:
             return v
-        if self.ring.truncated:
-            out = v
-            for _ in range(t):
-                out = self.apply_v(out)
-            return out
         if self._power_maps is None:
             base = {a: self.apply_v(a) for a in self.ring.values()}
             self._power_maps = [base]
@@ -85,6 +80,12 @@ class Endo:
         """The same structural rule on a widened copy of a truncated ring."""
         raise EndoValidationError("%s cannot be widened" % self.text)
 
+    def degree_bound(self, t: int, dx: int, dy: int):
+        """Degree bounds (x-part, y-part) of a value with bounds (dx, dy)
+        after t applications of the map; None when the growth is
+        unknown."""
+        return (dx, dy) if t == 0 else None
+
 
 class IdentityEndo(Endo):
     def __init__(self, ring):
@@ -95,6 +96,9 @@ class IdentityEndo(Endo):
 
     def on_widened(self, wide_ring):
         return IdentityEndo(wide_ring)
+
+    def degree_bound(self, t: int, dx: int, dy: int):
+        return dx, dy
 
 
 class FrobeniusEndo(Endo):
@@ -163,6 +167,9 @@ class SquareVariableEndo(Endo):
     def on_widened(self, wide_ring):
         return SquareVariableEndo(wide_ring)
 
+    def degree_bound(self, t: int, dx: int, dy: int):
+        return dx << t, dy
+
 
 class TableEndo(Endo):
     """Full association table read from a file of "src -> dst" lines."""
@@ -191,23 +198,6 @@ class TableEndo(Endo):
         return self.table[v]
 
 
-def _scope_generators(ring):
-    gens = [ring.one_v]
-    if ring.kind == "xyq":
-        for k in range(1, ring.precision + 1):
-            gens.append(ring.x_v(k))
-            gens.append(ring.y_v(k))
-        for fv in ring.field.values():
-            fz = ring.field.zero_v
-            gens.append((fv, (fz,) * ring.precision, (fz,) * ring.precision))
-    elif ring.kind == "tser":
-        for k in range(1, ring.precision + 1):
-            gens.append(ring.monomial_v(k))
-        for bv in ring.base.values():
-            gens.append(ring.monomial_v(0, bv))
-    return gens
-
-
 def _validate_endo(endo: Endo):
     ring = endo.ring
     if endo.apply_v(ring.one_v) != ring.one_v:
@@ -233,17 +223,16 @@ def _validate_endo(endo: Endo):
                  "image_of_product": ring.text_of_v(m),
                  "product_of_images": ring.text_of_v(ring.k_mul(la, lb))})
 
+    pool = scan_domain(ring).values
     if not ring.truncated:
-        vals = ring.values()
-        for a in vals:
-            for b in vals:
+        for a in pool:
+            for b in pool:
                 check_pair(a, b)
         return
-    gens = _scope_generators(ring)
+    gens = ring.scope_generators()
     for a in gens:
         for b in gens:
             check_pair(a, b)
-    pool = ring.scope_values()
     rng = SplitMix64(CONSTRUCTION_SEED ^ fnv1a64(ring.spec_text + "/" + endo.text))
     n = len(pool)
     for _ in range(ENDO_SAMPLE_PAIRS):

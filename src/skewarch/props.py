@@ -26,7 +26,7 @@ from .prng import SplitMix64, derive_rng
 from .rings import (Element, NonEnumerableError, SubsetHandle, TruncSeriesSpec,
                     construct_ring, idempotents, is_domain, is_nilpotent,
                     is_reduced, jacobson_radical, nonunits,
-                    principal_power_chain, quotient_by_ideal,
+                    principal_power_chain, quotient_by_ideal, scan_domain,
                     subring_generated, units, zero_divisors)
 from .skew import (SkewPoly, TruncSeries, geometric_inverse, nilpotency_probe,
                    parse_poly_text, solve_right_divisibility)
@@ -77,27 +77,12 @@ def _need_side(side: str):
 
 
 # ---------------------------------------------------------------------------
-# sampling pools
-
-
-def _sample_pool(ring):
-    """Coefficient candidates for randomized and solver-driven searches:
-    everything for finite rings, a small-support slice of the scope for
-    truncated models."""
-    if not ring.truncated:
-        return ring.values()
-    s = min(2, ring.bounded_support())
-    key = ("props-pool", s)
-    pool = ring._cache.get(key)
-    if pool is None:
-        pool = ring.scope_values(max_support=s)
-        ring._cache[key] = pool
-    return pool
+# random operands; coefficients come from the support <= 2 scan domain
 
 
 def random_poly(ring, endo: Endo, rng: SplitMix64, max_degree: int = 6,
                 max_terms: int = 4) -> SkewPoly:
-    pool = _sample_pool(ring)
+    pool = scan_domain(ring, 2).values
     coeffs = [ring.zero_v] * (max_degree + 1)
     for _ in range(rng.below(max_terms) + 1):
         coeffs[rng.below(max_degree + 1)] = pool[rng.below(len(pool))]
@@ -107,7 +92,7 @@ def random_poly(ring, endo: Endo, rng: SplitMix64, max_degree: int = 6,
 def random_series(ring, endo: Endo, rng: SplitMix64, precision: int,
                   max_support: Optional[int] = None,
                   max_terms: int = 4) -> TruncSeries:
-    pool = _sample_pool(ring)
+    pool = scan_domain(ring, 2).values
     top = precision if max_support is None else min(max_support, precision)
     coeffs = [ring.zero_v] * (precision + 1)
     for _ in range(rng.below(max_terms) + 1):
@@ -219,7 +204,7 @@ def _two_variable_quotient_archimedean(ring, side: str) -> Verdict:
     steps.append("coefficient field %s is reduced and %s-Archimedean "
                  "(exact scans)" % (F.spec_text, side))
 
-    pool = ring.scope_values()
+    pool = scan_domain(ring).values
     for v in pool:
         in_x = v[0] == fz and all(c == fz for c in v[2])
         in_y = v[0] == fz and all(c == fz for c in v[1])
@@ -575,35 +560,41 @@ def _endo_part(v) -> dict:
     return {"holds": v.holds, "witness": v.witness, "exact": v.exact}
 
 
+def _model_conditions(ring, endo: Endo, side: str, tags, model_parts) -> dict:
+    """The shape both characterizations share: side-Archimedean
+    coefficients, the model's own parts, and on the right a
+    nonunit-preserving twist; undecided when the chain condition is.
+    tags are the (untwisted, right, left) theorem tags."""
+    arch = derived_archimedean(ring, side)
+    parts = {"archimedean": {"status": arch.status, "witness": arch.witness},
+             **model_parts}
+    if side == "right":
+        parts["preserves_nonunits"] = _endo_part(preserves_nonunits(endo))
+    if arch.status == INCONCLUSIVE:
+        satisfied = None
+    else:
+        satisfied = (arch.status in (HOLDS, HOLDS_BY_THEOREM)
+                     and all(p["holds"] for name, p in parts.items()
+                             if name != "archimedean"))
+    untwisted, right, left = tags
+    tag = untwisted if endo.is_identity else right if side == "right" else left
+    return {"parts": parts, "satisfied": satisfied, "tag": tag,
+            "basis": scan_domain(ring).basis}
+
+
 def poly_ring_conditions(ring, endo: Endo, side: str = "right") -> dict:
     """When the twisted polynomial model is a reduced side-Archimedean
     ring: side-Archimedean domain coefficients, injective twist, and on
     the right additionally a nonunit-preserving twist."""
     _need_side(side)
-    arch = derived_archimedean(ring, side)
     dom = is_domain(ring)
-    inj = is_injective(endo)
-    parts = {
-        "archimedean": {"status": arch.status, "witness": arch.witness},
-        "domain": {"holds": dom.domain,
-                   "witness": None if dom.witness is None else
-                   {"a": dom.witness[0].text, "b": dom.witness[1].text},
-                   "exact": dom.exact},
-        "injective": _endo_part(inj),
-    }
-    flags = [arch.status in (HOLDS, HOLDS_BY_THEOREM), dom.domain, inj.holds]
-    if side == "right":
-        pnu = preserves_nonunits(endo)
-        parts["preserves_nonunits"] = _endo_part(pnu)
-        flags.append(pnu.holds)
-    if arch.status == INCONCLUSIVE:
-        satisfied = None
-    else:
-        satisfied = all(flags)
-    tag = (TAG_POLY_UNTWISTED if endo.is_identity
-           else TAG_POLY_RIGHT if side == "right" else TAG_POLY_LEFT)
-    return {"parts": parts, "satisfied": satisfied, "tag": tag,
-            "basis": "scope" if ring.truncated else "exact"}
+    return _model_conditions(
+        ring, endo, side, (TAG_POLY_UNTWISTED, TAG_POLY_RIGHT, TAG_POLY_LEFT),
+        {"domain": {"holds": dom.domain,
+                    "witness": None if dom.witness is None else
+                    {"a": dom.witness[0].text, "b": dom.witness[1].text},
+                    "exact": dom.exact},
+         "injective": _endo_part(is_injective(endo))})
 
 
 def series_ring_conditions(ring, endo: Endo, side: str = "right") -> dict:
@@ -611,25 +602,10 @@ def series_ring_conditions(ring, endo: Endo, side: str = "right") -> dict:
     side-Archimedean coefficients, rigid twist, and on the right a
     nonunit-preserving twist."""
     _need_side(side)
-    arch = derived_archimedean(ring, side)
-    rig = is_rigid(endo)
-    parts = {
-        "archimedean": {"status": arch.status, "witness": arch.witness},
-        "rigid": _endo_part(rig),
-    }
-    flags = [arch.status in (HOLDS, HOLDS_BY_THEOREM), rig.holds]
-    if side == "right":
-        pnu = preserves_nonunits(endo)
-        parts["preserves_nonunits"] = _endo_part(pnu)
-        flags.append(pnu.holds)
-    if arch.status == INCONCLUSIVE:
-        satisfied = None
-    else:
-        satisfied = all(flags)
-    tag = (TAG_SERIES_UNTWISTED if endo.is_identity
-           else TAG_SERIES_RIGHT if side == "right" else TAG_SERIES_LEFT)
-    return {"parts": parts, "satisfied": satisfied, "tag": tag,
-            "basis": "scope" if ring.truncated else "exact"}
+    return _model_conditions(
+        ring, endo, side,
+        (TAG_SERIES_UNTWISTED, TAG_SERIES_RIGHT, TAG_SERIES_LEFT),
+        {"rigid": _endo_part(is_rigid(endo))})
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +619,7 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
     truncates to a polynomial exactly when f*u is nilpotent, and then the
     truncation index equals the nilpotency index."""
     rng = derive_rng(seed, "geometric/%s/%s" % (ring.spec_text, endo.text))
-    if ring.truncated:
-        samples = max(20, samples // 20)
+    samples = scan_domain(ring).sample_count(samples)
     terminated = 0
     for _ in range(samples):
         f = random_poly(ring, endo, rng, max_degree, max_terms)
@@ -693,8 +668,7 @@ def poly_zero_divisor_probe(ring, endo: Endo, side: str = "right",
     f*b = 0 ("left") in the polynomial model."""
     _need_side(side)
     rng = derive_rng(seed, "polyzd/%s/%s/%s" % (ring.spec_text, endo.text, side))
-    if ring.truncated:
-        samples = max(20, samples // 20)
+    samples = scan_domain(ring).sample_count(samples)
     for _ in range(samples):
         f = random_poly(ring, endo, rng, max_degree, max_terms)
         b = random_poly(ring, endo, rng, max_degree, max_terms)
@@ -841,7 +815,7 @@ def _square_in_base_window(s) -> bool:
         dxi, dyi = ring.block_degrees(ci)
         for j, cj in supp:
             dxj, dyj = ring.block_degrees(cj)
-            tw = _twisted_degree_bound(endo, i, dxj, dyj)
+            tw = endo.degree_bound(i, dxj, dyj)
             if tw is None:
                 return False
             if tw[0] + dxi > ring.precision or tw[1] + dyi > ring.precision:
@@ -872,8 +846,7 @@ def series_reduced_check(ring, endo: Endo, precision: int = 16,
             "gives a nonzero square-zero series, matching the equivalence"
             % rig.witness["a"])
     rng = derive_rng(seed, "series-square/%s/%s" % (ring.spec_text, endo.text))
-    if ring.truncated:
-        samples = max(20, samples // 20)
+    samples = scan_domain(ring).sample_count(samples)
     artifacts = 0
     for _ in range(samples):
         s = random_series(ring, endo, rng, precision,
@@ -1033,26 +1006,16 @@ def twisted_power_product_equivalence(ring, endo: Endo, max_len: int = 3,
                                                                bounds))
 
 
-def _twisted_degree_bound(endo: Endo, t: int, dx: int, dy: int):
-    """Degree bounds after applying the twist t times; None means the
-    growth is unknown for this twist."""
-    if t == 0 or endo.is_identity:
-        return dx, dy
-    if endo.name == "xsq":
-        return dx << t, dy
-    return None
-
-
 def _scope_power_product_equivalence(ring, endo: Endo, rig, seed: int,
                                      samples: int = 200) -> Verdict:
     """Sampled scope version for truncated coefficient rings.  Products
     are replayed in the widened model, and a tuple only counts when its
     twisted degree bound fits the widened window, so every zero test is
     exact rather than a truncation artifact."""
-    wide = ring.widen(2)
+    wide = ring.widen()
     wendo = endo.on_widened(wide)
     rng = derive_rng(seed, "powerprod/%s/%s" % (ring.spec_text, endo.text))
-    pool = [v for v in _sample_pool(ring) if v != ring.zero_v]
+    pool = [v for v in scan_domain(ring, 2).values if v != ring.zero_v]
     degs = [ring.block_degrees(v) for v in pool]
     zero = wide.zero_v
     checked = 0
@@ -1067,7 +1030,7 @@ def _scope_power_product_equivalence(ring, endo: Endo, rig, seed: int,
         fits = True
         for i, k, t in zip(picks, ks, ts):
             dx, dy = degs[i]
-            bound = _twisted_degree_bound(endo, t, k * dx, k * dy)
+            bound = endo.degree_bound(t, k * dx, k * dy)
             if bound is None:
                 fits = False
                 break
@@ -1260,7 +1223,7 @@ def _scope_falsifier(ring, endo: Endo, precision: int, depth: int,
     window; verify the escape numerically on scheduled candidates."""
     rng = derive_rng(seed, "falsify/%s/%s/%s" % (ring.spec_text, endo.text,
                                                  side))
-    pool = _sample_pool(ring)
+    pool = scan_domain(ring, 2).values
     nonunit_pool = [v for v in pool
                     if v != ring.zero_v and ring.is_unit_v(v) is None]
     examined = 0
@@ -1371,7 +1334,7 @@ def induction_audit(f: TruncSeries, g: TruncSeries, h_list, depth: int,
                % depth}]
 
     if ring.truncated:
-        return _order_escape_audit(f, g, h_list, depth, side, stages)
+        return _order_escape_audit(f, g, depth, stages)
 
     rig = is_rigid(endo)
 
@@ -1503,7 +1466,7 @@ def induction_audit(f: TruncSeries, g: TruncSeries, h_list, depth: int,
         "replayed to depth %d" % (top, rig.note, depth))
 
 
-def _order_escape_audit(f, g, h_list, depth, side, stages) -> Verdict:
+def _order_escape_audit(f, g, depth, stages) -> Verdict:
     """Truncated coefficient rings: chains are unavailable, but nonunit
     constants have positive inner order, so each coefficient of f must
     carry inner order at least depth minus its degree."""
@@ -1586,35 +1549,24 @@ def classify(ring, endo: Endo) -> ClassificationReport:
     predictions = []
     for side in ("right", "left"):
         pc = poly_ring_conditions(ring, endo, side)
-        predictions.append({
-            "model": "polynomial", "side": side,
-            "property": "reduced-archimedean",
-            "predicted": _predicted_text(pc["satisfied"]),
-            "theorem_tag": pc["tag"], "basis": pc["basis"],
-        })
         sc = series_ring_conditions(ring, endo, side)
-        predictions.append({
-            "model": "series", "side": side,
-            "property": "reduced-archimedean",
-            "predicted": _predicted_text(sc["satisfied"]),
-            "theorem_tag": sc["tag"], "basis": sc["basis"],
-        })
+        for model, cond in (("polynomial", pc), ("series", sc)):
+            predictions.append({
+                "model": model, "side": side,
+                "property": "reduced-archimedean",
+                "predicted": _predicted_text(cond["satisfied"]),
+                "theorem_tag": cond["tag"], "basis": cond["basis"],
+            })
         # the domain form: Archimedean domain models need Archimedean
         # domain coefficients with an injective twist, plus nonunit
-        # preservation on the right
-        arch = derived_archimedean(ring, side)
-        parts = [arch.status in (HOLDS, HOLDS_BY_THEOREM), dom.domain,
-                 is_injective(endo).holds]
-        if side == "right":
-            parts.append(preserves_nonunits(endo).holds)
-        dom_pred = (None if arch.status == INCONCLUSIVE else all(parts))
+        # preservation on the right; that is the polynomial condition
         for model in ("polynomial", "series"):
             predictions.append({
                 "model": model, "side": side,
                 "property": "archimedean-domain",
-                "predicted": _predicted_text(dom_pred),
+                "predicted": _predicted_text(pc["satisfied"]),
                 "theorem_tag": TAG_ARCH_DOMAIN_MODELS,
-                "basis": "exact" if not ring.truncated else "scope",
+                "basis": pc["basis"],
             })
     return ClassificationReport(ring.spec_text, endo.text, profile,
                                 tuple(predictions))

@@ -26,11 +26,8 @@ from typing import Optional
 from .prng import CONSTRUCTION_SEED, SplitMix64, fnv1a64
 
 AXIOM_TRIPLE_BUDGET = 4096     # exhaustive triple scan at or below this many triples
-AXIOM_SAMPLES = 10_000         # sampled triples above the budget
-PRODUCT_AXIOM_SAMPLES = 500    # componentwise ops only need a wiring check
 ENUMERATION_CAP = 65_536       # refuse to materialize finite rings beyond this
 SCOPE_ENUMERATION_BUDGET = 200_000   # truncated-model scans shrink support to fit
-TRUNCATED_AXIOM_SAMPLES = 2_000      # per-element ops there are much pricier
 SUBRING_CLOSURE_CAP = 65_536
 
 
@@ -382,8 +379,7 @@ class SubsetHandle:
 class RingHandle:
     kind = "?"
     truncated = False
-    componentwise = False
-    _scope_cache = None
+    axiom_samples = 10_000   # sampled triples above AXIOM_TRIPLE_BUDGET
 
     def __init__(self):
         self.spec_text = spec_to_text(self.spec)
@@ -434,10 +430,6 @@ class RingHandle:
     def sort_key_v(self, v):
         return self.index_of_v(v)
 
-    def random_v(self, rng: SplitMix64):
-        vals = self.values()
-        return vals[rng.below(len(vals))]
-
     # -- units; finite default does one cached pair scan
 
     def _unit_map(self):
@@ -480,10 +472,6 @@ class RingHandle:
 
     def elements(self):
         return (Element(self, v) for v in self.values())
-
-    def subset(self, values, label: str = "") -> SubsetHandle:
-        return SubsetHandle(self, [v.v if isinstance(v, Element) else v
-                                   for v in values], label)
 
     def describe_cardinality(self):
         return "truncated-model" if self.truncated else self.card
@@ -605,7 +593,7 @@ class ProductRing(RingHandle):
     kind = "prod"
     # ops act factor by factor, so the laws descend from the (already
     # validated) factors; construction keeps only a small wiring sample
-    componentwise = True
+    axiom_samples = 500
 
     def __init__(self, spec: ProductSpec, factors):
         self.spec = spec
@@ -782,6 +770,7 @@ class TruncSeriesRing(RingHandle):
 
     kind = "tser"
     truncated = True
+    axiom_samples = 2_000    # per-element ops are much pricier here
 
     def __init__(self, spec: TruncSeriesSpec, base):
         if base.truncated:
@@ -871,31 +860,25 @@ class TruncSeriesRing(RingHandle):
         return s
 
     def scope_values(self, max_support: Optional[int] = None):
-        if max_support is None and self._scope_cache is not None:
-            return self._scope_cache
         s = self.bounded_support() if max_support is None else max_support
         s = min(s, self.precision)
         bvals = self.base.values()
         if len(bvals) ** (s + 1) > SCOPE_ENUMERATION_BUDGET:
             raise NonEnumerableError("scope of %s too large to scan" % self.spec_text)
         pad = (self.base.zero_v,) * (self.precision - s)
-        out = [head + pad for head in itertools.product(bvals, repeat=s + 1)]
-        if max_support is None:
-            self._scope_cache = out
-        return out
+        return [head + pad for head in itertools.product(bvals, repeat=s + 1)]
 
-    def widen(self, factor: int = 2):
-        return construct_ring(TruncSeriesSpec(self.base.spec, self.precision * factor))
+    def scope_generators(self):
+        """Unity, the variable powers u^1..u^N and every constant."""
+        return ([self.one_v]
+                + [self.monomial_v(k) for k in range(1, self.precision + 1)]
+                + [self.monomial_v(0, bv) for bv in self.base.values()])
+
+    def widen(self):
+        return construct_ring(TruncSeriesSpec(self.base.spec, self.precision * 2))
 
     def lift_v(self, v, wide):
         return tuple(v) + (self.base.zero_v,) * (wide.precision - self.precision)
-
-    def random_v(self, rng: SplitMix64, max_support: Optional[int] = None):
-        s = self.scope if max_support is None else max_support
-        out = [self.base.zero_v] * (self.precision + 1)
-        for _ in range(rng.below(4) + 1):
-            out[rng.below(s + 1)] = self.base.random_v(rng)
-        return tuple(out)
 
     def sort_key_v(self, v):
         return tuple(self.base.sort_key_v(c) for c in v)
@@ -924,6 +907,7 @@ class XYQuotientRing(RingHandle):
 
     kind = "xyq"
     truncated = True
+    axiom_samples = 2_000    # per-element ops are much pricier here
 
     def __init__(self, spec: XYQuotientSpec, field):
         if spec.precision < 2:
@@ -1056,8 +1040,6 @@ class XYQuotientRing(RingHandle):
         return s
 
     def scope_values(self, max_support: Optional[int] = None):
-        if max_support is None and self._scope_cache is not None:
-            return self._scope_cache
         s = self.bounded_support() if max_support is None else max_support
         s = min(s, self.precision)
         F = self.field
@@ -1070,28 +1052,25 @@ class XYQuotientRing(RingHandle):
             for xs in itertools.product(fvals, repeat=s):
                 for ys in itertools.product(fvals, repeat=s):
                     out.append((a, xs + pad, ys + pad))
-        if max_support is None:
-            self._scope_cache = out
         return out
 
-    def widen(self, factor: int = 2):
-        return construct_ring(XYQuotientSpec(self.spec.field, self.precision * factor))
+    def scope_generators(self):
+        """Unity, the powers x^1..x^N and y^1..y^N, and every constant."""
+        fz = self.field.zero_v
+        gens = [self.one_v]
+        for k in range(1, self.precision + 1):
+            gens.append(self.x_v(k))
+            gens.append(self.y_v(k))
+        for fv in self.field.values():
+            gens.append((fv, (fz,) * self.precision, (fz,) * self.precision))
+        return gens
+
+    def widen(self):
+        return construct_ring(XYQuotientSpec(self.spec.field, self.precision * 2))
 
     def lift_v(self, v, wide):
         pad = (self.field.zero_v,) * (wide.precision - self.precision)
         return (v[0], tuple(v[1]) + pad, tuple(v[2]) + pad)
-
-    def random_v(self, rng: SplitMix64, max_support: Optional[int] = None):
-        s = self.scope if max_support is None else max_support
-        F = self.field
-        a = F.random_v(rng)
-        xs = [F.zero_v] * self.precision
-        ys = [F.zero_v] * self.precision
-        for _ in range(rng.below(3)):
-            xs[rng.below(s)] = F.random_v(rng)
-        for _ in range(rng.below(3)):
-            ys[rng.below(s)] = F.random_v(rng)
-        return (a, tuple(xs), tuple(ys))
 
     def sort_key_v(self, v):
         F = self.field
@@ -1170,32 +1149,23 @@ def construct_ring(spec) -> RingHandle:
 
 
 def _axiom_triples(ring):
-    if not ring.truncated:
-        vals = ring.values()
-        n = len(vals)
-        if n ** 3 <= AXIOM_TRIPLE_BUDGET:
-            return itertools.product(vals, vals, vals)
-        samples = (PRODUCT_AXIOM_SAMPLES if ring.componentwise
-                   else AXIOM_SAMPLES)
-        rng = SplitMix64(CONSTRUCTION_SEED ^ fnv1a64(ring.spec_text))
-        return ((vals[rng.below(n)], vals[rng.below(n)], vals[rng.below(n)])
-                for _ in range(samples))
-    pool = ring.scope_values()
-    n = len(pool)
+    vals = scan_domain(ring).values
+    n = len(vals)
+    if n ** 3 <= AXIOM_TRIPLE_BUDGET:
+        return itertools.product(vals, vals, vals)
     rng = SplitMix64(CONSTRUCTION_SEED ^ fnv1a64(ring.spec_text))
-    return ((pool[rng.below(n)], pool[rng.below(n)], pool[rng.below(n)])
-            for _ in range(TRUNCATED_AXIOM_SAMPLES))
+    return ((vals[rng.below(n)], vals[rng.below(n)], vals[rng.below(n)])
+            for _ in range(ring.axiom_samples))
 
 
 def _validate_ring(ring):
-    """Identity laws on every (finite) or a deterministic slice of scope
-    (truncated) elements, then associativity/distributivity on exhaustive
-    or sampled triples."""
-    if ring.truncated:
-        pool = ring.scope_values()
-        pool = pool[::max(1, len(pool) // 512)]
-    else:
-        pool = ring.values()
+    """Identity laws on every scan-domain value (finite) or a deterministic
+    slice of them (truncated), then associativity/distributivity on one
+    triple path: every triple of scan-domain values when there are at most
+    AXIOM_TRIPLE_BUDGET of them, else the class's axiom_samples seeded
+    draws."""
+    dom = scan_domain(ring)
+    pool = dom.values if dom.exact else dom.values[::max(1, len(dom.values) // 512)]
     z, o = ring.zero_v, ring.one_v
     if z == o:
         raise RingConstructionError("%s: zero equals one" % ring.spec_text)
@@ -1263,6 +1233,8 @@ def is_nilpotent(ring, a: Element, bound: int = 16) -> NilpotenceResult:
     models the scan replays in a widened ring: a zero power whose factors
     stayed inside the widened window is genuine, otherwise the verdict is
     flagged bound-relative."""
+    if a.v == ring.zero_v:
+        return NilpotenceResult(True, 1, True, "zero power reached")
     if not ring.truncated:
         seen = set()
         p = a.v
@@ -1274,7 +1246,7 @@ def is_nilpotent(ring, a: Element, bound: int = 16) -> NilpotenceResult:
             p = ring.k_mul(p, a.v)
             k += 1
         return NilpotenceResult(False, None, True, "power cycle without zero")
-    wide = ring.widen(2)
+    wide = ring.widen()
     av = ring.lift_v(a.v, wide)
     half = wide.precision // 2
     p = av
@@ -1370,20 +1342,30 @@ def principal_power_chain(ring, a: Element, side: str = "right"):
 
 @dataclass
 class ScanDomain:
-    """The values an exact-or-scope predicate scans.  A finite ring scans
-    every value and takes products in itself; a truncated model scans its
-    scope values and takes products of their lifts in the 2x widened copy,
-    so a zero found there is never a truncation artifact.  The widened
-    copy is built on first use of `ring` or `lifted`."""
+    """The values an exact-or-scope procedure scans or samples.  A finite
+    ring scans every value and takes products in itself; a truncated model
+    scans its scope values and takes products of their lifts in the 2x
+    widened copy, so a zero found there is never a truncation artifact.
+    The widened copy is built on first use of `ring` or `lifted`."""
     scanned: RingHandle
     values: list
     exact: bool
     support: Optional[int]  # scope support bound; None when exact
 
+    @property
+    def basis(self) -> str:
+        return "exact" if self.exact else "scope"
+
+    def sample_count(self, n: int) -> int:
+        """A sampled probe's draw count: all n on a finite ring, a
+        twentieth (at least 20) on a truncated model, whose products
+        cost far more."""
+        return n if self.exact else max(20, n // 20)
+
     @cached_property
     def ring(self) -> RingHandle:
         """Where products are taken."""
-        return self.scanned if self.exact else self.scanned.widen(2)
+        return self.scanned if self.exact else self.scanned.widen()
 
     @cached_property
     def lifted(self) -> list:
@@ -1399,17 +1381,21 @@ class ScanDomain:
 
 
 def scan_domain(ring, support: Optional[int] = None) -> ScanDomain:
-    """Cached per ring and support; support defaults to the ring's
-    bounded support and is ignored on finite rings."""
+    """Cached per ring and support.  The support is capped at the ring's
+    bounded support, which is also the default; finite rings ignore it."""
+    if not ring.truncated:
+        support = None
+    else:
+        bound = ring.bounded_support()
+        support = bound if support is None else min(support, bound)
     key = ("scan-domain", support)
     got = ring._cache.get(key)
     if got is None:
-        if not ring.truncated:
+        if support is None:
             got = ScanDomain(ring, ring.values(), True, None)
         else:
-            got = ScanDomain(ring, ring.scope_values(max_support=support), False,
-                             ring.bounded_support() if support is None
-                             else support)
+            got = ScanDomain(ring, ring.scope_values(max_support=support),
+                             False, support)
         ring._cache[key] = got
     return got
 
@@ -1422,7 +1408,7 @@ class ReducedResult:
     note: str
 
 
-def is_reduced(ring, bound: int = 16) -> ReducedResult:
+def is_reduced(ring) -> ReducedResult:
     """A ring has a nonzero nilpotent iff it has a nonzero square-zero
     element, so one square scan over the scan domain decides."""
     got = ring._cache.get("reduced")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .endos import Endo, build_endo
-from .rings import construct_ring, split_top
+from .rings import construct_ring, scan_domain, split_top
 
 
 def _common(a, b):
@@ -387,7 +387,7 @@ def nilpotency_probe(f, bound: int = 16) -> ProbeResult:
 
 def _widened_replay_is_zero(f: TruncSeries, index: int) -> bool:
     ring = f.ring
-    wide = ring.widen(2)
+    wide = ring.widen()
     wendo = f.endo.on_widened(wide)
     inner_half = wide.precision // 2
     lifted = TruncSeries(wide, wendo, f.precision * 2,
@@ -431,7 +431,7 @@ def solve_right_divisibility(f: TruncSeries, g: TruncSeries, n: int,
     N = f.precision
     G = g ** n
     if universe is None:
-        universe = ring.scope_values() if ring.truncated else ring.values()
+        universe = scan_domain(ring).values
 
     # twisted copies of G's coefficients, filled on demand
     twisted: dict = {}

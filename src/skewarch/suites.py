@@ -55,7 +55,7 @@ from .props import (
     _unmet_parts,
 )
 from .registry import RunConfig, find_entry
-from .rings import is_domain
+from .rings import is_domain, scan_domain
 from .skew import SkewPoly, TruncSeries, parse_poly_text
 
 SUITE_IDS = (
@@ -97,7 +97,7 @@ def _law_failure(ring, law: str, values) -> Verdict:
 def _suite_arithmetic(entry, ring, endo, config: RunConfig) -> Verdict:
     rng = derive_rng(config.seed, "arith/%s" % entry.id)
     if ring.truncated:
-        pool = ring.scope_values(max_support=2)
+        pool = scan_domain(ring, 2).values
         tri = [pool[rng.below(len(pool))] for _ in range(10)]
         basis = "scope-sampled"
     else:
@@ -166,7 +166,7 @@ def _suite_lemma_2_3(entry, ring, endo, config: RunConfig) -> Verdict:
             return Verdict(INCONCLUSIVE, {"archimedean": arch.status},
                            "consequence scan needs an enumerable ring and "
                            "a settled chain condition")
-        pool = ring.scope_values()
+        pool = scan_domain(ring).values
         nontrivial = [v for v in pool
                       if ring.k_mul(v, v) == v
                       and v not in (ring.zero_v, ring.one_v)]
@@ -434,7 +434,7 @@ def _suite_examples(entry, ring, endo, config: RunConfig) -> Verdict:
         # untwisted variant: commutative, reduced, chain condition holds,
         # still not a domain
         rng = derive_rng(config.seed, "examples/%s" % entry.id)
-        pool = ring.scope_values(max_support=2)
+        pool = scan_domain(ring, 2).values
         for _ in range(200):
             a = pool[rng.below(len(pool))]
             b = pool[rng.below(len(pool))]

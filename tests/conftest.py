@@ -1,0 +1,24 @@
+"""Shared fixtures."""
+
+from types import SimpleNamespace
+
+import pytest
+
+from skewarch.registry import ENTRIES, RunConfig, startup_self_check
+from skewarch.reports import render_json, render_report_text
+from skewarch.suites import SUITE_IDS, run_one
+
+
+@pytest.fixture(scope="session")
+def seed42_matrix():
+    """The full registry x suite matrix at seed 42, run in process once:
+    its 198 reports, and the JSON and explain text that
+    `skewarch run --entry all --suite all --seed 42` and the same
+    `explain` command print."""
+    startup_self_check()
+    config = RunConfig(seed=42).validated()
+    reports = [run_one(entry, suite_id, config)
+               for entry in ENTRIES for suite_id in SUITE_IDS]
+    return SimpleNamespace(
+        reports=reports, json=render_json(reports, config),
+        explain="".join(render_report_text(r) for r in reports))

@@ -38,6 +38,8 @@ from skewarch.skew import (
     parse_poly_text,
 )
 
+from test_golden import GOLDEN_JSON, _digest
+
 
 @contextmanager
 def _criterion(number: int, label: str):
@@ -268,15 +270,15 @@ def test_criterion_10_induction_audit():
                                      "stabilized": ["0", "2", "4"]}
 
 
-def test_criterion_11_cli_determinism():
-    with _criterion(11, "run --entry all --suite all --seed 42 twice is "
-                        "byte-identical"):
+def test_criterion_11_cli_determinism(seed42_matrix):
+    with _criterion(11, "run --entry all --suite all --seed 42 in a fresh "
+                        "process is byte-identical to this one"):
         args = [sys.executable, "-m", "skewarch.cli", "run",
                 "--entry", "all", "--suite", "all", "--seed", "42"]
-        first = subprocess.run(args, capture_output=True, text=True)
-        second = subprocess.run(args, capture_output=True, text=True)
-        assert first.returncode == second.returncode == 0
-        assert first.stdout == second.stdout
-        assert first.stdout.endswith("\n")
-        doc = json.loads(first.stdout)
+        run = subprocess.run(args, capture_output=True, text=True)
+        assert run.returncode == 0
+        assert run.stdout == seed42_matrix.json
+        assert _digest(run.stdout) == GOLDEN_JSON
+        assert run.stdout.endswith("\n")
+        doc = json.loads(run.stdout)
         assert len(doc["reports"]) == 11 * 18

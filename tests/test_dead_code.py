@@ -1,21 +1,23 @@
 """Code that no module, test or demo reaches gets deleted.
 
 Every module-level function, class and constant in src/skewarch, and every
-method of its classes, must have its name appear somewhere in src/, tests/
-or demos/ outside its own definition.  Dunder names are exempt.  The
-benchmark harness is not searched: every package name it uses is also
-used in src/ or tests/, and its own words (a random.Random method, say)
-could hide a dead name of the same spelling."""
+method of its classes, must have its name used somewhere in src/, tests/
+or demos/ outside every definition of that name.  A use is a Python name
+token, so words in docstrings, comments and strings do not count, and
+neither do calls between same-named methods of different classes.  Dunder
+names are exempt.  The benchmark harness is not searched: every package
+name it uses is also used in src/ or tests/, and its own words (a
+random.Random method, say) could hide a dead name of the same spelling."""
 
 import ast
-import re
-from collections import Counter
+import io
+import tokenize
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "skewarch"
 SEARCHED = ("src", "tests", "demos")
-WORD = re.compile(r"\w+")
 
 
 def _definitions(tree):
@@ -36,19 +38,32 @@ def _definitions(tree):
                     yield target.id, node
 
 
+def _name_tokens(text):
+    """(name, line) for each NAME token."""
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.NAME:
+            yield tok.string, tok.start[0]
+
+
 def test_every_package_name_is_reached():
     sources = {path: path.read_text(encoding="utf-8")
                for top in SEARCHED for path in sorted((ROOT / top).rglob("*.py"))}
-    words = Counter(w for text in sources.values() for w in WORD.findall(text))
-    unreached = []
+    # name -> [(path, first line, last line)] of its package definitions
+    spans = defaultdict(list)
     for path in sorted(PACKAGE.glob("*.py")):
-        lines = sources[path].splitlines()
         for name, node in _definitions(ast.parse(sources[path])):
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            first = min([node.lineno] + [d.lineno for d in
-                                         getattr(node, "decorator_list", [])])
-            own = "\n".join(lines[first - 1:node.end_lineno])
-            if words[name] == WORD.findall(own).count(name):
-                unreached.append("%s:%s" % (path.name, name))
+            if not (name.startswith("__") and name.endswith("__")):
+                first = min([node.lineno] + [d.lineno for d in
+                                             getattr(node, "decorator_list", [])])
+                spans[name].append((path, first, node.end_lineno))
+    reached = set()
+    for path, text in sources.items():
+        for name, line in _name_tokens(text):
+            if name in spans and not any(
+                    p == path and first <= line <= last
+                    for p, first, last in spans[name]):
+                reached.add(name)
+    unreached = sorted("%s:%s" % (path.name, name)
+                       for name, defs in spans.items() if name not in reached
+                       for path in sorted({p for p, _, _ in defs}))
     assert unreached == []

@@ -12,10 +12,7 @@ import pytest
 from skewarch.endos import (build_endo, is_compatible, is_injective,
                             is_rigid, preserves_nonunits)
 from skewarch.props import classify, poly_ring_conditions, series_ring_conditions
-from skewarch.registry import ENTRIES, RunConfig, startup_self_check
-from skewarch.reports import render_json, render_report_text
 from skewarch.rings import Element, construct_ring, is_domain, is_reduced
-from skewarch.suites import SUITE_IDS, run_one
 
 GOLDEN_JSON = ("5e93f34048e1b2bfea9733a1d01d51b0ba542bd775ecc17ddf63c5dfb14c84dc",
                166_283)
@@ -30,16 +27,9 @@ def _digest(text: str):
     return hashlib.sha256(data).hexdigest(), len(data)
 
 
-def test_full_matrix_report_bytes_frozen():
-    # what `skewarch run --entry all --suite all --seed 42` and the same
-    # `explain` command print, produced in process
-    startup_self_check()
-    config = RunConfig(seed=42)
-    reports = [run_one(entry, suite_id, config)
-               for entry in ENTRIES for suite_id in SUITE_IDS]
-    assert _digest(render_json(reports, config)) == GOLDEN_JSON
-    assert _digest("".join(render_report_text(r) for r in reports)) == \
-        GOLDEN_EXPLAIN
+def test_full_matrix_report_bytes_frozen(seed42_matrix):
+    assert _digest(seed42_matrix.json) == GOLDEN_JSON
+    assert _digest(seed42_matrix.explain) == GOLDEN_EXPLAIN
 
 
 EXHAUSTIVE_HOLDS = {

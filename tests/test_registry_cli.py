@@ -179,20 +179,22 @@ def test_run_one_report_shape():
     validate_report(report)
 
 
-def test_full_matrix_matches_frozen_statuses():
+def test_full_matrix_matches_frozen_statuses(seed42_matrix):
     # the central regression: every cell of the registry x suite matrix
     # at seed 42, validated and contradiction-free
-    config = RunConfig(seed=42).validated()
+    reports = iter(seed42_matrix.reports)
     for entry in registry_entries():
         expected = [_LETTER[c] for c in STATUS_MATRIX[entry.id].split()]
         got = []
         for suite_id in SUITE_IDS:
-            report = run_one(entry, suite_id, config)
+            report = next(reports)
+            assert (report["entry"], report["suite"]) == (entry.id, suite_id)
             validate_report(report)
             assert not report_contradicts_predictions(report), \
                 (entry.id, suite_id)
             got.append(report["status"])
         assert got == expected, entry.id
+    assert next(reports, None) is None
 
 
 def test_expected_falsifier_chains_do_not_contradict():

@@ -281,6 +281,8 @@ def test_trunc_series_ring_basics():
         ring.values()
     # model truncation would kill t^9, but the probe widens before judging
     assert not is_nilpotent(ring, t).nilpotent
+    zero = is_nilpotent(ring, ring.zero)
+    assert (zero.nilpotent, zero.index, zero.exact) == (True, 1, True)
 
 
 def test_trunc_series_unit_iff_constant_unit():
@@ -308,6 +310,8 @@ def test_xy_quotient_ring_relations():
     assert not is_domain(ring).domain       # x * y = 0
     assert not is_nilpotent(ring, x).nilpotent
     assert not is_nilpotent(ring, x + y).nilpotent
+    zero = is_nilpotent(ring, ring.zero)
+    assert (zero.nilpotent, zero.index, zero.exact) == (True, 1, True)
 
 
 def test_xy_quotient_scope_enumeration_puts_nonunits_first():
