@@ -23,9 +23,9 @@ from typing import Optional
 from .endos import (Endo, build_endo, is_compatible, is_injective, is_rigid,
                     preserves_nonunits, rigid_decomposition_check)
 from .prng import SplitMix64, derive_rng
-from .rings import (Element, NonEnumerableError, SubsetHandle, TruncSeriesSpec,
+from .rings import (Element, NonEnumerableError, TruncSeriesSpec,
                     construct_ring, idempotents, is_domain, is_nilpotent,
-                    is_reduced, jacobson_radical, nonunits,
+                    is_reduced, jacobson_radical, memo, nonunits,
                     principal_power_chain, quotient_by_ideal, scan_domain,
                     subring_generated, units, zero_divisors)
 from .skew import (SkewPoly, TruncSeries, geometric_inverse, nilpotency_probe,
@@ -38,6 +38,9 @@ INCONCLUSIVE = "inconclusive-at-scale"
 HOLDS_BY_THEOREM = "holds-by-theorem"
 
 STATUSES = (HOLDS, FAILS, HYPOTHESIS_NOT_MET, INCONCLUSIVE, HOLDS_BY_THEOREM)
+
+POWER_PRODUCT_BUDGET = 400_000   # exact scan shrinks its bounds to fit
+POWER_PRODUCT_SAMPLES = 200      # guarded tuples on a truncated model
 
 # fixed tag catalog; these exact strings appear in reports
 TAG_ARCH_DOMAIN_MODELS = "Theorem 1.2"
@@ -90,12 +93,11 @@ def random_poly(ring, endo: Endo, rng: SplitMix64, max_degree: int = 6,
 
 
 def random_series(ring, endo: Endo, rng: SplitMix64, precision: int,
-                  max_support: Optional[int] = None,
-                  max_terms: int = 4) -> TruncSeries:
+                  max_support: Optional[int] = None) -> TruncSeries:
     pool = scan_domain(ring, 2).values
     top = precision if max_support is None else min(max_support, precision)
     coeffs = [ring.zero_v] * (precision + 1)
-    for _ in range(rng.below(max_terms) + 1):
+    for _ in range(rng.below(4) + 1):
         coeffs[rng.below(top + 1)] = pool[rng.below(len(pool))]
     return TruncSeries(ring, endo, precision, coeffs)
 
@@ -104,52 +106,39 @@ def random_series(ring, endo: Endo, rng: SplitMix64, precision: int,
 # the Archimedean property itself
 
 
+@memo
 def is_archimedean(ring, side: str = "right") -> Verdict:
     """Exact chain scan over every nonunit of a finite ring."""
     _need_side(side)
     if ring.truncated:
         raise NonEnumerableError("%s is a truncated model; use "
                                  "derived_archimedean" % ring.spec_text)
-    key = ("archimedean", side)
-    got = ring._cache.get(key)
-    if got is not None:
-        return got
     nu = nonunits(ring)
-    verdict = None
     for a in nu:
         chain, stab = principal_power_chain(ring, a, side)
         if set(stab.vals) != {ring.zero_v}:
-            verdict = Verdict(
+            return Verdict(
                 FAILS,
                 {"a": a.text, "stabilized": stab.texts()},
                 "principal power chain of %s stabilizes at {%s} after %d "
                 "steps without reaching {0} (exact)"
                 % (a.text, ",".join(stab.texts()), len(chain)))
-            break
-    if verdict is None:
-        verdict = Verdict(
-            HOLDS, None,
-            "all %d nonunit power chains stabilize at {0} (exhaustive "
-            "%s-side scan)" % (len(nu), side))
-    ring._cache[key] = verdict
-    return verdict
+    return Verdict(
+        HOLDS, None,
+        "all %d nonunit power chains stabilize at {0} (exhaustive "
+        "%s-side scan)" % (len(nu), side))
 
 
+@memo
 def derived_archimedean(ring, side: str = "right") -> Verdict:
     """Archimedean status for any model ring: chain scans when finite,
     structural derivations for the truncated models."""
     _need_side(side)
     if not ring.truncated:
         return is_archimedean(ring, side)
-    key = ("derived-archimedean", side)
-    got = ring._cache.get(key)
-    if got is None:
-        if ring.kind == "xyq":
-            got = _two_variable_quotient_archimedean(ring, side)
-        else:
-            got = _series_model_archimedean(ring, side)
-        ring._cache[key] = got
-    return got
+    if ring.kind == "xyq":
+        return _two_variable_quotient_archimedean(ring, side)
+    return _series_model_archimedean(ring, side)
 
 
 def _series_model_archimedean(ring, side: str) -> Verdict:
@@ -432,18 +421,14 @@ def subring_inheritance_check(ambient, gens=(), side: str = "right") -> Verdict:
 # regular rings
 
 
+@memo
 def von_neumann_regular(ring):
     """Every a must factor as a*x*a.  Returns (bool, counterexample)."""
-    got = ring._cache.get("vnr")
-    if got is None:
-        vals = ring.values()
-        got = (True, None)
-        for a in vals:
-            if not any(ring.k_mul(ring.k_mul(a, x), a) == a for x in vals):
-                got = (False, Element(ring, a))
-                break
-        ring._cache["vnr"] = got
-    return got
+    vals = ring.values()
+    for a in vals:
+        if not any(ring.k_mul(ring.k_mul(a, x), a) == a for x in vals):
+            return False, Element(ring, a)
+    return True, None
 
 
 def is_division_ring(ring) -> bool:
@@ -527,15 +512,16 @@ def regular_ring_division_check(ring, side: str = "right") -> dict:
 
 
 CENSUS_FIELD_SPECS = ("gf:2:1", "gf:3:1", "gf:2:2", "gf:5:1")
+CENSUS_MAX_FACTORS = 3
 
 
-def archimedean_field_census(max_factors: int = 3, side: str = "right"):
+def archimedean_field_census(side: str = "right"):
     """Products of small fields are regular, so the property must single
     out the division rings: exactly the one-factor products.  Returns one
     row per unordered product."""
     _need_side(side)
     rows = []
-    for n in range(1, max_factors + 1):
+    for n in range(1, CENSUS_MAX_FACTORS + 1):
         for combo in itertools.combinations_with_replacement(
                 CENSUS_FIELD_SPECS, n):
             spec_text = combo[0] if n == 1 else "prod(%s)" % ",".join(combo)
@@ -613,8 +599,7 @@ def series_ring_conditions(ring, endo: Endo, side: str = "right") -> dict:
 
 
 def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
-                                precision: int = 16, max_degree: int = 6,
-                                max_terms: int = 3) -> Verdict:
+                                precision: int = 16) -> Verdict:
     """1 + f*u inverts as the alternating geometric series; the expansion
     truncates to a polynomial exactly when f*u is nilpotent, and then the
     truncation index equals the nilpotency index."""
@@ -622,7 +607,7 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
     samples = scan_domain(ring).sample_count(samples)
     terminated = 0
     for _ in range(samples):
-        f = random_poly(ring, endo, rng, max_degree, max_terms)
+        f = random_poly(ring, endo, rng, max_terms=3)
         if f.is_zero:
             continue
         res = geometric_inverse(f, precision)   # raises if the identity fails
@@ -661,17 +646,15 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
 
 
 def poly_zero_divisor_probe(ring, endo: Endo, side: str = "right",
-                            samples: int = 2000, seed: int = 0,
-                            max_degree: int = 6,
-                            max_terms: int = 3) -> Optional[dict]:
+                            samples: int = 2000, seed: int = 0) -> Optional[dict]:
     """Sampled hunt for a nonzero pair with b*f = 0 (side="right") or
     f*b = 0 ("left") in the polynomial model."""
     _need_side(side)
     rng = derive_rng(seed, "polyzd/%s/%s/%s" % (ring.spec_text, endo.text, side))
     samples = scan_domain(ring).sample_count(samples)
     for _ in range(samples):
-        f = random_poly(ring, endo, rng, max_degree, max_terms)
-        b = random_poly(ring, endo, rng, max_degree, max_terms)
+        f = random_poly(ring, endo, rng, max_terms=3)
+        b = random_poly(ring, endo, rng, max_terms=3)
         if f.is_zero or b.is_zero:
             continue
         prod = b * f if side == "right" else f * b
@@ -824,7 +807,7 @@ def _square_in_base_window(s) -> bool:
 
 
 def series_reduced_check(ring, endo: Endo, precision: int = 16,
-                         samples: int = 2000, seed: int = 0) -> Verdict:
+                         seed: int = 0) -> Verdict:
     """The truncated series model is reduced exactly when the twist is
     rigid.  A rigidity failure yields an explicit square-zero monomial;
     under a rigid twist a sampled square scan stays clean."""
@@ -846,7 +829,7 @@ def series_reduced_check(ring, endo: Endo, precision: int = 16,
             "gives a nonzero square-zero series, matching the equivalence"
             % rig.witness["a"])
     rng = derive_rng(seed, "series-square/%s/%s" % (ring.spec_text, endo.text))
-    samples = scan_domain(ring).sample_count(samples)
+    samples = scan_domain(ring).sample_count(2000)
     artifacts = 0
     for _ in range(samples):
         s = random_series(ring, endo, rng, precision,
@@ -897,10 +880,7 @@ def rigidity_decomposition_verdict(endo: Endo) -> Verdict:
                       summary["reduced"]))
 
 
-def twisted_power_product_equivalence(ring, endo: Endo, max_len: int = 3,
-                                      max_exp: int = 3, max_twist: int = 3,
-                                      budget: int = 400_000,
-                                      seed: int = 0) -> Verdict:
+def twisted_power_product_equivalence(ring, endo: Endo, seed: int = 0) -> Verdict:
     """Under a rigid twist, a product of twisted powers
     twist^t1(a1^k1) * ... * twist^tn(an^kn) with every exponent >= 1
     vanishes exactly when the plain product of the bases vanishes in every
@@ -912,8 +892,8 @@ def twisted_power_product_equivalence(ring, endo: Endo, max_len: int = 3,
 
     vals = [v for v in ring.values() if v != ring.zero_v]
     # shrink bounds deterministically until the scan fits the budget
-    n_max, k_max, t_max = max_len, max_exp, max_twist
-    while (len(vals) * k_max * (t_max + 1)) ** n_max > budget:
+    n_max, k_max, t_max = 3, 3, 3     # product length, exponent, twist depth
+    while (len(vals) * k_max * (t_max + 1)) ** n_max > POWER_PRODUCT_BUDGET:
         if t_max > 1:
             t_max -= 1
         elif k_max > 1:
@@ -1006,8 +986,7 @@ def twisted_power_product_equivalence(ring, endo: Endo, max_len: int = 3,
                                                                bounds))
 
 
-def _scope_power_product_equivalence(ring, endo: Endo, rig, seed: int,
-                                     samples: int = 200) -> Verdict:
+def _scope_power_product_equivalence(ring, endo: Endo, rig, seed: int) -> Verdict:
     """Sampled scope version for truncated coefficient rings.  Products
     are replayed in the widened model, and a tuple only counts when its
     twisted degree bound fits the widened window, so every zero test is
@@ -1020,7 +999,7 @@ def _scope_power_product_equivalence(ring, endo: Endo, rig, seed: int,
     zero = wide.zero_v
     checked = 0
     draws = 0
-    while checked < samples and draws < samples * 20:
+    while checked < POWER_PRODUCT_SAMPLES and draws < POWER_PRODUCT_SAMPLES * 20:
         draws += 1
         n = rng.below(2) + 2
         picks = [rng.below(len(pool)) for _ in range(n)]

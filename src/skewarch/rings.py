@@ -18,9 +18,10 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Optional
 
 from .prng import CONSTRUCTION_SEED, SplitMix64, fnv1a64
@@ -29,6 +30,7 @@ AXIOM_TRIPLE_BUDGET = 4096     # exhaustive triple scan at or below this many tr
 ENUMERATION_CAP = 65_536       # refuse to materialize finite rings beyond this
 SCOPE_ENUMERATION_BUDGET = 200_000   # truncated-model scans shrink support to fit
 SUBRING_CLOSURE_CAP = 65_536
+NILPOTENT_BOUND = 16           # highest power a truncated-model replay tries
 
 
 class RingConstructionError(ValueError):
@@ -41,6 +43,27 @@ class RingMismatchError(ValueError):
 
 class NonEnumerableError(RuntimeError):
     """An exhaustive scan was requested on a truncated-model ring."""
+
+
+def memo(fn):
+    """Keep fn(obj, *args)'s result in obj._cache, keyed by the function
+    name and the remaining arguments with their defaults filled in, so a
+    ring or twist computes each property once.  A call that raises stores
+    nothing."""
+    sig = inspect.signature(fn)
+    arity = len(sig.parameters) - 1
+
+    @wraps(fn)
+    def cached(obj, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            bound = sig.bind(obj, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        key = (fn.__name__, *args)
+        if key not in obj._cache:
+            obj._cache[key] = fn(obj, *args)
+        return obj._cache[key]
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -432,17 +455,15 @@ class RingHandle:
 
     # -- units; finite default does one cached pair scan
 
+    @memo
     def _unit_map(self):
-        m = self._cache.get("unit_map")
-        if m is None:
-            vals = self.values()
-            m = {}
-            for a in vals:
-                for b in vals:
-                    if self.k_mul(a, b) == self.one_v and self.k_mul(b, a) == self.one_v:
-                        m[a] = b
-                        break
-            self._cache["unit_map"] = m
+        vals = self.values()
+        m = {}
+        for a in vals:
+            for b in vals:
+                if self.k_mul(a, b) == self.one_v and self.k_mul(b, a) == self.one_v:
+                    m[a] = b
+                    break
         return m
 
     def is_unit_v(self, v):
@@ -453,6 +474,11 @@ class RingHandle:
         """Least degree of a nonzero coefficient of a truncated-model value;
         None for zero.  Finite ring elements count as order 0 when nonzero."""
         return None if v == self.zero_v else 0
+
+    def scope_generators(self):
+        """Values whose pairs a twist's law check covers before the scan
+        domain; a finite ring needs none."""
+        return []
 
     # -- element-level conveniences
 
@@ -764,13 +790,47 @@ class QuotientRing(RingHandle):
         return self.rep_map[parent_value]
 
 
-class TruncSeriesRing(RingHandle):
+def _digit_values(i: int, vals, length: int) -> list:
+    # the `length` base-len(vals) digits of i, most significant first, as values
+    return [vals[d] for d in reversed(_digits(i, len(vals), length))]
+
+
+class TruncatedModel(RingHandle):
+    """A truncated model: not enumerable, scanned over its numbered scope.
+    Subclasses define `scope_size(s)`, the number of values of support
+    <= s, and `scope_value(i, s)`, entry i of that scope in its listing
+    order."""
+
+    truncated = True
+    axiom_samples = 2_000    # per-element ops are much pricier here
+
+    @property
+    def scope(self) -> int:
+        return self.precision // 2
+
+    def bounded_support(self) -> int:
+        """Largest support s <= scope whose scope size fits
+        SCOPE_ENUMERATION_BUDGET; exhaustive scans shrink to this
+        automatically."""
+        s = self.scope
+        while s > 0 and self.scope_size(s) > SCOPE_ENUMERATION_BUDGET:
+            s -= 1
+        return s
+
+    def scope_values(self, max_support: Optional[int] = None):
+        s = self.bounded_support() if max_support is None else max_support
+        s = min(s, self.precision)
+        n = self.scope_size(s)
+        if n > SCOPE_ENUMERATION_BUDGET:
+            raise NonEnumerableError("scope of %s too large to scan" % self.spec_text)
+        return [self.scope_value(i, s) for i in range(n)]
+
+
+class TruncSeriesRing(TruncatedModel):
     """R[[u]] truncated at u^(N+1): length-(N+1) coefficient tuples with
     convolution products.  A truncated model: scans are scope-bounded."""
 
     kind = "tser"
-    truncated = True
-    axiom_samples = 2_000    # per-element ops are much pricier here
 
     def __init__(self, spec: TruncSeriesSpec, base):
         if base.truncated:
@@ -847,26 +907,12 @@ class TruncSeriesRing(RingHandle):
                 top = i
         return top, 0
 
-    @property
-    def scope(self) -> int:
-        return self.precision // 2
+    def scope_size(self, s: int) -> int:
+        return len(self.base.values()) ** (s + 1)
 
-    def bounded_support(self, budget: int = SCOPE_ENUMERATION_BUDGET) -> int:
-        """Largest support s <= scope whose value count card^(s+1) fits
-        the budget; exhaustive scans shrink to this automatically."""
-        s = self.scope
-        while s > 0 and len(self.base.values()) ** (s + 1) > budget:
-            s -= 1
-        return s
-
-    def scope_values(self, max_support: Optional[int] = None):
-        s = self.bounded_support() if max_support is None else max_support
-        s = min(s, self.precision)
-        bvals = self.base.values()
-        if len(bvals) ** (s + 1) > SCOPE_ENUMERATION_BUDGET:
-            raise NonEnumerableError("scope of %s too large to scan" % self.spec_text)
-        pad = (self.base.zero_v,) * (self.precision - s)
-        return [head + pad for head in itertools.product(bvals, repeat=s + 1)]
+    def scope_value(self, i: int, s: int):
+        head = _digit_values(i, self.base.values(), s + 1)
+        return tuple(head) + (self.base.zero_v,) * (self.precision - s)
 
     def scope_generators(self):
         """Unity, the variable powers u^1..u^N and every constant."""
@@ -898,7 +944,7 @@ class TruncSeriesRing(RingHandle):
         return tuple(coeffs)
 
 
-class XYQuotientRing(RingHandle):
+class XYQuotientRing(TruncatedModel):
     """F[[x,y]]/(xy) truncated at degree N in each variable.
 
     Values are (a, xs, ys): constant term, then x- and y-block
@@ -906,8 +952,6 @@ class XYQuotientRing(RingHandle):
     interact and products reduce to two one-variable convolutions."""
 
     kind = "xyq"
-    truncated = True
-    axiom_samples = 2_000    # per-element ops are much pricier here
 
     def __init__(self, spec: XYQuotientSpec, field):
         if spec.precision < 2:
@@ -1028,31 +1072,14 @@ class XYQuotientRing(RingHandle):
                 dy = i + 1
         return dx, dy
 
-    @property
-    def scope(self) -> int:
-        return self.precision // 2
+    def scope_size(self, s: int) -> int:
+        return len(self.field.values()) ** (1 + 2 * s)
 
-    def bounded_support(self, budget: int = SCOPE_ENUMERATION_BUDGET) -> int:
-        s = self.scope
-        q = len(self.field.values())
-        while s > 0 and q ** (1 + 2 * s) > budget:
-            s -= 1
-        return s
-
-    def scope_values(self, max_support: Optional[int] = None):
-        s = self.bounded_support() if max_support is None else max_support
-        s = min(s, self.precision)
-        F = self.field
-        fvals = F.values()
-        if len(fvals) ** (1 + 2 * s) > SCOPE_ENUMERATION_BUDGET:
-            raise NonEnumerableError("scope of %s too large to scan" % self.spec_text)
-        pad = (F.zero_v,) * (self.precision - s)
-        out = []
-        for a in fvals:
-            for xs in itertools.product(fvals, repeat=s):
-                for ys in itertools.product(fvals, repeat=s):
-                    out.append((a, xs + pad, ys + pad))
-        return out
+    def scope_value(self, i: int, s: int):
+        """The constant, then the x-block, then the y-block digits."""
+        d = _digit_values(i, self.field.values(), 1 + 2 * s)
+        pad = (self.field.zero_v,) * (self.precision - s)
+        return (d[0], tuple(d[1:s + 1]) + pad, tuple(d[s + 1:]) + pad)
 
     def scope_generators(self):
         """Unity, the powers x^1..x^N and y^1..y^N, and every constant."""
@@ -1149,12 +1176,13 @@ def construct_ring(spec) -> RingHandle:
 
 
 def _axiom_triples(ring):
-    vals = scan_domain(ring).values
-    n = len(vals)
+    dom = scan_domain(ring)
+    n = dom.size
     if n ** 3 <= AXIOM_TRIPLE_BUDGET:
-        return itertools.product(vals, vals, vals)
+        return itertools.product(dom.values, dom.values, dom.values)
     rng = SplitMix64(CONSTRUCTION_SEED ^ fnv1a64(ring.spec_text))
-    return ((vals[rng.below(n)], vals[rng.below(n)], vals[rng.below(n)])
+    pick = dom.value
+    return ((pick(rng.below(n)), pick(rng.below(n)), pick(rng.below(n)))
             for _ in range(ring.axiom_samples))
 
 
@@ -1165,11 +1193,11 @@ def _validate_ring(ring):
     AXIOM_TRIPLE_BUDGET of them, else the class's axiom_samples seeded
     draws."""
     dom = scan_domain(ring)
-    pool = dom.values if dom.exact else dom.values[::max(1, len(dom.values) // 512)]
+    step = 1 if dom.exact else max(1, dom.size // 512)
     z, o = ring.zero_v, ring.one_v
     if z == o:
         raise RingConstructionError("%s: zero equals one" % ring.spec_text)
-    for a in pool:
+    for a in map(dom.value, range(0, dom.size, step)):
         if ring.k_add(z, a) != a or ring.k_add(a, z) != a:
             raise RingConstructionError("%s: additive identity fails at %s"
                                         % (ring.spec_text, ring.text_of_v(a)))
@@ -1200,13 +1228,9 @@ def _validate_ring(ring):
 # predicates and derived sets (finite rings unless noted)
 
 
+@memo
 def units(ring) -> SubsetHandle:
-    got = ring._cache.get("units")
-    if got is None:
-        m = ring._unit_map()
-        got = SubsetHandle(ring, m.keys(), "units")
-        ring._cache["units"] = got
-    return got
+    return SubsetHandle(ring, ring._unit_map().keys(), "units")
 
 
 def nonunits(ring) -> SubsetHandle:
@@ -1228,7 +1252,7 @@ class NilpotenceResult:
     note: str
 
 
-def is_nilpotent(ring, a: Element, bound: int = 16) -> NilpotenceResult:
+def is_nilpotent(ring, a: Element) -> NilpotenceResult:
     """Exact on finite rings via power-cycle detection.  On truncated
     models the scan replays in a widened ring: a zero power whose factors
     stayed inside the widened window is genuine, otherwise the verdict is
@@ -1251,7 +1275,7 @@ def is_nilpotent(ring, a: Element, bound: int = 16) -> NilpotenceResult:
     half = wide.precision // 2
     p = av
     clean = max(ring.block_degrees(a.v)) <= half
-    for k in range(2, bound + 1):
+    for k in range(2, NILPOTENT_BOUND + 1):
         p = wide.k_mul(p, av)
         if p == wide.zero_v:
             note = ("zero power reached in widened model"
@@ -1260,61 +1284,43 @@ def is_nilpotent(ring, a: Element, bound: int = 16) -> NilpotenceResult:
         if max(wide.block_degrees(p)) > half:
             clean = False
     return NilpotenceResult(False, None, False,
-                            "no zero power within bound %d at scope" % bound)
+                            "no zero power within bound %d at scope" % NILPOTENT_BOUND)
 
 
+@memo
 def zero_divisors(ring, side: str = "right") -> SubsetHandle:
     """Right zero-divisors: a with b*a = 0 for some b != 0 (zero included).
     side="left" mirrors."""
-    key = ("zero_divisors", side)
-    got = ring._cache.get(key)
-    if got is None:
-        vals = ring.values()
-        z = ring.zero_v
-        found = []
-        for a in vals:
-            for b in vals:
-                if b == z:
-                    continue
-                prod = ring.k_mul(b, a) if side == "right" else ring.k_mul(a, b)
-                if prod == z:
-                    found.append(a)
-                    break
-        got = SubsetHandle(ring, found, "zero-divisors-%s" % side)
-        ring._cache[key] = got
-    return got
+    vals = ring.values()
+    z = ring.zero_v
+    found = []
+    for a in vals:
+        for b in vals:
+            if b == z:
+                continue
+            prod = ring.k_mul(b, a) if side == "right" else ring.k_mul(a, b)
+            if prod == z:
+                found.append(a)
+                break
+    return SubsetHandle(ring, found, "zero-divisors-%s" % side)
 
 
+@memo
 def idempotents(ring) -> SubsetHandle:
-    got = ring._cache.get("idempotents")
-    if got is None:
-        got = SubsetHandle(ring, [v for v in ring.values()
-                                  if ring.k_mul(v, v) == v], "idempotents")
-        ring._cache["idempotents"] = got
-    return got
+    return SubsetHandle(ring, [v for v in ring.values()
+                               if ring.k_mul(v, v) == v], "idempotents")
 
 
+@memo
 def jacobson_radical(ring) -> SubsetHandle:
     """Quasi-regularity scan: a is in the radical iff 1 - r*a is a unit
     for every r."""
-    got = ring._cache.get("jacobson")
-    if got is None:
-        vals = ring.values()
-        o = ring.one_v
-        umap = ring._unit_map()
-        out = []
-        for a in vals:
-            ok = True
-            for r in vals:
-                t = ring.k_sub(o, ring.k_mul(r, a))
-                if t not in umap:
-                    ok = False
-                    break
-            if ok:
-                out.append(a)
-        got = SubsetHandle(ring, out, "jacobson-radical")
-        ring._cache["jacobson"] = got
-    return got
+    vals = ring.values()
+    o = ring.one_v
+    umap = ring._unit_map()
+    out = [a for a in vals
+           if all(ring.k_sub(o, ring.k_mul(r, a)) in umap for r in vals)]
+    return SubsetHandle(ring, out, "jacobson-radical")
 
 
 def principal_power_chain(ring, a: Element, side: str = "right"):
@@ -1340,17 +1346,21 @@ def principal_power_chain(ring, a: Element, side: str = "right"):
     return chain, chain[-1]
 
 
-@dataclass
 class ScanDomain:
     """The values an exact-or-scope procedure scans or samples.  A finite
     ring scans every value and takes products in itself; a truncated model
-    scans its scope values and takes products of their lifts in the 2x
-    widened copy, so a zero found there is never a truncation artifact.
-    The widened copy is built on first use of `ring` or `lifted`."""
-    scanned: RingHandle
-    values: list
-    exact: bool
-    support: Optional[int]  # scope support bound; None when exact
+    scans its scope values (support <= `support`) and takes products of
+    their lifts in the 2x widened copy, so a zero found there is never a
+    truncation artifact.  The scope is numbered: `value(i)` computes entry
+    i without listing the others, so a procedure that only samples never
+    builds `values`.  The value list, the widened copy and the lifts are
+    each built on first use."""
+
+    def __init__(self, scanned: RingHandle, support: Optional[int]):
+        self.scanned = scanned
+        self.support = support  # scope support bound; None when exact
+        self.exact = support is None
+        self.size = scanned.card if self.exact else scanned.scope_size(support)
 
     @property
     def basis(self) -> str:
@@ -1361,6 +1371,17 @@ class ScanDomain:
         twentieth (at least 20) on a truncated model, whose products
         cost far more."""
         return n if self.exact else max(20, n // 20)
+
+    def value(self, i: int):
+        if self.exact:
+            return self.values[i]
+        return self.scanned.scope_value(i, self.support)
+
+    @cached_property
+    def values(self) -> list:
+        if self.exact:
+            return self.scanned.values()
+        return self.scanned.scope_values(max_support=self.support)
 
     @cached_property
     def ring(self) -> RingHandle:
@@ -1384,20 +1405,14 @@ def scan_domain(ring, support: Optional[int] = None) -> ScanDomain:
     """Cached per ring and support.  The support is capped at the ring's
     bounded support, which is also the default; finite rings ignore it."""
     if not ring.truncated:
-        support = None
-    else:
-        bound = ring.bounded_support()
-        support = bound if support is None else min(support, bound)
-    key = ("scan-domain", support)
-    got = ring._cache.get(key)
-    if got is None:
-        if support is None:
-            got = ScanDomain(ring, ring.values(), True, None)
-        else:
-            got = ScanDomain(ring, ring.scope_values(max_support=support),
-                             False, support)
-        ring._cache[key] = got
-    return got
+        return _scan_domain(ring, None)
+    bound = ring.bounded_support()
+    return _scan_domain(ring, bound if support is None else min(support, bound))
+
+
+@memo
+def _scan_domain(ring, support: Optional[int]) -> ScanDomain:
+    return ScanDomain(ring, support)
 
 
 @dataclass(frozen=True)
@@ -1408,23 +1423,18 @@ class ReducedResult:
     note: str
 
 
+@memo
 def is_reduced(ring) -> ReducedResult:
     """A ring has a nonzero nilpotent iff it has a nonzero square-zero
     element, so one square scan over the scan domain decides."""
-    got = ring._cache.get("reduced")
-    if got is not None:
-        return got
     dom = scan_domain(ring)
     mul, wz = dom.ring.k_mul, dom.ring.zero_v
-    res = ReducedResult(True, None, dom.exact, dom.note("square scan"))
     for a, la in zip(dom.values, dom.lifted):
         if la != wz and mul(la, la) == wz:
-            res = ReducedResult(False, Element(ring, a), dom.exact,
-                                "square-zero witness" if dom.exact else
-                                "square-zero witness (exact in widened model)")
-            break
-    ring._cache["reduced"] = res
-    return res
+            return ReducedResult(False, Element(ring, a), dom.exact,
+                                 "square-zero witness" if dom.exact else
+                                 "square-zero witness (exact in widened model)")
+    return ReducedResult(True, None, dom.exact, dom.note("square scan"))
 
 
 @dataclass(frozen=True)
@@ -1435,28 +1445,21 @@ class DomainResult:
     note: str
 
 
+@memo
 def is_domain(ring) -> DomainResult:
-    got = ring._cache.get("domain")
-    if got is not None:
-        return got
     dom = scan_domain(ring)
     mul, wz = dom.ring.k_mul, dom.ring.zero_v
     lifted = dom.lifted
-    res = DomainResult(True, None, dom.exact, dom.note("pair scan"))
     for a, la in zip(dom.values, lifted):
         if la == wz:
             continue
-        for j, lb in enumerate(lifted):
+        for b, lb in zip(dom.values, lifted):
             if lb != wz and mul(la, lb) == wz:
-                res = DomainResult(
-                    False, (Element(ring, a), Element(ring, dom.values[j])),
+                return DomainResult(
+                    False, (Element(ring, a), Element(ring, b)),
                     dom.exact, "zero product witness" if dom.exact else
                     "zero product (exact in widened model)")
-                break
-        if not res.domain:
-            break
-    ring._cache["domain"] = res
-    return res
+    return DomainResult(True, None, dom.exact, dom.note("pair scan"))
 
 
 def subring_generated(ring, gens):

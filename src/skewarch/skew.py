@@ -415,23 +415,19 @@ class DivisibilityResult:
 
 def solve_right_divisibility(f: TruncSeries, g: TruncSeries, n: int,
                              side: str = "right",
-                             node_limit: int = 200_000,
-                             universe=None) -> DivisibilityResult:
+                             node_limit: int = 200_000) -> DivisibilityResult:
     """Find h with f = h * g^n (side="right") or f = g^n * h ("left") in
     the truncated ring, by degree-by-degree backtracking over coefficient
     candidates.  Returns the lexicographically least witness under the
     ring's enumeration order, a proof of nonexistence at this precision,
-    or a distinct budget-exhausted status.  A caller-supplied universe
-    restricts the coefficient candidates (then "none" only rules out
-    witnesses built from that pool)."""
+    or a distinct budget-exhausted status."""
     f._check(g)
     if n < 1:
         raise ValueError("power must be >= 1")
     ring, endo = f.ring, f.endo
     N = f.precision
     G = g ** n
-    if universe is None:
-        universe = scan_domain(ring).values
+    universe = scan_domain(ring).values
 
     # twisted copies of G's coefficients, filled on demand
     twisted: dict = {}

@@ -7,7 +7,10 @@ token, so words in docstrings, comments and strings do not count, and
 neither do calls between same-named methods of different classes.  Dunder
 names are exempt.  The benchmark harness is not searched: every package
 name it uses is also used in src/ or tests/, and its own words (a
-random.Random method, say) could hide a dead name of the same spelling."""
+random.Random method, say) could hide a dead name of the same spelling.
+
+Every name a package module imports must also be used in that module;
+the re-exports of __init__.py are exempt."""
 
 import ast
 import io
@@ -67,3 +70,20 @@ def test_every_package_name_is_reached():
                        for name, defs in spans.items() if name not in reached
                        for path in sorted({p for p, _, _ in defs}))
     assert unreached == []
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append("%s:%s" % (path.name, name))
+    assert unused == []

@@ -1,5 +1,8 @@
 import pytest
 
+import time
+
+from skewarch import endos
 from skewarch.endos import (
     EndoValidationError,
     build_endo,
@@ -28,6 +31,28 @@ def test_frobenius_is_the_squaring_map():
     # frob^2 = identity on a 4 element field
     for e in ring.elements():
         assert ring.element(fr.power_apply_v(2, e.v)) == e
+
+
+def test_frobenius_on_a_field_past_the_pair_budget_builds_quickly():
+    # 512^2 pairs exceed ENDO_PAIR_BUDGET, so the laws are checked on
+    # seeded sampled pairs instead of hanging on every pair
+    ring = construct_ring("gf:2:9")
+    start = time.perf_counter()
+    fr = build_endo(ring, "endo:frob")
+    assert time.perf_counter() - start < 10
+    assert ring.card ** 2 > endos.ENDO_PAIR_BUDGET
+    x = ring.from_text("[0,1,0,0,0,0,0,0,0]")
+    assert fr.apply(x) == x * x
+
+
+def test_identity_twist_skips_the_law_check(monkeypatch):
+    def refuse(endo):
+        raise EndoValidationError("law check ran")
+    monkeypatch.setattr(endos, "_validate_endo", refuse)
+    monkeypatch.setattr(endos, "_ENDO_CACHE", {})
+    assert build_endo(construct_ring("zmod:10"), "endo:id").is_identity
+    with pytest.raises(EndoValidationError):
+        build_endo(construct_ring("gf:7:1"), "endo:frob")
 
 
 def test_frobenius_predicates_on_gf4():

@@ -136,6 +136,22 @@ def test_archimedean_rejects_truncated_and_bad_side():
         is_archimedean(construct_ring("zmod:6"), side="up")
 
 
+def test_memoized_result_is_shared_and_a_raise_stores_nothing():
+    z6 = construct_ring("zmod:6")
+    assert is_archimedean(z6) is is_archimedean(z6, side="right")
+    assert is_archimedean(z6, "left") is is_archimedean(z6, side="left")
+    assert is_archimedean(z6) is not is_archimedean(z6, "left")
+    kept = dict(z6._cache)
+    with pytest.raises(ValueError):
+        is_archimedean(z6, side="up")
+    assert z6._cache == kept
+    xyq = construct_ring("xyq:gf:2:1:N=8")
+    kept = dict(xyq._cache)
+    with pytest.raises(NonEnumerableError):
+        is_archimedean(xyq)
+    assert xyq._cache == kept
+
+
 def test_derived_archimedean_dispatch():
     z6 = construct_ring("zmod:6")
     assert derived_archimedean(z6) == is_archimedean(z6)

@@ -16,6 +16,7 @@ from skewarch.rings import (
     nonunits,
     principal_power_chain,
     quotient_by_ideal,
+    scan_domain,
     subring_generated,
     units,
     zero_divisors,
@@ -319,6 +320,25 @@ def test_xy_quotient_scope_enumeration_puts_nonunits_first():
     vals = ring.scope_values()
     assert len(vals) == 2 ** (1 + 2 * ring.scope)
     assert vals[0] == ring.zero_v
+
+
+def test_scope_value_numbers_the_scope_listing():
+    for spec in ["xyq:gf:2:1:N=8", "xyq:gf:3:1:N=4", "tser(zmod:4,N=6)",
+                 "tser(prod(zmod:2,zmod:3),N=4)"]:
+        ring = construct_ring(spec)
+        for s in range(ring.bounded_support() + 1):
+            listed = ring.scope_values(max_support=s)
+            assert ring.scope_size(s) == len(listed)
+            assert [ring.scope_value(i, s) for i in range(len(listed))] == listed
+
+
+def test_widened_copy_samples_its_scope_without_listing_it():
+    # validation draws scope values by index, so the 131,072-value scope
+    # of the widened two-variable model is never built
+    ring = construct_ring("xyq:gf:2:1:N=16")
+    dom = scan_domain(ring)
+    assert dom.size == 2 ** 17
+    assert "values" not in vars(dom)
 
 
 # ---------------------------------------------------------------------------
