@@ -1,11 +1,16 @@
 """Frozen outputs: the report bytes of the full matrix at seed 42, the
 full verdicts (flag, witness, exactness, note) of the six coefficient
-predicates, and the model conditions and classification built on them.
-Most predicate notes and condition parts never reach a report, so only
-the last two tests guard them."""
+predicates, the model conditions and classification built on them, and
+the printed output of every demo.  Most predicate notes and condition
+parts never reach a report, so the verdict and condition tests guard
+them."""
 
+import contextlib
 import hashlib
+import io
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +155,32 @@ def test_model_conditions_pinned():
                                           series_ring_conditions)]
                     + [classify(ring, endo).as_witness()])
     assert _digest(json.dumps(rows, ensure_ascii=False)) == GOLDEN_CONDITIONS
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+GOLDEN_DEMOS = {
+    "01_finite_ring_chains.py":
+        ("e5fd07b499a61f1c05dec016fea2fa77e9e04007f5de25f2b7336409b6dddd53", 987),
+    "02_consequences_and_census.py":
+        ("2da5890652df2ed08bd72eea0294958f7035b30ca3ca6e55b406c14a994565c0", 3_539),
+    "03_skew_polynomials.py":
+        ("63bcb84a7f333749bde4dc70dbab0d8d4e5f0b41c057be36ca5e018123623d07", 623),
+    "04_series_falsifier.py":
+        ("8cfcf70ffd46043ce36fd373e9ca5ccdda900512cc141f52fdb07db92d1feeed", 1_693),
+    "05_two_variable_model.py":
+        ("f141608d28dfa16bee43bd10c7a8085d9ddbda731054a67bd430f6035761b35f", 1_310),
+    "06_suite_reports.py":
+        ("522f4849a0f898336f81e0201238f82b5f1751c2c2455c8cb3dd8d6aaafe5936", 6_432),
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in DEMOS.glob("*.py")) == sorted(GOLDEN_DEMOS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DEMOS))
+def test_demo_output_frozen(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert _digest(out.getvalue()) == GOLDEN_DEMOS[name]
