@@ -143,15 +143,7 @@ class SquareVariableEndo(Endo):
         super().__init__(ring, "xsq")
 
     def apply_v(self, v):
-        F = self.ring.field
-        N = self.ring.precision
-        xs = [F.zero_v] * N
-        for i, c in enumerate(v[1]):
-            if c != F.zero_v:
-                doubled = 2 * (i + 1)
-                if doubled <= N:
-                    xs[doubled - 1] = c
-        return (v[0], tuple(xs), v[2])
+        return self.power_apply_v(1, v)
 
     def power_apply_v(self, t: int, v):
         if t == 0:

@@ -11,6 +11,13 @@ so exhaustive element scans are replaced by scans over a support-bounded
 scope, and products inside scope checks are evaluated in a widened copy
 of the ring so an apparent zero is never a truncation artifact.
 
+Both models, and the skew polynomials and series of skew.py, share one
+coefficient-window product, window_mul, and one degree-by-degree
+inverse, window_inverse, each with an optional twist.  The two-variable
+model applies them block by block: since xy = 0, a + X and a + Y are
+one-variable series sharing the constant a, and
+(a+X+Y)^-1 = (a+X)^-1 + (a+Y)^-1 - a^-1.
+
 Every ring has a canonical text form (see parse_ring_spec) and every
 element a canonical printed form; parse and print round-trip exactly.
 No floating point is used anywhere.
@@ -795,6 +802,62 @@ def _digit_values(i: int, vals, length: int) -> list:
     return [vals[d] for d in reversed(_digits(i, len(vals), length))]
 
 
+# ---------------------------------------------------------------------------
+# coefficient windows: the one series product and inverse
+
+
+def first_nonzero(cs, zero) -> Optional[int]:
+    """Index of the first entry of cs other than zero; None if there is none."""
+    return next((i for i, c in enumerate(cs) if c != zero), None)
+
+
+def last_nonzero(cs, zero) -> int:
+    """Index of the last entry of cs other than zero; -1 if there is none."""
+    return next((i for i in range(len(cs) - 1, -1, -1) if cs[i] != zero), -1)
+
+
+def window_mul(ring, xs, ys, limit: int, twist=None) -> list:
+    """Coefficients 0..limit of sum x_i * twist(i, y_j) u^(i+j) for two
+    coefficient windows over ring, skipping zero coefficients.
+    twist(t, v) applies the t-th power of an endomorphism; None is the
+    identity and costs no call.  Every series product in the package is
+    this one: truncated series rings, each block of F[[x,y]]/(xy), and
+    skew polynomials and series (u*a = alpha(a)*u)."""
+    zero = ring.zero_v
+    add, mul = ring.k_add, ring.k_mul
+    out = [zero] * (limit + 1)
+    nonzero_ys = [(j, y) for j, y in enumerate(ys) if y != zero]
+    for i, x in enumerate(xs):
+        if x != zero:
+            for j, y in nonzero_ys:
+                if i + j > limit:
+                    break
+                p = mul(x, y if twist is None else twist(i, y))
+                out[i + j] = p if out[i + j] == zero else add(out[i + j], p)
+    return out
+
+
+def window_inverse(ring, g, twist=None) -> Optional[list]:
+    """The window h, as long as g, with window_mul(ring, g, h, ..., twist)
+    = 1, solved degree by degree; None when g's constant term is not a
+    unit.  A one-sided solution: callers that need both sides check the
+    other."""
+    g0inv = ring.is_unit_v(g[0])
+    if g0inv is None:
+        return None
+    zero = ring.zero_v
+    add, mul = ring.k_add, ring.k_mul
+    h = [g0inv]
+    for m in range(1, len(g)):
+        acc = zero
+        for i in range(1, m + 1):
+            if g[i] != zero:
+                hi = h[m - i] if twist is None else twist(i, h[m - i])
+                acc = add(acc, mul(g[i], hi))
+        h.append(ring.k_neg(mul(g0inv, acc)))
+    return h
+
+
 class TruncatedModel(RingHandle):
     """A truncated model: not enumerable, scanned over its numbered scope.
     Subclasses define `scope_size(s)`, the number of values of support
@@ -856,30 +919,13 @@ class TruncSeriesRing(TruncatedModel):
         return tuple(b.k_neg(a) for a in x)
 
     def k_mul(self, x, y):
-        b = self.base
-        zero = b.zero_v
-        out = [zero] * (self.precision + 1)
-        for i, xi in enumerate(x):
-            if xi != zero:
-                for j, yj in enumerate(y):
-                    if i + j > self.precision:
-                        break
-                    if yj != zero:
-                        out[i + j] = b.k_add(out[i + j], b.k_mul(xi, yj))
-        return tuple(out)
+        return tuple(window_mul(self.base, x, y, self.precision))
 
     def is_unit_v(self, v):
         # unit iff the constant term is; truncation-model semantics
-        c0inv = self.base.is_unit_v(v[0])
-        if c0inv is None:
+        inv = window_inverse(self.base, v)
+        if inv is None:
             return None
-        b = self.base
-        inv = [c0inv] + [b.zero_v] * self.precision
-        for m in range(1, self.precision + 1):
-            acc = b.zero_v
-            for i in range(1, m + 1):
-                acc = b.k_add(acc, b.k_mul(v[i], inv[m - i]))
-            inv[m] = b.k_neg(b.k_mul(c0inv, acc))
         out = tuple(inv)
         assert self.k_mul(v, out) == self.one_v
         return out
@@ -891,21 +937,12 @@ class TruncSeriesRing(TruncatedModel):
         return tuple(out)
 
     def inner_order(self, v) -> Optional[int]:
-        zero = self.base.zero_v
-        for i, c in enumerate(v):
-            if c != zero:
-                return i
-        return None
+        return first_nonzero(v, self.base.zero_v)
 
     def block_degrees(self, v):
         """Degree bounds (x-part, y-part); a plain series counts entirely
         as the x-part."""
-        zero = self.base.zero_v
-        top = 0
-        for i, c in enumerate(v):
-            if c != zero:
-                top = i
-        return top, 0
+        return max(last_nonzero(v, self.base.zero_v), 0), 0
 
     def scope_size(self, s: int) -> int:
         return len(self.base.values()) ** (s + 1)
@@ -949,7 +986,9 @@ class XYQuotientRing(TruncatedModel):
 
     Values are (a, xs, ys): constant term, then x- and y-block
     coefficients for degrees 1..N.  Since xy = 0, mixed blocks never
-    interact and products reduce to two one-variable convolutions."""
+    interact: the ring is two one-variable series rings, a + X and a + Y,
+    joined at their constant term, and products and inverses are taken
+    block by block on the series (a,) + xs and (a,) + ys."""
 
     kind = "xyq"
 
@@ -966,30 +1005,6 @@ class XYQuotientRing(TruncatedModel):
         self.one_v = (field.one_v, (fz,) * spec.precision, (fz,) * spec.precision)
         super().__init__()
 
-    def _block_mul(self, a1, b1, a2, b2):
-        # coefficient list of (a1 + b1(u)) * (a2 + b2(u)) minus its constant
-        F = self.field
-        fz = F.zero_v
-        N = self.precision
-        out = [fz] * N
-        if a1 != fz:
-            for j, c in enumerate(b2):
-                if c != fz:
-                    out[j] = F.k_add(out[j], F.k_mul(a1, c))
-        if a2 != fz:
-            for i, c in enumerate(b1):
-                if c != fz:
-                    out[i] = F.k_add(out[i], F.k_mul(c, a2))
-        for i, ci in enumerate(b1):
-            if ci != fz:
-                for j, cj in enumerate(b2):
-                    if i + j + 2 > N:
-                        break
-                    if cj != fz:
-                        idx = i + j + 1
-                        out[idx] = F.k_add(out[idx], F.k_mul(ci, cj))
-        return tuple(out)
-
     def k_add(self, x, y):
         F = self.field
         return (F.k_add(x[0], y[0]),
@@ -1003,33 +1018,19 @@ class XYQuotientRing(TruncatedModel):
                 tuple(F.k_neg(a) for a in x[2]))
 
     def k_mul(self, x, y):
-        F = self.field
-        return (F.k_mul(x[0], y[0]),
-                self._block_mul(x[0], x[1], y[0], y[1]),
-                self._block_mul(x[0], x[2], y[0], y[2]))
+        F, N = self.field, self.precision
+        xs = window_mul(F, (x[0],) + x[1], (y[0],) + y[1], N)
+        ys = window_mul(F, (x[0],) + x[2], (y[0],) + y[2], N)
+        return (xs[0], tuple(xs[1:]), tuple(ys[1:]))
 
     def is_unit_v(self, v):
-        # local ring over a field: unit iff nonzero constant term
-        ainv = self.field.is_unit_v(v[0])
-        if ainv is None:
+        # local ring over a field: unit iff nonzero constant term, and
+        # (a+X+Y)^-1 = (a+X)^-1 + (a+Y)^-1 - a^-1 because XY = 0
+        xs = window_inverse(self.field, (v[0],) + v[1])
+        if xs is None:
             return None
-        fz = self.field.zero_v
-        scaled = (self.field.one_v,
-                  tuple(self.field.k_mul(ainv, c) for c in v[1]),
-                  tuple(self.field.k_mul(ainv, c) for c in v[2]))
-        # geometric series against the order->infinity part; terminates
-        # because each block power gains at least one degree
-        nil = (fz, scaled[1], scaled[2])
-        acc = self.one_v
-        term = self.one_v
-        for _ in range(self.precision):
-            term = self.k_mul(term, nil)
-            if term == self.zero_v:
-                break
-            acc = self.k_add(acc, self.k_neg(term) if _ % 2 == 0 else term)
-        out = (ainv,
-               tuple(self.field.k_mul(ainv, c) for c in acc[1]),
-               tuple(self.field.k_mul(ainv, c) for c in acc[2]))
+        ys = window_inverse(self.field, (v[0],) + v[2])
+        out = (xs[0], tuple(xs[1:]), tuple(ys[1:]))
         assert self.k_mul(v, out) == self.one_v
         return out
 
@@ -1049,28 +1050,14 @@ class XYQuotientRing(TruncatedModel):
 
     def inner_order(self, v) -> Optional[int]:
         fz = self.field.zero_v
-        if v[0] != fz:
-            return 0
-        best = None
-        for block in (v[1], v[2]):
-            for i, c in enumerate(block):
-                if c != fz:
-                    best = i + 1 if best is None else min(best, i + 1)
-                    break
-        return best
+        orders = [first_nonzero((v[0],) + block, fz) for block in v[1:]]
+        return min((o for o in orders if o is not None), default=None)
 
     def block_degrees(self, v):
         """Largest degrees (x-block, y-block) carrying a nonzero
         coefficient; 0 for a block that is all zero."""
         fz = self.field.zero_v
-        dx = dy = 0
-        for i, c in enumerate(v[1]):
-            if c != fz:
-                dx = i + 1
-        for i, c in enumerate(v[2]):
-            if c != fz:
-                dy = i + 1
-        return dx, dy
+        return last_nonzero(v[1], fz) + 1, last_nonzero(v[2], fz) + 1
 
     def scope_size(self, s: int) -> int:
         return len(self.field.values()) ** (1 + 2 * s)

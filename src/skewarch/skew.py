@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .endos import Endo, build_endo
-from .rings import construct_ring, scan_domain, split_top
+from .rings import (construct_ring, first_nonzero, last_nonzero, scan_domain,
+                    split_top, window_inverse, window_mul)
 
 
 def _common(a, b):
@@ -24,18 +25,9 @@ def _common(a, b):
         raise ValueError("operands live over different rings or twists")
 
 
-def _twisted_conv(ring, endo, xs, ys, limit):
-    zero = ring.zero_v
-    out = [zero] * (limit + 1)
-    for i, xi in enumerate(xs):
-        if xi == zero or i > limit:
-            continue
-        for j, yj in enumerate(ys):
-            if i + j > limit:
-                break
-            if yj != zero:
-                out[i + j] = ring.k_add(out[i + j], ring.k_mul(xi, endo.power_apply_v(i, yj)))
-    return out
+def _twist(endo):
+    # the kernels' twist argument: None spares the identity a call per term
+    return None if endo.is_identity else endo.power_apply_v
 
 
 class SkewPoly:
@@ -72,10 +64,7 @@ class SkewPoly:
         return len(self.coeffs) - 1
 
     def order(self) -> Optional[int]:
-        for i, c in enumerate(self.coeffs):
-            if c != self.ring.zero_v:
-                return i
-        return None
+        return first_nonzero(self.coeffs, self.ring.zero_v)
 
     def __add__(self, other):
         _common(self, other)
@@ -97,8 +86,8 @@ class SkewPoly:
             return SkewPoly(self.ring, self.endo, [])
         limit = self.degree + other.degree
         return SkewPoly(self.ring, self.endo,
-                        _twisted_conv(self.ring, self.endo, self.coeffs,
-                                      other.coeffs, limit))
+                        window_mul(self.ring, self.coeffs, other.coeffs, limit,
+                                   _twist(self.endo)))
 
     def __pow__(self, n: int):
         acc = SkewPoly.constant(self.ring, self.endo, self.ring.one_v)
@@ -166,18 +155,11 @@ class TruncSeries:
         return all(c == self.ring.zero_v for c in self.coeffs)
 
     def order(self) -> Optional[int]:
-        for i, c in enumerate(self.coeffs):
-            if c != self.ring.zero_v:
-                return i
-        return None
+        return first_nonzero(self.coeffs, self.ring.zero_v)
 
     def support(self) -> int:
         """Largest degree with a nonzero coefficient; -1 if zero."""
-        top = -1
-        for i, c in enumerate(self.coeffs):
-            if c != self.ring.zero_v:
-                top = i
-        return top
+        return last_nonzero(self.coeffs, self.ring.zero_v)
 
     def _like(self, coeffs):
         return TruncSeries(self.ring, self.endo, self.precision, coeffs)
@@ -195,8 +177,8 @@ class TruncSeries:
 
     def __mul__(self, other):
         self._check(other)
-        return self._like(_twisted_conv(self.ring, self.endo, self.coeffs,
-                                        other.coeffs, self.precision))
+        return self._like(window_mul(self.ring, self.coeffs, other.coeffs,
+                                     self.precision, _twist(self.endo)))
 
     def __pow__(self, n: int):
         acc = TruncSeries.constant(self.ring, self.endo, self.ring.one_v,
@@ -315,22 +297,12 @@ def series_inverse(g: TruncSeries) -> TruncSeries:
     """Two-sided inverse of a series whose constant term is a unit,
     computed degree by degree.  Raises ValueError otherwise."""
     ring, endo = g.ring, g.endo
-    g0inv = ring.is_unit_v(g.coeffs[0])
-    if g0inv is None:
+    h = window_inverse(ring, g.coeffs, _twist(endo))
+    if h is None:
         raise ValueError("series constant term %s is not a unit"
                          % ring.text_of_v(g.coeffs[0]))
-    n = g.precision
-    h = [ring.zero_v] * (n + 1)
-    h[0] = g0inv
-    for m in range(1, n + 1):
-        acc = ring.zero_v
-        for i in range(1, m + 1):
-            gi = g.coeffs[i]
-            if gi != ring.zero_v:
-                acc = ring.k_add(acc, ring.k_mul(gi, endo.power_apply_v(i, h[m - i])))
-        h[m] = ring.k_neg(ring.k_mul(g0inv, acc))
-    out = TruncSeries(ring, endo, n, h)
-    unity = TruncSeries.constant(ring, endo, ring.one_v, n)
+    out = TruncSeries(ring, endo, g.precision, h)
+    unity = TruncSeries.constant(ring, endo, ring.one_v, g.precision)
     if g * out != unity or out * g != unity:
         raise RuntimeError("series inversion check failed")
     return out
