@@ -3,8 +3,9 @@
 A ring is right Archimedean when for every nonunit a the intersection of
 the descending multiple sets R*a^n over all n >= 1 is {0}; "left" swaps
 the multiplication to a^n*R.  On finite rings the chain R*a >= R*a^2 >=
-... stabilizes, the stabilized set equals the intersection, and one chain
-scan per nonunit decides the property exactly.  Truncated models get
+... stabilizes, the stabilized set equals the intersection, and it is
+{0} exactly when a is nilpotent, so nilpotence tests decide the property
+exactly.  Truncated models get
 structural derivations instead of scans.
 
 Every check returns a Verdict whose status draws from the report
@@ -25,9 +26,9 @@ from .endos import (Endo, build_endo, is_compatible, is_injective, is_rigid,
 from .prng import SplitMix64, derive_rng
 from .rings import (Element, NonEnumerableError, TruncSeriesSpec,
                     construct_ring, idempotents, is_domain, is_nilpotent,
-                    is_reduced, jacobson_radical, memo, nonunits,
-                    principal_power_chain, quotient_by_ideal, scan_domain,
-                    subring_generated, units, zero_divisors)
+                    is_reduced, jacobson_radical, memo, nilpotent_values,
+                    nonunits, principal_power_chain, quotient_by_ideal,
+                    scan_domain, subring_generated, units, zero_divisors)
 from .skew import (SkewPoly, TruncSeries, geometric_inverse, nilpotency_probe,
                    parse_poly_text, solve_right_divisibility)
 
@@ -41,6 +42,7 @@ STATUSES = (HOLDS, FAILS, HYPOTHESIS_NOT_MET, INCONCLUSIVE, HOLDS_BY_THEOREM)
 
 POWER_PRODUCT_BUDGET = 400_000   # exact scan shrinks its bounds to fit
 POWER_PRODUCT_SAMPLES = 200      # guarded tuples on a truncated model
+SANDWICH_TRIPLE_BUDGET = 1 << 20  # most triples the sandwich clause may visit
 
 # fixed tag catalog; these exact strings appear in reports
 TAG_ARCH_DOMAIN_MODELS = "Theorem 1.2"
@@ -108,21 +110,26 @@ def random_series(ring, endo: Endo, rng: SplitMix64, precision: int,
 
 @memo
 def is_archimedean(ring, side: str = "right") -> Verdict:
-    """Exact chain scan over every nonunit of a finite ring."""
+    """Exact on a finite ring.  A chain R*a^n (or a^n*R) stops at its
+    first repeat and stays put from there, and R*a^m = {0} forces
+    a^m = 1*a^m = 0, so a nonunit's chain reaches {0} iff a is nilpotent.
+    Only the first non-nilpotent nonunit has its chain built, for the
+    witness."""
     _need_side(side)
     if ring.truncated:
         raise NonEnumerableError("%s is a truncated model; use "
                                  "derived_archimedean" % ring.spec_text)
     nu = nonunits(ring)
-    for a in nu:
+    nil = nilpotent_values(ring)
+    a = next((a for a in nu if a.v not in nil), None)
+    if a is not None:
         chain, stab = principal_power_chain(ring, a, side)
-        if set(stab.vals) != {ring.zero_v}:
-            return Verdict(
-                FAILS,
-                {"a": a.text, "stabilized": stab.texts()},
-                "principal power chain of %s stabilizes at {%s} after %d "
-                "steps without reaching {0} (exact)"
-                % (a.text, ",".join(stab.texts()), len(chain)))
+        return Verdict(
+            FAILS,
+            {"a": a.text, "stabilized": stab.texts()},
+            "principal power chain of %s stabilizes at {%s} after %d "
+            "steps without reaching {0} (exact)"
+            % (a.text, ",".join(stab.texts()), len(chain)))
     return Verdict(
         HOLDS, None,
         "all %d nonunit power chains stabilize at {0} (exhaustive "
@@ -264,6 +271,11 @@ def sandwich_unit_clause(ring, side: str = "right") -> Verdict:
     vals = ring.values()
     z = ring.zero_v
     nus = nonunits(ring).vals
+    triples = len(nus) * (len(vals) - 1) * len(vals)
+    if triples > SANDWICH_TRIPLE_BUDGET:
+        raise NonEnumerableError("%s: the sandwich clause needs %d triples, over "
+                                 "the budget %d" % (ring.spec_text, triples,
+                                                    SANDWICH_TRIPLE_BUDGET))
     for w in nus:
         for a in vals:
             if a == z:
@@ -284,8 +296,7 @@ def sandwich_unit_clause(ring, side: str = "right") -> Verdict:
     return Verdict(
         HOLDS, None,
         "no nonzero a equals b*a*c with a nonunit %s factor (exhaustive: "
-        "%d triples)" % ("trailing" if side == "right" else "leading",
-                         len(nus) * (len(vals) - 1) * len(vals)))
+        "%d triples)" % ("trailing" if side == "right" else "leading", triples))
 
 
 def zero_divisors_in_radical_clause(ring, side: str = "right") -> Verdict:
@@ -673,51 +684,6 @@ def _poly_unit_exact(p: SkewPoly) -> bool:
         return False
     return all(is_nilpotent(ring, Element(ring, c)).nilpotent
                for c in p.coeffs[1:])
-
-
-def poly_nilpotent_shift_check(ring, endo: Endo, samples: int, seed: int,
-                               precision: int = 16) -> Verdict:
-    """If the polynomial model is side-Archimedean then every zero-divisor
-    f makes f*u nilpotent, seen through the polynomial geometric inverse.
-    Route the hypothesis through the coefficient characterization, then
-    corroborate at probe scale."""
-    cond = poly_ring_conditions(ring, endo, "right")
-    probe_witness = poly_zero_divisor_probe(ring, endo, "right",
-                                            max(200, samples // 10), seed)
-    if cond["satisfied"]:
-        if probe_witness is not None:
-            return Verdict(
-                FAILS, probe_witness,
-                "characterization predicts a domain model, yet a sampled "
-                "zero-divisor pair appeared")
-        term = geometric_termination_check(ring, endo, samples, seed, precision)
-        if term.status != HOLDS:
-            return term
-        return Verdict(
-            HOLDS, None,
-            "model predicted %s-Archimedean domain (%s basis): no sampled "
-            "zero-divisors, and the geometric expansion agrees with the "
-            "nilpotency probe on every sample" % ("right", cond["basis"]))
-    # hypothesis unavailable: demonstrate the contrapositive content when a
-    # zero-divisor with non-nilpotent shift exists
-    if probe_witness is not None:
-        f = parse_poly_text(probe_witness["f"])
-        shifted = nilpotency_probe(f.shift(1), bound=precision + 1)
-        if not shifted.zero_power_found:
-            return Verdict(
-                HYPOTHESIS_NOT_MET,
-                {**probe_witness, "shift_nilpotent": "no"},
-                "zero-divisor %s has non-nilpotent f*u, so the model cannot "
-                "be right Archimedean; consistent with the unmet hypothesis"
-                % probe_witness["f"])
-        return Verdict(
-            HYPOTHESIS_NOT_MET, {**probe_witness, "shift_nilpotent": "yes"},
-            "hypothesis unavailable; the sampled zero-divisor still has "
-            "nilpotent shift")
-    return Verdict(
-        HYPOTHESIS_NOT_MET, {"unmet": _unmet_parts(cond)},
-        "coefficient characterization fails (%s); no sampled zero-divisor "
-        "to demonstrate with" % ", ".join(_unmet_parts(cond)))
 
 
 def _unmet_parts(cond: dict):

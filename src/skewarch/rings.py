@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Optional
@@ -38,6 +39,7 @@ ENUMERATION_CAP = 65_536       # refuse to materialize finite rings beyond this
 SCOPE_ENUMERATION_BUDGET = 200_000   # truncated-model scans shrink support to fit
 SUBRING_CLOSURE_CAP = 65_536
 NILPOTENT_BOUND = 16           # highest power a truncated-model replay tries
+UNIT_PAIR_BUDGET = 1 << 20     # most pairs the generic unit scan may visit
 
 
 class RingConstructionError(ValueError):
@@ -49,7 +51,8 @@ class RingMismatchError(ValueError):
 
 
 class NonEnumerableError(RuntimeError):
-    """An exhaustive scan was requested on a truncated-model ring."""
+    """An exhaustive scan was requested on a truncated-model ring, or
+    would exceed its cost budget."""
 
 
 def memo(fn):
@@ -435,8 +438,12 @@ class RingHandle:
 
     def k_pow(self, x, n: int):
         acc = self.one_v
-        for _ in range(n):
-            acc = self.k_mul(acc, x)
+        while n:
+            if n & 1:
+                acc = self.k_mul(acc, x)
+            n >>= 1
+            if n:
+                x = self.k_mul(x, x)
         return acc
 
     # -- enumeration
@@ -460,11 +467,16 @@ class RingHandle:
     def sort_key_v(self, v):
         return self.index_of_v(v)
 
-    # -- units; finite default does one cached pair scan
+    # -- units; classes without a structural rule do one cached pair scan
 
     @memo
     def _unit_map(self):
         vals = self.values()
+        pairs = len(vals) ** 2
+        if pairs > UNIT_PAIR_BUDGET:
+            raise NonEnumerableError("%s: a unit pair scan of %d pairs exceeds "
+                                     "the budget %d" % (self.spec_text, pairs,
+                                                        UNIT_PAIR_BUDGET))
         m = {}
         for a in vals:
             for b in vals:
@@ -532,6 +544,9 @@ class ZmodRing(RingHandle):
 
     def k_mul(self, x, y):
         return (x * y) % self.n
+
+    def is_unit_v(self, v):
+        return pow(v, -1, self.n) if math.gcd(v, self.n) == 1 else None
 
     def _enumerate(self):
         return range(self.n)
@@ -1217,7 +1232,8 @@ def _validate_ring(ring):
 
 @memo
 def units(ring) -> SubsetHandle:
-    return SubsetHandle(ring, ring._unit_map().keys(), "units")
+    return SubsetHandle(ring, [v for v in ring.values()
+                               if ring.is_unit_v(v) is not None], "units")
 
 
 def nonunits(ring) -> SubsetHandle:
@@ -1277,19 +1293,9 @@ def is_nilpotent(ring, a: Element) -> NilpotenceResult:
 @memo
 def zero_divisors(ring, side: str = "right") -> SubsetHandle:
     """Right zero-divisors: a with b*a = 0 for some b != 0 (zero included).
-    side="left" mirrors."""
-    vals = ring.values()
-    z = ring.zero_v
-    found = []
-    for a in vals:
-        for b in vals:
-            if b == z:
-                continue
-            prod = ring.k_mul(b, a) if side == "right" else ring.k_mul(a, b)
-            if prod == z:
-                found.append(a)
-                break
-    return SubsetHandle(ring, found, "zero-divisors-%s" % side)
+    side="left" mirrors.  Both are the nonunits: a finite ring is
+    Dedekind-finite, so r -> r*a (or a*r) is injective iff a is a unit."""
+    return SubsetHandle(ring, nonunits(ring).vals, "zero-divisors-%s" % side)
 
 
 @memo
@@ -1299,15 +1305,24 @@ def idempotents(ring) -> SubsetHandle:
 
 
 @memo
+def nilpotent_values(ring) -> frozenset:
+    """The nilpotent values of a finite ring, for the radical and the
+    Archimedean test.  The right ideals a^i*R fall strictly until they
+    reach 0 (a^i = a^(i+1)*r would give a^i = a^(i+k)*r^k), so a
+    nilpotent has index at most log2|R| and that one power decides."""
+    m = ring.card.bit_length() - 1
+    return frozenset(v for v in ring.values() if ring.k_pow(v, m) == ring.zero_v)
+
+
+@memo
 def jacobson_radical(ring) -> SubsetHandle:
-    """Quasi-regularity scan: a is in the radical iff 1 - r*a is a unit
-    for every r."""
-    vals = ring.values()
-    o = ring.one_v
-    umap = ring._unit_map()
-    out = [a for a in vals
-           if all(ring.k_sub(o, ring.k_mul(r, a)) in umap for r in vals)]
-    return SubsetHandle(ring, out, "jacobson-radical")
+    """The nilpotent values.  A finite commutative ring is Artinian, so its
+    radical is nil and equals the nilradical (Lam, A First Course in
+    Noncommutative Rings); every finite ring built here is commutative."""
+    if not ring.commutative:
+        raise NotImplementedError("%s: the radical is decided for commutative "
+                                  "rings only" % ring.spec_text)
+    return SubsetHandle(ring, nilpotent_values(ring), "jacobson-radical")
 
 
 def principal_power_chain(ring, a: Element, side: str = "right"):
@@ -1436,11 +1451,15 @@ class DomainResult:
 def is_domain(ring) -> DomainResult:
     dom = scan_domain(ring)
     mul, wz = dom.ring.k_mul, dom.ring.zero_v
-    lifted = dom.lifted
-    for a, la in zip(dom.values, lifted):
+    heads = zip(dom.values, dom.lifted)
+    if dom.exact:
+        # b -> a*b is injective iff a is a unit, so the pair scan's first
+        # a is the first nonzero nonunit
+        heads = [(a, a) for a in nonunits(ring).vals if a != wz][:1]
+    for a, la in heads:
         if la == wz:
             continue
-        for b, lb in zip(dom.values, lifted):
+        for b, lb in zip(dom.values, dom.lifted):
             if lb != wz and mul(la, lb) == wz:
                 return DomainResult(
                     False, (Element(ring, a), Element(ring, b)),

@@ -1,12 +1,18 @@
-"""Shared fixtures."""
+"""Shared fixtures and the settings profile of the property tests."""
 
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import settings
 
 from skewarch.registry import ENTRIES, RunConfig, startup_self_check
 from skewarch.reports import render_json, render_report_text
 from skewarch.suites import SUITE_IDS, run_one
+
+# property tests draw the same examples on every run and never time out
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          max_examples=30, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

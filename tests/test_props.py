@@ -18,7 +18,6 @@ from skewarch.props import (
     geometric_termination_check,
     induction_audit,
     is_archimedean,
-    poly_nilpotent_shift_check,
     poly_radical_check,
     poly_ring_conditions,
     quotient_intersection_check,
@@ -352,16 +351,6 @@ def test_poly_radical_check_frozen():
     assert v.witness["unmet"] == ["domain"]
     assert v.witness["probe"]["nilpotent"] == "yes"
     assert v.witness["probe"]["in_radical"] == "yes"
-
-
-def test_poly_nilpotent_shift_check():
-    z6, e6 = _pair("zmod:6")
-    v = poly_nilpotent_shift_check(z6, e6, samples=40, seed=7)
-    assert v.status == HYPOTHESIS_NOT_MET
-    assert v.witness["shift_nilpotent"] == "no"
-    g, fr = _pair("gf:2:2", "endo:frob")
-    v = poly_nilpotent_shift_check(g, fr, samples=40, seed=7)
-    assert v.status == HOLDS and v.witness is None
 
 
 # ---------------------------------------------------------------------------

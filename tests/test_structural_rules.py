@@ -1,0 +1,241 @@
+"""The structural rules for units, zero-divisors, the radical, domains
+and the Archimedean property on finite rings, checked against the
+brute-force scans they replace, plus kernel-call bounds and the cost
+guards of the scans that remain."""
+
+from hypothesis import given, strategies as st
+
+import pytest
+
+from skewarch.props import is_archimedean, sandwich_unit_clause
+from skewarch.rings import (
+    GaloisFieldRing,
+    NonEnumerableError,
+    ProductRing,
+    ZmodRing,
+    construct_ring,
+    is_domain,
+    jacobson_radical,
+    nonunits,
+    parse_ring_spec,
+    principal_power_chain,
+    quotient_by_ideal,
+    subring_generated,
+    units,
+    zero_divisors,
+)
+
+# ---------------------------------------------------------------------------
+# small finite specs: zmod:n (n <= 64), gf:p:k (p^k <= 64), two-factor
+# products, and subrings and quotients built from them
+
+MAX_CARD = 64
+PRIMES = [p for p in range(2, MAX_CARD + 1) if all(p % d for d in range(2, p))]
+CARDS = {**{"zmod:%d" % n: n for n in range(2, MAX_CARD + 1)},
+         **{"gf:%d:%d" % (p, k): p ** k for p in PRIMES for k in range(1, 7)
+            if p ** k <= MAX_CARD}}
+
+
+def base_specs(max_card=MAX_CARD):
+    return st.sampled_from([s for s, n in CARDS.items() if n <= max_card])
+
+
+@st.composite
+def product_specs(draw):
+    first = draw(base_specs(MAX_CARD // 2))
+    second = draw(base_specs(MAX_CARD // CARDS[first]))
+    return "prod(%s,%s)" % (first, second)
+
+
+@st.composite
+def derived_rings(draw):
+    """A subring generated by one or two values, or the quotient by the
+    ideal of one nonunit, of a zmod, gf or product ring."""
+    ring = construct_ring(draw(st.one_of(base_specs(), product_specs())))
+    vals = ring.values()
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.sampled_from(vals), min_size=1, max_size=2))
+        sub, _, _ = subring_generated(ring, [ring.text_of_v(v) for v in gens])
+        return sub
+    umap = oracle_unit_map(ring)
+    gen = draw(st.sampled_from([v for v in vals if v not in umap]))
+    quo, _ = quotient_by_ideal(ring, [ring.text_of_v(gen)])
+    return quo
+
+
+finite_rings = st.one_of(base_specs().map(construct_ring),
+                         product_specs().map(construct_ring), derived_rings())
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles: the scans the structural rules replaced
+
+
+def oracle_unit_map(ring):
+    vals, one = ring.values(), ring.one_v
+    out = {}
+    for a in vals:
+        for b in vals:
+            if ring.k_mul(a, b) == one and ring.k_mul(b, a) == one:
+                out[a] = b
+                break
+    return out
+
+
+def oracle_radical(ring):
+    """Quasi-regularity: a is in J iff 1 - r*a is a unit for every r."""
+    vals, umap = ring.values(), oracle_unit_map(ring)
+    return [a for a in vals
+            if all(ring.k_sub(ring.one_v, ring.k_mul(r, a)) in umap
+                   for r in vals)]
+
+
+def oracle_zero_divisors(ring, side):
+    vals, z = ring.values(), ring.zero_v
+    mul = ring.k_mul if side == "left" else lambda a, b: ring.k_mul(b, a)
+    return [a for a in vals if any(b != z and mul(a, b) == z for b in vals)]
+
+
+def oracle_domain_witness(ring):
+    """The first (a, b), both nonzero, with a*b = 0 in value order."""
+    vals, z = ring.values(), ring.zero_v
+    for a in vals:
+        for b in vals:
+            if a != z and b != z and ring.k_mul(a, b) == z:
+                return a, b
+    return None
+
+
+def oracle_archimedean(ring, side):
+    """The chain scan over every nonunit: (status, witness, certificate)."""
+    umap = oracle_unit_map(ring)
+    nu = [v for v in ring.values() if v not in umap]
+    for v in nu:
+        a = ring.element(v)
+        chain, stab = principal_power_chain(ring, a, side)
+        if set(stab.vals) != {ring.zero_v}:
+            return ("fails", {"a": a.text, "stabilized": stab.texts()},
+                    "principal power chain of %s stabilizes at {%s} after %d "
+                    "steps without reaching {0} (exact)"
+                    % (a.text, ",".join(stab.texts()), len(chain)))
+    return ("holds", None, "all %d nonunit power chains stabilize at {0} "
+            "(exhaustive %s-side scan)" % (len(nu), side))
+
+
+# ---------------------------------------------------------------------------
+# each rule against its oracle
+
+
+def check_units(ring):
+    umap = oracle_unit_map(ring)
+    assert units(ring).vals == tuple(v for v in ring.values() if v in umap)
+    for v in ring.values():
+        assert ring.is_unit_v(v) == umap.get(v)
+
+
+def check_k_pow(ring):
+    for v in ring.values()[:8]:
+        acc = ring.one_v
+        for n in range(40):
+            assert ring.k_pow(v, n) == acc
+            acc = ring.k_mul(acc, v)
+
+
+def check_radical(ring):
+    assert list(jacobson_radical(ring).vals) == oracle_radical(ring)
+
+
+def check_zero_divisors(ring):
+    for side in ("right", "left"):
+        assert list(zero_divisors(ring, side).vals) == \
+            oracle_zero_divisors(ring, side)
+
+
+def check_domain(ring):
+    res = is_domain(ring)
+    want = oracle_domain_witness(ring)
+    assert res.domain == (want is None) and res.exact
+    assert (None if res.witness is None
+            else tuple(e.v for e in res.witness)) == want
+
+
+def check_archimedean(ring):
+    for side in ("right", "left"):
+        v = is_archimedean(ring, side)
+        assert (v.status, v.witness, v.certificate) == \
+            oracle_archimedean(ring, side)
+
+
+@given(finite_rings)
+def test_structural_rules_match_their_brute_force_scans(ring):
+    # one test for all rules, so each drawn ring is built and validated once
+    for check in (check_units, check_k_pow, check_radical,
+                  check_zero_divisors, check_domain, check_archimedean):
+        check(ring)
+
+
+def test_radical_refuses_a_noncommutative_ring():
+    ring = ZmodRing(parse_ring_spec("zmod:4"))
+    ring.commutative = False
+    with pytest.raises(NotImplementedError):
+        jacobson_radical(ring)
+
+
+# ---------------------------------------------------------------------------
+# scaling probes, bounded by kernel calls on fresh (uncached) instances
+
+
+def counting(*rings):
+    """Wrap k_mul on each instance; returns the shared call counter."""
+    calls = [0]
+    for ring in rings:
+        def k_mul(x, y, _mul=ring.k_mul):
+            calls[0] += 1
+            return _mul(x, y)
+        ring.k_mul = k_mul
+    return calls
+
+
+def test_archimedean_on_zmod_4096_takes_few_products():
+    ring = ZmodRing(parse_ring_spec("zmod:4096"))
+    calls = counting(ring)
+    assert is_archimedean(ring, "right").status == "holds"
+    assert is_archimedean(ring, "left").status == "holds"
+    assert calls[0] <= 25_000
+
+
+def test_radical_and_units_of_gf_2_8_take_few_products():
+    ring = GaloisFieldRing(parse_ring_spec("gf:2:8"))
+    calls = counting(ring)
+    assert len(jacobson_radical(ring)) == 1
+    assert calls[0] <= 1_500
+    calls[0] = 0
+    assert len(units(ring)) == 255
+    assert calls[0] <= 4_000
+
+
+def test_zero_divisors_of_a_product_take_few_products():
+    spec = parse_ring_spec("prod(zmod:16,gf:2:4)")
+    factors = (ZmodRing(spec.factors[0]), GaloisFieldRing(spec.factors[1]))
+    ring = ProductRing(spec, factors)
+    calls = counting(ring, *factors)
+    assert len(zero_divisors(ring, "right")) == 256 - 8 * 15
+    assert calls[0] <= 1_000
+
+
+# ---------------------------------------------------------------------------
+# cost guards on the scans that remain
+
+
+def test_unit_scan_past_its_budget_raises_at_once():
+    quo = construct_ring("quot(zmod:4096;2048)")
+    assert quo.card == 2048
+    with pytest.raises(NonEnumerableError):
+        units(quo)
+    with pytest.raises(NonEnumerableError):
+        nonunits(quo)
+
+
+def test_sandwich_clause_past_its_budget_raises_at_once():
+    with pytest.raises(NonEnumerableError):
+        sandwich_unit_clause(construct_ring("zmod:256"))
