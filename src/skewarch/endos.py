@@ -11,7 +11,14 @@ scans every value in the ring itself; a truncated model scans its scope
 values (support <= the ring's bounded support) lifted into the 2x widened
 copy, and evaluates every product and image there, so a reported zero or
 collision is never a truncation artifact.  Scope results carry
-exact=False and a note naming the support bound.  Two predicates bend the
+exact=False and a note naming the support bound.
+
+is_rigid and is_compatible only ask whether a product is zero.  Where the
+ring has a zero pattern (rings.zero_pattern: a finite reduced commutative
+ring, or the widened F[[x,y]]/(xy)), each scanned value and twist image
+gets its mask once per scan and a pair is zero iff the masks are
+disjoint; on other rings the pair is multiplied, in the same loop and
+order, so the witnesses are the same either way.  Two predicates bend the
 rule: is_compatible shrinks the scope support until at most
 PAIR_SCAN_BUDGET pairs remain, and preserves_nonunits tests units in the
 ring itself, because a truncated model computes the constant term, and so
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .prng import CONSTRUCTION_SEED, SplitMix64, fnv1a64
-from .rings import Element, is_reduced, memo, scan_domain
+from .rings import Element, is_reduced, memo, scan_domain, zero_keys
 
 ENDO_PAIR_BUDGET = 65_536     # law check on every scan-domain pair up to this
 ENDO_SAMPLE_PAIRS = 10_000
@@ -313,9 +320,10 @@ def is_rigid(endo: Endo) -> EndoVerdict:
     ring = endo.ring
     dom = scan_domain(ring)
     apply = _twist_on(endo, dom).apply_v
-    mul, wz = dom.ring.k_mul, dom.ring.zero_v
+    key, times, kz = zero_keys(dom.ring)
+    wz = dom.ring.zero_v
     for a, la in zip(dom.values, dom.lifted):
-        if la != wz and mul(la, apply(la)) == wz:
+        if la != wz and times(key(la), key(apply(la))) == kz:
             return EndoVerdict(False, {"a": ring.text_of_v(a)}, dom.exact,
                                "a*alpha(a) = 0 with a != 0" if dom.exact
                                else "a*alpha(a) = 0 in the widened model")
@@ -331,13 +339,13 @@ def is_compatible(endo: Endo) -> EndoVerdict:
     while not dom.exact and dom.support > 1 and dom.size ** 2 > PAIR_SCAN_BUDGET:
         dom = scan_domain(ring, dom.support - 1)
     apply = _twist_on(endo, dom).apply_v
-    mul, wz = dom.ring.k_mul, dom.ring.zero_v
-    lifted = dom.lifted
-    images = [apply(lb) for lb in lifted]
-    for a, la in zip(dom.values, lifted):
-        for b, lb, img in zip(dom.values, lifted, images):
-            plain = mul(la, lb) == wz
-            if plain != (mul(la, img) == wz):
+    key, times, kz = zero_keys(dom.ring)
+    keys = [key(lb) for lb in dom.lifted]
+    images = [key(apply(lb)) for lb in dom.lifted]
+    for a, ka in zip(dom.values, keys):
+        for b, kb, ki in zip(dom.values, keys, images):
+            plain = times(ka, kb) == kz
+            if plain != (times(ka, ki) == kz):
                 direction = ("a*b = 0 but a*alpha(b) != 0" if plain
                              else "a*alpha(b) = 0 but a*b != 0")
                 return EndoVerdict(False,

@@ -28,7 +28,8 @@ from .rings import (Element, NonEnumerableError, TruncSeriesSpec,
                     construct_ring, idempotents, is_domain, is_nilpotent,
                     is_reduced, jacobson_radical, memo, nilpotent_values,
                     nonunits, principal_power_chain, quotient_by_ideal,
-                    scan_domain, subring_generated, units, zero_divisors)
+                    require_budget, scan_domain, subring_generated, units,
+                    zero_divisors, zero_keys)
 from .skew import (SkewPoly, TruncSeries, geometric_inverse, nilpotency_probe,
                    parse_poly_text, solve_right_divisibility)
 
@@ -272,10 +273,7 @@ def sandwich_unit_clause(ring, side: str = "right") -> Verdict:
     z = ring.zero_v
     nus = nonunits(ring).vals
     triples = len(nus) * (len(vals) - 1) * len(vals)
-    if triples > SANDWICH_TRIPLE_BUDGET:
-        raise NonEnumerableError("%s: the sandwich clause needs %d triples, over "
-                                 "the budget %d" % (ring.spec_text, triples,
-                                                    SANDWICH_TRIPLE_BUDGET))
+    require_budget(ring, "sandwich clause", triples, SANDWICH_TRIPLE_BUDGET)
     for w in nus:
         for a in vals:
             if a == z:
@@ -326,6 +324,7 @@ def trivial_idempotents_clause(ring) -> Verdict:
 def dedekind_finite_clause(ring) -> Verdict:
     """One-sided inverses must be two-sided."""
     vals = ring.values()
+    require_budget(ring, "Dedekind-finite pair scan", len(vals) ** 2)
     one = ring.one_v
     for a in vals:
         for b in vals:
@@ -436,6 +435,7 @@ def subring_inheritance_check(ambient, gens=(), side: str = "right") -> Verdict:
 def von_neumann_regular(ring):
     """Every a must factor as a*x*a.  Returns (bool, counterexample)."""
     vals = ring.values()
+    require_budget(ring, "regularity pair scan", len(vals) ** 2)
     for a in vals:
         if not any(ring.k_mul(ring.k_mul(a, x), a) == a for x in vals):
             return False, Element(ring, a)
@@ -851,7 +851,19 @@ def twisted_power_product_equivalence(ring, endo: Endo, seed: int = 0) -> Verdic
     twist^t1(a1^k1) * ... * twist^tn(an^kn) with every exponent >= 1
     vanishes exactly when the plain product of the bases vanishes in every
     arrangement.  Exponent zero would insert a unity factor and break the
-    equivalence, so exponents start at 1."""
+    equivalence, so exponents start at 1.
+
+    On a finite ring every zero test goes through rings.zero_keys: masks
+    under & where the ring has a zero pattern, else values under k_mul.
+    For each base tuple the scan first builds the set of reachable
+    twisted products, from left to right over each position's distinct
+    table entries.  When every reachable product agrees with the plain
+    product's zero-ness, all k_max^n * (t_max+1)^n (exponent, twist)
+    choices count as checked at once; otherwise that base tuple's
+    (exponent, twist) loop is replayed in order, so the first witness and
+    the count are those of the plain ordered scan.  The masks multiply
+    exactly (rings.zero_pattern), so the reachable set holds the zero-ness
+    of every product the loop would compute."""
     rig = is_rigid(endo)
     if ring.truncated:
         return _scope_power_product_equivalence(ring, endo, rig, seed)
@@ -879,16 +891,18 @@ def twisted_power_product_equivalence(ring, endo: Endo, seed: int = 0) -> Verdic
             "product is nonzero, so both sides vanish only on zero bases "
             "(exact shortcut)", ())
 
-    # twisted-power table: tbl[a][k][t] = twist^t(a^k)
+    key, times, zero = zero_keys(ring)
+    # twisted-power table of keys: tbl[a][k][t] = key(twist^t(a^k))
     tbl = {}
     for a in vals:
         per_k = []
         for k in range(1, k_max + 1):
             pw = ring.k_pow(a, k)
-            per_k.append([endo.power_apply_v(t, pw) for t in range(t_max + 1)])
+            per_k.append([key(endo.power_apply_v(t, pw)) for t in range(t_max + 1)])
         tbl[a] = per_k
+    entries = {a: {e for row in per_k for e in row} for a, per_k in tbl.items()}
+    base_key = {a: key(a) for a in vals}
 
-    zero = ring.zero_v
     violation = None
     checked = 0
     for n in range(1, n_max + 1):
@@ -897,9 +911,9 @@ def twisted_power_product_equivalence(ring, endo: Endo, seed: int = 0) -> Verdic
         for tup in itertools.product(vals, repeat=n):
             perm_flags = set()
             for perm in itertools.permutations(tup):
-                acc = perm[0]
+                acc = base_key[perm[0]]
                 for x in perm[1:]:
-                    acc = ring.k_mul(acc, x)
+                    acc = times(acc, base_key[x])
                 perm_flags.add(acc == zero)
             if len(perm_flags) > 1:
                 violation = {
@@ -908,6 +922,12 @@ def twisted_power_product_equivalence(ring, endo: Endo, seed: int = 0) -> Verdic
                 }
                 break
             rhs_zero = perm_flags.pop()
+            reach = entries[tup[0]]
+            for a in tup[1:]:
+                reach = {times(r, e) for r in reach for e in entries[a]}
+            if all((r == zero) == rhs_zero for r in reach):
+                checked += (k_max * (t_max + 1)) ** n
+                continue
             for ks in itertools.product(range(1, k_max + 1), repeat=n):
                 if violation:
                     break
@@ -916,7 +936,7 @@ def twisted_power_product_equivalence(ring, endo: Endo, seed: int = 0) -> Verdic
                     for i in range(1, n):
                         if acc == zero:
                             break
-                        acc = ring.k_mul(acc, tbl[tup[i]][ks[i] - 1][ts[i]])
+                        acc = times(acc, tbl[tup[i]][ks[i] - 1][ts[i]])
                     checked += 1
                     if (acc == zero) != rhs_zero:
                         violation = {

@@ -28,6 +28,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Optional
@@ -472,11 +473,7 @@ class RingHandle:
     @memo
     def _unit_map(self):
         vals = self.values()
-        pairs = len(vals) ** 2
-        if pairs > UNIT_PAIR_BUDGET:
-            raise NonEnumerableError("%s: a unit pair scan of %d pairs exceeds "
-                                     "the budget %d" % (self.spec_text, pairs,
-                                                        UNIT_PAIR_BUDGET))
+        require_budget(self, "unit pair scan", len(vals) ** 2)
         m = {}
         for a in vals:
             for b in vals:
@@ -488,6 +485,11 @@ class RingHandle:
     def is_unit_v(self, v):
         """Inverse value, or None."""
         return self._unit_map().get(v)
+
+    def has_inverse_v(self, v) -> bool:
+        """Whether v is a unit; classes with a structural rule decide it
+        without computing the inverse."""
+        return self.is_unit_v(v) is not None
 
     def inner_order(self, v) -> Optional[int]:
         """Least degree of a nonzero coefficient of a truncated-model value;
@@ -547,6 +549,9 @@ class ZmodRing(RingHandle):
 
     def is_unit_v(self, v):
         return pow(v, -1, self.n) if math.gcd(v, self.n) == 1 else None
+
+    def has_inverse_v(self, v) -> bool:
+        return math.gcd(v, self.n) == 1
 
     def _enumerate(self):
         return range(self.n)
@@ -616,6 +621,9 @@ class GaloisFieldRing(RingHandle):
         # field: invert by power |F*|-1; cheaper than the generic pair scan
         return self.k_pow(v, self.card - 2)
 
+    def has_inverse_v(self, v) -> bool:
+        return v != self.zero_v
+
     def _enumerate(self):
         if self.k == 1:
             return range(self.p)
@@ -673,6 +681,9 @@ class ProductRing(RingHandle):
                 return None
             invs.append(inv)
         return tuple(invs)
+
+    def has_inverse_v(self, v) -> bool:
+        return all(f.has_inverse_v(a) for f, a in zip(self.factors, v))
 
     def _enumerate(self):
         return itertools.product(*(f.values() for f in self.factors))
@@ -881,6 +892,7 @@ class TruncatedModel(RingHandle):
 
     truncated = True
     axiom_samples = 2_000    # per-element ops are much pricier here
+    zero_mask_v = None       # no zero pattern (see zero_pattern)
 
     @property
     def scope(self) -> int:
@@ -1048,6 +1060,18 @@ class XYQuotientRing(TruncatedModel):
         out = (xs[0], tuple(xs[1:]), tuple(ys[1:]))
         assert self.k_mul(v, out) == self.one_v
         return out
+
+    def zero_mask_v(self, v) -> int:
+        """Bit 0 is set iff the x-series (a,) + xs is nonzero, bit 1 iff
+        the y-series (a,) + ys is.  A product is the pair of series
+        products and F[[x]] is a domain, so a*b = 0 iff the masks of a and
+        b are disjoint, whenever the block degrees of a and b sum to at
+        most N: true of lifted scope values and their twist images in the
+        widened copy, where the scans take their products."""
+        if v[0] != self.field.zero_v:
+            return 3
+        zb = self.zero_v[1]
+        return (v[1] != zb) | (v[2] != zb) << 1
 
     def x_v(self, power: int = 1, coeff=None):
         c = self.field.one_v if coeff is None else coeff
@@ -1230,10 +1254,18 @@ def _validate_ring(ring):
 # predicates and derived sets (finite rings unless noted)
 
 
+def require_budget(ring, scan: str, count: int, budget: int = UNIT_PAIR_BUDGET):
+    """Raise NonEnumerableError before a scan that would visit more than
+    `budget` pairs or triples."""
+    if count > budget:
+        raise NonEnumerableError("%s: the %s visits %d, over the budget %d"
+                                 % (ring.spec_text, scan, count, budget))
+
+
 @memo
 def units(ring) -> SubsetHandle:
-    return SubsetHandle(ring, [v for v in ring.values()
-                               if ring.is_unit_v(v) is not None], "units")
+    return SubsetHandle(ring, [v for v in ring.values() if ring.has_inverse_v(v)],
+                        "units")
 
 
 def nonunits(ring) -> SubsetHandle:
@@ -1323,6 +1355,41 @@ def jacobson_radical(ring) -> SubsetHandle:
         raise NotImplementedError("%s: the radical is decided for commutative "
                                   "rings only" % ring.spec_text)
     return SubsetHandle(ring, nilpotent_values(ring), "jacobson-radical")
+
+
+@memo
+def zero_pattern(ring):
+    """A map v -> int mask with a*b = 0 iff mask(a) & mask(b) == 0, or
+    None when the ring has none.  The masks multiply: mask(a*b) =
+    mask(a) & mask(b).
+
+    - A finite, commutative, reduced ring: bit i of mask(v) is set iff
+      v*e_i != 0, for the primitive idempotents e_i in value order.  R is
+      the product of the R*e_i, each a finite reduced local commutative
+      ring and so a field.  Building the masks costs n*m products.
+    - F[[x,y]]/(xy): XYQuotientRing.zero_mask_v, exact on the products of
+      lifted scope values and their twist images in the widened copy.
+    - Every other ring (not reduced, or a truncated series ring): None."""
+    if ring.truncated:
+        return ring.zero_mask_v
+    z, mul = ring.zero_v, ring.k_mul
+    if not ring.commutative or nilpotent_values(ring) != {z}:
+        return None
+    idem = [e for e in idempotents(ring).vals if e != z]
+    prims = [e for e in idem if not any(f != e and mul(f, e) == f for f in idem)]
+    return {v: sum(1 << i for i, e in enumerate(prims) if mul(v, e) != z)
+            for v in ring.values()}.__getitem__
+
+
+def zero_keys(ring):
+    """(key, times, zero): where a scan decides whether products of
+    values of ring vanish.  With a zero pattern, keys are masks under &;
+    without one, the values themselves under k_mul.  Either way
+    key(a*b) = times(key(a), key(b)), and it equals zero iff a*b = 0."""
+    pattern = zero_pattern(ring)
+    if pattern is None:
+        return (lambda v: v), ring.k_mul, ring.zero_v
+    return pattern, operator.and_, 0
 
 
 def principal_power_chain(ring, a: Element, side: str = "right"):
@@ -1450,17 +1517,20 @@ class DomainResult:
 @memo
 def is_domain(ring) -> DomainResult:
     dom = scan_domain(ring)
-    mul, wz = dom.ring.k_mul, dom.ring.zero_v
+    key, times, kz = zero_keys(dom.ring)
+    wz = dom.ring.zero_v
     heads = zip(dom.values, dom.lifted)
     if dom.exact:
         # b -> a*b is injective iff a is a unit, so the pair scan's first
         # a is the first nonzero nonunit
         heads = [(a, a) for a in nonunits(ring).vals if a != wz][:1]
+    tails = [(b, key(lb)) for b, lb in zip(dom.values, dom.lifted) if lb != wz]
     for a, la in heads:
         if la == wz:
             continue
-        for b, lb in zip(dom.values, dom.lifted):
-            if lb != wz and mul(la, lb) == wz:
+        ka = key(la)
+        for b, kb in tails:
+            if times(ka, kb) == kz:
                 return DomainResult(
                     False, (Element(ring, a), Element(ring, b)),
                     dom.exact, "zero product witness" if dom.exact else

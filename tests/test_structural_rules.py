@@ -1,7 +1,7 @@
-"""The structural rules for units, zero-divisors, the radical, domains
-and the Archimedean property on finite rings, checked against the
-brute-force scans they replace, plus kernel-call bounds and the cost
-guards of the scans that remain."""
+"""The structural rules for units, zero-divisors, the radical, domains,
+zero patterns and the Archimedean property on finite rings, checked
+against the brute-force scans they replace, plus kernel-call bounds and
+the cost guards of the scans that remain."""
 
 from hypothesis import given, strategies as st
 
@@ -23,6 +23,7 @@ from skewarch.rings import (
     subring_generated,
     units,
     zero_divisors,
+    zero_pattern,
 )
 
 # ---------------------------------------------------------------------------
@@ -166,11 +167,28 @@ def check_archimedean(ring):
             oracle_archimedean(ring, side)
 
 
+def check_zero_pattern(ring):
+    """A pattern exists iff the ring is reduced, and then it multiplies
+    and decides every product's zero-ness."""
+    vals, z = ring.values(), ring.zero_v
+    pattern = zero_pattern(ring)
+    reduced = all(v == z or ring.k_mul(v, v) != z for v in vals)
+    assert (pattern is None) == (not reduced)
+    if pattern is None:
+        return
+    for a in vals:
+        assert (pattern(a) == 0) == (a == z)
+        for b in vals:
+            ab = ring.k_mul(a, b)
+            assert pattern(ab) == pattern(a) & pattern(b)
+            assert (ab == z) == (pattern(a) & pattern(b) == 0)
+
+
 @given(finite_rings)
 def test_structural_rules_match_their_brute_force_scans(ring):
     # one test for all rules, so each drawn ring is built and validated once
-    for check in (check_units, check_k_pow, check_radical,
-                  check_zero_divisors, check_domain, check_archimedean):
+    for check in (check_units, check_k_pow, check_radical, check_zero_divisors,
+                  check_domain, check_zero_pattern, check_archimedean):
         check(ring)
 
 

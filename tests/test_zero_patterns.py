@@ -1,19 +1,55 @@
-"""The zero tests of the twist predicates and of the twisted power
-product scan, checked against the multiplying loops they must agree
-with: same verdicts, same witnesses, same certificate text."""
+"""Zero patterns, and the zero tests of the twist predicates and of the
+twisted power product scan, checked against the multiplying loops they
+must agree with: same verdicts, same witnesses, same certificate text.
+Kernel-call bounds show the fast paths are taken; the last tests cover
+the boolean unit test and the cost guards of two pair scans."""
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_structural_rules import CARDS, base_specs
+from test_structural_rules import CARDS, base_specs, counting
 
-from skewarch.endos import build_endo, is_compatible, is_injective, is_rigid
+from skewarch.endos import (PAIR_SCAN_BUDGET, IdentityEndo, SquareVariableEndo,
+                            build_endo, is_compatible, is_injective, is_rigid)
 from skewarch.props import (FAILS, HOLDS, HYPOTHESIS_NOT_MET,
-                            POWER_PRODUCT_BUDGET, Verdict,
-                            twisted_power_product_equivalence)
+                            POWER_PRODUCT_BUDGET, Verdict, dedekind_finite_clause,
+                            twisted_power_product_equivalence, von_neumann_regular)
 from skewarch.registry import ENTRIES
-from skewarch.rings import construct_ring, is_domain
+from skewarch.rings import (GaloisFieldRing, NonEnumerableError, ProductRing,
+                            XYQuotientRing, ZmodRing, construct_ring, is_domain,
+                            parse_ring_spec, scan_domain, units, zero_pattern)
+
+# ---------------------------------------------------------------------------
+# the zero pattern of the widened F[[x,y]]/(xy), on the products the scans
+# take (tests/test_structural_rules.py checks the finite rings)
+
+
+def check_xyq_products(wide, pairs):
+    pattern = zero_pattern(wide)
+    for a, b in pairs:
+        ab = wide.k_mul(a, b)
+        assert pattern(ab) == pattern(a) & pattern(b)
+        assert (ab == wide.zero_v) == (pattern(a) & pattern(b) == 0)
+
+
+@pytest.mark.parametrize("spec", ["xyq:gf:2:1:N=8", "xyq:gf:3:1:N=4"])
+def test_xyq_zero_pattern_decides_the_scanned_products(spec):
+    """At the default support, the pairs of is_domain (commutative, so
+    each unordered pair once) and is_rigid; at the support is_compatible
+    shrinks to, every (a, b) and (a, alpha(b))."""
+    ring = construct_ring(spec)
+    dom = scan_domain(ring)
+    xsq = SquareVariableEndo(ring).on_widened(dom.ring)
+    lifted = dom.lifted
+    check_xyq_products(dom.ring, itertools.combinations_with_replacement(lifted, 2))
+    check_xyq_products(dom.ring, ((a, xsq.apply_v(a)) for a in lifted))
+    while dom.support > 1 and dom.size ** 2 > PAIR_SCAN_BUDGET:
+        dom = scan_domain(ring, dom.support - 1)
+    lifted = dom.lifted
+    images = [xsq.apply_v(b) for b in lifted]
+    check_xyq_products(dom.ring, itertools.product(lifted, lifted + images))
 
 # ---------------------------------------------------------------------------
 # multiplying oracles
@@ -123,7 +159,7 @@ def oracle_power_product_equivalence(ring, endo):
 # twisted pairs: the identity on small rings and products, the Frobenius on
 # Galois fields and the diagonal on squares prod(S,S)
 
-SMALL_CARD = 12
+SMALL_CARD = 10
 
 
 
@@ -170,3 +206,58 @@ def test_registry_zero_tests_match_the_multiplying_scans():
     assert len(finite) == 9
     for ring, endo in finite:
         check_pair(ring, endo)
+
+
+# ---------------------------------------------------------------------------
+# the fast paths, bounded by kernel calls on fresh (uncached) instances
+
+
+def test_power_product_scan_takes_few_products():
+    spec = parse_ring_spec("prod(zmod:2,zmod:3)")
+    ring = ProductRing(spec, tuple(ZmodRing(f) for f in spec.factors))
+    calls = counting(ring)
+    v = twisted_power_product_equivalence(ring, IdentityEndo(ring))
+    assert "219660 twisted products" in v.certificate
+    assert calls[0] <= 5_000
+
+
+def test_compatibility_scan_on_xyq_multiplies_nothing(monkeypatch):
+    ring = XYQuotientRing(parse_ring_spec("xyq:gf:2:1:N=8"),
+                          construct_ring("gf:2:1"))
+    first = is_compatible(SquareVariableEndo(ring))   # builds the scan domain
+    calls = []
+    for r in (ring, ring.widen()):
+        monkeypatch.setattr(r, "k_mul", lambda x, y, _mul=r.k_mul:
+                            calls.append(1) or _mul(x, y))
+    assert is_compatible(SquareVariableEndo(ring)) == first
+    assert first.holds and calls == []
+
+
+def test_units_of_a_field_compute_no_inverse():
+    ring = GaloisFieldRing(parse_ring_spec("gf:2:10"))
+    calls = counting(ring)
+    assert len(units(ring)) == 1023
+    assert calls[0] == 0
+
+
+def test_regularity_and_dedekind_scans_past_their_budget_raise_at_once():
+    ring = ZmodRing(parse_ring_spec("zmod:2048"))
+    with pytest.raises(NonEnumerableError):
+        dedekind_finite_clause(ring)
+    with pytest.raises(NonEnumerableError):
+        von_neumann_regular(ring)
+
+
+def test_swap_twist_first_breaks_at_length_two(tmp_path):
+    """The swap of prod(S,S) is injective on a reduced ring, so no single
+    base breaks the equivalence; (1,0)*swap(1,0) = 0 breaks it at length
+    two, where only the reachable set of products shows the break."""
+    ring = construct_ring("prod(zmod:3,zmod:3)")
+    table = tmp_path / "swap.txt"
+    table.write_text("".join("%s -> %s\n" % (ring.text_of_v(v),
+                                             ring.text_of_v((v[1], v[0])))
+                             for v in ring.values()))
+    endo = build_endo(ring, "endo:table:%s" % table)
+    check_pair(ring, endo)
+    demo = twisted_power_product_equivalence(ring, endo).witness["demonstration"]
+    assert len(demo["bases"]) == 2
