@@ -364,7 +364,7 @@ def preserves_nonunits(endo: Endo) -> EndoVerdict:
     ring = endo.ring
     dom = scan_domain(ring)
     for a in dom.values:
-        if ring.is_unit_v(a) is None and ring.is_unit_v(endo.apply_v(a)) is not None:
+        if not ring.has_inverse_v(a) and ring.has_inverse_v(endo.apply_v(a)):
             return EndoVerdict(False,
                                {"a": ring.text_of_v(a),
                                 "image": ring.text_of_v(endo.apply_v(a))},

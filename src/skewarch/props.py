@@ -242,7 +242,7 @@ def _two_variable_quotient_archimedean(ring, side: str) -> Verdict:
     for m in (ring.x_v(1), ring.y_v(1), ring.x_v(min(2, ring.precision)),
               ring.y_v(min(2, ring.precision))):
         for r in sample:
-            if ring.is_unit_v(ring.k_sub(ring.one_v, ring.k_mul(r, m))) is None:
+            if not ring.has_inverse_v(ring.k_sub(ring.one_v, ring.k_mul(r, m))):
                 return Verdict(FAILS,
                                {"r": ring.text_of_v(r), "m": ring.text_of_v(m)},
                                "a variable multiple escaped the radical")
@@ -300,7 +300,7 @@ def sandwich_unit_clause(ring, side: str = "right") -> Verdict:
 def zero_divisors_in_radical_clause(ring, side: str = "right") -> Verdict:
     """Side zero-divisors must sit inside the radical."""
     zd = zero_divisors(ring, side)
-    rad = set(jacobson_radical(ring).vals)
+    rad = jacobson_radical(ring).members
     for v in zd.vals:
         if v not in rad:
             return Verdict(FAILS, {"a": ring.text_of_v(v)},
@@ -453,7 +453,7 @@ def regular_ring_division_check(ring, side: str = "right") -> dict:
     _need_side(side)
     arch = is_archimedean(ring, side)
     rad = jacobson_radical(ring)
-    semiprimitive = set(rad.vals) == {ring.zero_v}
+    semiprimitive = rad.members == {ring.zero_v}
 
     if not semiprimitive or arch.status != HOLDS:
         unmet = []
@@ -680,7 +680,7 @@ def _poly_unit_exact(p: SkewPoly) -> bool:
     ring = p.ring
     if p.is_zero:
         return False
-    if ring.is_unit_v(p.coeffs[0]) is None:
+    if not ring.has_inverse_v(p.coeffs[0]):
         return False
     return all(is_nilpotent(ring, Element(ring, c)).nilpotent
                for c in p.coeffs[1:])
@@ -1064,12 +1064,17 @@ def archimedean_falsifier(ring, endo: Endo, precision: int = 16,
     notes = []
     examined = 0
 
-    # stage 1: constant divisors; the chain stabilization is exact
-    for cv in nonunits(ring).vals:
+    # stage 1: constant divisors; the chain stabilization is exact.  Each
+    # chain R*a^n (or a^n*R) falls strictly through additive subgroups
+    # until it repeats, so it takes at most log2|R| + 2 sets of |R|
+    # products.
+    nus = nonunits(ring).vals
+    require_budget(ring, "constant-stage chains",
+                   len(nus) * ring.card * (ring.card.bit_length() + 1))
+    for cv in nus:
         examined += 1
         chain, stab = principal_power_chain(ring, Element(ring, cv), side)
-        stabset = set(stab.vals)
-        if stabset != {ring.zero_v}:
+        if stab.members != {ring.zero_v}:
             f0 = next(v for v in stab.vals if v != ring.zero_v)
             g = TruncSeries.constant(ring, endo, cv, precision)
             f = TruncSeries.constant(ring, endo, f0, precision)
@@ -1089,7 +1094,7 @@ def archimedean_falsifier(ring, endo: Endo, precision: int = 16,
             % (side, ring.text_of_v(cv), ",".join(stab.texts()),
                ring.text_of_v(f0), depth))
     notes.append("constant stage: all %d nonunit chains reach {0} (exact)"
-                 % len(nonunits(ring)))
+                 % len(nus))
 
     # stage 2: monomial survivors.  On the right side a twist power that
     # turns the divisor constant into a unit makes the variable monomial
@@ -1097,7 +1102,7 @@ def archimedean_falsifier(ring, endo: Endo, precision: int = 16,
     # image, an identity independent of n.
     if side == "right":
         found = None
-        for cv in nonunits(ring).vals:
+        for cv in nus:
             if cv == ring.zero_v or found:
                 continue
             for m in range(1, min(3, precision) + 1):
@@ -1146,15 +1151,15 @@ def archimedean_falsifier(ring, endo: Endo, precision: int = 16,
         tried += 1
         g = random_series(ring, endo, rng, precision, max_support=4)
         g0 = g.coeffs[0]
-        if g0 == ring.zero_v or ring.is_unit_v(g0) is not None:
+        if g0 == ring.zero_v or ring.has_inverse_v(g0):
             continue
         admissible = True
         for m in range(precision + 1):
             cm = endo.power_apply_v(m, g0) if side == "right" else g0
-            if ring.is_unit_v(cm) is not None:
+            if ring.has_inverse_v(cm):
                 continue    # no constraint at this degree
             _, stab = principal_power_chain(ring, Element(ring, cm), side)
-            if set(stab.vals) == {ring.zero_v}:
+            if stab.members == {ring.zero_v}:
                 admissible = False   # every candidate coefficient dies
                 break
         if admissible:
@@ -1190,7 +1195,7 @@ def _scope_falsifier(ring, endo: Endo, precision: int, depth: int,
                                                  side))
     pool = scan_domain(ring, 2).values
     nonunit_pool = [v for v in pool
-                    if v != ring.zero_v and ring.is_unit_v(v) is None]
+                    if v != ring.zero_v and not ring.has_inverse_v(v)]
     examined = 0
     notes = []
     for v in nonunit_pool:
@@ -1281,7 +1286,7 @@ def induction_audit(f: TruncSeries, g: TruncSeries, h_list, depth: int,
         f._check(h)
 
     g0 = g.coeffs[0]
-    if ring.is_unit_v(g0) is not None:
+    if ring.has_inverse_v(g0):
         return Verdict(
             HYPOTHESIS_NOT_MET, {"g": g.to_text()},
             "the divisor's constant term %s is a unit, so everything is "
@@ -1317,7 +1322,7 @@ def induction_audit(f: TruncSeries, g: TruncSeries, h_list, depth: int,
         stage record."""
         cm = endo.power_apply_v(m, g0) if side == "right" else g0
         label = "constant-term" if m == 0 else "degree-%d" % m
-        if ring.is_unit_v(cm) is not None:
+        if ring.has_inverse_v(cm):
             stages.append({"stage": label,
                            "blocked": "twist power %d sends the divisor "
                            "constant to the unit %s" % (m,
@@ -1352,7 +1357,7 @@ def induction_audit(f: TruncSeries, g: TruncSeries, h_list, depth: int,
         record = {"stage": label, "equations": eqs,
                   "stabilized": stab.texts(), "chain_length": len(chain)}
         stages.append(record)
-        if set(stab.vals) != {ring.zero_v}:
+        if stab.members != {ring.zero_v}:
             fm = f.coeffs[m]
             survives = (", and the coefficient %s survives"
                         % ring.text_of_v(fm) if fm != ring.zero_v
@@ -1550,12 +1555,14 @@ def _predicted_text(value) -> str:
 def first_incomparable_principal_pair(ring):
     """First pair of principal ideals, in generator enumeration order,
     with neither containing the other.  Falls back to None."""
+    # one quotient per nonzero nonunit, each closing an ideal of up to |R|
+    # values under products with all |R| values
+    gens = [a for a in nonunits(ring).vals if a != ring.zero_v]
+    require_budget(ring, "principal quotients", len(gens) * ring.card ** 2)
     seen = []
-    for a in nonunits(ring).vals:
-        if a == ring.zero_v:
-            continue
+    for a in gens:
         quo, _ = quotient_by_ideal(ring, [Element(ring, a)])
-        ideal = frozenset(quo.ideal.vals)
+        ideal = quo.ideal.members
         if all(ideal != s for _, s in seen):
             seen.append((a, ideal))
     for i in range(len(seen)):
@@ -1574,8 +1581,8 @@ def quotient_intersection_check(ring, gens1, gens2) -> dict:
     Archimedean quotients glue to an Archimedean quotient."""
     q1, _ = quotient_by_ideal(ring, gens1)
     q2, _ = quotient_by_ideal(ring, gens2)
-    i1 = set(q1.ideal.vals)
-    i2 = set(q2.ideal.vals)
+    i1 = q1.ideal.members
+    i2 = q2.ideal.members
     inter = sorted(i1 & i2, key=ring.sort_key_v)
     qi, _ = quotient_by_ideal(ring, [Element(ring, v) for v in inter])
     pair = {
@@ -1621,7 +1628,7 @@ def quotient_intersection_check(ring, gens1, gens2) -> dict:
             HYPOTHESIS_NOT_MET, dict(pair),
             "the ideals are comparable; no zero-divisor is forced")
 
-    rad = set(jacobson_radical(ring).vals)
+    rad = jacobson_radical(ring).members
     inside = i1 <= rad and i2 <= rad
     arch1 = is_archimedean(q1)
     arch2 = is_archimedean(q2)

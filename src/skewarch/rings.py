@@ -18,6 +18,12 @@ model applies them block by block: since xy = 0, a + X and a + Y are
 one-variable series sharing the constant a, and
 (a+X+Y)^-1 = (a+X)^-1 + (a+Y)^-1 - a^-1.
 
+GF(p^k) with k >= 2 computes by table lookup: construction finds a
+primitive element g and tabulates its powers, their logarithms and the
+Zech logarithms log(1 + g^n), so a product or sum of nonzero values is
+an index sum and a lookup (see GaloisFieldRing).  The polynomial product
+modulo the pinned irreducible only builds these tables.
+
 Every ring has a canonical text form (see parse_ring_spec) and every
 element a canonical printed form; parse and print round-trip exactly.
 No floating point is used anywhere.
@@ -201,6 +207,18 @@ def _is_irreducible(coeffs, p) -> bool:
     return True
 
 
+def _power(mul, one, x, n: int):
+    """x^n by square-and-multiply; x^0 is one, also for x = 0."""
+    acc = one
+    while n:
+        if n & 1:
+            acc = mul(acc, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return acc
+
+
 def _digits(i, base, length):
     out = []
     for _ in range(length):
@@ -378,12 +396,13 @@ class SubsetHandle:
 
     def __init__(self, ring, values, label: str = ""):
         self.ring = ring
-        self.vals = tuple(sorted(set(values), key=ring.sort_key_v))
+        self.members = frozenset(values)
+        self.vals = tuple(sorted(self.members, key=ring.sort_key_v))
         self.label = label
 
     def __contains__(self, item):
         v = item.v if isinstance(item, Element) else item
-        return v in set(self.vals)
+        return v in self.members
 
     def __len__(self):
         return len(self.vals)
@@ -417,6 +436,10 @@ class RingHandle:
 
     def __init__(self):
         self.spec_text = spec_to_text(self.spec)
+        if self.card is not None and self.card > ENUMERATION_CAP:
+            raise RingConstructionError("%s has %d elements, beyond the enumeration "
+                                        "cap %d" % (self.spec_text, self.card,
+                                                    ENUMERATION_CAP))
         self._cache = {}
         self._values = None
         self._index = None
@@ -438,14 +461,7 @@ class RingHandle:
         return self.k_add(x, self.k_neg(y))
 
     def k_pow(self, x, n: int):
-        acc = self.one_v
-        while n:
-            if n & 1:
-                acc = self.k_mul(acc, x)
-            n >>= 1
-            if n:
-                x = self.k_mul(x, x)
-        return acc
+        return _power(self.k_mul, self.one_v, x, n)
 
     # -- enumeration
 
@@ -454,9 +470,6 @@ class RingHandle:
             raise NonEnumerableError("%s is a truncated model; use scope_values"
                                      % self.spec_text)
         if self._values is None:
-            if self.card > ENUMERATION_CAP:
-                raise NonEnumerableError("%s has %d elements, beyond the scan cap"
-                                         % (self.spec_text, self.card))
             self._values = list(self._enumerate())
             self._index = {v: i for i, v in enumerate(self._values)}
         return self._values
@@ -569,8 +582,16 @@ class ZmodRing(RingHandle):
 class GaloisFieldRing(RingHandle):
     """GF(p^k) as Z/p-coordinate vectors modulo a pinned irreducible.
 
-    k = 1 stores bare residues; k >= 2 stores little-endian k-tuples.
-    Printed form is always the bracketed coordinate vector."""
+    k = 1 stores bare residues.  k >= 2 stores little-endian k-tuples and
+    computes by lookup in tables built once, at construction, from a
+    primitive element g (Zech logarithms): `_exp[i]` = g^i for
+    0 <= i < 2(q-1), so no index needs reducing; `_log` maps each nonzero
+    value to its exponent; `_zech[n]` = log(1 + g^n), None where that sum
+    is 0.  Then x*y = exp[log x + log y] and
+    x + y = exp[log x + zech[log y - log x]], a negative difference
+    reading zech modulo q-1.  Zero has no logarithm and is a special case
+    in every kernel.  Printed form is always the bracketed coordinate
+    vector."""
 
     kind = "gf"
 
@@ -586,21 +607,13 @@ class GaloisFieldRing(RingHandle):
             self.zero_v = (0,) * spec.k
             self.one_v = (1,) + (0,) * (spec.k - 1)
         super().__init__()
+        if spec.k > 1:
+            self._build_tables()
 
-    def k_add(self, x, y):
-        if self.k == 1:
-            return (x + y) % self.p
-        return tuple((a + b) % self.p for a, b in zip(x, y))
-
-    def k_neg(self, x):
-        if self.k == 1:
-            return (-x) % self.p
-        return tuple((-a) % self.p for a in x)
-
-    def k_mul(self, x, y):
+    def _poly_mul(self, x, y):
+        """x*y as polynomials modulo the pinned irreducible: the product
+        the tables are built from.  Skips zero coefficients of x."""
         p, k = self.p, self.k
-        if k == 1:
-            return (x * y) % p
         prod = [0] * (2 * k - 1)
         for i, a in enumerate(x):
             if a:
@@ -615,10 +628,71 @@ class GaloisFieldRing(RingHandle):
                     prod[i - k + j] = (prod[i - k + j] - c * self.irr[j]) % p
         return tuple(prod[:k])
 
+    def _primitive_element(self):
+        """The first value in enumeration order of multiplicative order
+        q-1: g^((q-1)/r) != 1 for each prime r dividing q-1.  The modulus
+        is irreducible (parse_ring_spec checks it), so the units form a
+        cyclic group and such g exists.  The constants lie in GF(p), of
+        order at most p-1, so the search starts past them."""
+        one, order = self.one_v, self.card - 1
+        primes = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
+        candidates = (tuple(_digits(i, self.p, self.k)) for i in range(self.p, self.card))
+        return next(g for g in candidates
+                    if all(_power(self._poly_mul, one, g, order // r) != one
+                           for r in primes))
+
+    def _build_tables(self):
+        order = self.card - 1
+        g = self._primitive_element()
+        powers = [self.one_v]
+        for _ in range(order - 1):
+            powers.append(self._poly_mul(g, powers[-1]))
+        self._log = {v: i for i, v in enumerate(powers)}
+        self._exp = powers + powers
+        self._zech = [self._log.get(((v[0] + 1) % self.p,) + v[1:]) for v in powers]
+        # -1 = g^((q-1)/2) in odd characteristic, and 1 in characteristic 2
+        self._neg_log = 0 if self.p == 2 else order // 2
+
+    def k_add(self, x, y):
+        if self.k == 1:
+            return (x + y) % self.p
+        log = self._log
+        lx = log.get(x)
+        if lx is None:
+            return y
+        ly = log.get(y)
+        if ly is None:
+            return x
+        z = self._zech[ly - lx]
+        return self.zero_v if z is None else self._exp[lx + z]
+
+    def k_neg(self, x):
+        if self.k == 1:
+            return (-x) % self.p
+        lx = self._log.get(x)
+        return self.zero_v if lx is None else self._exp[lx + self._neg_log]
+
+    def k_mul(self, x, y):
+        if self.k == 1:
+            return (x * y) % self.p
+        log = self._log
+        lx, ly = log.get(x), log.get(y)
+        if lx is None or ly is None:
+            return self.zero_v
+        return self._exp[lx + ly]
+
+    def k_pow(self, x, n: int):
+        if self.k == 1:
+            return pow(x, n, self.p)
+        if n == 0:
+            return self.one_v
+        lx = self._log.get(x)
+        return self.zero_v if lx is None else self._exp[lx * n % (self.card - 1)]
+
     def is_unit_v(self, v):
         if v == self.zero_v:
             return None
-        # field: invert by power |F*|-1; cheaper than the generic pair scan
+        # field: v^(q-2), a table lookup (k >= 2) or pow (k = 1)
         return self.k_pow(v, self.card - 2)
 
     def has_inverse_v(self, v) -> bool:
@@ -729,7 +803,7 @@ class SubRing(RingHandle):
                     raise RingConstructionError("subring closure exceeds %d elements"
                                                 % SUBRING_CLOSURE_CAP)
             frontier = nxt
-        self.members = sorted(members, key=parent.sort_key_v)
+        self.members = frozenset(members)
         self.card = len(self.members)
         self.commutative = parent.commutative
         self.zero_v = parent.zero_v
@@ -746,14 +820,14 @@ class SubRing(RingHandle):
         return self.parent.k_mul(x, y)
 
     def _enumerate(self):
-        return list(self.members)
+        return sorted(self.members, key=self.parent.sort_key_v)
 
     def text_of_v(self, v):
         return self.parent.text_of_v(v)
 
     def v_of_text(self, text):
         v = self.parent.v_of_text(text)
-        if v not in set(self.members):
+        if v not in self.members:
             raise ValueError("%s is not a member of %s" % (text, self.spec_text))
         return v
 
@@ -957,6 +1031,9 @@ class TruncSeriesRing(TruncatedModel):
         assert self.k_mul(v, out) == self.one_v
         return out
 
+    def has_inverse_v(self, v) -> bool:
+        return self.base.has_inverse_v(v[0])
+
     def monomial_v(self, k: int, coeff=None):
         c = self.base.one_v if coeff is None else coeff
         out = [self.base.zero_v] * (self.precision + 1)
@@ -1060,6 +1137,9 @@ class XYQuotientRing(TruncatedModel):
         out = (xs[0], tuple(xs[1:]), tuple(ys[1:]))
         assert self.k_mul(v, out) == self.one_v
         return out
+
+    def has_inverse_v(self, v) -> bool:
+        return v[0] != self.field.zero_v
 
     def zero_mask_v(self, v) -> int:
         """Bit 0 is set iff the x-series (a,) + xs is nonzero, bit 1 iff
@@ -1170,7 +1250,8 @@ _RING_CACHE: dict = {}
 def construct_ring(spec) -> RingHandle:
     """Build (or fetch) the ring for a spec value or spec text.  Validates
     arithmetic axioms on first construction; raises RingConstructionError
-    on any failure."""
+    on any failure.  A finite ring of more than ENUMERATION_CAP elements
+    is refused by RingHandle.__init__, before a field builds its tables."""
     if isinstance(spec, str):
         spec = parse_ring_spec(spec)
     key = spec_to_text(spec)
@@ -1193,9 +1274,6 @@ def construct_ring(spec) -> RingHandle:
         ring = XYQuotientRing(spec, construct_ring(spec.field))
     else:
         raise RingConstructionError("unknown spec %r" % (spec,))
-    if ring.card is not None and ring.card > ENUMERATION_CAP:
-        raise RingConstructionError("%s has %d elements, beyond the enumeration "
-                                    "cap %d" % (key, ring.card, ENUMERATION_CAP))
     _validate_ring(ring)
     _RING_CACHE[key] = ring
     return ring
@@ -1269,7 +1347,7 @@ def units(ring) -> SubsetHandle:
 
 
 def nonunits(ring) -> SubsetHandle:
-    u = set(units(ring).vals)
+    u = units(ring).members
     return SubsetHandle(ring, [v for v in ring.values() if v not in u], "nonunits")
 
 

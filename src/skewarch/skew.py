@@ -194,7 +194,7 @@ class TruncSeries:
 
     def is_unit(self) -> bool:
         # truncation-model semantics: unit iff the constant term is a unit
-        return self.ring.is_unit_v(self.coeffs[0]) is not None
+        return self.ring.has_inverse_v(self.coeffs[0])
 
     def __eq__(self, other):
         return (isinstance(other, TruncSeries) and other.ring == self.ring

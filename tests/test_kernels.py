@@ -3,15 +3,17 @@
 The references are written from the definitions, not from the library's
 kernels: schoolbook convolutions that multiply every pair of
 coefficients (zeros included), twists applied one step at a time with
-`apply_v`, and the two-variable product expanded monomial by monomial
-with x*y = 0."""
+`apply_v`, the two-variable product expanded monomial by monomial with
+x*y = 0, and GF(p^k) arithmetic as polynomials reduced modulo the
+field's irreducible."""
 
 import random
 
 import pytest
 
 from skewarch.endos import build_endo
-from skewarch.rings import construct_ring
+from skewarch.rings import (GaloisFieldRing, RingConstructionError,
+                            construct_ring, parse_ring_spec)
 from skewarch.skew import SkewPoly, TruncSeries, series_inverse
 
 ROUNDS = 40
@@ -151,7 +153,75 @@ def test_unit_inverses_on_the_support_two_scope(spec):
     for i in range(ring.scope_size(2)):
         v = ring.scope_value(i, 2)
         inv = ring.is_unit_v(v)
+        assert ring.has_inverse_v(v) == (inv is not None)
         if constant.is_unit_v(v[0]) is None:
             assert inv is None
         else:
             assert ref(v, inv) == ring.one_v and ref(inv, v) == ring.one_v
+
+
+# ---------------------------------------------------------------------------
+# GF(p^k) table kernels against polynomial arithmetic
+
+FIELDS = (["gf:2:%d" % k for k in range(2, 9)] + ["gf:3:2", "gf:3:3", "gf:3:4",
+          "gf:5:2", "gf:7:2"]
+          # x^4 + x^3 + 1 in place of the default x^4 + x + 1
+          + ["gf:2:4:1,0,0,1,1"])
+
+
+def poly_mulmod(x, y, p, irr):
+    """x*y as polynomials over Z/p, every coefficient pair multiplied,
+    then x^d rewritten through the monic irreducible from the top down."""
+    k = len(irr) - 1
+    prod = [0] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            prod[i + j] += x[i] * y[j]
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod[d] % p
+        for j in range(k + 1):
+            prod[d - k + j] -= c * irr[j]
+    return tuple(c % p for c in prod[:k])
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+def test_field_kernels_match_polynomial_arithmetic(spec):
+    ring = construct_ring(spec)
+    p, q, irr = ring.p, ring.card, ring.irr
+    vals = ring.values()
+    frob = build_endo(ring, "endo:frob")
+    mul = lambda x, y: poly_mulmod(x, y, p, irr)   # noqa: E731
+    for a in vals:
+        assert ring.k_neg(a) == tuple((-c) % p for c in a)
+        for b in vals:
+            assert ring.k_mul(a, b) == mul(a, b)
+            assert ring.k_add(a, b) == tuple((c + d) % p for c, d in zip(a, b))
+        wanted = {0, 1, 2, p, q - 2, q}
+        acc = ring.one_v
+        for n in range(q + 1):
+            if n in wanted:
+                assert ring.k_pow(a, n) == acc
+            if n == p:
+                assert frob.apply_v(a) == acc
+            acc = mul(acc, a)
+        inv = ring.is_unit_v(a)
+        if a == ring.zero_v:
+            assert inv is None
+        else:
+            assert mul(a, inv) == ring.one_v
+
+
+def test_field_tables_take_about_q_polynomial_products(monkeypatch):
+    """The power table takes q-2 products and the primitive-element search
+    a few dozen more."""
+    calls = []
+    product = GaloisFieldRing._poly_mul
+    monkeypatch.setattr(GaloisFieldRing, "_poly_mul",
+                        lambda self, x, y: calls.append(1) or product(self, x, y))
+    ring = GaloisFieldRing(parse_ring_spec("gf:2:8"))
+    assert len(ring.values()) == 256
+    assert len(calls) <= 256 + 256 // 4
+    calls.clear()
+    with pytest.raises(RingConstructionError):
+        construct_ring("gf:2:17")      # past the enumeration cap
+    assert calls == []

@@ -2,7 +2,8 @@
 twisted power product scan, checked against the multiplying loops they
 must agree with: same verdicts, same witnesses, same certificate text.
 Kernel-call bounds show the fast paths are taken; the last tests cover
-the boolean unit test and the cost guards of two pair scans."""
+the boolean unit test and the cost guards of the pair scans, of the
+falsifier's constant stage and of the principal-quotient search."""
 
 import itertools
 
@@ -12,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 from test_structural_rules import CARDS, base_specs, counting
 
 from skewarch.endos import (PAIR_SCAN_BUDGET, IdentityEndo, SquareVariableEndo,
-                            build_endo, is_compatible, is_injective, is_rigid)
+                            build_endo, is_compatible, is_injective, is_rigid,
+                            preserves_nonunits)
 from skewarch.props import (FAILS, HOLDS, HYPOTHESIS_NOT_MET,
-                            POWER_PRODUCT_BUDGET, Verdict, dedekind_finite_clause,
+                            POWER_PRODUCT_BUDGET, Verdict, archimedean_falsifier,
+                            dedekind_finite_clause, first_incomparable_principal_pair,
                             twisted_power_product_equivalence, von_neumann_regular)
 from skewarch.registry import ENTRIES
 from skewarch.rings import (GaloisFieldRing, NonEnumerableError, ProductRing,
@@ -246,6 +249,23 @@ def test_regularity_and_dedekind_scans_past_their_budget_raise_at_once():
         dedekind_finite_clause(ring)
     with pytest.raises(NonEnumerableError):
         von_neumann_regular(ring)
+
+
+def test_nonunit_scan_on_xyq_computes_no_inverse(monkeypatch):
+    ring = XYQuotientRing(parse_ring_spec("xyq:gf:2:1:N=8"),
+                          construct_ring("gf:2:1"))
+    monkeypatch.setattr(ring, "is_unit_v", lambda v: pytest.fail("inverse taken"))
+    assert preserves_nonunits(SquareVariableEndo(ring)).holds
+
+
+def test_falsifier_and_principal_pairs_past_their_budget_raise_at_once():
+    ring = ZmodRing(parse_ring_spec("zmod:4096"))
+    calls = counting(ring)
+    with pytest.raises(NonEnumerableError):
+        archimedean_falsifier(ring, IdentityEndo(ring), seed=0)
+    with pytest.raises(NonEnumerableError):
+        first_incomparable_principal_pair(ring)
+    assert calls[0] == 0
 
 
 def test_swap_twist_first_breaks_at_length_two(tmp_path):
