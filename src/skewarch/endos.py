@@ -1,10 +1,12 @@
 """Ring endomorphisms used as twists for skew polynomials and series.
 
-An endomorphism is validated at build time: it must fix 1 and respect +
-and * on the scope generators of a truncated model, then on every
-scan-domain pair up to ENDO_PAIR_BUDGET pairs, else on seeded sampled
-pairs.  The identity is exempt: every law compares a value with itself.
-Rejection carries a witness pair.
+The built-in twists are endomorphisms by construction, once their ring
+kind fits: the identity, Frobenius a -> a^p on gf:p:k, the diagonal
+(a, b) -> (a, a) on prod(S,S) and x -> x^2 on the two-variable model;
+tests/test_ring_laws.py checks their laws.  A table twist comes from a
+file, so build_endo checks its laws: it must fix 1 and respect + and *
+on every pair of values up to ENDO_PAIR_BUDGET pairs, else on seeded
+sampled pairs.  Rejection carries a witness pair.
 
 The predicates follow one scan rule (rings.scan_domain): a finite ring
 scans every value in the ring itself; a truncated model scans its scope
@@ -33,7 +35,7 @@ from typing import Optional
 from .prng import CONSTRUCTION_SEED, SplitMix64, fnv1a64
 from .rings import Element, is_reduced, memo, scan_domain, zero_keys
 
-ENDO_PAIR_BUDGET = 65_536     # law check on every scan-domain pair up to this
+ENDO_PAIR_BUDGET = 65_536     # table-twist law check on every pair up to this
 ENDO_SAMPLE_PAIRS = 10_000
 PAIR_SCAN_BUDGET = 40_000     # quadratic scope scans shrink support to fit
 
@@ -45,7 +47,9 @@ class EndoValidationError(ValueError):
 
 
 class Endo:
-    """A validated ring endomorphism with cached powers."""
+    """A ring endomorphism with cached powers: a built-in map whose ring
+    kind fits, or a table read from a file whose laws build_endo has
+    checked."""
 
     def __init__(self, ring, name: str):
         self.ring = ring
@@ -201,11 +205,10 @@ class TableEndo(Endo):
 
 
 def _validate_endo(endo: Endo):
-    """Check that the twist fixes 1 and respects + and * on every pair of
-    scope generators (none on a finite ring), then, as ring validation
-    does, on every pair of scan-domain values while there are at most
-    ENDO_PAIR_BUDGET pairs, else on ENDO_SAMPLE_PAIRS seeded draws.
-    Raises EndoValidationError with the failing law and pair."""
+    """Check that a table twist fixes 1 and respects + and * on every pair
+    of values while there are at most ENDO_PAIR_BUDGET pairs, else on
+    ENDO_SAMPLE_PAIRS seeded draws.  Table twists exist only on finite
+    rings.  Raises EndoValidationError with the failing law and pair."""
     ring = endo.ring
     if endo.apply_v(ring.one_v) != ring.one_v:
         raise EndoValidationError(
@@ -230,20 +233,16 @@ def _validate_endo(endo: Endo):
                  "image_of_product": ring.text_of_v(m),
                  "product_of_images": ring.text_of_v(ring.k_mul(la, lb))})
 
-    gens = ring.scope_generators()
-    for a in gens:
-        for b in gens:
-            check_pair(a, b)
-    dom = scan_domain(ring)
-    n = dom.size
+    vals = ring.values()
+    n = len(vals)
     if n * n <= ENDO_PAIR_BUDGET:
-        for a in dom.values:
-            for b in dom.values:
+        for a in vals:
+            for b in vals:
                 check_pair(a, b)
         return
     rng = SplitMix64(CONSTRUCTION_SEED ^ fnv1a64(ring.spec_text + "/" + endo.text))
     for _ in range(ENDO_SAMPLE_PAIRS):
-        check_pair(dom.value(rng.below(n)), dom.value(rng.below(n)))
+        check_pair(vals[rng.below(n)], vals[rng.below(n)])
 
 
 _ENDO_CACHE: dict = {}
@@ -251,7 +250,8 @@ _ENDO_CACHE: dict = {}
 
 def build_endo(ring, text: str) -> Endo:
     """Parse endo:id | endo:frob | endo:xsq | endo:diag | endo:table:<file>
-    against a ring and validate the homomorphism laws."""
+    against a ring.  A built-in twist checks only that the ring has its
+    kind; a table twist is checked against the homomorphism laws."""
     s = text.strip()
     cached = _ENDO_CACHE.get((ring.spec_text, s))
     if cached is not None:
@@ -259,6 +259,10 @@ def build_endo(ring, text: str) -> Endo:
     if not s.startswith("endo:"):
         raise EndoValidationError("endo spec must start with 'endo:': %r" % text)
     body = s[5:]
+    if body.startswith("table:"):
+        endo = TableEndo(ring, body[6:])
+        _validate_endo(endo)
+        return endo     # not cached: table files can change on disk
     if body == "id":
         endo = IdentityEndo(ring)
     elif body == "frob":
@@ -267,14 +271,9 @@ def build_endo(ring, text: str) -> Endo:
         endo = DiagonalEndo(ring)
     elif body == "xsq":
         endo = SquareVariableEndo(ring)
-    elif body.startswith("table:"):
-        endo = TableEndo(ring, body[6:])
     else:
         raise EndoValidationError("unrecognized endo spec: %r" % text)
-    if not endo.is_identity:    # the identity satisfies every law trivially
-        _validate_endo(endo)
-    if not body.startswith("table:"):   # table files can change on disk
-        _ENDO_CACHE[(ring.spec_text, s)] = endo
+    _ENDO_CACHE[(ring.spec_text, s)] = endo
     return endo
 
 

@@ -62,7 +62,7 @@ def derive_rng(master_seed: int, label: str) -> SplitMix64:
     return SplitMix64((master_seed & MASK64) ^ fnv1a64(label))
 
 
-# Fixed seed for construction-time sampled checks (axioms, endo laws).
-# Deliberately independent of any run configuration: a ring either
-# constructs or it does not, regardless of the seed a caller passes.
+# Fixed seed for the sampled law check of a table twist (endos).
+# Deliberately independent of any run configuration: a twist either
+# builds or it does not, regardless of the seed a caller passes.
 CONSTRUCTION_SEED = 0x5EED0FF1CE

@@ -65,8 +65,8 @@ def find_entry(entry_id: str):
 
 
 def startup_self_check():
-    """Construct every entry and validate its twist before any suite
-    runs; construction errors propagate to the caller."""
+    """Build every entry's ring and twist before any suite runs;
+    construction errors propagate to the caller."""
     for e in ENTRIES:
         e.build()
 

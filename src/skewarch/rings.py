@@ -39,9 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Optional
 
-from .prng import CONSTRUCTION_SEED, SplitMix64, fnv1a64
-
-AXIOM_TRIPLE_BUDGET = 4096     # exhaustive triple scan at or below this many triples
 ENUMERATION_CAP = 65_536       # refuse to materialize finite rings beyond this
 SCOPE_ENUMERATION_BUDGET = 200_000   # truncated-model scans shrink support to fit
 SUBRING_CLOSURE_CAP = 65_536
@@ -50,7 +47,10 @@ UNIT_PAIR_BUDGET = 1 << 20     # most pairs the generic unit scan may visit
 
 
 class RingConstructionError(ValueError):
-    """A ring spec is malformed or its arithmetic fails validation."""
+    """A ring spec is malformed or names no ring that construct_ring
+    builds: a reducible gf modulus, a ring past a size cap, a quotient by
+    an ideal containing 1, or a part or precision a construction
+    refuses."""
 
 
 class RingMismatchError(ValueError):
@@ -432,7 +432,6 @@ class SubsetHandle:
 class RingHandle:
     kind = "?"
     truncated = False
-    axiom_samples = 10_000   # sampled triples above AXIOM_TRIPLE_BUDGET
 
     def __init__(self):
         self.spec_text = spec_to_text(self.spec)
@@ -508,11 +507,6 @@ class RingHandle:
         """Least degree of a nonzero coefficient of a truncated-model value;
         None for zero.  Finite ring elements count as order 0 when nonzero."""
         return None if v == self.zero_v else 0
-
-    def scope_generators(self):
-        """Values whose pairs a twist's law check covers before the scan
-        domain; a finite ring needs none."""
-        return []
 
     # -- element-level conveniences
 
@@ -636,7 +630,7 @@ class GaloisFieldRing(RingHandle):
         order at most p-1, so the search starts past them."""
         one, order = self.one_v, self.card - 1
         primes = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
-        candidates = (tuple(_digits(i, self.p, self.k)) for i in range(self.p, self.card))
+        candidates = itertools.islice(self._enumerate(), self.p, None)
         return next(g for g in candidates
                     if all(_power(self._poly_mul, one, g, order // r) != one
                            for r in primes))
@@ -699,9 +693,11 @@ class GaloisFieldRing(RingHandle):
         return v != self.zero_v
 
     def _enumerate(self):
+        """Value i is the little-endian base-p digits of i: the digit
+        tuples of itertools.product, last digit fastest, reversed."""
         if self.k == 1:
             return range(self.p)
-        return (tuple(_digits(i, self.p, self.k)) for i in range(self.card))
+        return (t[::-1] for t in itertools.product(range(self.p), repeat=self.k))
 
     def text_of_v(self, v):
         if self.k == 1:
@@ -721,9 +717,6 @@ class GaloisFieldRing(RingHandle):
 
 class ProductRing(RingHandle):
     kind = "prod"
-    # ops act factor by factor, so the laws descend from the (already
-    # validated) factors; construction keeps only a small wiring sample
-    axiom_samples = 500
 
     def __init__(self, spec: ProductSpec, factors):
         self.spec = spec
@@ -874,6 +867,8 @@ class QuotientRing(RingHandle):
         self.zero_v = rep[parent.zero_v]
         self.one_v = rep[parent.one_v]
         super().__init__()
+        if self.zero_v == self.one_v:
+            raise RingConstructionError("%s: zero equals one" % self.spec_text)
 
     def k_add(self, x, y):
         return self.rep_map[self.parent.k_add(x, y)]
@@ -965,7 +960,6 @@ class TruncatedModel(RingHandle):
     order."""
 
     truncated = True
-    axiom_samples = 2_000    # per-element ops are much pricier here
     zero_mask_v = None       # no zero pattern (see zero_pattern)
 
     @property
@@ -1034,10 +1028,9 @@ class TruncSeriesRing(TruncatedModel):
     def has_inverse_v(self, v) -> bool:
         return self.base.has_inverse_v(v[0])
 
-    def monomial_v(self, k: int, coeff=None):
-        c = self.base.one_v if coeff is None else coeff
+    def monomial_v(self, k: int):
         out = [self.base.zero_v] * (self.precision + 1)
-        out[k] = c
+        out[k] = self.base.one_v
         return tuple(out)
 
     def inner_order(self, v) -> Optional[int]:
@@ -1054,12 +1047,6 @@ class TruncSeriesRing(TruncatedModel):
     def scope_value(self, i: int, s: int):
         head = _digit_values(i, self.base.values(), s + 1)
         return tuple(head) + (self.base.zero_v,) * (self.precision - s)
-
-    def scope_generators(self):
-        """Unity, the variable powers u^1..u^N and every constant."""
-        return ([self.one_v]
-                + [self.monomial_v(k) for k in range(1, self.precision + 1)]
-                + [self.monomial_v(0, bv) for bv in self.base.values()])
 
     def widen(self):
         return construct_ring(TruncSeriesSpec(self.base.spec, self.precision * 2))
@@ -1187,17 +1174,6 @@ class XYQuotientRing(TruncatedModel):
         pad = (self.field.zero_v,) * (self.precision - s)
         return (d[0], tuple(d[1:s + 1]) + pad, tuple(d[s + 1:]) + pad)
 
-    def scope_generators(self):
-        """Unity, the powers x^1..x^N and y^1..y^N, and every constant."""
-        fz = self.field.zero_v
-        gens = [self.one_v]
-        for k in range(1, self.precision + 1):
-            gens.append(self.x_v(k))
-            gens.append(self.y_v(k))
-        for fv in self.field.values():
-            gens.append((fv, (fz,) * self.precision, (fz,) * self.precision))
-        return gens
-
     def widen(self):
         return construct_ring(XYQuotientSpec(self.spec.field, self.precision * 2))
 
@@ -1242,16 +1218,23 @@ class XYQuotientRing(TruncatedModel):
 
 
 # ---------------------------------------------------------------------------
-# construction and validation
+# construction
 
 _RING_CACHE: dict = {}
 
 
 def construct_ring(spec) -> RingHandle:
-    """Build (or fetch) the ring for a spec value or spec text.  Validates
-    arithmetic axioms on first construction; raises RingConstructionError
-    on any failure.  A finite ring of more than ENUMERATION_CAP elements
-    is refused by RingHandle.__init__, before a field builds its tables."""
+    """Build (or fetch) the ring for a spec value or spec text.
+
+    Construction checks what a spec can get wrong and raises
+    RingConstructionError there: a malformed spec or a reducible gf
+    modulus (parse_ring_spec), a finite ring past ENUMERATION_CAP
+    (RingHandle.__init__, before a field builds its tables), a subring
+    closure past SUBRING_CLOSURE_CAP, a quotient by an ideal containing
+    1, and a part or precision a construction refuses (zmod:1, a
+    truncated model as a factor, parent or base, xyq with N < 2).  A spec
+    that passes builds a ring, so no ring law is sampled here;
+    tests/test_ring_laws.py checks the laws of every kind."""
     if isinstance(spec, str):
         spec = parse_ring_spec(spec)
     key = spec_to_text(spec)
@@ -1274,58 +1257,8 @@ def construct_ring(spec) -> RingHandle:
         ring = XYQuotientRing(spec, construct_ring(spec.field))
     else:
         raise RingConstructionError("unknown spec %r" % (spec,))
-    _validate_ring(ring)
     _RING_CACHE[key] = ring
     return ring
-
-
-def _axiom_triples(ring):
-    dom = scan_domain(ring)
-    n = dom.size
-    if n ** 3 <= AXIOM_TRIPLE_BUDGET:
-        return itertools.product(dom.values, dom.values, dom.values)
-    rng = SplitMix64(CONSTRUCTION_SEED ^ fnv1a64(ring.spec_text))
-    pick = dom.value
-    return ((pick(rng.below(n)), pick(rng.below(n)), pick(rng.below(n)))
-            for _ in range(ring.axiom_samples))
-
-
-def _validate_ring(ring):
-    """Identity laws on every scan-domain value (finite) or a deterministic
-    slice of them (truncated), then associativity/distributivity on one
-    triple path: every triple of scan-domain values when there are at most
-    AXIOM_TRIPLE_BUDGET of them, else the class's axiom_samples seeded
-    draws."""
-    dom = scan_domain(ring)
-    step = 1 if dom.exact else max(1, dom.size // 512)
-    z, o = ring.zero_v, ring.one_v
-    if z == o:
-        raise RingConstructionError("%s: zero equals one" % ring.spec_text)
-    for a in map(dom.value, range(0, dom.size, step)):
-        if ring.k_add(z, a) != a or ring.k_add(a, z) != a:
-            raise RingConstructionError("%s: additive identity fails at %s"
-                                        % (ring.spec_text, ring.text_of_v(a)))
-        if ring.k_mul(o, a) != a or ring.k_mul(a, o) != a:
-            raise RingConstructionError("%s: unity fails at %s"
-                                        % (ring.spec_text, ring.text_of_v(a)))
-        if ring.k_add(a, ring.k_neg(a)) != z:
-            raise RingConstructionError("%s: negation fails at %s"
-                                        % (ring.spec_text, ring.text_of_v(a)))
-    for a, b, c in _axiom_triples(ring):
-        if ring.k_add(ring.k_add(a, b), c) != ring.k_add(a, ring.k_add(b, c)):
-            raise RingConstructionError("%s: + not associative" % ring.spec_text)
-        if ring.k_add(a, b) != ring.k_add(b, a):
-            raise RingConstructionError("%s: + not commutative" % ring.spec_text)
-        ab = ring.k_mul(a, b)
-        if ring.k_mul(ab, c) != ring.k_mul(a, ring.k_mul(b, c)):
-            raise RingConstructionError("%s: * not associative" % ring.spec_text)
-        if ring.k_mul(a, ring.k_add(b, c)) != ring.k_add(ab, ring.k_mul(a, c)):
-            raise RingConstructionError("%s: left distributivity fails" % ring.spec_text)
-        if ring.k_mul(ring.k_add(a, b), c) != ring.k_add(ring.k_mul(a, c),
-                                                         ring.k_mul(b, c)):
-            raise RingConstructionError("%s: right distributivity fails" % ring.spec_text)
-        if ring.commutative and ab != ring.k_mul(b, a):
-            raise RingConstructionError("%s: * not commutative" % ring.spec_text)
 
 
 # ---------------------------------------------------------------------------
@@ -1498,10 +1431,8 @@ class ScanDomain:
     ring scans every value and takes products in itself; a truncated model
     scans its scope values (support <= `support`) and takes products of
     their lifts in the 2x widened copy, so a zero found there is never a
-    truncation artifact.  The scope is numbered: `value(i)` computes entry
-    i without listing the others, so a procedure that only samples never
-    builds `values`.  The value list, the widened copy and the lifts are
-    each built on first use."""
+    truncation artifact.  The value list, the widened copy and the lifts
+    are each built on first use."""
 
     def __init__(self, scanned: RingHandle, support: Optional[int]):
         self.scanned = scanned
@@ -1518,11 +1449,6 @@ class ScanDomain:
         twentieth (at least 20) on a truncated model, whose products
         cost far more."""
         return n if self.exact else max(20, n // 20)
-
-    def value(self, i: int):
-        if self.exact:
-            return self.values[i]
-        return self.scanned.scope_value(i, self.support)
 
     @cached_property
     def values(self) -> list:

@@ -1,11 +1,11 @@
 """Code that no module, test or demo reaches gets deleted.
 
 Every module-level function, class and constant in src/skewarch, and every
-method of its classes, must have its name used somewhere in src/, tests/
-or demos/ outside every definition of that name.  A use is a Python name
-token, so words in docstrings, comments and strings do not count, and
-neither do calls between same-named methods of different classes.  Dunder
-names are exempt.  The benchmark harness is not searched: every package
+method and class-level setting of its classes, must have its name used
+somewhere in src/, tests/ or demos/ outside every definition of that
+name.  A use is a Python name token, so words in docstrings, comments and
+strings do not count, and neither do calls between same-named methods of
+different classes.  Dunder names are exempt.  The benchmark harness is not searched: every package
 name it uses is also used in src/ or tests/, and its own words (a
 random.Random method, say) could hide a dead name of the same spelling.
 
@@ -23,22 +23,27 @@ PACKAGE = ROOT / "src" / "skewarch"
 SEARCHED = ("src", "tests", "demos")
 
 
+def _named(node):
+    """(name, node) if node is a def or class, else one pair per plain
+    name it assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        yield node.name, node
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield target.id, node
+
+
 def _definitions(tree):
     """(name, node) for each module-level def, class and assigned name,
-    and each method of a module-level class."""
+    and each method, nested class and class-level assigned name (a class
+    setting or a dataclass field) of a module-level class."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            yield node.name, node
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        yield item.name, item
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    yield target.id, node
+        yield from _named(node)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield from _named(item)
 
 
 def _name_tokens(text):

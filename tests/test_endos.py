@@ -33,26 +33,34 @@ def test_frobenius_is_the_squaring_map():
         assert ring.element(fr.power_apply_v(2, e.v)) == e
 
 
-def test_frobenius_on_a_field_past_the_pair_budget_builds_quickly():
-    # 512^2 pairs exceed ENDO_PAIR_BUDGET, so the laws are checked on
-    # seeded sampled pairs instead of hanging on every pair
+def test_frobenius_on_a_field_past_the_pair_budget_builds_quickly(tmp_path):
+    # a table of the Frobenius images on GF(2^9): 512^2 pairs exceed
+    # ENDO_PAIR_BUDGET, so its laws are checked on seeded sampled pairs
+    # instead of hanging on every pair
     ring = construct_ring("gf:2:9")
-    start = time.perf_counter()
-    fr = build_endo(ring, "endo:frob")
-    assert time.perf_counter() - start < 10
     assert ring.card ** 2 > endos.ENDO_PAIR_BUDGET
+    f = tmp_path / "frob.map"
+    _write_table(f, [(e.text, (e * e).text) for e in ring.elements()])
+    start = time.perf_counter()
+    fr = build_endo(ring, "endo:table:%s" % f)
+    assert time.perf_counter() - start < 10
     x = ring.from_text("[0,1,0,0,0,0,0,0,0]")
     assert fr.apply(x) == x * x
 
 
-def test_identity_twist_skips_the_law_check(monkeypatch):
+def test_only_table_twists_run_the_law_check(monkeypatch, tmp_path):
     def refuse(endo):
         raise EndoValidationError("law check ran")
     monkeypatch.setattr(endos, "_validate_endo", refuse)
     monkeypatch.setattr(endos, "_ENDO_CACHE", {})
-    assert build_endo(construct_ring("zmod:10"), "endo:id").is_identity
+    for spec, twist in [("zmod:10", "endo:id"), ("gf:7:1", "endo:frob"),
+                        ("prod(zmod:2,zmod:2)", "endo:diag"),
+                        ("xyq:gf:2:1:N=8", "endo:xsq")]:
+        assert build_endo(construct_ring(spec), twist).text == twist
+    f = tmp_path / "id.map"
+    _write_table(f, [(str(a), str(a)) for a in range(4)])
     with pytest.raises(EndoValidationError):
-        build_endo(construct_ring("gf:7:1"), "endo:frob")
+        build_endo(construct_ring("zmod:4"), "endo:table:%s" % f)
 
 
 def test_frobenius_predicates_on_gf4():

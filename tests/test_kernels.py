@@ -12,7 +12,7 @@ import random
 import pytest
 
 from skewarch.endos import build_endo
-from skewarch.rings import (GaloisFieldRing, RingConstructionError,
+from skewarch.rings import (GaloisFieldRing, RingConstructionError, _digits,
                             construct_ring, parse_ring_spec)
 from skewarch.skew import SkewPoly, TruncSeries, series_inverse
 
@@ -189,6 +189,7 @@ def test_field_kernels_match_polynomial_arithmetic(spec):
     ring = construct_ring(spec)
     p, q, irr = ring.p, ring.card, ring.irr
     vals = ring.values()
+    assert vals == [tuple(_digits(i, p, ring.k)) for i in range(q)]
     frob = build_endo(ring, "endo:frob")
     mul = lambda x, y: poly_mulmod(x, y, p, irr)   # noqa: E731
     for a in vals:

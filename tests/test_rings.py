@@ -333,8 +333,8 @@ def test_scope_value_numbers_the_scope_listing():
 
 
 def test_widened_copy_samples_its_scope_without_listing_it():
-    # validation draws scope values by index, so the 131,072-value scope
-    # of the widened two-variable model is never built
+    # construction samples no values, so the 131,072-value scope of the
+    # widened two-variable model is listed only by a scan that asks for it
     ring = construct_ring("xyq:gf:2:1:N=16")
     dom = scan_domain(ring)
     assert dom.size == 2 ** 17
@@ -369,7 +369,9 @@ def test_construction_failures():
                 "prod(zmod:2)", "mystery:5", "tser(tser(zmod:2,N=4),N=4)",
                 "quot(tser(zmod:2,N=4);2)", "xyq:gf:2:1:N=1",
                 # finite but beyond the enumeration cap
-                "zmod:70000", "prod(zmod:300,zmod:300)"]:
+                "zmod:70000", "prod(zmod:300,zmod:300)",
+                # an ideal that contains 1: zero would equal one
+                "quot(zmod:6;1)", "quot(prod(zmod:2,zmod:3);(1,1))"]:
         with pytest.raises(RingConstructionError):
             construct_ring(bad)
 
