@@ -43,18 +43,20 @@ SMALL_FIELDS = [s for s, n in CARDS.items() if s.startswith("gf:") and n <= 8]
 
 
 def check_ring_laws(ring, triples):
-    """zero != one, and the ring laws on each triple: + is an abelian group
-    with identity zero, * is associative with identity one (and
-    commutative when the ring says so), and * distributes over +."""
+    """zero != one, the identity and negation laws on every value of each
+    triple, and the ring laws on each triple: + is an abelian group with
+    identity zero, * is associative with identity one (and commutative
+    when the ring says so), and * distributes over +."""
     add, mul, neg = ring.k_add, ring.k_mul, ring.k_neg
     z, o = ring.zero_v, ring.one_v
     assert z != o
     for a, b, c in triples:
+        for v in (a, b, c):
+            assert add(z, v) == v and add(v, z) == v and add(v, neg(v)) == z
+            assert mul(o, v) == v and mul(v, o) == v
         assert add(add(a, b), c) == add(a, add(b, c))
         assert add(a, b) == add(b, a)
-        assert add(a, z) == a and add(a, neg(a)) == z
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
-        assert mul(o, a) == a and mul(a, o) == a
         assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
         assert mul(add(a, b), c) == add(mul(a, c), mul(b, c))
         if ring.commutative:
@@ -135,7 +137,7 @@ def value_strategy(ring):
 def with_triples(draw, rings):
     ring = draw(rings)
     value = value_strategy(ring)
-    return ring, draw(st.lists(st.tuples(value, value, value), min_size=1, max_size=10))
+    return ring, draw(st.lists(st.tuples(value, value, value), min_size=1, max_size=20))
 
 
 all_kinds = st.one_of(finite_rings, tser_rings, xyq_rings)
@@ -193,12 +195,13 @@ def test_spec_and_element_texts_round_trip(drawn):
 # the registry and the widened copies the matrix builds
 
 WIDENED = ["xyq:gf:2:1:N=16", "tser(gf:2:1,N=8)"]
-SAMPLED = 500     # triples or pairs past an exhaustive scan of 4,096
+RING_SAMPLES = 2_000     # triples past an exhaustive scan of 4,096
+TWIST_SAMPLES = 10_000   # pairs past an exhaustive scan of 4,096
 
 
-def spread(ring, width):
+def spread(ring, width, samples):
     """Every width-tuple of a finite ring's values when there are at most
-    4,096, else SAMPLED seeded draws; a truncated model draws scope
+    4,096, else samples seeded draws; a truncated model draws scope
     values, alternately over the whole window and at its bounded
     support."""
     if not ring.truncated and ring.card ** width <= 4096:
@@ -210,17 +213,35 @@ def spread(ring, width):
             return rnd.choice(ring.values())
         s = ring.bounded_support() if n % 2 else ring.precision
         return ring.scope_value(rnd.randrange(ring.scope_size(s)), s)
-    return [tuple(value(n) for _ in range(width)) for n in range(SAMPLED)]
+    return [tuple(value(n) for _ in range(width)) for n in range(samples)]
+
+
+def generators(ring):
+    """Unity, every constant and the variable powers up to the precision
+    of a truncated model; none for a finite ring, whose pairs spread
+    lists in full."""
+    if not ring.truncated:
+        return []
+    if ring.kind == "tser":
+        return ([ring.one_v]
+                + [ring.monomial_v(k) for k in range(1, ring.precision + 1)]
+                + [(c,) + (ring.base.zero_v,) * ring.precision for c in ring.base.values()])
+    fz, N = ring.field.zero_v, ring.precision
+    return ([ring.one_v]
+            + [f(k) for k in range(1, N + 1) for f in (ring.x_v, ring.y_v)]
+            + [(c, (fz,) * N, (fz,) * N) for c in ring.field.values()])
 
 
 @pytest.mark.parametrize("spec", sorted({e.ring_spec for e in ENTRIES}) + WIDENED)
 def test_registry_and_widened_rings_satisfy_the_ring_laws(spec):
     ring = construct_ring(spec)
-    check_ring_laws(ring, spread(ring, 3))
+    check_ring_laws(ring, spread(ring, 3, RING_SAMPLES))
 
 
 @pytest.mark.parametrize("spec,twist", [(e.ring_spec, e.endo_spec) for e in ENTRIES]
                          + [(WIDENED[0], "endo:xsq")])
 def test_registry_and_widened_twists_are_endomorphisms(spec, twist):
     endo = build_endo(construct_ring(spec), twist)
-    check_twist_laws(endo, spread(endo.ring, 2))
+    gens = generators(endo.ring)
+    check_twist_laws(endo, list(itertools.product(gens, repeat=2))
+                     + spread(endo.ring, 2, TWIST_SAMPLES))
