@@ -30,7 +30,7 @@ from .rings import (Element, NonEnumerableError, TruncSeriesSpec,
                     nonunits, principal_power_chain, quotient_by_ideal,
                     require_budget, scan_domain, subring_generated, units,
                     zero_divisors, zero_keys)
-from .skew import (SkewPoly, TruncSeries, geometric_inverse, nilpotency_probe,
+from .skew import (SkewPoly, TruncSeries, inverse_of_one_plus, nilpotency_probe,
                    parse_poly_text, solve_right_divisibility)
 
 HOLDS = "holds"
@@ -621,8 +621,10 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
         f = random_poly(ring, endo, rng, max_terms=3)
         if f.is_zero:
             continue
-        res = geometric_inverse(f, precision)   # raises if the identity fails
-        probe = nilpotency_probe(f.shift(1), bound=precision + 1)
+        # both procedures read the powers kept on this one f*u
+        fu = f.shift(1)
+        res = inverse_of_one_plus(fu, precision)   # raises if the identity fails
+        probe = nilpotency_probe(fu, bound=precision + 1)
         if res.terminated:
             terminated += 1
             if not (probe.zero_power_found and probe.index == res.index):
@@ -634,16 +636,10 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
                     % (res.index, probe.index))
         elif probe.zero_power_found and probe.genuine:
             # termination can only be expected if no earlier power slipped
-            # past the precision window
-            power = f.shift(1)
-            escaped = False
-            for _k in range(probe.index - 1):
-                ordv = power.order()
-                if ordv is not None and ordv > precision:
-                    escaped = True
-                    break
-                power = power * f.shift(1)
-            if not escaped:
+            # past the precision window; the powers below the probe's
+            # index are nonzero, so each has an order
+            if not any(fu.power(k).order() > precision
+                       for k in range(1, probe.index)):
                 return Verdict(
                     FAILS,
                     {"f": f.to_text(), "probe_index": probe.index},

@@ -21,7 +21,9 @@ from .rings import (construct_ring, first_nonzero, last_nonzero, scan_domain,
 
 
 def _common(a, b):
-    if a.ring != b.ring or a.endo != b.endo:
+    # operands nearly always share their ring and twist objects
+    if (a.ring is not b.ring and a.ring != b.ring
+            or a.endo is not b.endo and a.endo != b.endo):
         raise ValueError("operands live over different rings or twists")
 
 
@@ -32,12 +34,13 @@ def _twist(endo):
 
 class SkewPoly:
     """Exact twisted polynomial; coefficients little-endian, trailing
-    zeros stripped, the zero polynomial has an empty coefficient tuple."""
+    zeros stripped, the zero polynomial has an empty coefficient tuple.
+    Immutable, so the powers computed by power() are kept on it."""
 
-    __slots__ = ("ring", "endo", "coeffs")
+    __slots__ = ("ring", "endo", "coeffs", "_powers")
 
     def __init__(self, ring, endo: Endo, coeffs):
-        if endo.ring != ring:
+        if endo.ring is not ring and endo.ring != ring:
             raise ValueError("twist acts on a different ring")
         cs = list(coeffs)
         while cs and cs[-1] == ring.zero_v:
@@ -45,6 +48,7 @@ class SkewPoly:
         self.ring = ring
         self.endo = endo
         self.coeffs = tuple(cs)
+        self._powers = None     # self^2, self^3, ... as far as asked for
 
     @classmethod
     def constant(cls, ring, endo, value):
@@ -90,10 +94,24 @@ class SkewPoly:
                                    _twist(self.endo)))
 
     def __pow__(self, n: int):
-        acc = SkewPoly.constant(self.ring, self.endo, self.ring.one_v)
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        if n == 0:
+            return SkewPoly.constant(self.ring, self.endo, self.ring.one_v)
+        return self.power(n)
+
+    def power(self, k: int):
+        """self^k for k >= 1, each power the previous one times self.
+        Computed on first request and kept, so procedures that walk the
+        powers of one polynomial share the products."""
+        if k < 1:
+            raise ValueError("power() needs an exponent >= 1")
+        if k == 1:
+            return self
+        if self._powers is None:
+            self._powers = []
+        powers = self._powers
+        while len(powers) < k - 1:
+            powers.append((powers[-1] if powers else self) * self)
+        return powers[k - 2]
 
     def shift(self, k: int = 1):
         """Multiply by u^k on the right."""
@@ -129,7 +147,7 @@ class TruncSeries:
     __slots__ = ("ring", "endo", "precision", "coeffs")
 
     def __init__(self, ring, endo: Endo, precision: int, coeffs):
-        if endo.ring != ring:
+        if endo.ring is not ring and endo.ring != ring:
             raise ValueError("twist acts on a different ring")
         cs = list(coeffs)
         if len(cs) > precision + 1:
@@ -262,29 +280,37 @@ def geometric_inverse(f: SkewPoly, precision: int) -> GeometricInverseResult:
     """Inverse of 1 + f*u in the truncated series ring, as the alternating
     sum of exact powers of f*u.  Terminated means some power vanished as
     an exact polynomial, which certifies the inverse is polynomial."""
-    ring, endo = f.ring, f.endo
-    one = SkewPoly.constant(ring, endo, ring.one_v)
-    fu = f.shift(1)
-    acc = one.truncate(precision)
-    power = one
-    sign_negative = True
-    terminated = False
+    return inverse_of_one_plus(f.shift(1), precision)
+
+
+def inverse_of_one_plus(g: SkewPoly, precision: int) -> GeometricInverseResult:
+    """geometric_inverse for g = f*u: the inverse of 1 + g as the sum of
+    (-g)^k over the powers g.power(k), which stay on g for other probes
+    of the same powers.  g needs a zero constant term, so that the order
+    of g^k is at least k and the sum ends by k = precision + 1."""
+    ring, endo = g.ring, g.endo
+    zero = ring.zero_v
+    if g.coeffs and g.coeffs[0] != zero:
+        raise ValueError("1 + g inverts as a geometric series only for g "
+                         "with a zero constant term")
+    acc = [ring.one_v] + [zero] * precision
     index = None
-    k = 1
-    while True:
-        power = power * fu
+    for k in range(1, precision + 2):
+        power = g.power(k)
         if power.is_zero:
-            terminated = True
             index = k
             break
-        term = power.truncate(precision)
-        acc = acc - term if sign_negative else acc + term
-        ordv = power.order()
-        if ordv is not None and ordv > precision:
+        # only the nonzero coefficients inside the window change acc
+        step = ring.k_sub if k % 2 else ring.k_add
+        for d, c in enumerate(power.coeffs[:precision + 1]):
+            if c != zero:
+                acc[d] = step(acc[d], c)
+        if power.order() > precision:
             break
-        sign_negative = not sign_negative
-        k += 1
-    lhs = (one + fu).truncate(precision)
+    terminated = index is not None
+    acc = TruncSeries(ring, endo, precision, acc)
+    one = SkewPoly.constant(ring, endo, ring.one_v)
+    lhs = (one + g).truncate(precision)
     unity = one.truncate(precision)
     if lhs * acc != unity or acc * lhs != unity:
         raise RuntimeError("geometric expansion failed to invert 1 + f*u")
@@ -323,15 +349,14 @@ class ProbeResult:
 def nilpotency_probe(f, bound: int = 16) -> ProbeResult:
     """Search powers f^k for k <= bound.
 
-    Exact for polynomials.  For truncated series the verdict is genuine
+    Exact for polynomials, whose powers it reads through f.power, so
+    powers of f computed before are not computed again.  For truncated series the verdict is genuine
     only if every intermediate support stayed within half the precision
     window (and, when the coefficient ring is itself truncated, a replay
     with widened coefficients still vanishes)."""
     if isinstance(f, SkewPoly):
-        power = f
         for k in range(2, bound + 2):
-            power = power * f
-            if power.is_zero:
+            if f.power(k).is_zero:
                 return ProbeResult(True, k, True, "exact zero power")
         return ProbeResult(False, None, True,
                            "no zero power up to exponent %d" % (bound + 1))

@@ -212,16 +212,33 @@ def test_field_kernels_match_polynomial_arithmetic(spec):
             assert mul(a, inv) == ring.one_v
 
 
+@pytest.mark.parametrize("spec", ["gf:2:8", "gf:2:9", "gf:3:5", "gf:5:3"])
+def test_field_tables_match_the_polynomial_product(spec):
+    """The tables built by shifting and folding through the modulus equal
+    those built from the same primitive element by polynomial products."""
+    ring = construct_ring(spec)
+    g = ring._primitive_element()
+    powers = [ring.one_v]
+    for _ in range(ring.card - 2):
+        powers.append(poly_mulmod(g, powers[-1], ring.p, ring.irr))
+    assert poly_mulmod(g, powers[-1], ring.p, ring.irr) == ring.one_v
+    log = {v: i for i, v in enumerate(powers)}
+    assert len(log) == ring.card - 1      # g is primitive
+    assert ring._exp == powers + powers
+    assert ring._log == log
+    assert ring._zech == [log.get(((v[0] + 1) % ring.p,) + v[1:]) for v in powers]
+
+
 def test_field_tables_take_about_q_polynomial_products(monkeypatch):
-    """The power table takes q-2 products and the primitive-element search
-    a few dozen more."""
+    """Only the primitive-element search takes polynomial products, a few
+    dozen; the power table takes none."""
     calls = []
     product = GaloisFieldRing._poly_mul
     monkeypatch.setattr(GaloisFieldRing, "_poly_mul",
                         lambda self, x, y: calls.append(1) or product(self, x, y))
     ring = GaloisFieldRing(parse_ring_spec("gf:2:8"))
     assert len(ring.values()) == 256
-    assert len(calls) <= 256 + 256 // 4
+    assert len(calls) <= 256 // 4
     calls.clear()
     with pytest.raises(RingConstructionError):
         construct_ring("gf:2:17")      # past the enumeration cap

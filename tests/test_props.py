@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from skewarch import props
 from skewarch.endos import build_endo
 from skewarch.props import (
     FAILS,
@@ -32,7 +34,7 @@ from skewarch.props import (
 )
 from skewarch.prng import derive_rng
 from skewarch.rings import NonEnumerableError, construct_ring
-from skewarch.skew import TruncSeries, parse_poly_text
+from skewarch.skew import SkewPoly, TruncSeries, parse_poly_text
 
 ALL_STATUSES = {HOLDS, FAILS, HYPOTHESIS_NOT_MET, INCONCLUSIVE,
                 HOLDS_BY_THEOREM}
@@ -331,6 +333,51 @@ def test_geometric_termination_sampling():
         v = geometric_termination_check(ring, endo, samples=200, seed=11)
         assert v.status == HOLDS
         assert v.witness is None
+
+
+def test_geometric_termination_catches_an_index_disagreement(monkeypatch):
+    """A probe that reports each zero power one step late must fail the
+    cross-check with both indices in the witness."""
+    probe = props.nilpotency_probe
+
+    def late_probe(f, bound=16):
+        res = probe(f, bound)
+        if not res.zero_power_found:
+            return res
+        return dataclasses.replace(res, index=res.index + 1)
+
+    monkeypatch.setattr(props, "nilpotency_probe", late_probe)
+    ring, endo = _pair("zmod:8")
+    v = geometric_termination_check(ring, endo, samples=200, seed=11)
+    assert v.status == FAILS
+    assert v.witness["probe_index"] == v.witness["termination_index"] + 1
+
+
+def test_geometric_termination_walks_one_power_chain_per_sample(monkeypatch):
+    """The expansion, the probe and the escape replay read the powers of
+    one f*u: powers 2 to precision + 2 at most, one product each."""
+    precision = 6
+    products = []       # SkewPoly products per sampled polynomial
+    draw, multiply = props.random_poly, SkewPoly.__mul__
+
+    def counted_draw(*args, **kwargs):
+        products.append(0)
+        return draw(*args, **kwargs)
+
+    def counted_multiply(a, b):
+        products[-1] += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(props, "random_poly", counted_draw)
+    monkeypatch.setattr(SkewPoly, "__mul__", counted_multiply)
+    for rs, es in (("zmod:8", "endo:id"), ("gf:2:2", "endo:frob"),
+                   ("xyq:gf:2:1:N=8", "endo:xsq")):
+        ring, endo = _pair(rs, es)
+        products.clear()
+        v = geometric_termination_check(ring, endo, samples=50, seed=3,
+                                        precision=precision)
+        assert v.status == HOLDS
+        assert products and max(products) <= precision + 2
 
 
 def test_poly_radical_check_frozen():
