@@ -60,8 +60,8 @@ class Endo:
         self._cache = {}
 
     def __eq__(self, other):
-        return other is self or (isinstance(other, Endo) and other.ring == self.ring
-                                 and other.text == self.text)
+        return (isinstance(other, Endo) and other.ring == self.ring
+                and other.text == self.text)
 
     def __hash__(self):
         return hash((self.ring.spec_text, self.text))

@@ -30,8 +30,8 @@ from .rings import (Element, NonEnumerableError, TruncSeriesSpec,
                     nonunits, principal_power_chain, quotient_by_ideal,
                     require_budget, scan_domain, subring_generated, units,
                     zero_divisors, zero_keys)
-from .skew import (SkewPoly, TruncSeries, inverse_of_one_plus, nilpotency_probe,
-                   parse_poly_text, solve_right_divisibility)
+from .skew import (SkewPoly, TruncSeries, _inverse_of_one_plus,
+                   nilpotency_probe, parse_poly_text, solve_right_divisibility)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -623,7 +623,7 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
             continue
         # both procedures read the powers kept on this one f*u
         fu = f.shift(1)
-        res = inverse_of_one_plus(fu, precision)   # raises if the identity fails
+        res = _inverse_of_one_plus(fu, precision)   # raises if the identity fails
         probe = nilpotency_probe(fu, bound=precision + 1)
         if res.terminated:
             terminated += 1

@@ -22,8 +22,7 @@ GF(p^k) with k >= 2 computes by table lookup: construction finds a
 primitive element g and tabulates its powers, their logarithms and the
 Zech logarithms log(1 + g^n), so a product or sum of nonzero values is
 an index sum and a lookup (see GaloisFieldRing).  The polynomial product
-modulo the pinned irreducible only finds g; its powers are built by
-shifting and folding through the monic modulus.
+modulo the pinned irreducible only builds these tables.
 
 Every ring has a canonical text form (see parse_ring_spec) and every
 element a canonical printed form; parse and print round-trip exactly.
@@ -447,8 +446,7 @@ class RingHandle:
     # identity is the canonical spec text, so re-constructing the same
     # spec yields interoperable handles
     def __eq__(self, other):
-        return other is self or (isinstance(other, RingHandle)
-                                 and other.spec_text == self.spec_text)
+        return isinstance(other, RingHandle) and other.spec_text == self.spec_text
 
     def __hash__(self):
         return hash(self.spec_text)
@@ -607,8 +605,8 @@ class GaloisFieldRing(RingHandle):
             self._build_tables()
 
     def _poly_mul(self, x, y):
-        """x*y as polynomials modulo the pinned irreducible, for the
-        primitive-element search.  Skips zero coefficients of x."""
+        """x*y as polynomials modulo the pinned irreducible: the product
+        the tables are built from.  Skips zero coefficients of x."""
         p, k = self.p, self.k
         prod = [0] * (2 * k - 1)
         for i, a in enumerate(x):
@@ -638,30 +636,11 @@ class GaloisFieldRing(RingHandle):
                            for r in primes))
 
     def _build_tables(self):
-        p, k, order = self.p, self.k, self.card - 1
+        order = self.card - 1
         g = self._primitive_element()
-        terms = [(i, c) for i, c in enumerate(g) if c]
-        fold = [(-c) % p for c in self.irr[:k]]   # X^k in lower powers
-
-        def times_x(v):
-            # shift up one place and fold the top coefficient back
-            top = v[-1]
-            v = [0] + v[:-1]
-            return [(a + top * b) % p for a, b in zip(v, fold)] if top else v
-
-        v = list(self.one_v)
         powers = [self.one_v]
         for _ in range(order - 1):
-            # g*v: the sum of c * X^i * v over the terms c*X^i of g
-            acc, xv, shifted = None, v, 0
-            for i, c in terms:
-                for _ in range(i - shifted):
-                    xv = times_x(xv)
-                shifted = i
-                term = xv if c == 1 else [c * b for b in xv]
-                acc = term if acc is None else list(map(operator.add, acc, term))
-            v = [a % p for a in acc]
-            powers.append(tuple(v))
+            powers.append(self._poly_mul(g, powers[-1]))
         self._log = {v: i for i, v in enumerate(powers)}
         self._exp = powers + powers
         self._zech = [self._log.get(((v[0] + 1) % self.p,) + v[1:]) for v in powers]

@@ -280,19 +280,16 @@ def geometric_inverse(f: SkewPoly, precision: int) -> GeometricInverseResult:
     """Inverse of 1 + f*u in the truncated series ring, as the alternating
     sum of exact powers of f*u.  Terminated means some power vanished as
     an exact polynomial, which certifies the inverse is polynomial."""
-    return inverse_of_one_plus(f.shift(1), precision)
+    return _inverse_of_one_plus(f.shift(1), precision)
 
 
-def inverse_of_one_plus(g: SkewPoly, precision: int) -> GeometricInverseResult:
+def _inverse_of_one_plus(g: SkewPoly, precision: int) -> GeometricInverseResult:
     """geometric_inverse for g = f*u: the inverse of 1 + g as the sum of
     (-g)^k over the powers g.power(k), which stay on g for other probes
-    of the same powers.  g needs a zero constant term, so that the order
-    of g^k is at least k and the sum ends by k = precision + 1."""
+    of the same powers.  g = f*u has a zero constant term, so g^k has
+    order at least k and the sum is complete by k = precision + 1."""
     ring, endo = g.ring, g.endo
     zero = ring.zero_v
-    if g.coeffs and g.coeffs[0] != zero:
-        raise ValueError("1 + g inverts as a geometric series only for g "
-                         "with a zero constant term")
     acc = [ring.one_v] + [zero] * precision
     index = None
     for k in range(1, precision + 2):

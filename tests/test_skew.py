@@ -8,7 +8,6 @@ from skewarch.skew import (
     SkewPoly,
     TruncSeries,
     geometric_inverse,
-    inverse_of_one_plus,
     nilpotency_probe,
     parse_poly_text,
     series_inverse,
@@ -165,14 +164,6 @@ def test_geometric_inverse_with_twist():
     assert res.series.coeffs[1] == w
     assert res.series.coeffs[2] == ring.one_v
     assert not res.terminated
-
-
-def test_inverse_of_one_plus_needs_a_zero_constant_term():
-    ring = construct_ring("zmod:8")
-    idn = build_endo(ring, "endo:id")
-    assert inverse_of_one_plus(SkewPoly(ring, idn, [0, 2]), 6).index == 3
-    with pytest.raises(ValueError):
-        inverse_of_one_plus(SkewPoly(ring, idn, [2, 2]), 6)
 
 
 def test_series_inverse_two_sided():
