@@ -46,7 +46,8 @@ class SplitMix64:
     def below(self, n: int) -> int:
         """Uniform-enough integer in [0, n).  Plain modulo; the tiny bias
         is irrelevant for counterexample search and keeps replay trivial."""
-        assert n > 0
+        if n <= 0:
+            raise ValueError("below() needs a positive bound, got %r" % n)
         return self.next_u64() % n
 
 

@@ -31,7 +31,8 @@ from .rings import (Element, NonEnumerableError, TruncSeriesSpec,
                     require_budget, scan_domain, subring_generated, units,
                     zero_divisors, zero_keys)
 from .skew import (SkewPoly, TruncSeries, _inverse_of_one_plus,
-                   nilpotency_probe, parse_poly_text, solve_right_divisibility)
+                   lowest_certificate, nilpotency_probe, parse_poly_text,
+                   solve_right_divisibility, top_certificate)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -621,7 +622,8 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
         f = random_poly(ring, endo, rng, max_terms=3)
         if f.is_zero:
             continue
-        # both procedures read the powers kept on this one f*u
+        # both procedures read the powers and top coefficients kept on
+        # this one f*u
         fu = f.shift(1)
         res = _inverse_of_one_plus(fu, precision)   # raises if the identity fails
         probe = nilpotency_probe(fu, bound=precision + 1)
@@ -664,8 +666,10 @@ def poly_zero_divisor_probe(ring, endo: Endo, side: str = "right",
         b = random_poly(ring, endo, rng, max_terms=3)
         if f.is_zero or b.is_zero:
             continue
-        prod = b * f if side == "right" else f * b
-        if prod.is_zero:
+        left, right = (b, f) if side == "right" else (f, b)
+        if top_certificate(left, right) != ring.zero_v:
+            continue        # the top coefficient of the product is nonzero
+        if (left * right).is_zero:
             return {"f": f.to_text(), "b": b.to_text()}
     return None
 
@@ -797,6 +801,9 @@ def series_reduced_check(ring, endo: Endo, precision: int = 16,
         s = random_series(ring, endo, rng, precision,
                           max_support=precision // 2)
         if s.is_zero:
+            continue
+        # the support cap keeps 2*order within the precision
+        if lowest_certificate(s, s) != ring.zero_v:
             continue
         if (s * s).is_zero:
             probe = nilpotency_probe(s, bound=2)
@@ -1078,7 +1085,9 @@ def archimedean_falsifier(ring, endo: Endo, precision: int = 16,
             for n in range(1, depth + 1):
                 res = solve_right_divisibility(f, g, n, side=side,
                                                node_limit=max(budget, 1000))
-                assert res.status == "found"
+                if res.status != "found":
+                    raise RuntimeError("constant-stage divisibility witness "
+                                       "not found at n = %d" % n)
                 h_texts.append(res.h.to_text())
             return Verdict(
                 FAILS,

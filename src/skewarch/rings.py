@@ -1022,7 +1022,8 @@ class TruncSeriesRing(TruncatedModel):
         if inv is None:
             return None
         out = tuple(inv)
-        assert self.k_mul(v, out) == self.one_v
+        if self.k_mul(v, out) != self.one_v:
+            raise RuntimeError("series inverse failed its check")
         return out
 
     def has_inverse_v(self, v) -> bool:
@@ -1122,7 +1123,8 @@ class XYQuotientRing(TruncatedModel):
             return None
         ys = window_inverse(self.field, (v[0],) + v[2])
         out = (xs[0], tuple(xs[1:]), tuple(ys[1:]))
-        assert self.k_mul(v, out) == self.one_v
+        if self.k_mul(v, out) != self.one_v:
+            raise RuntimeError("series inverse failed its check")
         return out
 
     def has_inverse_v(self, v) -> bool:

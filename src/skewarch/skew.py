@@ -32,12 +32,18 @@ def _twist(endo):
     return None if endo.is_identity else endo.power_apply_v
 
 
+def _term(endo, x, d, y):
+    # x * alpha^d(y): the one product window_mul makes of x at degree d
+    return endo.ring.k_mul(x, endo.power_apply_v(d, y))
+
+
 class SkewPoly:
     """Exact twisted polynomial; coefficients little-endian, trailing
     zeros stripped, the zero polynomial has an empty coefficient tuple.
-    Immutable, so the powers computed by power() are kept on it."""
+    Immutable, so the powers computed by power() and the top coefficients
+    read by power_is_zero() are kept on it."""
 
-    __slots__ = ("ring", "endo", "coeffs", "_powers")
+    __slots__ = ("ring", "endo", "coeffs", "_powers", "_tops")
 
     def __init__(self, ring, endo: Endo, coeffs):
         if endo.ring is not ring and endo.ring != ring:
@@ -49,6 +55,7 @@ class SkewPoly:
         self.endo = endo
         self.coeffs = tuple(cs)
         self._powers = None     # self^2, self^3, ... as far as asked for
+        self._tops = None       # top coefficients of self, self^2, ...
 
     @classmethod
     def constant(cls, ring, endo, value):
@@ -112,6 +119,27 @@ class SkewPoly:
         while len(powers) < k - 1:
             powers.append((powers[-1] if powers else self) * self)
         return powers[k - 2]
+
+    def power_is_zero(self, k: int) -> bool:
+        """Whether self^k = 0, for k >= 1.  The top coefficient of
+        self^(j+1) = self^j * self is top_certificate(self^j, self) whenever
+        that is nonzero, so a chain of one product per power shows the
+        powers nonzero; power(k) is computed in full only at and past the
+        first power where the chain hits zero."""
+        if k < 1:
+            raise ValueError("power_is_zero() needs an exponent >= 1")
+        if self.is_zero:
+            return True
+        ring, top, step = self.ring, self.coeffs[-1], self.degree
+        tops = self._tops
+        if tops is None:
+            tops = self._tops = [top]
+        # tops[j - 1] is the top coefficient of self^j, of degree j*step
+        while len(tops) < k and tops[-1] != ring.zero_v:
+            tops.append(_term(self.endo, tops[-1], len(tops) * step, top))
+        if k <= len(tops) and tops[k - 1] != ring.zero_v:
+            return False
+        return self.power(k).is_zero
 
     def shift(self, k: int = 1):
         """Multiply by u^k on the right."""
@@ -233,6 +261,24 @@ class TruncSeries:
         return self.to_text()
 
 
+def top_certificate(p: SkewPoly, q: SkewPoly):
+    """p_top * alpha^deg(p)(q_top) for nonzero p and q: the one term of
+    p*q at degree deg(p) + deg(q), so its top coefficient and a proof
+    that p*q is nonzero whenever it is nonzero.  Zero shows nothing."""
+    return _term(p.endo, p.coeffs[-1], p.degree, q.coeffs[-1])
+
+
+def lowest_certificate(s: TruncSeries, t: TruncSeries):
+    """s_o * alpha^o(t_o') for nonzero s and t of orders o and o': the one
+    term of s*t at degree o + o', so its lowest coefficient and a proof
+    that s*t is nonzero whenever it is nonzero and o + o' is within the
+    precision.  Zero (always, past the precision) shows nothing."""
+    o, o2 = s.order(), t.order()
+    if o + o2 > s.precision:
+        return s.ring.zero_v
+    return _term(s.endo, s.coeffs[o], o, t.coeffs[o2])
+
+
 def parse_poly_text(text: str):
     """Parse "[c0,...,cd]@<ringspec>;<endospec>" into a SkewPoly, or the
     same with ";N=<precision>" appended into a TruncSeries."""
@@ -283,27 +329,37 @@ def geometric_inverse(f: SkewPoly, precision: int) -> GeometricInverseResult:
     return _inverse_of_one_plus(f.shift(1), precision)
 
 
+def power_windows(g: SkewPoly, precision: int):
+    """The coefficient windows 0..precision of g, g^2, g^3, ..., without
+    end.  Truncation modulo u^(precision+1) is a ring map on polynomials
+    without negative degrees, so each window is the one before times g,
+    cut at the precision, and no full power is built."""
+    ring, twist = g.ring, _twist(g.endo)
+    window = g.coeffs[:precision + 1]
+    while True:
+        yield window
+        window = window_mul(ring, window, g.coeffs, precision, twist)
+
+
 def _inverse_of_one_plus(g: SkewPoly, precision: int) -> GeometricInverseResult:
     """geometric_inverse for g = f*u: the inverse of 1 + g as the sum of
-    (-g)^k over the powers g.power(k), which stay on g for other probes
-    of the same powers.  g = f*u has a zero constant term, so g^k has
-    order at least k and the sum is complete by k = precision + 1."""
+    the windows of (-g)^k.  g = f*u has a zero constant term, so g^k has
+    order at least k and the sum is complete at the first k whose window
+    is zero: there g^k is zero, read through g.power_is_zero and shared
+    with probes of the same powers, or its order has passed the
+    precision."""
     ring, endo = g.ring, g.endo
     zero = ring.zero_v
     acc = [ring.one_v] + [zero] * precision
-    index = None
-    for k in range(1, precision + 2):
-        power = g.power(k)
-        if power.is_zero:
-            index = k
+    for k, window in enumerate(power_windows(g, precision), 1):
+        if all(c == zero for c in window):
             break
-        # only the nonzero coefficients inside the window change acc
+        # only the nonzero coefficients change acc
         step = ring.k_sub if k % 2 else ring.k_add
-        for d, c in enumerate(power.coeffs[:precision + 1]):
+        for d, c in enumerate(window):
             if c != zero:
                 acc[d] = step(acc[d], c)
-        if power.order() > precision:
-            break
+    index = k if g.power_is_zero(k) else None
     terminated = index is not None
     acc = TruncSeries(ring, endo, precision, acc)
     one = SkewPoly.constant(ring, endo, ring.one_v)
@@ -346,14 +402,15 @@ class ProbeResult:
 def nilpotency_probe(f, bound: int = 16) -> ProbeResult:
     """Search powers f^k for k <= bound.
 
-    Exact for polynomials, whose powers it reads through f.power, so
-    powers of f computed before are not computed again.  For truncated series the verdict is genuine
-    only if every intermediate support stayed within half the precision
-    window (and, when the coefficient ring is itself truncated, a replay
-    with widened coefficients still vanishes)."""
+    Exact for polynomials, read through f.power_is_zero, so the powers
+    and top coefficients of f found before are not found again.  For
+    truncated series the verdict is genuine only if every intermediate
+    support stayed within half the precision window (and, when the
+    coefficient ring is itself truncated, a replay with widened
+    coefficients still vanishes)."""
     if isinstance(f, SkewPoly):
         for k in range(2, bound + 2):
-            if f.power(k).is_zero:
+            if f.power_is_zero(k):
                 return ProbeResult(True, k, True, "exact zero power")
         return ProbeResult(False, None, True,
                            "no zero power up to exponent %d" % (bound + 1))
@@ -491,7 +548,8 @@ def solve_right_divisibility(f: TruncSeries, g: TruncSeries, n: int,
                                   "backtracking exhausted all coefficient choices")
     out = TruncSeries(ring, endo, N, h)
     check = out * G if side == "right" else G * out
-    assert check == f
+    if check != f:
+        raise RuntimeError("divisibility witness failed its replay")
     return DivisibilityResult("found", out, nodes, "witness replayed")
 
 

@@ -10,7 +10,11 @@ name it uses is also used in src/ or tests/, and its own words (a
 random.Random method, say) could hide a dead name of the same spelling.
 
 Every name a package module imports must also be used in that module;
-the re-exports of __init__.py are exempt."""
+the re-exports of __init__.py are exempt.
+
+No package module holds an assert statement: python -O strips them, so
+a check must raise (RuntimeError when an internal result check fails,
+ValueError for bad input)."""
 
 import ast
 import io
@@ -92,3 +96,11 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.append("%s:%s" % (path.name, name))
     assert unused == []
+
+
+def test_no_assert_statements_in_the_package():
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -32,9 +32,11 @@ from skewarch.props import (
     subring_inheritance_check,
     twisted_power_product_equivalence,
 )
+from skewarch.endos import is_rigid
 from skewarch.prng import derive_rng
-from skewarch.rings import NonEnumerableError, construct_ring
-from skewarch.skew import SkewPoly, TruncSeries, parse_poly_text
+from skewarch.registry import ENTRIES
+from skewarch.rings import NonEnumerableError, construct_ring, scan_domain
+from skewarch.skew import SkewPoly, TruncSeries, nilpotency_probe, parse_poly_text
 
 ALL_STATUSES = {HOLDS, FAILS, HYPOTHESIS_NOT_MET, INCONCLUSIVE,
                 HOLDS_BY_THEOREM}
@@ -355,7 +357,9 @@ def test_geometric_termination_catches_an_index_disagreement(monkeypatch):
 
 def test_geometric_termination_walks_one_power_chain_per_sample(monkeypatch):
     """The expansion, the probe and the escape replay read the powers of
-    one f*u: powers 2 to precision + 2 at most, one product each."""
+    one f*u: powers 2 to precision + 2 at most, one product each.  Full
+    powers are built only once the chain of top coefficients hits zero,
+    which it never does over a field with an injective twist."""
     precision = 6
     products = []       # SkewPoly products per sampled polynomial
     draw, multiply = props.random_poly, SkewPoly.__mul__
@@ -378,6 +382,62 @@ def test_geometric_termination_walks_one_power_chain_per_sample(monkeypatch):
                                         precision=precision)
         assert v.status == HOLDS
         assert products and max(products) <= precision + 2
+        if rs == "gf:2:2":
+            assert max(products) == 0
+
+
+# the two probes with every sampled product built in full: the oracles of
+# their top and lowest coefficient shortcuts
+
+
+def _zero_divisor_probe_in_full(ring, endo, side, samples, seed):
+    rng = derive_rng(seed, "polyzd/%s/%s/%s" % (ring.spec_text, endo.text, side))
+    for _ in range(scan_domain(ring).sample_count(samples)):
+        f = random_poly(ring, endo, rng, max_terms=3)
+        b = random_poly(ring, endo, rng, max_terms=3)
+        if f.is_zero or b.is_zero:
+            continue
+        if (b * f if side == "right" else f * b).is_zero:
+            return {"f": f.to_text(), "b": b.to_text()}
+    return None
+
+
+def _square_scan_in_full(ring, endo, precision, seed):
+    """The sampled branch of series_reduced_check under a rigid twist:
+    its status, witness and count of truncation artifacts."""
+    rng = derive_rng(seed, "series-square/%s/%s" % (ring.spec_text, endo.text))
+    artifacts = 0
+    for _ in range(scan_domain(ring).sample_count(2000)):
+        s = random_series(ring, endo, rng, precision, max_support=precision // 2)
+        if s.is_zero:
+            continue
+        if (s * s).is_zero:
+            probe = nilpotency_probe(s, bound=2)
+            if (probe.zero_power_found and probe.genuine
+                    and props._square_in_base_window(s)):
+                return FAILS, {"s": s.to_text()}, artifacts
+            artifacts += 1
+    return HOLDS, None, artifacts
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=[e.id for e in ENTRIES])
+def test_probe_shortcuts_match_the_full_products(entry):
+    """Seeds 0-3: the same zero-divisor pair on both sides, and under a
+    rigid twist (the only case that samples squares) the same verdict,
+    witness and artifact count."""
+    ring, endo = entry.build()
+    rigid = is_rigid(endo).holds
+    for seed in range(4):
+        for side in ("right", "left"):
+            assert props.poly_zero_divisor_probe(ring, endo, side, 2000, seed) == \
+                _zero_divisor_probe_in_full(ring, endo, side, 2000, seed)
+        if rigid:
+            v = series_reduced_check(ring, endo, 16, seed)
+            status, witness, artifacts = _square_scan_in_full(ring, endo, 16, seed)
+            assert (v.status, v.witness) == (status, witness)
+            if status == HOLDS:
+                assert ("%d truncation artifacts" % artifacts in v.certificate
+                        if artifacts else "artifact" not in v.certificate)
 
 
 def test_poly_radical_check_frozen():

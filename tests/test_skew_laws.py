@@ -9,26 +9,48 @@ support on the two-variable model), the shape the suites sample:
 - geometric_inverse equals a dense reference, the alternating sum of the
   truncated exact powers of f*u, in series, termination, index and note;
 - series_inverse is a two-sided inverse;
-- the twisted products of SkewPoly and TruncSeries are associative."""
+- the twisted products of SkewPoly and TruncSeries are associative.
+
+The shortcuts that decide a product or power nonzero without building
+it are checked against the full products on registry entries and on
+drawn rings: finite rings of every derived kind with the identity, and
+the kinds with a built-in twist under that twist:
+
+- SkewPoly.power_is_zero(k) agrees with the k-fold product;
+- power_windows yields the truncated powers;
+- top_certificate and lowest_certificate are the coefficients of the
+  full product at the top and lowest degrees they name."""
 
 import functools
 import itertools
 import operator
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from skewarch.endos import build_endo
 from skewarch.registry import ENTRIES
-from skewarch.skew import SkewPoly, TruncSeries, geometric_inverse, series_inverse
-from test_ring_laws import value_strategy
+from skewarch.rings import construct_ring
+from skewarch.skew import (SkewPoly, TruncSeries, geometric_inverse,
+                           lowest_certificate, power_windows, series_inverse,
+                           top_certificate)
+from test_ring_laws import TWIST_OF_KIND, twisted_rings, value_strategy
+from test_structural_rules import finite_rings
 
 MAX_DEGREE = 4
 
+registry_pairs = st.sampled_from(ENTRIES).map(lambda entry: entry.build())
+drawn_pairs = st.one_of(
+    registry_pairs,
+    finite_rings.map(lambda ring: (ring, build_endo(ring, "endo:id"))),
+    twisted_rings.map(lambda ring: (ring, build_endo(ring, TWIST_OF_KIND[ring.kind]))))
+
 
 @st.composite
-def twisted_coeffs(draw, count):
-    """A registry ring and twist, and count coefficient lists of length
-    MAX_DEGREE + 1 with one to three terms each."""
-    ring, endo = draw(st.sampled_from(ENTRIES)).build()
+def twisted_coeffs(draw, count, pairs=registry_pairs):
+    """A ring and twist, a registry entry's by default, and count
+    coefficient lists of length MAX_DEGREE + 1 with one to three terms
+    each."""
+    ring, endo = draw(pairs)
     terms = st.lists(st.tuples(st.integers(0, MAX_DEGREE), value_strategy(ring)),
                      min_size=1, max_size=3)
     lists = []
@@ -97,3 +119,53 @@ def test_twisted_products_are_associative(drawn, precision):
     assert (a * b) * c == a * (b * c)
     a, b, c = (TruncSeries(ring, endo, precision, cs[:precision + 1]) for cs in lists)
     assert (a * b) * c == a * (b * c)
+
+
+# ---------------------------------------------------------------------------
+# nonzero certificates against the full products
+
+
+# (0,1)*u squares to zero under the diagonal twist, (0,1)*diag(0,1) = 0,
+# though (0,1)^2 = (0,1): a chain that dropped the twist would miss it
+DIAG = construct_ring("prod(zmod:2,zmod:2)")
+SQUARE_ZERO_UNDER_DIAG = (DIAG, build_endo(DIAG, "endo:diag"),
+                          [[(0, 0), (0, 1)] + [(0, 0)] * (MAX_DEGREE - 1)])
+
+
+@settings(max_examples=100)   # vanishing powers are rare on the registry
+@given(twisted_coeffs(1, drawn_pairs), st.integers(1, 6))
+@example(SQUARE_ZERO_UNDER_DIAG, 2)
+def test_power_is_zero_agrees_with_the_full_power(drawn, k):
+    ring, endo, (coeffs,) = drawn
+    full = functools.reduce(operator.mul, [SkewPoly(ring, endo, coeffs)] * k)
+    # straight to k, where the chain alone may answer
+    assert SkewPoly(ring, endo, coeffs).power_is_zero(k) == full.is_zero
+    # every exponent up to k, on a chain that may die on the way
+    f = SkewPoly(ring, endo, coeffs)
+    assert [f.power_is_zero(j) for j in range(1, k + 1)] == \
+        [functools.reduce(operator.mul, [f] * j).is_zero for j in range(1, k + 1)]
+
+
+@settings(max_examples=100)   # a dropped twist shows on few draws
+@given(twisted_coeffs(1, drawn_pairs), st.integers(0, 8), st.integers(1, 6))
+def test_power_windows_are_the_truncated_powers(drawn, precision, k):
+    ring, endo, (coeffs,) = drawn
+    f = SkewPoly(ring, endo, coeffs)
+    for j, window in enumerate(itertools.islice(power_windows(f, precision), k), 1):
+        assert TruncSeries(ring, endo, precision, window) == f.power(j).truncate(precision)
+
+
+@settings(max_examples=100)
+@given(twisted_coeffs(2, drawn_pairs), st.integers(0, 8))
+def test_certificates_are_the_extreme_coefficients_of_the_product(drawn, precision):
+    ring, endo, lists = drawn
+    p, q = (SkewPoly(ring, endo, cs) for cs in lists)
+    if not (p.is_zero or q.is_zero):
+        product, top = p * q, p.degree + q.degree
+        assert top_certificate(p, q) == (product.coeffs[top] if top <= product.degree
+                                         else ring.zero_v)
+    s, t = (TruncSeries(ring, endo, precision, cs[:precision + 1]) for cs in lists)
+    if not (s.is_zero or t.is_zero):
+        lowest = s.order() + t.order()
+        assert lowest_certificate(s, t) == ((s * t).coeffs[lowest] if lowest <= precision
+                                            else ring.zero_v)
