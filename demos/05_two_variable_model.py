@@ -27,11 +27,11 @@ SPEC = "xyq:gf:2:1:N=8"
 
 def pretty(ring, v):
     fz = ring.field.zero_v
-    terms = [] if v[0] == fz else ["1"]
-    for blocks, var in ((v[1], "x"), (v[2], "y")):
-        for i, c in enumerate(blocks):
+    terms = [] if v[0][0] == fz else ["1"]
+    for half, var in zip(v, "xy"):
+        for i, c in enumerate(half[1:], 1):
             if c != fz:
-                terms.append(var if i == 0 else "%s^%d" % (var, i + 1))
+                terms.append(var if i == 1 else "%s^%d" % (var, i))
     return " + ".join(terms) if terms else "0"
 
 

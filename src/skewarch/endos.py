@@ -143,9 +143,10 @@ class DiagonalEndo(Endo):
 
 
 class SquareVariableEndo(Endo):
-    """x -> x^2, y -> y, constants fixed, on the two-variable quotient.
-    Degrees that double past the precision are truncated away; the result
-    is still an endomorphism of the truncated model."""
+    """x -> x^2, y -> y, constants fixed, on the two-variable quotient:
+    x^i -> x^(2i) on the x-series of a value, its y-series kept.  Degrees
+    that double past the precision are truncated away; the result is
+    still an endomorphism of the truncated model."""
 
     def __init__(self, ring):
         if ring.kind != "xyq":
@@ -159,16 +160,11 @@ class SquareVariableEndo(Endo):
     def power_apply_v(self, t: int, v):
         if t == 0:
             return v
-        F = self.ring.field
-        N = self.ring.precision
-        shift = 1 << t
-        xs = [F.zero_v] * N
-        for i, c in enumerate(v[1]):
-            if c != F.zero_v:
-                moved = (i + 1) * shift
-                if moved <= N:
-                    xs[moved - 1] = c
-        return (v[0], tuple(xs), v[2])
+        # x^i -> x^(i*2^t) on the x-series; degrees past N drop away
+        N, shift = self.ring.precision, 1 << t
+        xs = [self.ring.field.zero_v] * (N + 1)
+        xs[::shift] = v[0][:N // shift + 1]
+        return tuple(xs), v[1]
 
     def on_widened(self, wide_ring):
         return SquareVariableEndo(wide_ring)

@@ -11,12 +11,12 @@ so exhaustive element scans are replaced by scans over a support-bounded
 scope, and products inside scope checks are evaluated in a widened copy
 of the ring so an apparent zero is never a truncation artifact.
 
-Both models, and the skew polynomials and series of skew.py, share one
-coefficient-window product, window_mul, and one degree-by-degree
+The series model, and the skew polynomials and series of skew.py, share
+one coefficient-window product, window_mul, and one degree-by-degree
 inverse, window_inverse, each with an optional twist.  The two-variable
-model applies them block by block: since xy = 0, a + X and a + Y are
-one-variable series sharing the constant a, and
-(a+X+Y)^-1 = (a+X)^-1 + (a+Y)^-1 - a^-1.
+model is a pair of series: since xy = 0, a value a + X + Y is stored as
+the one-variable series a + X and a + Y, which share the constant a, and
+computed half by half with the series ring's kernels.
 
 GF(p^k) with k >= 2 computes by table lookup: construction finds a
 primitive element g and tabulates its powers, their logarithms and the
@@ -1006,12 +1006,10 @@ class TruncSeriesRing(TruncatedModel):
         super().__init__()
 
     def k_add(self, x, y):
-        b = self.base
-        return tuple(b.k_add(a, c) for a, c in zip(x, y))
+        return tuple(map(self.base.k_add, x, y))
 
     def k_neg(self, x):
-        b = self.base
-        return tuple(b.k_neg(a) for a in x)
+        return tuple(map(self.base.k_neg, x))
 
     def k_mul(self, x, y):
         return tuple(window_mul(self.base, x, y, self.precision))
@@ -1076,11 +1074,10 @@ class TruncSeriesRing(TruncatedModel):
 class XYQuotientRing(TruncatedModel):
     """F[[x,y]]/(xy) truncated at degree N in each variable.
 
-    Values are (a, xs, ys): constant term, then x- and y-block
-    coefficients for degrees 1..N.  Since xy = 0, mixed blocks never
-    interact: the ring is two one-variable series rings, a + X and a + Y,
-    joined at their constant term, and products and inverses are taken
-    block by block on the series (a,) + xs and (a,) + ys."""
+    Since xy = 0, a value a + X + Y is stored as the pair (a + X, a + Y):
+    two values of the series ring tser(F, N), `self.series` (coefficients
+    of degrees 0..N), with the same constant term a.  Sums, products and
+    inverses are taken half by half in that series ring."""
 
     kind = "xyq"
 
@@ -1090,82 +1087,60 @@ class XYQuotientRing(TruncatedModel):
         self.spec = spec
         self.field = field
         self.precision = spec.precision
+        self.series = construct_ring(TruncSeriesSpec(field.spec, spec.precision))
         self.card = None
         self.commutative = True
-        fz = field.zero_v
-        self.zero_v = (fz, (fz,) * spec.precision, (fz,) * spec.precision)
-        self.one_v = (field.one_v, (fz,) * spec.precision, (fz,) * spec.precision)
+        self.zero_v = (self.series.zero_v,) * 2
+        self.one_v = (self.series.one_v,) * 2
         super().__init__()
 
     def k_add(self, x, y):
-        F = self.field
-        return (F.k_add(x[0], y[0]),
-                tuple(F.k_add(a, b) for a, b in zip(x[1], y[1])),
-                tuple(F.k_add(a, b) for a, b in zip(x[2], y[2])))
+        add = self.series.k_add
+        return add(x[0], y[0]), add(x[1], y[1])
 
     def k_neg(self, x):
-        F = self.field
-        return (F.k_neg(x[0]),
-                tuple(F.k_neg(a) for a in x[1]),
-                tuple(F.k_neg(a) for a in x[2]))
+        neg = self.series.k_neg
+        return neg(x[0]), neg(x[1])
 
     def k_mul(self, x, y):
-        F, N = self.field, self.precision
-        xs = window_mul(F, (x[0],) + x[1], (y[0],) + y[1], N)
-        ys = window_mul(F, (x[0],) + x[2], (y[0],) + y[2], N)
-        return (xs[0], tuple(xs[1:]), tuple(ys[1:]))
+        mul = self.series.k_mul
+        return mul(x[0], y[0]), mul(x[1], y[1])
 
     def is_unit_v(self, v):
-        # local ring over a field: unit iff nonzero constant term, and
-        # (a+X+Y)^-1 = (a+X)^-1 + (a+Y)^-1 - a^-1 because XY = 0
-        xs = window_inverse(self.field, (v[0],) + v[1])
-        if xs is None:
-            return None
-        ys = window_inverse(self.field, (v[0],) + v[2])
-        out = (xs[0], tuple(xs[1:]), tuple(ys[1:]))
-        if self.k_mul(v, out) != self.one_v:
-            raise RuntimeError("series inverse failed its check")
-        return out
+        # a unit iff the common constant term is; the series ring inverts
+        # and checks each half
+        inv = self.series.is_unit_v
+        xs = inv(v[0])
+        return None if xs is None else (xs, inv(v[1]))
 
     def has_inverse_v(self, v) -> bool:
-        return v[0] != self.field.zero_v
+        return v[0][0] != self.field.zero_v
 
     def zero_mask_v(self, v) -> int:
-        """Bit 0 is set iff the x-series (a,) + xs is nonzero, bit 1 iff
-        the y-series (a,) + ys is.  A product is the pair of series
-        products and F[[x]] is a domain, so a*b = 0 iff the masks of a and
-        b are disjoint, whenever the block degrees of a and b sum to at
-        most N: true of lifted scope values and their twist images in the
-        widened copy, where the scans take their products."""
-        if v[0] != self.field.zero_v:
-            return 3
-        zb = self.zero_v[1]
-        return (v[1] != zb) | (v[2] != zb) << 1
+        """Bit 0 is set iff the x-series is nonzero, bit 1 iff the
+        y-series is.  A product is the pair of series products and F[[x]]
+        is a domain, so a*b = 0 iff the masks of a and b are disjoint,
+        whenever the block degrees of a and b sum to at most N: true of
+        lifted scope values and their twist images in the widened copy,
+        where the scans take their products."""
+        z = self.series.zero_v
+        return (v[0] != z) | (v[1] != z) << 1
 
-    def x_v(self, power: int = 1, coeff=None):
-        c = self.field.one_v if coeff is None else coeff
-        fz = self.field.zero_v
-        xs = [fz] * self.precision
-        xs[power - 1] = c
-        return (fz, tuple(xs), (fz,) * self.precision)
+    def x_v(self, power: int = 1):
+        return self.series.monomial_v(power), self.series.zero_v
 
-    def y_v(self, power: int = 1, coeff=None):
-        c = self.field.one_v if coeff is None else coeff
-        fz = self.field.zero_v
-        ys = [fz] * self.precision
-        ys[power - 1] = c
-        return (fz, (fz,) * self.precision, tuple(ys))
+    def y_v(self, power: int = 1):
+        return self.series.zero_v, self.series.monomial_v(power)
 
     def inner_order(self, v) -> Optional[int]:
-        fz = self.field.zero_v
-        orders = [first_nonzero((v[0],) + block, fz) for block in v[1:]]
+        orders = map(self.series.inner_order, v)
         return min((o for o in orders if o is not None), default=None)
 
     def block_degrees(self, v):
         """Largest degrees (x-block, y-block) carrying a nonzero
         coefficient; 0 for a block that is all zero."""
-        fz = self.field.zero_v
-        return last_nonzero(v[1], fz) + 1, last_nonzero(v[2], fz) + 1
+        degree = self.series.block_degrees
+        return degree(v[0])[0], degree(v[1])[0]
 
     def scope_size(self, s: int) -> int:
         return len(self.field.values()) ** (1 + 2 * s)
@@ -1174,26 +1149,23 @@ class XYQuotientRing(TruncatedModel):
         """The constant, then the x-block, then the y-block digits."""
         d = _digit_values(i, self.field.values(), 1 + 2 * s)
         pad = (self.field.zero_v,) * (self.precision - s)
-        return (d[0], tuple(d[1:s + 1]) + pad, tuple(d[s + 1:]) + pad)
+        return tuple(d[:s + 1]) + pad, (d[0], *d[s + 1:]) + pad
 
     def widen(self):
         return construct_ring(XYQuotientSpec(self.spec.field, self.precision * 2))
 
     def lift_v(self, v, wide):
-        pad = (self.field.zero_v,) * (wide.precision - self.precision)
-        return (v[0], tuple(v[1]) + pad, tuple(v[2]) + pad)
+        lift = self.series.lift_v
+        return lift(v[0], wide.series), lift(v[1], wide.series)
 
     def sort_key_v(self, v):
-        F = self.field
-        return (F.sort_key_v(v[0]),
-                tuple(F.sort_key_v(c) for c in v[1]),
-                tuple(F.sort_key_v(c) for c in v[2]))
+        key = self.series.sort_key_v
+        return key(v[0]), key(v[1])
 
     def text_of_v(self, v):
-        F = self.field
-        xs = ",".join(F.text_of_v(c) for c in v[1])
-        ys = ",".join(F.text_of_v(c) for c in v[2])
-        return "(%s;[%s];[%s])" % (F.text_of_v(v[0]), xs, ys)
+        text = self.field.text_of_v
+        return "(%s;[%s];[%s])" % (text(v[0][0]), ",".join(map(text, v[0][1:])),
+                                   ",".join(map(text, v[1][1:])))
 
     def v_of_text(self, text):
         s = text.strip()
@@ -1204,7 +1176,7 @@ class XYQuotientRing(TruncatedModel):
             raise ValueError("xyq element %r needs (const;[x-block];[y-block])" % text)
         F = self.field
         a = F.v_of_text(parts[0])
-        blocks = []
+        halves = []
         for part in parts[1:]:
             t = part.strip()
             if not (t.startswith("[") and t.endswith("]")):
@@ -1213,10 +1185,10 @@ class XYQuotientRing(TruncatedModel):
             if len(entries) > self.precision:
                 raise ValueError("xyq block %r exceeds precision %d"
                                  % (part, self.precision))
-            coeffs = [F.v_of_text(e) for e in entries]
-            coeffs += [F.zero_v] * (self.precision - len(coeffs))
-            blocks.append(tuple(coeffs))
-        return (a, blocks[0], blocks[1])
+            coeffs = [a] + [F.v_of_text(e) for e in entries]
+            coeffs += [F.zero_v] * (self.precision + 1 - len(coeffs))
+            halves.append(tuple(coeffs))
+        return tuple(halves)
 
 
 # ---------------------------------------------------------------------------

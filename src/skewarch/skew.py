@@ -20,6 +20,11 @@ from .rings import (construct_ring, first_nonzero, last_nonzero, scan_domain,
                     split_top, window_inverse, window_mul)
 
 
+def _need_side(side: str):
+    if side not in ("right", "left"):
+        raise ValueError("side must be 'right' or 'left', got %r" % side)
+
+
 def _common(a, b):
     # operands nearly always share their ring and twist objects
     if (a.ring is not b.ring and a.ring != b.ring
@@ -177,6 +182,8 @@ class TruncSeries:
     def __init__(self, ring, endo: Endo, precision: int, coeffs):
         if endo.ring is not ring and endo.ring != ring:
             raise ValueError("twist acts on a different ring")
+        if precision < 0:
+            raise ValueError("series precision must be >= 0, got %d" % precision)
         cs = list(coeffs)
         if len(cs) > precision + 1:
             raise ValueError("coefficient list longer than the precision window")
@@ -227,9 +234,13 @@ class TruncSeries:
                                      self.precision, _twist(self.endo)))
 
     def __pow__(self, n: int):
-        acc = TruncSeries.constant(self.ring, self.endo, self.ring.one_v,
-                                   self.precision)
-        for _ in range(n):
+        if n < 0:
+            raise ValueError("negative powers need series_inverse")
+        if n == 0:
+            return TruncSeries.constant(self.ring, self.endo, self.ring.one_v,
+                                        self.precision)
+        acc = self
+        for _ in range(n - 1):
             acc = acc * self
         return acc
 
@@ -305,8 +316,6 @@ def parse_poly_text(text: str):
     coeffs = [ring.v_of_text(e) for e in entries]
     if precision is None:
         return SkewPoly(ring, endo, coeffs)
-    if len(coeffs) > precision + 1:
-        raise ValueError("more coefficients than the precision window allows")
     return TruncSeries(ring, endo, precision, coeffs)
 
 
@@ -473,6 +482,7 @@ def solve_right_divisibility(f: TruncSeries, g: TruncSeries, n: int,
     ring's enumeration order, a proof of nonexistence at this precision,
     or a distinct budget-exhausted status."""
     f._check(g)
+    _need_side(side)
     if n < 1:
         raise ValueError("power must be >= 1")
     ring, endo = f.ring, f.endo

@@ -1,9 +1,10 @@
-"""Frozen outputs: the report bytes of the full matrix at seed 42, the
-full verdicts (flag, witness, exactness, note) of the six coefficient
-predicates, the model conditions and classification built on them, and
-the printed output of every demo.  Most predicate notes and condition
-parts never reach a report, so the verdict and condition tests guard
-them."""
+"""Frozen outputs: the report bytes of the full matrix at seed 42 and at
+a second configuration that changes the seed, precision, depth and
+budget, the full verdicts (flag, witness, exactness, note) of the six
+coefficient predicates, the model conditions and classification built
+on them, and the printed output of every demo.  Most predicate notes and
+condition parts never reach a report, so the verdict and condition tests
+guard them."""
 
 import contextlib
 import hashlib
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from skewarch.cli import main
 from skewarch.endos import (build_endo, is_compatible, is_injective,
                             is_rigid, preserves_nonunits)
 from skewarch.props import classify, poly_ring_conditions, series_ring_conditions
@@ -23,6 +25,10 @@ GOLDEN_JSON = ("5e93f34048e1b2bfea9733a1d01d51b0ba542bd775ecc17ddf63c5dfb14c84dc
                166_283)
 GOLDEN_EXPLAIN = ("fba156199c162d29d9619863fc5c84c434ad647d4611daf377ef149f9a8d34d2",
                   117_301)
+# `run --entry all --suite all --seed 3 --precision 8 --depth 3 --budget 50`:
+# the seed-42 digest leaves every one of these at its default
+GOLDEN_SMALL_CONFIG_JSON = (
+    "366923bc37f69708ebfae02c42a16a26890ccb2148f27de54764d0be239d06e1", 155_528)
 GOLDEN_CONDITIONS = ("1e68695622a73b36e2e2d5a4fa4ad6efb932e7b7c9e6baafde4665984e628bea",
                      46_881)
 
@@ -35,6 +41,15 @@ def _digest(text: str):
 def test_full_matrix_report_bytes_frozen(seed42_matrix):
     assert _digest(seed42_matrix.json) == GOLDEN_JSON
     assert _digest(seed42_matrix.explain) == GOLDEN_EXPLAIN
+
+
+def test_small_config_report_bytes_frozen():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["run", "--entry", "all", "--suite", "all", "--seed", "3",
+                     "--precision", "8", "--depth", "3", "--budget", "50"])
+    assert code == 0
+    assert _digest(out.getvalue()) == GOLDEN_SMALL_CONFIG_JSON
 
 
 EXHAUSTIVE_HOLDS = {

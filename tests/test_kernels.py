@@ -34,11 +34,12 @@ def schoolbook(add, mul, zero, xs, ys, limit, twist=None):
 
 
 def xyq_terms(ring, v):
-    """The value as {(x-degree, y-degree): coefficient}."""
-    terms = {(0, 0): v[0]}
-    for i, c in enumerate(v[1]):
+    """The value, a pair (x-series, y-series) sharing the constant term,
+    as {(x-degree, y-degree): coefficient}."""
+    terms = {(0, 0): v[0][0]}
+    for i, c in enumerate(v[0][1:]):
         terms[(i + 1, 0)] = c
-    for j, c in enumerate(v[2]):
+    for j, c in enumerate(v[1][1:]):
         terms[(0, j + 1)] = c
     return terms
 
@@ -54,9 +55,8 @@ def xyq_mul(ring, v, w):
             if (dx and dy) or dx > N or dy > N:
                 continue
             acc[(dx, dy)] = F.k_add(acc.get((dx, dy), F.zero_v), F.k_mul(c, k))
-    return (acc.get((0, 0), F.zero_v),
-            tuple(acc.get((i, 0), F.zero_v) for i in range(1, N + 1)),
-            tuple(acc.get((0, j), F.zero_v) for j in range(1, N + 1)))
+    return (tuple(acc.get((i, 0), F.zero_v) for i in range(N + 1)),
+            tuple(acc.get((0, j), F.zero_v) for j in range(N + 1)))
 
 
 def reference_mul(ring):
@@ -79,8 +79,9 @@ def random_value(ring, rnd):
         return tuple(rnd.choice(ring.base.values())
                      for _ in range(ring.precision + 1))
     vals, N = ring.field.values(), ring.precision
-    return (rnd.choice(vals), tuple(rnd.choice(vals) for _ in range(N)),
-            tuple(rnd.choice(vals) for _ in range(N)))
+    a = rnd.choice(vals)
+    return ((a, *(rnd.choice(vals) for _ in range(N))),
+            (a, *(rnd.choice(vals) for _ in range(N))))
 
 
 def random_coefficient(ring, rnd):
@@ -149,12 +150,15 @@ def test_twisted_series_inverse_is_two_sided(ring_spec, endo_spec):
 def test_unit_inverses_on_the_support_two_scope(spec):
     ring = construct_ring(spec)
     ref = reference_mul(ring)
-    constant = ring.field if ring.kind == "xyq" else ring.base
+    if ring.kind == "xyq":
+        constant, constant_of = ring.field, lambda v: v[0][0]
+    else:
+        constant, constant_of = ring.base, lambda v: v[0]
     for i in range(ring.scope_size(2)):
         v = ring.scope_value(i, 2)
         inv = ring.is_unit_v(v)
         assert ring.has_inverse_v(v) == (inv is not None)
-        if constant.is_unit_v(v[0]) is None:
+        if constant.is_unit_v(constant_of(v)) is None:
             assert inv is None
         else:
             assert ref(v, inv) == ring.one_v and ref(inv, v) == ring.one_v

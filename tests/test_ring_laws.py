@@ -76,7 +76,7 @@ def defining_images(endo):
         return [((s.one_v, s.zero_v), ring.one_v), ((s.zero_v, s.one_v), ring.zero_v)]
     if endo.name == "xsq":
         fz, N = ring.field.zero_v, ring.precision
-        consts = [(c, (fz,) * N, (fz,) * N) for c in ring.field.values()]
+        consts = [((c,) + (fz,) * N,) * 2 for c in ring.field.values()]
         return ([(ring.x_v(1), ring.x_v(2)), (ring.y_v(1), ring.y_v(1))]
                 + [(c, c) for c in consts])
     return []
@@ -192,6 +192,36 @@ def test_spec_and_element_texts_round_trip(drawn):
 
 
 # ---------------------------------------------------------------------------
+# the value format of F[[x,y]]/(xy)
+
+
+def check_xyq_value(ring, v):
+    """v is a pair (x-series, y-series) of values of ring.series whose
+    constant terms agree, and it round-trips through text."""
+    xs, ys = v
+    assert len(xs) == len(ys) == ring.precision + 1
+    assert xs[0] == ys[0]
+    assert ring.v_of_text(ring.text_of_v(v)) == v
+
+
+@given(with_triples(xyq_rings))
+def test_every_xyq_operation_keeps_one_constant_term(drawn):
+    ring, triples = drawn
+    wide = ring.widen()
+    xsq = build_endo(ring, "endo:xsq")
+    text = ring.field.text_of_v
+    made = [ring.v_of_text("(%s;[];[])" % text(c)) for c in ring.field.values()]
+    for a, b, _ in triples:
+        made += [a, ring.k_add(a, b), ring.k_neg(a), ring.k_mul(a, b),
+                 xsq.apply_v(a), xsq.power_apply_v(2, a)]
+        if ring.is_unit_v(a) is not None:
+            made.append(ring.is_unit_v(a))
+        check_xyq_value(wide, ring.lift_v(a, wide))
+    for v in made:
+        check_xyq_value(ring, v)
+
+
+# ---------------------------------------------------------------------------
 # the registry and the widened copies the matrix builds
 
 WIDENED = ["xyq:gf:2:1:N=16", "tser(gf:2:1,N=8)"]
@@ -229,7 +259,7 @@ def generators(ring):
     fz, N = ring.field.zero_v, ring.precision
     return ([ring.one_v]
             + [f(k) for k in range(1, N + 1) for f in (ring.x_v, ring.y_v)]
-            + [(c, (fz,) * N, (fz,) * N) for c in ring.field.values()])
+            + [((c,) + (fz,) * N,) * 2 for c in ring.field.values()])
 
 
 @pytest.mark.parametrize("spec", sorted({e.ring_spec for e in ENTRIES}) + WIDENED)

@@ -113,6 +113,42 @@ def test_parse_rejects_malformed_text():
             parse_poly_text(bad)
 
 
+def test_series_rejects_a_negative_precision():
+    ring = construct_ring("zmod:4")
+    idn = build_endo(ring, "endo:id")
+    for text in ["[]@zmod:4;endo:id;N=-1", "[]@zmod:4;endo:id;N=-3"]:
+        with pytest.raises(ValueError, match="precision must be >= 0"):
+            parse_poly_text(text)
+    with pytest.raises(ValueError, match="precision must be >= 0"):
+        TruncSeries(ring, idn, -1, [])
+    assert TruncSeries(ring, idn, 0, [3]).coeffs == (3,)
+
+
+def test_series_power_rejects_a_negative_exponent():
+    s = parse_poly_text("[2,1]@zmod:4;endo:id;N=4")
+    with pytest.raises(ValueError):
+        _ = s ** -1
+    assert s ** 0 == TruncSeries.constant(s.ring, s.endo, 1, 4)
+    assert s ** 1 == s
+    assert s ** 3 == s * s * s
+
+
+def test_series_power_makes_one_product_fewer_than_its_exponent(monkeypatch):
+    s = parse_poly_text("[2,1]@zmod:4;endo:id;N=4")
+    products = []
+    product = TruncSeries.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counted)
+    for n in range(1, 6):
+        products.clear()
+        _ = s ** n
+        assert len(products) == n - 1
+
+
 def test_mixed_ring_or_twist_rejected():
     r4 = construct_ring("zmod:4")
     r6 = construct_ring("zmod:6")
@@ -268,6 +304,14 @@ def test_solver_side_matters_under_a_twist():
     assert right.h.coeffs[1] == w
     assert left.h.coeffs[1] == w2
     assert right.h != left.h
+
+
+def test_solver_rejects_an_unknown_side():
+    ring, idn, N = _f2_setup()
+    f = TruncSeries.monomial(ring, idn, 2, ring.one_v, N)
+    g = TruncSeries.monomial(ring, idn, 1, ring.one_v, N)
+    with pytest.raises(ValueError, match="side must be"):
+        solve_right_divisibility(f, g, 2, side="sideways")
 
 
 def test_solver_replays_witnesses_on_a_twisted_instance():
