@@ -3,7 +3,8 @@ plain raises that python -O keeps.
 
 Each result check is made to fail by monkeypatching what it checks: the
 divisibility solver's witness replay, the inverse checks of the two
-truncated models, and the falsifier's constant-stage witnesses."""
+truncated models, and the falsifier's constant-stage witnesses.  The
+falsifier also rejects a depth below one and a negative precision."""
 
 import os
 import subprocess
@@ -46,6 +47,17 @@ def test_falsifier_raises_when_a_constant_stage_witness_is_missing(monkeypatch):
                         lambda *args, **kwargs: DivisibilityResult("none", None, 0, ""))
     with pytest.raises(RuntimeError, match="constant-stage"):
         props.archimedean_falsifier(ring, endo, seed=0)
+
+
+@pytest.mark.parametrize("spec,twist", [("zmod:6", "endo:id"), ("zmod:8", "endo:id"),
+                                        ("xyq:gf:2:1:N=8", "endo:xsq")])
+@pytest.mark.parametrize("kwargs", [{"depth": 0}, {"depth": -1},
+                                    {"precision": -2, "budget": 3},
+                                    {"precision": -2, "budget": 10_000}])
+def test_falsifier_rejects_a_depth_below_one_and_a_negative_precision(spec, twist, kwargs):
+    ring = construct_ring(spec)
+    with pytest.raises(ValueError, match="falsifier"):
+        props.archimedean_falsifier(ring, build_endo(ring, twist), seed=0, **kwargs)
 
 
 @pytest.mark.parametrize("n", [0, -3])
