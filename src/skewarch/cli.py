@@ -8,6 +8,7 @@ bad configuration, 3 registry construction failure.
 """
 
 import argparse
+import itertools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -122,18 +123,19 @@ def _select(entry_sel: str, suite_sel: str):
     return entries, suites, None
 
 
-def _run_task(item):
-    entry_id, suite_id, config = item
-    return run_one(find_entry(entry_id), suite_id, config)
+def _run_cell(entry, suite_id: str, config: RunConfig) -> dict:
+    # pickled by name, so the pool works also where run_one is rebound
+    return run_one(entry, suite_id, config)
 
 
-def _collect_reports(entries, suites, config: RunConfig):
-    tasks = [(e.id, s, config) for e in entries for s in suites]
-    if config.jobs == 1 or len(tasks) == 1:
-        return [_run_task(t) for t in tasks]
-    # merged in task order regardless of completion order
+def _collect_reports(cells, config: RunConfig):
+    """One report per (entry, suite id) cell, in cell order."""
+    if config.jobs == 1 or len(cells) == 1:
+        return [run_one(entry, suite_id, config) for entry, suite_id in cells]
+    # merged in cell order regardless of completion order
+    entries, suite_ids = zip(*cells)
     with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(_run_task, tasks))
+        return list(pool.map(_run_cell, entries, suite_ids, itertools.repeat(config)))
 
 
 def main(argv=None) -> int:
@@ -157,9 +159,11 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONSTRUCTION, "registry self-check failed: %s"
                      % exc)
 
-    reports = _collect_reports(entries, suites, config)
+    cells = [(e, s) for e in entries for s in suites]
+    reports = _collect_reports(cells, config)
     code = (EXIT_CONTRADICTION
-            if any(report_contradicts_predictions(r) for r in reports)
+            if any(report_contradicts_predictions(e, r)
+                   for (e, _), r in zip(cells, reports))
             else EXIT_OK)
     if args.command == "explain":
         for r in reports:

@@ -18,11 +18,12 @@ model is a pair of series: since xy = 0, a value a + X + Y is stored as
 the one-variable series a + X and a + Y, which share the constant a, and
 computed half by half with the series ring's kernels.
 
-GF(p^k) with k >= 2 computes by table lookup: construction finds a
-primitive element g and tabulates its powers, their logarithms and the
-Zech logarithms log(1 + g^n), so a product or sum of nonzero values is
-an index sum and a lookup (see GaloisFieldRing).  The polynomial product
-modulo the pinned irreducible only builds these tables.
+GF(p^k) stores a value as the integer whose base-p digits are its
+coordinates and computes by table lookup: construction finds a primitive
+element g and tabulates its powers, their logarithms and the Zech
+logarithms log(1 + g^n), so a product or sum of nonzero values is an
+index sum and a lookup (see GaloisFieldRing).  The polynomial product
+only builds these tables.
 
 Every ring has a canonical text form (see parse_ring_spec) and every
 element a canonical printed form; parse and print round-trip exactly.
@@ -576,15 +577,15 @@ class ZmodRing(RingHandle):
 class GaloisFieldRing(RingHandle):
     """GF(p^k) as Z/p-coordinate vectors modulo a pinned irreducible.
 
-    k = 1 stores bare residues.  k >= 2 stores little-endian k-tuples and
-    computes by lookup in tables built once, at construction, from a
-    primitive element g (Zech logarithms): `_exp[i]` = g^i for
-    0 <= i < 2(q-1), so no index needs reducing; `_log` maps each nonzero
-    value to its exponent; `_zech[n]` = log(1 + g^n), None where that sum
-    is 0.  Then x*y = exp[log x + log y] and
+    Value i is the vector of the little-endian base-p digits of i, so the
+    values are range(q) and, for k = 1, the residues themselves.  Every
+    field computes by lookup in tables built once, at construction, from
+    a primitive element g (Zech logarithms): `_exp[i]` = g^i for
+    0 <= i < 2(q-1), so no index needs reducing, and 0 from 2(q-1) on;
+    `_log[v]` is the exponent of v, and 2(q-1) for v = 0; `_zech[n]` =
+    log(1 + g^n).  Then x*y = exp[log x + log y] and
     x + y = exp[log x + zech[log y - log x]], a negative difference
-    reading zech modulo q-1.  Zero has no logarithm and is a special case
-    in every kernel.  Printed form is always the bracketed coordinate
+    reading zech modulo q-1.  Printed form is the bracketed coordinate
     vector."""
 
     kind = "gf"
@@ -595,18 +596,23 @@ class GaloisFieldRing(RingHandle):
         self.irr = spec.irr
         self.card = spec.p ** spec.k
         self.commutative = True
-        if spec.k == 1:
-            self.zero_v, self.one_v = 0, 1 % spec.p
-        else:
-            self.zero_v = (0,) * spec.k
-            self.one_v = (1,) + (0,) * (spec.k - 1)
+        self.zero_v, self.one_v = 0, 1
+        self._texts = {}         # value -> printed form, filled as printed
         super().__init__()
-        if spec.k > 1:
-            self._build_tables()
+        self._build_tables()
+
+    def _coords(self, v):
+        return tuple(_digits(v, self.p, self.k))
+
+    def _value(self, coords):
+        v = 0
+        for c in reversed(coords):
+            v = v * self.p + c
+        return v
 
     def _poly_mul(self, x, y):
-        """x*y as polynomials modulo the pinned irreducible: the product
-        the tables are built from.  Skips zero coefficients of x."""
+        """x*y for coordinate tuples, as polynomials modulo the pinned
+        irreducible: the tables are built from it.  Skips zeros of x."""
         p, k = self.p, self.k
         prod = [0] * (2 * k - 1)
         for i, a in enumerate(x):
@@ -623,86 +629,75 @@ class GaloisFieldRing(RingHandle):
         return tuple(prod[:k])
 
     def _primitive_element(self):
-        """The first value in enumeration order of multiplicative order
-        q-1: g^((q-1)/r) != 1 for each prime r dividing q-1.  The modulus
-        is irreducible (parse_ring_spec checks it), so the units form a
-        cyclic group and such g exists.  The constants lie in GF(p), of
-        order at most p-1, so the search starts past them."""
-        one, order = self.one_v, self.card - 1
+        """The least nonzero value of multiplicative order q-1:
+        g^((q-1)/r) != 1 for each prime r dividing q-1.  The modulus is
+        irreducible (parse_ring_spec checks it), so the units form a
+        cyclic group and such g exists.  For k >= 2 the constants have
+        order at most p-1 < q-1, so none of them is chosen."""
+        one, order = self._coords(1), self.card - 1
         primes = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
-        candidates = itertools.islice(self._enumerate(), self.p, None)
-        return next(g for g in candidates
-                    if all(_power(self._poly_mul, one, g, order // r) != one
+        return next(g for g in range(1, self.card)
+                    if all(_power(self._poly_mul, one, self._coords(g), order // r) != one
                            for r in primes))
 
     def _build_tables(self):
-        order = self.card - 1
-        g = self._primitive_element()
-        powers = [self.one_v]
+        # the powers of g are walked as coordinate tuples, each read once
+        p, order = self.p, self.card - 1
+        g = self._coords(self._primitive_element())
+        power, powers = self._coords(1), [1]
         for _ in range(order - 1):
-            powers.append(self._poly_mul(g, powers[-1]))
-        self._log = {v: i for i, v in enumerate(powers)}
-        self._exp = powers + powers
-        self._zech = [self._log.get(((v[0] + 1) % self.p,) + v[1:]) for v in powers]
+            power = self._poly_mul(g, power)
+            powers.append(self._value(power))
+        # zero's logarithm lies past every power and exp reads 0 from there
+        # on, so products, negatives and 1 + g^n = 0 need no zero test
+        zero_log = 2 * order
+        self._log = [zero_log] * self.card
+        for i, v in enumerate(powers):
+            self._log[v] = i
+        self._exp = powers + powers + [0] * (zero_log + 1)
+        # adding 1 raises coordinate 0, the lowest digit
+        self._zech = [self._log[v - v % p + (v + 1) % p] for v in powers]
         # -1 = g^((q-1)/2) in odd characteristic, and 1 in characteristic 2
-        self._neg_log = 0 if self.p == 2 else order // 2
+        self._neg_log = 0 if p == 2 else order // 2
 
     def k_add(self, x, y):
-        if self.k == 1:
-            return (x + y) % self.p
-        log = self._log
-        lx = log.get(x)
-        if lx is None:
+        if not x:
             return y
-        ly = log.get(y)
-        if ly is None:
+        if not y:
             return x
-        z = self._zech[ly - lx]
-        return self.zero_v if z is None else self._exp[lx + z]
+        log = self._log
+        lx = log[x]
+        return self._exp[lx + self._zech[log[y] - lx]]
 
     def k_neg(self, x):
-        if self.k == 1:
-            return (-x) % self.p
-        lx = self._log.get(x)
-        return self.zero_v if lx is None else self._exp[lx + self._neg_log]
+        return self._exp[self._log[x] + self._neg_log]
 
     def k_mul(self, x, y):
-        if self.k == 1:
-            return (x * y) % self.p
         log = self._log
-        lx, ly = log.get(x), log.get(y)
-        if lx is None or ly is None:
-            return self.zero_v
-        return self._exp[lx + ly]
+        return self._exp[log[x] + log[y]]
 
     def k_pow(self, x, n: int):
-        if self.k == 1:
-            return pow(x, n, self.p)
         if n == 0:
-            return self.one_v
-        lx = self._log.get(x)
-        return self.zero_v if lx is None else self._exp[lx * n % (self.card - 1)]
+            return 1
+        return self._exp[self._log[x] * n % (self.card - 1)] if x else 0
 
     def is_unit_v(self, v):
-        if v == self.zero_v:
+        if v == 0:
             return None
-        # field: v^(q-2), a table lookup (k >= 2) or pow (k = 1)
+        # field: v^(q-2), one table lookup
         return self.k_pow(v, self.card - 2)
 
     def has_inverse_v(self, v) -> bool:
-        return v != self.zero_v
+        return v != 0
 
     def _enumerate(self):
-        """Value i is the little-endian base-p digits of i: the digit
-        tuples of itertools.product, last digit fastest, reversed."""
-        if self.k == 1:
-            return range(self.p)
-        return (t[::-1] for t in itertools.product(range(self.p), repeat=self.k))
+        return range(self.card)
 
     def text_of_v(self, v):
-        if self.k == 1:
-            return "[%d]" % v
-        return "[%s]" % ",".join(str(c) for c in v)
+        text = self._texts.get(v)
+        if text is None:
+            text = self._texts[v] = "[%s]" % ",".join(str(c) for c in self._coords(v))
+        return text
 
     def v_of_text(self, text):
         s = text.strip()
@@ -711,8 +706,7 @@ class GaloisFieldRing(RingHandle):
         parts = [t.strip() for t in s[1:-1].split(",")]
         if len(parts) != self.k:
             raise ValueError("element %r needs %d coordinates" % (text, self.k))
-        coords = [int(t) % self.p for t in parts]
-        return coords[0] if self.k == 1 else tuple(coords)
+        return self._value([int(t) % self.p for t in parts])
 
 
 class ProductRing(RingHandle):
@@ -768,6 +762,31 @@ class ProductRing(RingHandle):
         return tuple(f.v_of_text(t) for f, t in zip(self.factors, parts))
 
 
+def _closure(parent, seeds, factors=None) -> set:
+    """The least set of parent values holding seeds and closed under
+    negation, sums, and products on both sides with `factors` (with
+    itself when None): a subring, or the ideal the seeds generate.  Each
+    new value meets the members so far once, so every pair meets."""
+    members = set(seeds)
+    frontier = list(members)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            ms = list(members)
+            cands = [parent.k_neg(a)] + [parent.k_add(a, b) for b in ms]
+            for r in ms if factors is None else factors:
+                cands += (parent.k_mul(r, a), parent.k_mul(a, r))
+            for c in cands:
+                if c not in members:
+                    members.add(c)
+                    nxt.append(c)
+            if len(members) > SUBRING_CLOSURE_CAP:
+                raise RingConstructionError("closure exceeds %d elements"
+                                            % SUBRING_CLOSURE_CAP)
+        frontier = nxt
+    return members
+
+
 class SubRing(RingHandle):
     """Closure of {0, 1} and the generators inside the parent; shares the
     ambient unity by construction."""
@@ -778,25 +797,8 @@ class SubRing(RingHandle):
         self.spec = spec
         self.parent = parent
         gen_vals = [parent.v_of_text(g) for g in spec.gens]
-        members = {parent.zero_v, parent.one_v, *gen_vals}
-        frontier = list(members)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                cands = [parent.k_neg(a)]
-                for b in list(members):
-                    cands.append(parent.k_add(a, b))
-                    cands.append(parent.k_mul(a, b))
-                    cands.append(parent.k_mul(b, a))
-                for c in cands:
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
-                if len(members) > SUBRING_CLOSURE_CAP:
-                    raise RingConstructionError("subring closure exceeds %d elements"
-                                                % SUBRING_CLOSURE_CAP)
-            frontier = nxt
-        self.members = frozenset(members)
+        seeds = [parent.zero_v, parent.one_v, *gen_vals]
+        self.members = frozenset(_closure(parent, seeds))
         self.card = len(self.members)
         self.commutative = parent.commutative
         self.zero_v = parent.zero_v
@@ -838,20 +840,8 @@ class QuotientRing(RingHandle):
         self.spec = spec
         self.parent = parent
         gen_vals = [parent.v_of_text(g) for g in spec.gens]
-        ideal = {parent.zero_v, *gen_vals}
         pvals = parent.values()
-        changed = True
-        while changed:
-            changed = False
-            for a in list(ideal):
-                fresh = [parent.k_neg(a)]
-                fresh.extend(parent.k_add(a, b) for b in list(ideal))
-                fresh.extend(parent.k_mul(r, a) for r in pvals)
-                fresh.extend(parent.k_mul(a, r) for r in pvals)
-                for c in fresh:
-                    if c not in ideal:
-                        ideal.add(c)
-                        changed = True
+        ideal = _closure(parent, [parent.zero_v, *gen_vals], pvals)
         self.ideal = SubsetHandle(parent, ideal, "ideal")
         rep = {}
         for a in pvals:
@@ -1495,6 +1485,10 @@ class DomainResult:
 @memo
 def is_domain(ring) -> DomainResult:
     dom = scan_domain(ring)
+    if ring.kind == "tser" and is_domain(ring.base).domain:
+        # over a domain the lowest terms of two nonzero series multiply to
+        # a nonzero term inside the window, so the pair scan finds nothing
+        return DomainResult(True, None, dom.exact, dom.note("pair scan"))
     key, times, kz = zero_keys(dom.ring)
     wz = dom.ring.zero_v
     heads = zip(dom.values, dom.lifted)

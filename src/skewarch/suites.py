@@ -54,7 +54,7 @@ from .props import (
     twisted_power_product_equivalence,
     _unmet_parts,
 )
-from .registry import RunConfig, find_entry
+from .registry import RunConfig
 from .rings import is_domain, scan_domain
 from .skew import SkewPoly, TruncSeries, parse_poly_text
 
@@ -536,17 +536,14 @@ def run_one(entry, suite_id: str, config: RunConfig) -> dict:
     }
 
 
-def report_contradicts_predictions(report: dict) -> bool:
-    """A report blocks exit code 0 when it fails where the statements
-    predict success.  Every suite reserves "fails" for that situation
-    except falsify, whose chains are expected on entries with no
-    positive series prediction."""
+def report_contradicts_predictions(entry, report: dict) -> bool:
+    """A report of `entry` blocks exit code 0 when it fails where the
+    statements predict success.  Every suite reserves "fails" for that
+    situation except falsify, whose chains are expected on entries with
+    no positive series prediction."""
     if report["status"] != FAILS:
         return False
     if report["suite"] != "falsify":
-        return True
-    entry = find_entry(report["entry"])
-    if entry is None:
         return True
     rep = classify(*entry.build())
     for p in rep.predictions:

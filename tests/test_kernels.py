@@ -188,32 +188,39 @@ def poly_mulmod(x, y, p, irr):
     return tuple(c % p for c in prod[:k])
 
 
+def coordinates(ring):
+    """Value -> its Z/p coordinates: the little-endian base-p digits."""
+    return lambda v: tuple(_digits(v, ring.p, ring.k))
+
+
 @pytest.mark.parametrize("spec", FIELDS)
 def test_field_kernels_match_polynomial_arithmetic(spec):
     ring = construct_ring(spec)
     p, q, irr = ring.p, ring.card, ring.irr
     vals = ring.values()
-    assert vals == [tuple(_digits(i, p, ring.k)) for i in range(q)]
     frob = build_endo(ring, "endo:frob")
+    co = coordinates(ring)
+    one = co(ring.one_v)
     mul = lambda x, y: poly_mulmod(x, y, p, irr)   # noqa: E731
     for a in vals:
-        assert ring.k_neg(a) == tuple((-c) % p for c in a)
+        assert co(ring.k_neg(a)) == tuple((-c) % p for c in co(a))
         for b in vals:
-            assert ring.k_mul(a, b) == mul(a, b)
-            assert ring.k_add(a, b) == tuple((c + d) % p for c, d in zip(a, b))
+            assert co(ring.k_mul(a, b)) == mul(co(a), co(b))
+            assert co(ring.k_add(a, b)) == tuple((c + d) % p
+                                                 for c, d in zip(co(a), co(b)))
         wanted = {0, 1, 2, p, q - 2, q}
-        acc = ring.one_v
+        acc = one
         for n in range(q + 1):
             if n in wanted:
-                assert ring.k_pow(a, n) == acc
+                assert co(ring.k_pow(a, n)) == acc
             if n == p:
-                assert frob.apply_v(a) == acc
-            acc = mul(acc, a)
+                assert co(frob.apply_v(a)) == acc
+            acc = mul(acc, co(a))
         inv = ring.is_unit_v(a)
         if a == ring.zero_v:
             assert inv is None
         else:
-            assert mul(a, inv) == ring.one_v
+            assert mul(co(a), co(inv)) == one
 
 
 @pytest.mark.parametrize("spec", ["gf:2:8", "gf:2:9", "gf:3:5", "gf:5:3"])
@@ -222,16 +229,49 @@ def test_field_tables_match_the_polynomial_product(spec):
     the test's polynomial product, also on fields past the every-pair
     check."""
     ring = construct_ring(spec)
-    g = ring._primitive_element()
-    powers = [ring.one_v]
+    co = coordinates(ring)
+    g, one = co(ring._primitive_element()), co(ring.one_v)
+    powers = [one]
     for _ in range(ring.card - 2):
         powers.append(poly_mulmod(g, powers[-1], ring.p, ring.irr))
-    assert poly_mulmod(g, powers[-1], ring.p, ring.irr) == ring.one_v
+    assert poly_mulmod(g, powers[-1], ring.p, ring.irr) == one
     log = {v: i for i, v in enumerate(powers)}
     assert len(log) == ring.card - 1      # g is primitive
-    assert ring._exp == powers + powers
-    assert ring._log == log
-    assert ring._zech == [log.get(((v[0] + 1) % ring.p,) + v[1:]) for v in powers]
+    zero_log = 2 * (ring.card - 1)        # zero's logarithm: exp reads 0 from there on
+    assert [co(v) for v in ring._exp] == powers + powers + [co(0)] * (zero_log + 1)
+    assert ring._log[0] == zero_log
+    assert {co(v): i for v, i in enumerate(ring._log) if v} == log
+    assert ring._zech == [log.get(((v[0] + 1) % ring.p,) + v[1:], zero_log)
+                          for v in powers]
+
+
+PRIMES = [2, 3, 5, 7, 251]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_prime_fields_agree_with_the_integers_mod_p(p):
+    """gf:p:1 computes through its log tables; zmod:p by integer
+    arithmetic.  The two agree on every value and pair."""
+    field, zmod = construct_ring("gf:%d:1" % p), construct_ring("zmod:%d" % p)
+    vals = zmod.values()
+    assert field.values() == vals
+    assert (field.zero_v, field.one_v) == (zmod.zero_v, zmod.one_v)
+    for a in vals:
+        assert field.k_neg(a) == zmod.k_neg(a)
+        assert field.is_unit_v(a) == zmod.is_unit_v(a)
+        assert field.v_of_text(field.text_of_v(a)) == a
+        assert field.text_of_v(a) == "[%d]" % a
+        for n in (0, 1, 2, p - 2, p - 1, p, 2 * p + 3):
+            assert field.k_pow(a, n) == zmod.k_pow(a, n)
+        for b in vals:
+            assert field.k_add(a, b) == zmod.k_add(a, b)
+            assert field.k_mul(a, b) == zmod.k_mul(a, b)
+
+
+@pytest.mark.parametrize("spec", FIELDS + ["gf:%d:1" % p for p in PRIMES])
+def test_field_values_are_the_integers_below_q(spec):
+    ring = construct_ring(spec)
+    assert ring.values() == list(range(ring.card))
 
 
 def test_field_tables_take_about_q_polynomial_products(monkeypatch):

@@ -10,6 +10,7 @@ from skewarch.props import FAILS, HOLDS, STATUSES
 from skewarch.registry import (
     ENTRIES,
     RunConfig,
+    _entry,
     entry_ids,
     find_entry,
     registry_entries,
@@ -190,7 +191,7 @@ def test_full_matrix_matches_frozen_statuses(seed42_matrix):
             report = next(reports)
             assert (report["entry"], report["suite"]) == (entry.id, suite_id)
             validate_report(report)
-            assert not report_contradicts_predictions(report), \
+            assert not report_contradicts_predictions(entry, report), \
                 (entry.id, suite_id)
             got.append(report["status"])
         assert got == expected, entry.id
@@ -200,16 +201,17 @@ def test_full_matrix_matches_frozen_statuses(seed42_matrix):
 def test_expected_falsifier_chains_do_not_contradict():
     # falsify is allowed to fail exactly when no series theorem predicts
     # a reduced Archimedean outcome
-    report = run_one(find_entry("zmod:6"), "falsify", RunConfig(seed=42))
+    entry = find_entry("zmod:6")
+    report = run_one(entry, "falsify", RunConfig(seed=42))
     assert report["status"] == FAILS
-    assert report_contradicts_predictions(report) is False
+    assert report_contradicts_predictions(entry, report) is False
 
 
 def test_nonfalsify_failure_contradicts():
     report = {"entry": "zmod:6", "suite": "thm-4-4", "status": FAILS,
               "witness": None, "certificate": "fabricated",
               "theorem_tags": []}
-    assert report_contradicts_predictions(report) is True
+    assert report_contradicts_predictions(find_entry("zmod:6"), report) is True
 
 
 def test_falsify_failure_contradicts_when_theorems_predict_yes():
@@ -218,14 +220,18 @@ def test_falsify_failure_contradicts_when_theorems_predict_yes():
     report = {"entry": "gf:2:2+endo:frob", "suite": "falsify",
               "status": FAILS, "witness": None, "certificate": "fabricated",
               "theorem_tags": []}
-    assert report_contradicts_predictions(report) is True
+    assert report_contradicts_predictions(find_entry("gf:2:2+endo:frob"), report) is True
 
 
-def test_falsify_failure_on_unknown_entry_contradicts():
-    report = {"entry": "zmod:9999", "suite": "falsify", "status": FAILS,
+def test_falsify_failure_outside_the_registry_follows_its_predictions():
+    # the entry passed in is judged, registered or not: gf:3:1 is a field,
+    # so its series ring is predicted reduced and Archimedean
+    entry = _entry("gf:3:1", "endo:id", "drawn")
+    assert find_entry(entry.id) is None
+    report = {"entry": entry.id, "suite": "falsify", "status": FAILS,
               "witness": None, "certificate": "fabricated",
               "theorem_tags": []}
-    assert report_contradicts_predictions(report) is True
+    assert report_contradicts_predictions(entry, report) is True
 
 
 def test_passing_reports_never_contradict():
@@ -235,7 +241,7 @@ def test_passing_reports_never_contradict():
         report = {"entry": "zmod:6", "suite": "thm-4-4", "status": status,
                   "witness": None, "certificate": "fabricated",
                   "theorem_tags": []}
-        assert report_contradicts_predictions(report) is False
+        assert report_contradicts_predictions(find_entry("zmod:6"), report) is False
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +420,7 @@ def test_main_construction_failure_exits_3(monkeypatch, capsys):
 
 def test_main_contradiction_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "report_contradicts_predictions",
-                        lambda report: True)
+                        lambda entry, report: True)
     assert cli.main(["run", "--entry", "zmod:6",
                      "--suite", "arithmetic"]) == 1
     doc = json.loads(capsys.readouterr().out)

@@ -6,6 +6,7 @@ from skewarch.rings import (
     NonEnumerableError,
     RingConstructionError,
     RingMismatchError,
+    TruncSeriesRing,
     construct_ring,
     idempotents,
     is_domain,
@@ -14,6 +15,7 @@ from skewarch.rings import (
     is_unit,
     jacobson_radical,
     nonunits,
+    parse_ring_spec,
     principal_power_chain,
     quotient_by_ideal,
     scan_domain,
@@ -293,6 +295,42 @@ def test_trunc_series_unit_iff_constant_unit():
     assert inv is not None
     assert ring.k_mul(g.v, inv) == ring.one_v
     assert ring.is_unit_v(ring.from_text("[2,1]").v) is None
+
+
+def _pair_scan(ring):
+    """is_domain by the plain pair scan: the first pair of nonzero scope
+    values, in scope order, whose lifts multiply to zero in the widened
+    copy, or None."""
+    dom = scan_domain(ring)
+    zero = dom.ring.zero_v
+    nonzero = [(a, la) for a, la in zip(dom.values, dom.lifted) if la != zero]
+    for a, la in nonzero:
+        for b, lb in nonzero:
+            if dom.ring.k_mul(la, lb) == zero:
+                return a, b
+    return None
+
+
+@pytest.mark.parametrize("spec", ["tser(gf:3:1,N=4)", "tser(gf:2:2,N=4)",
+                                  "tser(zmod:4,N=4)", "tser(prod(zmod:2,zmod:2),N=3)"])
+def test_series_domain_answer_matches_the_pair_scan(spec, monkeypatch):
+    """Over a domain base the answer needs no product; otherwise the scan
+    finds the same first witness."""
+    witness = _pair_scan(construct_ring(spec))
+    parsed = parse_ring_spec(spec)
+    ring = TruncSeriesRing(parsed, construct_ring(parsed.base))   # nothing memoized
+    calls = []
+    mul = TruncSeriesRing.k_mul
+    monkeypatch.setattr(TruncSeriesRing, "k_mul",
+                        lambda self, x, y: calls.append(1) or mul(self, x, y))
+    got = is_domain(ring)
+    assert got.exact is False
+    if witness is None:
+        assert got.domain and got.witness is None and calls == []
+        assert got.note == scan_domain(ring).note("pair scan")
+    else:
+        assert not got.domain and calls
+        assert tuple(w.v for w in got.witness) == witness
 
 
 def test_xy_quotient_ring_relations():
