@@ -25,7 +25,7 @@ from .endos import (Endo, _twist_on, build_endo, is_compatible, is_injective,
                     is_rigid, preserves_nonunits, rigid_decomposition_check)
 from .prng import SplitMix64, derive_rng
 from .rings import (Element, NonEnumerableError, construct_ring, idempotents,
-                    is_domain, is_nilpotent, is_reduced, jacobson_radical,
+                    is_domain, is_reduced, jacobson_radical,
                     memo, nilpotent_values, nonunits, principal_power_chain,
                     quotient_by_ideal, require_budget, scan_domain,
                     subring_generated, units, zero_divisors, zero_keys)
@@ -672,8 +672,8 @@ def _poly_unit_exact(p: SkewPoly) -> bool:
         return False
     if not ring.has_inverse_v(p.coeffs[0]):
         return False
-    return all(is_nilpotent(ring, Element(ring, c)).nilpotent
-               for c in p.coeffs[1:])
+    nil = nilpotent_values(ring)
+    return all(c in nil for c in p.coeffs[1:])
 
 
 def _unmet_parts(cond: dict):
@@ -1483,14 +1483,13 @@ def _predicted_text(value) -> str:
 def first_incomparable_principal_pair(ring):
     """First pair of principal ideals, in generator enumeration order,
     with neither containing the other.  Falls back to None."""
-    # one quotient per nonzero nonunit, each closing an ideal of up to |R|
-    # values under products with all |R| values
+    # the ring is commutative, so the ideal of a is R*a: |R| products each
     gens = [a for a in nonunits(ring).vals if a != ring.zero_v]
-    require_budget(ring, "principal quotients", len(gens) * ring.card ** 2)
+    require_budget(ring, "principal ideals", len(gens) * ring.card)
+    vals = ring.values()
     seen = []
     for a in gens:
-        quo, _ = quotient_by_ideal(ring, [Element(ring, a)])
-        ideal = quo.ideal.members
+        ideal = frozenset(ring.k_mul(r, a) for r in vals)
         if all(ideal != s for _, s in seen):
             seen.append((a, ideal))
     for i in range(len(seen)):

@@ -2,9 +2,14 @@
 
 Supported constructions: integers mod n, Galois fields GF(p^k), finite
 products, generated subrings (sharing the ambient unity), quotients by
-two-sided ideals, truncated power series rings R[[u]] mod u^(N+1), and
-the two-variable quotient F[[x,y]]/(xy) truncated at degree N in each
+ideals, truncated power series rings R[[u]] mod u^(N+1), and the
+two-variable quotient F[[x,y]]/(xy) truncated at degree N in each
 variable.
+
+Every ring built here is commutative: each construction starts from
+zmod or gf and keeps commutativity.  The code relies on it: an ideal is
+R*g1 + ... + R*gk, a subring closes under products on one side, and
+R*a = a*R.  Only the skew products of skew.py do not commute.
 
 The last two are "truncated models": they stand in for infinite rings,
 so exhaustive element scans are replaced by scans over a support-bounded
@@ -44,7 +49,7 @@ ENUMERATION_CAP = 65_536       # refuse to materialize finite rings beyond this
 SCOPE_ENUMERATION_BUDGET = 200_000   # truncated-model scans shrink support to fit
 SUBRING_CLOSURE_CAP = 65_536
 NILPOTENT_BOUND = 16           # highest power a truncated-model replay tries
-UNIT_PAIR_BUDGET = 1 << 20     # most pairs the generic unit scan may visit
+UNIT_PAIR_BUDGET = 1 << 20     # pairs a scan may visit, unless it names a budget
 
 
 class RingConstructionError(ValueError):
@@ -481,28 +486,8 @@ class RingHandle:
     def sort_key_v(self, v):
         return self.index_of_v(v)
 
-    # -- units; classes without a structural rule do one cached pair scan
-
-    @memo
-    def _unit_map(self):
-        vals = self.values()
-        require_budget(self, "unit pair scan", len(vals) ** 2)
-        m = {}
-        for a in vals:
-            for b in vals:
-                if self.k_mul(a, b) == self.one_v and self.k_mul(b, a) == self.one_v:
-                    m[a] = b
-                    break
-        return m
-
-    def is_unit_v(self, v):
-        """Inverse value, or None."""
-        return self._unit_map().get(v)
-
-    def has_inverse_v(self, v) -> bool:
-        """Whether v is a unit; classes with a structural rule decide it
-        without computing the inverse."""
-        return self.is_unit_v(v) is not None
+    # -- units: each class has a rule for is_unit_v (inverse or None) and
+    # has_inverse_v (whether a unit), and computes no pair scan
 
     def inner_order(self, v) -> Optional[int]:
         """Least degree of a nonzero coefficient of a truncated-model value;
@@ -541,7 +526,6 @@ class ZmodRing(RingHandle):
         self.spec = spec
         self.n = spec.n
         self.card = spec.n
-        self.commutative = True
         self.zero_v = 0
         self.one_v = 1 % spec.n
         super().__init__()
@@ -595,7 +579,6 @@ class GaloisFieldRing(RingHandle):
         self.p, self.k = spec.p, spec.k
         self.irr = spec.irr
         self.card = spec.p ** spec.k
-        self.commutative = True
         self.zero_v, self.one_v = 0, 1
         self._texts = {}         # value -> printed form, filled as printed
         super().__init__()
@@ -720,7 +703,6 @@ class ProductRing(RingHandle):
         self.card = 1
         for f in factors:
             self.card *= f.card
-        self.commutative = all(f.commutative for f in factors)
         self.zero_v = tuple(f.zero_v for f in factors)
         self.one_v = tuple(f.one_v for f in factors)
         super().__init__()
@@ -762,45 +744,59 @@ class ProductRing(RingHandle):
         return tuple(f.v_of_text(t) for f, t in zip(self.factors, parts))
 
 
-def _closure(parent, seeds, factors=None) -> set:
-    """The least set of parent values holding seeds and closed under
-    negation, sums, and products on both sides with `factors` (with
-    itself when None): a subring, or the ideal the seeds generate.  Each
-    new value meets the members so far once, so every pair meets."""
-    members = set(seeds)
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            ms = list(members)
-            cands = [parent.k_neg(a)] + [parent.k_add(a, b) for b in ms]
-            for r in ms if factors is None else factors:
-                cands += (parent.k_mul(r, a), parent.k_mul(a, r))
-            for c in cands:
-                if c not in members:
-                    members.add(c)
-                    nxt.append(c)
-            if len(members) > SUBRING_CLOSURE_CAP:
-                raise RingConstructionError("closure exceeds %d elements"
-                                            % SUBRING_CLOSURE_CAP)
-        frontier = nxt
+def _generator_values(ring, spec, parent) -> list:
+    """The generators of a subring or quotient spec as parent values.
+    Both list the parent's values, so the parent must be finite."""
+    if parent.truncated:
+        raise RingConstructionError("%s parent must be a finite ring" % ring.kind)
+    return [parent.v_of_text(g) for g in spec.gens]
+
+
+def _additive_group(parent, members: set, gens) -> set:
+    """Grow the additive group members to the group it and the gens
+    generate.  A gen g outside the group H so far adds the cosets H + g,
+    H + 2g, ... up to the first multiple of g in H; a gen inside adds
+    nothing."""
+    for g in gens:
+        if g in members:
+            continue
+        base, c = list(members), g
+        while c not in members:
+            members.update([parent.k_add(h, c) for h in base])
+            c = parent.k_add(c, g)
+        if len(members) > SUBRING_CLOSURE_CAP:
+            raise RingConstructionError("closure exceeds %d elements"
+                                        % SUBRING_CLOSURE_CAP)
     return members
 
 
+def _closure(parent, seeds) -> set:
+    """The subring the seeds generate: the additive group of the products
+    of seeds, each found once by multiplying a product by a seed."""
+    products, seen = [parent.one_v], {parent.one_v}
+    for m in products:
+        for g in seeds:
+            c = parent.k_mul(m, g)
+            if c not in seen:
+                seen.add(c)
+                products.append(c)
+    return _additive_group(parent, {parent.zero_v}, products)
+
+
 class SubRing(RingHandle):
-    """Closure of {0, 1} and the generators inside the parent; shares the
-    ambient unity by construction."""
+    """Closure of {0, 1} and the generators inside a finite parent; shares
+    the ambient unity by construction.  Its units and inverses are the
+    parent's: a unit of a finite ring has a power for its inverse, which
+    lies in every subring holding the unit."""
 
     kind = "sub"
 
     def __init__(self, spec: SubringSpec, parent):
         self.spec = spec
         self.parent = parent
-        gen_vals = [parent.v_of_text(g) for g in spec.gens]
-        seeds = [parent.zero_v, parent.one_v, *gen_vals]
-        self.members = frozenset(_closure(parent, seeds))
+        self.members = frozenset(_closure(parent, _generator_values(self, spec, parent)))
         self.card = len(self.members)
-        self.commutative = parent.commutative
+        self.is_unit_v, self.has_inverse_v = parent.is_unit_v, parent.has_inverse_v
         self.zero_v = parent.zero_v
         self.one_v = parent.one_v
         super().__init__()
@@ -828,32 +824,36 @@ class SubRing(RingHandle):
 
 
 class QuotientRing(RingHandle):
-    """Quotient of a finite ring by the two-sided ideal generated by the
-    given elements.  Elements are canonical coset representatives: the
-    coset member of least parent enumeration index."""
+    """Quotient of a finite ring by the ideal generated by the given
+    elements.  Elements are canonical coset representatives: the coset
+    member of least parent enumeration index.  A coset is a unit iff it
+    holds a parent unit u, and then its inverse is the coset of u's
+    inverse: a finite commutative ring is a product of local rings, and
+    in a local ring units lift modulo every ideal."""
 
     kind = "quot"
 
     def __init__(self, spec: QuotientSpec, parent):
-        if parent.truncated:
-            raise RingConstructionError("quotient parent must be a finite ring")
         self.spec = spec
         self.parent = parent
-        gen_vals = [parent.v_of_text(g) for g in spec.gens]
-        pvals = parent.values()
-        ideal = _closure(parent, [parent.zero_v, *gen_vals], pvals)
+        gens = _generator_values(self, spec, parent)
+        ideal, vals = {parent.zero_v}, parent.values()
+        for g in gens:
+            if g not in ideal:   # else R*g lies in the ideal so far
+                _additive_group(parent, ideal, (parent.k_mul(r, g) for r in vals))
         self.ideal = SubsetHandle(parent, ideal, "ideal")
-        rep = {}
-        for a in pvals:
+        rep, self._unit_lifts = {}, {}   # unit coset -> a parent unit in it
+        for a in vals:
             if a in rep:
                 continue
             coset = [parent.k_add(a, i) for i in ideal]
             r = min(coset, key=parent.sort_key_v)
             for m in coset:
                 rep[m] = r
+                if parent.has_inverse_v(m):
+                    self._unit_lifts[r] = m
         self.rep_map = rep
         self.card = len(set(rep.values()))
-        self.commutative = parent.commutative
         self.zero_v = rep[parent.zero_v]
         self.one_v = rep[parent.one_v]
         super().__init__()
@@ -868,6 +868,13 @@ class QuotientRing(RingHandle):
 
     def k_mul(self, x, y):
         return self.rep_map[self.parent.k_mul(x, y)]
+
+    def is_unit_v(self, v):
+        u = self._unit_lifts.get(v)
+        return None if u is None else self.rep_map[self.parent.is_unit_v(u)]
+
+    def has_inverse_v(self, v) -> bool:
+        return v in self._unit_lifts
 
     def _enumerate(self):
         return sorted(set(self.rep_map.values()), key=self.parent.sort_key_v)
@@ -989,7 +996,6 @@ class TruncSeriesRing(TruncatedModel):
         if spec.precision < 1:
             raise RingConstructionError("tser precision must be >= 1")
         self.card = None
-        self.commutative = base.commutative
         width = spec.precision + 1
         self.zero_v = (base.zero_v,) * width
         self.one_v = (base.one_v,) + (base.zero_v,) * (spec.precision)
@@ -1079,7 +1085,6 @@ class XYQuotientRing(TruncatedModel):
         self.precision = spec.precision
         self.series = construct_ring(TruncSeriesSpec(field.spec, spec.precision))
         self.card = None
-        self.commutative = True
         self.zero_v = (self.series.zero_v,) * 2
         self.one_v = (self.series.one_v,) * 2
         super().__init__()
@@ -1325,10 +1330,7 @@ def nilpotent_values(ring) -> frozenset:
 def jacobson_radical(ring) -> SubsetHandle:
     """The nilpotent values.  A finite commutative ring is Artinian, so its
     radical is nil and equals the nilradical (Lam, A First Course in
-    Noncommutative Rings); every finite ring built here is commutative."""
-    if not ring.commutative:
-        raise NotImplementedError("%s: the radical is decided for commutative "
-                                  "rings only" % ring.spec_text)
+    Noncommutative Rings)."""
     return SubsetHandle(ring, nilpotent_values(ring), "jacobson-radical")
 
 
@@ -1338,7 +1340,7 @@ def zero_pattern(ring):
     None when the ring has none.  The masks multiply: mask(a*b) =
     mask(a) & mask(b).
 
-    - A finite, commutative, reduced ring: bit i of mask(v) is set iff
+    - A finite reduced ring: bit i of mask(v) is set iff
       v*e_i != 0, for the primitive idempotents e_i in value order.  R is
       the product of the R*e_i, each a finite reduced local commutative
       ring and so a field.  Building the masks costs n*m products.
@@ -1348,7 +1350,7 @@ def zero_pattern(ring):
     if ring.truncated:
         return ring.zero_mask_v
     z, mul = ring.zero_v, ring.k_mul
-    if not ring.commutative or nilpotent_values(ring) != {z}:
+    if nilpotent_values(ring) != {z}:
         return None
     idem = [e for e in idempotents(ring).vals if e != z]
     prims = [e for e in idem if not any(f != e and mul(f, e) == f for f in idem)]
@@ -1369,16 +1371,14 @@ def zero_keys(ring):
 
 def principal_power_chain(ring, a: Element, side: str = "right"):
     """Descending sets R*a^n (side="right") or a^n*R (side="left"),
-    stopping at the first repeat.  Returns (chain, stabilized set)."""
+    stopping at the first repeat.  The ring is commutative, so both sides
+    give the same sets.  Returns (chain, stabilized set)."""
     vals = ring.values()
     chain = []
     power = a.v
     prev = None
     while True:
-        if side == "right":
-            cur = frozenset(ring.k_mul(r, power) for r in vals)
-        else:
-            cur = frozenset(ring.k_mul(power, r) for r in vals)
+        cur = frozenset(ring.k_mul(r, power) for r in vals)
         if prev is not None and cur == prev:
             break
         handle = SubsetHandle(ring, cur, "%s^%d" % (a.text, len(chain) + 1))

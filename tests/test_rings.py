@@ -405,7 +405,8 @@ def test_construct_ring_is_memoized():
 def test_construction_failures():
     for bad in ["zmod:1", "zmod:0", "gf:6:1", "xyq:gf:2:1", "xyq:zmod:4:N=8",
                 "prod(zmod:2)", "mystery:5", "tser(tser(zmod:2,N=4),N=4)",
-                "quot(tser(zmod:2,N=4);2)", "xyq:gf:2:1:N=1",
+                "quot(tser(zmod:2,N=4);2)", "sub(tser(zmod:2,N=40);[0,1])",
+                "xyq:gf:2:1:N=1",
                 # finite but beyond the enumeration cap
                 "zmod:70000", "prod(zmod:300,zmod:300)",
                 # an ideal that contains 1: zero would equal one

@@ -12,6 +12,10 @@ from skewarch.rings import (
     GaloisFieldRing,
     NonEnumerableError,
     ProductRing,
+    QuotientRing,
+    RingConstructionError,
+    SubRing,
+    TruncSeriesRing,
     ZmodRing,
     construct_ring,
     is_domain,
@@ -51,7 +55,8 @@ def product_specs(draw):
 @st.composite
 def derived_rings(draw):
     """A subring generated by one or two values, or the quotient by the
-    ideal of one nonunit, of a zmod, gf or product ring."""
+    ideal of one or two nonunits, of a zmod, gf or product ring.  Two
+    nonunits whose ideal holds 1 give the quotient by the first alone."""
     ring = construct_ring(draw(st.one_of(base_specs(), product_specs())))
     vals = ring.values()
     if draw(st.booleans()):
@@ -59,8 +64,11 @@ def derived_rings(draw):
         sub, _, _ = subring_generated(ring, [ring.text_of_v(v) for v in gens])
         return sub
     umap = oracle_unit_map(ring)
-    gen = draw(st.sampled_from([v for v in vals if v not in umap]))
-    quo, _ = quotient_by_ideal(ring, [ring.text_of_v(gen)])
+    gens = draw(st.lists(st.sampled_from([v for v in vals if v not in umap]),
+                         min_size=1, max_size=2))
+    if ring.one_v in oracle_closure(ring, [ring.zero_v, *gens], vals):
+        gens = gens[:1]
+    quo, _ = quotient_by_ideal(ring, [ring.text_of_v(v) for v in gens])
     return quo
 
 
@@ -70,6 +78,27 @@ finite_rings = st.one_of(base_specs().map(construct_ring),
 
 # ---------------------------------------------------------------------------
 # brute-force oracles: the scans the structural rules replaced
+
+
+def oracle_closure(parent, seeds, factors=None):
+    """The least set of parent values holding seeds and closed under
+    negation, sums, and products on both sides with `factors` (with
+    itself when None): a subring, or the ideal the seeds generate."""
+    members = set(seeds)
+    frontier = list(members)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            ms = list(members)
+            cands = [parent.k_neg(a)] + [parent.k_add(a, b) for b in ms]
+            for r in ms if factors is None else factors:
+                cands += (parent.k_mul(r, a), parent.k_mul(a, r))
+            for c in cands:
+                if c not in members:
+                    members.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return members
 
 
 def oracle_unit_map(ring):
@@ -125,6 +154,21 @@ def oracle_archimedean(ring, side):
 
 # ---------------------------------------------------------------------------
 # each rule against its oracle
+
+
+def check_members(ring):
+    """A subring's members, and a quotient's ideal, are the two-sided
+    closure of its seeds."""
+    if ring.kind not in ("sub", "quot"):
+        return
+    parent = ring.parent
+    gens = [parent.v_of_text(g) for g in ring.spec.gens]
+    if ring.kind == "sub":
+        assert ring.members == oracle_closure(parent,
+                                              [ring.zero_v, ring.one_v, *gens])
+    else:
+        assert ring.ideal.members == oracle_closure(parent, [parent.zero_v, *gens],
+                                                    parent.values())
 
 
 def check_units(ring):
@@ -187,31 +231,30 @@ def check_zero_pattern(ring):
 @given(finite_rings)
 def test_structural_rules_match_their_brute_force_scans(ring):
     # one test for all rules, so each drawn ring is built and validated once
-    for check in (check_units, check_k_pow, check_radical, check_zero_divisors,
-                  check_domain, check_zero_pattern, check_archimedean):
+    for check in (check_members, check_units, check_k_pow, check_radical,
+                  check_zero_divisors, check_domain, check_zero_pattern,
+                  check_archimedean):
         check(ring)
-
-
-def test_radical_refuses_a_noncommutative_ring():
-    ring = ZmodRing(parse_ring_spec("zmod:4"))
-    ring.commutative = False
-    with pytest.raises(NotImplementedError):
-        jacobson_radical(ring)
 
 
 # ---------------------------------------------------------------------------
 # scaling probes, bounded by kernel calls on fresh (uncached) instances
 
 
-def counting(*rings):
-    """Wrap k_mul on each instance; returns the shared call counter."""
+def counting(*rings, kernels=("k_mul",)):
+    """Wrap the named kernels (k_mul by default) on each instance; returns
+    the shared call counter."""
     calls = [0]
     for ring in rings:
-        def k_mul(x, y, _mul=ring.k_mul):
-            calls[0] += 1
-            return _mul(x, y)
-        ring.k_mul = k_mul
+        for name in kernels:
+            def kernel(*args, _kernel=getattr(ring, name)):
+                calls[0] += 1
+                return _kernel(*args)
+            setattr(ring, name, kernel)
     return calls
+
+
+KERNELS = ("k_add", "k_neg", "k_mul")
 
 
 def test_archimedean_on_zmod_4096_takes_few_products():
@@ -241,17 +284,40 @@ def test_zero_divisors_of_a_product_take_few_products():
     assert calls[0] <= 1_000
 
 
+def test_quotient_of_zmod_2048_builds_in_few_kernel_calls():
+    spec = parse_ring_spec("quot(zmod:2048;2)")
+    parent = ZmodRing(spec.parent)
+    calls = counting(parent, kernels=KERNELS)
+    quo = QuotientRing(spec, parent)
+    assert calls[0] <= 20_000
+    assert quo.ideal.members == frozenset(range(0, 2048, 2))
+    assert quo.values() == [0, 1]
+
+
+def test_units_of_a_quotient_of_zmod_4096_take_few_kernel_calls():
+    spec = parse_ring_spec("quot(zmod:4096;2048)")
+    parent = ZmodRing(spec.parent)
+    calls = counting(parent, kernels=KERNELS)
+    quo = QuotientRing(spec, parent)
+    assert quo.card == 2048
+    assert units(quo).vals == tuple(range(1, 2048, 2))
+    assert len(nonunits(quo)) == 1024
+    assert calls[0] <= 20_000
+    for v in (3, 5, 2047):
+        assert quo.is_unit_v(v) == pow(v, -1, 2048)
+
+
+def test_subring_of_a_truncated_model_is_refused_before_any_product():
+    spec = parse_ring_spec("sub(tser(zmod:2,N=40);[0,1])")
+    parent = TruncSeriesRing(spec.parent, ZmodRing(spec.parent.base))
+    calls = counting(parent, kernels=KERNELS)
+    with pytest.raises(RingConstructionError):
+        SubRing(spec, parent)
+    assert calls[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # cost guards on the scans that remain
-
-
-def test_unit_scan_past_its_budget_raises_at_once():
-    quo = construct_ring("quot(zmod:4096;2048)")
-    assert quo.card == 2048
-    with pytest.raises(NonEnumerableError):
-        units(quo)
-    with pytest.raises(NonEnumerableError):
-        nonunits(quo)
 
 
 def test_sandwich_clause_past_its_budget_raises_at_once():

@@ -259,7 +259,7 @@ def test_nonunit_scan_on_xyq_computes_no_inverse(monkeypatch):
 
 
 def test_falsifier_and_principal_pairs_past_their_budget_raise_at_once():
-    """The principal-quotient search is guarded; the falsifier needs no
+    """The principal-ideal search is guarded; the falsifier needs no
     guard, since on a finite ring it reads the exact Archimedean test,
     which decides zmod:4096 in the products its own bound allows."""
     ring = ZmodRing(parse_ring_spec("zmod:4096"))
