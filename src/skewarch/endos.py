@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .prng import CONSTRUCTION_SEED, SplitMix64, fnv1a64
-from .rings import Element, is_reduced, memo, scan_domain, zero_keys
+from .rings import (Element, is_reduced, memo, require_finite, scan_domain,
+                    zero_keys)
 
 ENDO_PAIR_BUDGET = 65_536     # table-twist law check on every pair up to this
 ENDO_SAMPLE_PAIRS = 10_000
@@ -177,8 +178,7 @@ class TableEndo(Endo):
     """Full association table read from a file of "src -> dst" lines."""
 
     def __init__(self, ring, path: str):
-        if ring.truncated:
-            raise EndoValidationError("endo:table needs a finite ring")
+        require_finite((ring,), "endo:table needs a finite ring", EndoValidationError)
         super().__init__(ring, "table:" + path)
         table = {}
         with open(path, "r", encoding="utf-8") as fh:

@@ -24,11 +24,11 @@ from typing import Optional
 from .endos import (Endo, _twist_on, build_endo, is_compatible, is_injective,
                     is_rigid, preserves_nonunits, rigid_decomposition_check)
 from .prng import SplitMix64, derive_rng
-from .rings import (Element, NonEnumerableError, construct_ring, idempotents,
-                    is_domain, is_reduced, jacobson_radical,
-                    memo, nilpotent_values, nonunits, principal_power_chain,
-                    quotient_by_ideal, require_budget, scan_domain,
-                    subring_generated, units, zero_divisors, zero_keys)
+from .rings import (Element, construct_ring, idempotents, is_domain, is_reduced,
+                    jacobson_radical, memo, nilpotent_values, nonunits,
+                    principal_power_chain, quotient_by_ideal, require_budget,
+                    scan_domain, subring_generated, units, zero_divisors,
+                    zero_keys)
 from .skew import (SkewPoly, TruncSeries, _inverse_of_one_plus, _need_side,
                    lowest_certificate, nilpotency_probe, parse_poly_text,
                    solve_right_divisibility, top_certificate)
@@ -110,11 +110,9 @@ def is_archimedean(ring, side: str = "right") -> Verdict:
     first repeat and stays put from there, and R*a^m = {0} forces
     a^m = 1*a^m = 0, so a nonunit's chain reaches {0} iff a is nilpotent.
     Only the first non-nilpotent nonunit has its chain built, for the
-    witness."""
+    witness.  A truncated model has no values to list, so nonunits raises
+    NonEnumerableError; derived_archimedean covers it."""
     _need_side(side)
-    if ring.truncated:
-        raise NonEnumerableError("%s is a truncated model; use "
-                                 "derived_archimedean" % ring.spec_text)
     nu = nonunits(ring)
     nil = nilpotent_values(ring)
     a = next((a for a in nu if a.v not in nil), None)
@@ -380,7 +378,9 @@ def archimedean_consequence_suite(ring, side: str = "right") -> dict:
 def subring_inheritance_check(ambient, gens=(), side: str = "right") -> Verdict:
     """A subring containing the ambient unit structure inherits the
     property: if every ambient unit inside the subring stays invertible
-    there and the ambient ring is side-Archimedean, so is the subring."""
+    there and the ambient ring is side-Archimedean, so is the subring.
+    In a finite ring the unit condition always holds (a unit's inverse is
+    one of its powers), so only the chain scans can decide."""
     _need_side(side)
     sub, _, cond = subring_generated(ambient, gens)
     info = {
@@ -389,12 +389,6 @@ def subring_inheritance_check(ambient, gens=(), side: str = "right") -> Verdict:
                        for g in gens],
         "ambient_units_in_subring": cond["ambient_units_in_subring"],
     }
-    if not cond["all_invertible_inside"]:
-        return Verdict(
-            HYPOTHESIS_NOT_MET,
-            {**info, "stranded_unit": cond["counterexample"]},
-            "ambient unit %s is not invertible inside the subring, so the "
-            "descent hypothesis fails" % cond["counterexample"])
     ambient_arch = is_archimedean(ambient, side)
     sub_arch = is_archimedean(sub, side)
     if ambient_arch.status != HOLDS:
@@ -842,9 +836,11 @@ def rigidity_decomposition_verdict(endo: Endo) -> Verdict:
 def twisted_power_product_equivalence(ring, endo: Endo, seed: int = 0) -> Verdict:
     """Under a rigid twist, a product of twisted powers
     twist^t1(a1^k1) * ... * twist^tn(an^kn) with every exponent >= 1
-    vanishes exactly when the plain product of the bases vanishes in every
-    arrangement.  Exponent zero would insert a unity factor and break the
-    equivalence, so exponents start at 1.
+    vanishes exactly when the plain product a1 * ... * an of the bases
+    vanishes.  Exponent zero would insert a unity factor and break the
+    equivalence, so exponents start at 1.  The coefficient ring is
+    commutative, so the bases' arrangement does not change the plain
+    product, which is taken once, in tuple order.
 
     On a finite ring every zero test goes through rings.zero_keys: masks
     under & where the ring has a zero pattern, else values under k_mul.
@@ -902,19 +898,10 @@ def twisted_power_product_equivalence(ring, endo: Endo, seed: int = 0) -> Verdic
         if violation:
             break
         for tup in itertools.product(vals, repeat=n):
-            perm_flags = set()
-            for perm in itertools.permutations(tup):
-                acc = base_key[perm[0]]
-                for x in perm[1:]:
-                    acc = times(acc, base_key[x])
-                perm_flags.add(acc == zero)
-            if len(perm_flags) > 1:
-                violation = {
-                    "bases": [ring.text_of_v(a) for a in tup],
-                    "kind": "arrangement asymmetry",
-                }
-                break
-            rhs_zero = perm_flags.pop()
+            acc = base_key[tup[0]]
+            for x in tup[1:]:
+                acc = times(acc, base_key[x])
+            rhs_zero = acc == zero
             reach = entries[tup[0]]
             for a in tup[1:]:
                 reach = {times(r, e) for r in reach for e in entries[a]}
@@ -1003,18 +990,10 @@ def _scope_power_product_equivalence(ring, endo: Endo, rig, seed: int) -> Verdic
         acc = wide.one_v
         for v, k, t in zip(lifted, ks, ts):
             acc = wide.k_mul(acc, wendo.power_apply_v(t, wide.k_pow(v, k)))
-        plain_zero = None
-        for perm in itertools.permutations(lifted):
-            p = wide.one_v
-            for v in perm:
-                p = wide.k_mul(p, v)
-            flag = p == zero
-            if plain_zero is None:
-                plain_zero = flag
-            elif plain_zero != flag:
-                return Verdict(FAILS,
-                               {"bases": [ring.text_of_v(v) for v in tup]},
-                               "arrangement asymmetry in the widened model")
+        plain = wide.one_v
+        for v in lifted:
+            plain = wide.k_mul(plain, v)
+        plain_zero = plain == zero
         checked += 1
         if (acc == zero) != plain_zero:
             witness = {"bases": [ring.text_of_v(v) for v in tup],

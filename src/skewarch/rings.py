@@ -47,7 +47,6 @@ from typing import Optional
 
 ENUMERATION_CAP = 65_536       # refuse to materialize finite rings beyond this
 SCOPE_ENUMERATION_BUDGET = 200_000   # truncated-model scans shrink support to fit
-SUBRING_CLOSURE_CAP = 65_536
 NILPOTENT_BOUND = 16           # highest power a truncated-model replay tries
 UNIT_PAIR_BUDGET = 1 << 20     # pairs a scan may visit, unless it names a budget
 
@@ -517,6 +516,15 @@ class RingHandle:
         return "truncated-model" if self.truncated else self.card
 
 
+def require_finite(rings, message: str, error=RingConstructionError):
+    """Raise error(message) when one of the rings is a truncated model.
+    Every construction that lists the values of a part (a product factor,
+    a subring or quotient parent, a series base, a table twist's ring)
+    refuses a truncated one here."""
+    if any(r.truncated for r in rings):
+        raise error(message)
+
+
 class ZmodRing(RingHandle):
     kind = "zmod"
 
@@ -698,8 +706,7 @@ class ProductRing(RingHandle):
     def __init__(self, spec: ProductSpec, factors):
         self.spec = spec
         self.factors = factors
-        if any(f.truncated for f in factors):
-            raise RingConstructionError("product factors must be finite rings")
+        require_finite(factors, "product factors must be finite rings")
         self.card = 1
         for f in factors:
             self.card *= f.card
@@ -747,8 +754,7 @@ class ProductRing(RingHandle):
 def _generator_values(ring, spec, parent) -> list:
     """The generators of a subring or quotient spec as parent values.
     Both list the parent's values, so the parent must be finite."""
-    if parent.truncated:
-        raise RingConstructionError("%s parent must be a finite ring" % ring.kind)
+    require_finite((parent,), "%s parent must be a finite ring" % ring.kind)
     return [parent.v_of_text(g) for g in spec.gens]
 
 
@@ -764,9 +770,6 @@ def _additive_group(parent, members: set, gens) -> set:
         while c not in members:
             members.update([parent.k_add(h, c) for h in base])
             c = parent.k_add(c, g)
-        if len(members) > SUBRING_CLOSURE_CAP:
-            raise RingConstructionError("closure exceeds %d elements"
-                                        % SUBRING_CLOSURE_CAP)
     return members
 
 
@@ -988,8 +991,7 @@ class TruncSeriesRing(TruncatedModel):
     kind = "tser"
 
     def __init__(self, spec: TruncSeriesSpec, base):
-        if base.truncated:
-            raise RingConstructionError("tser base must be a finite ring")
+        require_finite((base,), "tser base must be a finite ring")
         self.spec = spec
         self.base = base
         self.precision = spec.precision
@@ -1048,9 +1050,6 @@ class TruncSeriesRing(TruncatedModel):
 
     def lift_v(self, v, wide):
         return tuple(v) + (self.base.zero_v,) * (wide.precision - self.precision)
-
-    def sort_key_v(self, v):
-        return tuple(self.base.sort_key_v(c) for c in v)
 
     def text_of_v(self, v):
         return "[%s]" % ",".join(self.base.text_of_v(c) for c in v)
@@ -1153,10 +1152,6 @@ class XYQuotientRing(TruncatedModel):
         lift = self.series.lift_v
         return lift(v[0], wide.series), lift(v[1], wide.series)
 
-    def sort_key_v(self, v):
-        key = self.series.sort_key_v
-        return key(v[0]), key(v[1])
-
     def text_of_v(self, v):
         text = self.field.text_of_v
         return "(%s;[%s];[%s])" % (text(v[0][0]), ",".join(map(text, v[0][1:])),
@@ -1198,12 +1193,12 @@ def construct_ring(spec) -> RingHandle:
     Construction checks what a spec can get wrong and raises
     RingConstructionError there: a malformed spec or a reducible gf
     modulus (parse_ring_spec), a finite ring past ENUMERATION_CAP
-    (RingHandle.__init__, before a field builds its tables), a subring
-    closure past SUBRING_CLOSURE_CAP, a quotient by an ideal containing
-    1, and a part or precision a construction refuses (zmod:1, a
-    truncated model as a factor, parent or base, xyq with N < 2).  A spec
-    that passes builds a ring, so no ring law is sampled here;
-    tests/test_ring_laws.py checks the laws of every kind."""
+    (RingHandle.__init__, before a field builds its tables), a quotient
+    by an ideal containing 1, and a part or precision a construction
+    refuses (zmod:1, a truncated model as a factor, parent or base,
+    refused by require_finite; xyq with N < 2).  A spec that passes
+    builds a ring, so no ring law is sampled here; tests/test_ring_laws.py
+    checks the laws of every kind."""
     if isinstance(spec, str):
         spec = parse_ring_spec(spec)
     key = spec_to_text(spec)
@@ -1510,11 +1505,19 @@ def is_domain(ring) -> DomainResult:
     return DomainResult(True, None, dom.exact, dom.note("pair scan"))
 
 
+def _spec_gens(ring, kind: str, texts) -> tuple:
+    """Generator texts of a sub or quot spec over ring, each once, in the
+    ring's value order.  That order lists the ring's values, so a
+    truncated ring is refused first, as construction refuses it."""
+    require_finite((ring,), "%s parent must be a finite ring" % kind)
+    return tuple(sorted(set(texts), key=lambda t: ring.sort_key_v(ring.v_of_text(t))))
+
+
 def subring_generated(ring, gens):
     """Closure of {0, 1, gens} under ring operations.  Returns the subring
     handle, the embedding into the ambient ring, and a unit-condition report
-    saying whether every ambient unit lying in the subring is invertible
-    inside the subring."""
+    listing the ambient units that lie in the subring.  Each is a unit of
+    the subring too: a unit of a finite ring has a power for its inverse."""
     texts = []
     for g in gens:
         if isinstance(g, Element):
@@ -1523,27 +1526,15 @@ def subring_generated(ring, gens):
             texts.append(g.text)
         else:
             texts.append(ring.from_text(g).text)
-    canon = sorted(set(texts), key=lambda t: ring.sort_key_v(ring.v_of_text(t)))
-    sub = construct_ring(SubringSpec(ring.spec, tuple(canon)))
+    sub = construct_ring(SubringSpec(ring.spec, _spec_gens(ring, "sub", texts)))
 
     def embed(e: Element) -> Element:
         if e.ring != sub:
             raise RingMismatchError("element not in the subring")
         return Element(ring, e.v)
 
-    ambient_unit_texts = set(units(ring).texts())
-    sub_unit_texts = set(units(sub).texts())
-    shared = sorted(
-        (t for t in (e.text for e in sub.elements()) if t in ambient_unit_texts),
-        key=lambda t: ring.sort_key_v(ring.v_of_text(t)),
-    )
-    stranded = [t for t in shared if t not in sub_unit_texts]
-    unit_condition = {
-        "ambient_units_in_subring": shared,
-        "all_invertible_inside": not stranded,
-        "counterexample": stranded[0] if stranded else None,
-    }
-    return sub, embed, unit_condition
+    shared = [e.text for e in sub.elements() if ring.has_inverse_v(e.v)]
+    return sub, embed, {"ambient_units_in_subring": shared}
 
 
 def quotient_by_ideal(ring, ideal):
@@ -1554,8 +1545,7 @@ def quotient_by_ideal(ring, ideal):
     else:
         gens = [g.text if isinstance(g, Element) else ring.from_text(g).text
                 for g in ideal]
-    canon = sorted(set(gens), key=lambda t: ring.sort_key_v(ring.v_of_text(t)))
-    quo = construct_ring(QuotientSpec(ring.spec, tuple(canon)))
+    quo = construct_ring(QuotientSpec(ring.spec, _spec_gens(ring, "quot", gens)))
 
     def project(e: Element) -> Element:
         if e.ring != ring:

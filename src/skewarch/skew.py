@@ -105,11 +105,6 @@ class SkewPoly:
                         window_mul(self.ring, self.coeffs, other.coeffs, limit,
                                    _twist(self.endo)))
 
-    def __pow__(self, n: int):
-        if n == 0:
-            return SkewPoly.constant(self.ring, self.endo, self.ring.one_v)
-        return self.power(n)
-
     def power(self, k: int):
         """self^k for k >= 1, each power the previous one times self.
         Computed on first request and kept, so procedures that walk the

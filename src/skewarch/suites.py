@@ -77,12 +77,6 @@ def _vtext(ring, v) -> str:
     return ring.text_of_v(v)
 
 
-def _finite_only(statement: str) -> Verdict:
-    return Verdict(HYPOTHESIS_NOT_MET,
-                   {"unmet": ["finite coefficient ring"]},
-                   "%s needs an enumerable coefficient ring" % statement)
-
-
 def _law_failure(ring, law: str, values) -> Verdict:
     witness = {"law": law}
     for name, v in values:
@@ -188,8 +182,6 @@ def _suite_lemma_2_3(entry, ring, endo, config: RunConfig) -> Verdict:
 
 
 def _suite_prop_2_2(entry, ring, endo, config: RunConfig) -> Verdict:
-    if ring.truncated:
-        return _finite_only("subring descent").tagged(TAG_SUBRING_DESCENT)
     # degenerate inclusion: the unital subring generated by nothing,
     # re-enumerated; descent and the unit condition must still check out
     v = subring_inheritance_check(ring, (), "right")
@@ -197,9 +189,6 @@ def _suite_prop_2_2(entry, ring, endo, config: RunConfig) -> Verdict:
 
 
 def _suite_remark_2_4(entry, ring, endo, config: RunConfig) -> Verdict:
-    if ring.truncated:
-        return _finite_only("regular/division dichotomy").tagged(
-            TAG_REGULAR_DIVISION)
     out = regular_ring_division_check(ring, "right")
     agg = out["aggregate"]
     witness = {
@@ -365,8 +354,6 @@ _SEVERITY = {HOLDS: 0, HOLDS_BY_THEOREM: 0, HYPOTHESIS_NOT_MET: 1,
 
 
 def _suite_prop_4_7(entry, ring, endo, config: RunConfig) -> Verdict:
-    if ring.truncated:
-        return _finite_only("quotient gluing").tagged(TAG_QUOTIENT_GLUE)
     pair = first_incomparable_principal_pair(ring)
     if pair is None:
         return Verdict(HYPOTHESIS_NOT_MET,
@@ -520,12 +507,27 @@ _RUNNERS = {
 }
 
 
+# statements about rings whose values can be listed: suite id ->
+# (statement, tag); on a truncated model their hypothesis is unmet
+_FINITE_ONLY = {
+    "prop-2-2": ("subring descent", TAG_SUBRING_DESCENT),
+    "remark-2-4": ("regular/division dichotomy", TAG_REGULAR_DIVISION),
+    "prop-4-7": ("quotient gluing", TAG_QUOTIENT_GLUE),
+}
+
+
 def run_one(entry, suite_id: str, config: RunConfig) -> dict:
     """Run one suite on one registry entry and shape the report."""
     if suite_id not in _RUNNERS:
         raise KeyError("unknown suite id: %r" % suite_id)
     ring, endo = entry.build()
-    v = _RUNNERS[suite_id](entry, ring, endo, config)
+    if ring.truncated and suite_id in _FINITE_ONLY:
+        statement, tag = _FINITE_ONLY[suite_id]
+        v = Verdict(HYPOTHESIS_NOT_MET, {"unmet": ["finite coefficient ring"]},
+                    "%s needs an enumerable coefficient ring" % statement,
+                    (tag,))
+    else:
+        v = _RUNNERS[suite_id](entry, ring, endo, config)
     return {
         "entry": entry.id,
         "suite": suite_id,

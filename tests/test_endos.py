@@ -214,6 +214,16 @@ def test_table_endo_must_fix_unity(tmp_path):
     assert err.value.witness == {"law": "unity"}
 
 
+def test_table_endo_refuses_a_truncated_model(tmp_path):
+    ring = construct_ring("tser(zmod:2,N=4)")
+    f = tmp_path / "identity.map"
+    _write_table(f, [(ring.text_of_v(v), ring.text_of_v(v))
+                     for v in ring.scope_values()])
+    with pytest.raises(EndoValidationError) as err:
+        build_endo(ring, "endo:table:%s" % f)
+    assert str(err.value) == "endo:table needs a finite ring"
+
+
 # ---------------------------------------------------------------------------
 # grammar
 

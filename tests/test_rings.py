@@ -238,8 +238,8 @@ def test_subring_generated_helper_matches_spec_parse():
     # (1,0) together with unity generates everything
     assert handle.card == 4
     assert embed(handle.from_text("(1,0)")).text == "(1,0)"
-    assert cond["all_invertible_inside"] is True
     assert cond["ambient_units_in_subring"] == ["(1,1)"]
+    assert units(handle).texts() == cond["ambient_units_in_subring"]
 
 
 def test_subring_unit_condition_always_holds_in_finite_rings():
@@ -248,8 +248,8 @@ def test_subring_unit_condition_always_holds_in_finite_rings():
     ambient = construct_ring("zmod:8")
     handle, _, cond = subring_generated(ambient, [])
     assert handle.card == 8
-    assert cond["all_invertible_inside"] is True
-    assert cond["counterexample"] is None
+    assert units(handle).texts() == cond["ambient_units_in_subring"]
+    assert cond["ambient_units_in_subring"] == ["1", "3", "5", "7"]
 
 
 def test_quotient_of_z12_by_6_is_z6():
@@ -404,15 +404,35 @@ def test_construct_ring_is_memoized():
 
 def test_construction_failures():
     for bad in ["zmod:1", "zmod:0", "gf:6:1", "xyq:gf:2:1", "xyq:zmod:4:N=8",
-                "prod(zmod:2)", "mystery:5", "tser(tser(zmod:2,N=4),N=4)",
-                "quot(tser(zmod:2,N=4);2)", "sub(tser(zmod:2,N=40);[0,1])",
-                "xyq:gf:2:1:N=1",
+                "prod(zmod:2)", "mystery:5", "xyq:gf:2:1:N=1",
                 # finite but beyond the enumeration cap
                 "zmod:70000", "prod(zmod:300,zmod:300)",
                 # an ideal that contains 1: zero would equal one
                 "quot(zmod:6;1)", "quot(prod(zmod:2,zmod:3);(1,1))"]:
         with pytest.raises(RingConstructionError):
             construct_ring(bad)
+    # a truncated model as a part: each construction keeps its own message
+    for bad, message in [
+            ("prod(tser(zmod:2,N=4),zmod:2)", "product factors must be finite rings"),
+            ("prod(xyq:gf:2:1:N=4,zmod:2)", "product factors must be finite rings"),
+            ("tser(tser(zmod:2,N=4),N=4)", "tser base must be a finite ring"),
+            ("sub(tser(zmod:2,N=40);[0,1])", "sub parent must be a finite ring"),
+            ("quot(tser(zmod:2,N=4);2)", "quot parent must be a finite ring")]:
+        with pytest.raises(RingConstructionError) as err:
+            construct_ring(bad)
+        assert str(err.value) == message
+
+
+def test_helpers_refuse_a_truncated_parent_before_sorting_generators():
+    # the generators are put in the parent's value order, which a
+    # truncated model does not have; the refusal is construction's own
+    ring = construct_ring("tser(zmod:2,N=4)")
+    with pytest.raises(RingConstructionError) as err:
+        subring_generated(ring, ["[0,1]", "[1,1]"])
+    assert str(err.value) == "sub parent must be a finite ring"
+    with pytest.raises(RingConstructionError) as err:
+        quotient_by_ideal(ring, ["[0,1]", "[1,1]"])
+    assert str(err.value) == "quot parent must be a finite ring"
 
 
 def test_cross_ring_arithmetic_rejected():
