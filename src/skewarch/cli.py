@@ -16,8 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .endos import EndoValidationError
 from .registry import (ENTRIES, FORMATS, RunConfig, find_entry,
                        startup_self_check)
-from .reports import (render_json, render_list_json, render_list_text,
-                      render_report_text, render_text)
+from .reports import render_json, render_list_json, render_list_text, render_text
 from .rings import RingConstructionError
 from .suites import SUITE_IDS, report_contradicts_predictions, run_one
 
@@ -165,11 +164,7 @@ def main(argv=None) -> int:
             if any(report_contradicts_predictions(e, r)
                    for (e, _), r in zip(cells, reports))
             else EXIT_OK)
-    if args.command == "explain":
-        for r in reports:
-            sys.stdout.write(render_report_text(r))
-        return code
-    if config.format == "json":
+    if args.command == "run" and config.format == "json":
         sys.stdout.write(render_json(reports, config))
     else:
         sys.stdout.write(render_text(reports))

@@ -50,7 +50,10 @@ class EndoValidationError(ValueError):
 class Endo:
     """A ring endomorphism with cached powers: a built-in map whose ring
     kind fits, or a table read from a file whose laws build_endo has
-    checked."""
+    checked.  Each subclass defines apply_v.  A truncated model accepts
+    only the identity and endo:xsq (frob needs gf, diag needs prod, and
+    a table needs a finite ring), so only those two define on_widened
+    and degree_bound, which act on a truncated model's values."""
 
     def __init__(self, ring, name: str):
         self.ring = ring
@@ -70,9 +73,6 @@ class Endo:
     def __repr__(self):
         return "<%s on %s>" % (self.text, self.ring.spec_text)
 
-    def apply_v(self, v):
-        raise NotImplementedError
-
     def power_apply_v(self, t: int, v):
         """Apply the t-th power of the map: one value map per power, built
         on first use and kept.  Only finite rings get here; the twists a
@@ -91,16 +91,6 @@ class Endo:
     def apply(self, e: Element) -> Element:
         return Element(self.ring, self.apply_v(e.v))
 
-    def on_widened(self, wide_ring):
-        """The same structural rule on a widened copy of a truncated ring."""
-        raise EndoValidationError("%s cannot be widened" % self.text)
-
-    def degree_bound(self, t: int, dx: int, dy: int):
-        """Degree bounds (x-part, y-part) of a value with bounds (dx, dy)
-        after t applications of the map; None when the growth is
-        unknown."""
-        return (dx, dy) if t == 0 else None
-
 
 class IdentityEndo(Endo):
     def __init__(self, ring):
@@ -110,9 +100,12 @@ class IdentityEndo(Endo):
         return v
 
     def on_widened(self, wide_ring):
+        """The same map on a widened copy of a truncated ring."""
         return IdentityEndo(wide_ring)
 
     def degree_bound(self, t: int, dx: int, dy: int):
+        """Degree bounds (x-part, y-part) of a value with bounds (dx, dy)
+        after t applications of the map."""
         return dx, dy
 
 

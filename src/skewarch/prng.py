@@ -58,9 +58,9 @@ def fnv1a64(text: str) -> int:
     return h
 
 
-def derive_rng(master_seed: int, label: str) -> SplitMix64:
-    """Independent stream for a labelled task under one master seed."""
-    return SplitMix64((master_seed & MASK64) ^ fnv1a64(label))
+def derive_rng(master_seed: int, task: str) -> SplitMix64:
+    """Independent stream for a named task under one master seed."""
+    return SplitMix64((master_seed & MASK64) ^ fnv1a64(task))
 
 
 # Fixed seed for the sampled law check of a table twist (endos).

@@ -399,11 +399,10 @@ class Element:
 class SubsetHandle:
     """An explicit subset of a finite ring, kept in enumeration order."""
 
-    def __init__(self, ring, values, label: str = ""):
+    def __init__(self, ring, values):
         self.ring = ring
         self.members = frozenset(values)
         self.vals = tuple(sorted(self.members, key=ring.sort_key_v))
-        self.label = label
 
     def __contains__(self, item):
         v = item.v if isinstance(item, Element) else item
@@ -470,28 +469,18 @@ class RingHandle:
     # -- enumeration
 
     def values(self):
-        if self.truncated:
-            raise NonEnumerableError("%s is a truncated model; use scope_values"
-                                     % self.spec_text)
         if self._values is None:
             self._values = list(self._enumerate())
             self._index = {v: i for i, v in enumerate(self._values)}
         return self._values
 
-    def index_of_v(self, v) -> int:
+    def sort_key_v(self, v) -> int:
+        """The index of v in the value listing."""
         self.values()
         return self._index[v]
 
-    def sort_key_v(self, v):
-        return self.index_of_v(v)
-
     # -- units: each class has a rule for is_unit_v (inverse or None) and
     # has_inverse_v (whether a unit), and computes no pair scan
-
-    def inner_order(self, v) -> Optional[int]:
-        """Least degree of a nonzero coefficient of a truncated-model value;
-        None for zero.  Finite ring elements count as order 0 when nonzero."""
-        return None if v == self.zero_v else 0
 
     # -- element-level conveniences
 
@@ -844,7 +833,7 @@ class QuotientRing(RingHandle):
         for g in gens:
             if g not in ideal:   # else R*g lies in the ideal so far
                 _additive_group(parent, ideal, (parent.k_mul(r, g) for r in vals))
-        self.ideal = SubsetHandle(parent, ideal, "ideal")
+        self.ideal = SubsetHandle(parent, ideal)
         rep, self._unit_lifts = {}, {}   # unit coset -> a parent unit in it
         for a in vals:
             if a in rep:
@@ -962,6 +951,12 @@ class TruncatedModel(RingHandle):
     truncated = True
     zero_mask_v = None       # no zero pattern (see zero_pattern)
 
+    def values(self):
+        raise NonEnumerableError("%s is a truncated model: it has no value "
+                                 "listing; derived_archimedean decides its "
+                                 "Archimedean property, and scope_values "
+                                 "lists its scope" % self.spec_text)
+
     @property
     def scope(self) -> int:
         return self.precision // 2
@@ -1031,6 +1026,7 @@ class TruncSeriesRing(TruncatedModel):
         return tuple(out)
 
     def inner_order(self, v) -> Optional[int]:
+        """Least degree of a nonzero coefficient; None for zero."""
         return first_nonzero(v, self.base.zero_v)
 
     def block_degrees(self, v):
@@ -1239,13 +1235,12 @@ def require_budget(ring, scan: str, count: int, budget: int = UNIT_PAIR_BUDGET):
 
 @memo
 def units(ring) -> SubsetHandle:
-    return SubsetHandle(ring, [v for v in ring.values() if ring.has_inverse_v(v)],
-                        "units")
+    return SubsetHandle(ring, [v for v in ring.values() if ring.has_inverse_v(v)])
 
 
 def nonunits(ring) -> SubsetHandle:
     u = units(ring).members
-    return SubsetHandle(ring, [v for v in ring.values() if v not in u], "nonunits")
+    return SubsetHandle(ring, [v for v in ring.values() if v not in u])
 
 
 def is_unit(ring, a: Element):
@@ -1297,18 +1292,17 @@ def is_nilpotent(ring, a: Element) -> NilpotenceResult:
                             "no zero power within bound %d at scope" % NILPOTENT_BOUND)
 
 
-@memo
-def zero_divisors(ring, side: str = "right") -> SubsetHandle:
-    """Right zero-divisors: a with b*a = 0 for some b != 0 (zero included).
-    side="left" mirrors.  Both are the nonunits: a finite ring is
-    Dedekind-finite, so r -> r*a (or a*r) is injective iff a is a unit."""
-    return SubsetHandle(ring, nonunits(ring).vals, "zero-divisors-%s" % side)
+def zero_divisors(ring) -> SubsetHandle:
+    """The zero-divisors: a with b*a = 0 for some b != 0 (zero included).
+    The ring is commutative, so left and right are one set, and it is the
+    nonunits: a finite ring is Dedekind-finite, so r -> r*a is injective
+    iff a is a unit."""
+    return nonunits(ring)
 
 
 @memo
 def idempotents(ring) -> SubsetHandle:
-    return SubsetHandle(ring, [v for v in ring.values()
-                               if ring.k_mul(v, v) == v], "idempotents")
+    return SubsetHandle(ring, [v for v in ring.values() if ring.k_mul(v, v) == v])
 
 
 @memo
@@ -1326,7 +1320,7 @@ def jacobson_radical(ring) -> SubsetHandle:
     """The nilpotent values.  A finite commutative ring is Artinian, so its
     radical is nil and equals the nilradical (Lam, A First Course in
     Noncommutative Rings)."""
-    return SubsetHandle(ring, nilpotent_values(ring), "jacobson-radical")
+    return SubsetHandle(ring, nilpotent_values(ring))
 
 
 @memo
@@ -1364,10 +1358,10 @@ def zero_keys(ring):
     return pattern, operator.and_, 0
 
 
-def principal_power_chain(ring, a: Element, side: str = "right"):
-    """Descending sets R*a^n (side="right") or a^n*R (side="left"),
-    stopping at the first repeat.  The ring is commutative, so both sides
-    give the same sets.  Returns (chain, stabilized set)."""
+def principal_power_chain(ring, a: Element):
+    """Descending sets R*a^n, stopping at the first repeat.  The ring is
+    commutative, so R*a^n = a^n*R and one chain serves both sides.
+    Returns (chain, stabilized set)."""
     vals = ring.values()
     chain = []
     power = a.v
@@ -1376,8 +1370,7 @@ def principal_power_chain(ring, a: Element, side: str = "right"):
         cur = frozenset(ring.k_mul(r, power) for r in vals)
         if prev is not None and cur == prev:
             break
-        handle = SubsetHandle(ring, cur, "%s^%d" % (a.text, len(chain) + 1))
-        chain.append(handle)
+        chain.append(SubsetHandle(ring, cur))
         prev = cur
         power = ring.k_mul(power, a.v)
         if len(chain) > len(vals) + 1:

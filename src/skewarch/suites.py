@@ -73,14 +73,10 @@ REPORT_FIELDS = ("entry", "suite", "status", "witness", "certificate",
 # shared helpers
 
 
-def _vtext(ring, v) -> str:
-    return ring.text_of_v(v)
-
-
 def _law_failure(ring, law: str, values) -> Verdict:
     witness = {"law": law}
     for name, v in values:
-        witness[name] = _vtext(ring, v)
+        witness[name] = ring.text_of_v(v)
     return Verdict(FAILS, witness, "exact arithmetic law violated: %s" % law)
 
 
@@ -128,7 +124,7 @@ def _suite_arithmetic(entry, ring, endo, config: RunConfig) -> Verdict:
         rhs = SkewPoly(ring, endo, [ring.zero_v, endo.apply_v(a)])
         if lhs != rhs:
             return Verdict(FAILS,
-                           {"law": "twist law", "a": _vtext(ring, a),
+                           {"law": "twist law", "a": ring.text_of_v(a),
                             "x*a": lhs.to_text(), "twist(a)*x": rhs.to_text()},
                            "x*a must equal twist(a)*x in the polynomial "
                            "model")
@@ -166,7 +162,7 @@ def _suite_lemma_2_3(entry, ring, endo, config: RunConfig) -> Verdict:
                       and v not in (ring.zero_v, ring.one_v)]
         if nontrivial:
             return Verdict(
-                FAILS, {"e": _vtext(ring, nontrivial[0])},
+                FAILS, {"e": ring.text_of_v(nontrivial[0])},
                 "derived chain condition contradicted by a nontrivial "
                 "idempotent").tagged(TAG_ARCH_CONSEQUENCES)
         return Verdict(
@@ -224,8 +220,7 @@ def _suite_cor_3_2(entry, ring, endo, config: RunConfig) -> Verdict:
     return v.tagged(TAG_POLY_RADICAL)
 
 
-def _poly_side_suite(entry, ring, endo, config: RunConfig,
-                     side: str) -> Verdict:
+def _poly_side_suite(ring, endo, config: RunConfig, side: str) -> Verdict:
     tag = TAG_POLY_RIGHT if side == "right" else TAG_POLY_LEFT
     cond = poly_ring_conditions(ring, endo, side)
     statuses = {k: (p.get("status") or
@@ -275,11 +270,11 @@ def _poly_side_suite(entry, ring, endo, config: RunConfig,
 
 
 def _suite_thm_3_3(entry, ring, endo, config: RunConfig) -> Verdict:
-    return _poly_side_suite(entry, ring, endo, config, "right")
+    return _poly_side_suite(ring, endo, config, "right")
 
 
 def _suite_thm_3_4(entry, ring, endo, config: RunConfig) -> Verdict:
-    return _poly_side_suite(entry, ring, endo, config, "left")
+    return _poly_side_suite(ring, endo, config, "left")
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +296,8 @@ def _suite_lemma_4_3(entry, ring, endo, config: RunConfig) -> Verdict:
     return v.tagged(TAG_PRODUCT_COLLAPSE)
 
 
-def _series_side_suite(entry, ring, endo, config: RunConfig,
-                       side: str, tag: str) -> Verdict:
+def _series_side_suite(ring, endo, config: RunConfig, side: str,
+                       tag: str) -> Verdict:
     cond = series_ring_conditions(ring, endo, side)
     fv = archimedean_falsifier(ring, endo, precision=config.precision,
                                depth=config.depth, budget=config.budget,
@@ -323,13 +318,11 @@ def _series_side_suite(entry, ring, endo, config: RunConfig,
 
 
 def _suite_thm_4_4(entry, ring, endo, config: RunConfig) -> Verdict:
-    return _series_side_suite(entry, ring, endo, config, "right",
-                              TAG_SERIES_RIGHT)
+    return _series_side_suite(ring, endo, config, "right", TAG_SERIES_RIGHT)
 
 
 def _suite_thm_4_5(entry, ring, endo, config: RunConfig) -> Verdict:
-    return _series_side_suite(entry, ring, endo, config, "left",
-                              TAG_SERIES_LEFT)
+    return _series_side_suite(ring, endo, config, "left", TAG_SERIES_LEFT)
 
 
 def _suite_cor_4_6(entry, ring, endo, config: RunConfig) -> Verdict:
@@ -340,8 +333,7 @@ def _suite_cor_4_6(entry, ring, endo, config: RunConfig) -> Verdict:
     sides = {}
     worst = None
     for side in ("right", "left"):
-        v = _series_side_suite(entry, ring, endo, config, side,
-                               TAG_SERIES_UNTWISTED)
+        v = _series_side_suite(ring, endo, config, side, TAG_SERIES_UNTWISTED)
         sides[side] = {"status": v.status, "witness": v.witness}
         if worst is None or _SEVERITY[v.status] > _SEVERITY[worst.status]:
             worst = v
@@ -400,9 +392,9 @@ def _suite_examples(entry, ring, endo, config: RunConfig) -> Verdict:
     xv, yv = ring.x_v(1), ring.y_v(1)
     prod = ring.k_mul(xv, yv)
     if prod != ring.zero_v:
-        return Verdict(FAILS, {"x*y": _vtext(ring, prod)},
+        return Verdict(FAILS, {"x*y": ring.text_of_v(prod)},
                        "defining relation x*y = 0 violated")
-    checks["not_domain"] = {"x": _vtext(ring, xv), "y": _vtext(ring, yv),
+    checks["not_domain"] = {"x": ring.text_of_v(xv), "y": ring.text_of_v(yv),
                             "x*y": "0"}
     rig = is_rigid(endo)
     pnu = preserves_nonunits(endo)
@@ -427,7 +419,7 @@ def _suite_examples(entry, ring, endo, config: RunConfig) -> Verdict:
             b = pool[rng.below(len(pool))]
             if ring.k_mul(a, b) != ring.k_mul(b, a):
                 return Verdict(FAILS,
-                               {"a": _vtext(ring, a), "b": _vtext(ring, b)},
+                               {"a": ring.text_of_v(a), "b": ring.text_of_v(b)},
                                "commutativity broken in the untwisted "
                                "example")
         checks["commutative"] = "yes (200 sampled scope pairs)"

@@ -9,6 +9,9 @@ different classes.  Dunder names are exempt.  The benchmark harness is not searc
 name it uses is also used in src/ or tests/, and its own words (a
 random.Random method, say) could hide a dead name of the same spelling.
 
+Every attribute a package method stores on self must be read as
+`.name` somewhere in src/, tests/ or demos/.
+
 Every name a package module imports must also be used in that module;
 the re-exports of __init__.py are exempt.
 
@@ -79,6 +82,27 @@ def test_every_package_name_is_reached():
                        for name, defs in spans.items() if name not in reached
                        for path in sorted({p for p, _, _ in defs}))
     assert unreached == []
+
+
+def _attributes(tree, ctx):
+    """Each `obj.name` node in tree used in context ctx (ast.Load or
+    ast.Store)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx):
+            yield node
+
+
+def test_every_stored_attribute_is_read():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for top in SEARCHED for path in sorted((ROOT / top).rglob("*.py"))]
+    read = {node.attr for tree in trees for node in _attributes(tree, ast.Load)}
+    unread = sorted(
+        "%s:%d:%s" % (path.name, node.lineno, node.attr)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in _attributes(ast.parse(path.read_text(encoding="utf-8")), ast.Store)
+        if isinstance(node.value, ast.Name) and node.value.id == "self"
+        and node.attr not in read)
+    assert unread == []
 
 
 def test_every_import_is_used():

@@ -35,7 +35,7 @@ def reference_falsifier(ring, endo, precision=16, depth=5, budget=10_000, seed=0
                    len(nus) * ring.card * (ring.card.bit_length() + 1))
     for cv in nus:
         examined += 1
-        chain, stab = principal_power_chain(ring, Element(ring, cv), side)
+        chain, stab = principal_power_chain(ring, Element(ring, cv))
         if stab.members != {ring.zero_v}:
             f0 = next(v for v in stab.vals if v != ring.zero_v)
             g = TruncSeries.constant(ring, endo, cv, precision)
@@ -120,7 +120,7 @@ def reference_falsifier(ring, endo, precision=16, depth=5, budget=10_000, seed=0
             cm = endo.power_apply_v(m, g0) if side == "right" else g0
             if ring.has_inverse_v(cm):
                 continue
-            _, stab = principal_power_chain(ring, Element(ring, cm), side)
+            _, stab = principal_power_chain(ring, Element(ring, cm))
             if stab.members == {ring.zero_v}:
                 admissible = False
                 break

@@ -133,8 +133,8 @@ def test_archimedean_frozen_witnesses():
 
 
 def test_archimedean_rejects_truncated_and_bad_side():
-    # the refusal is values()'s own, raised before any product
-    with pytest.raises(NonEnumerableError, match="truncated model; use scope_values"):
+    # the refusal is TruncatedModel.values()'s, raised before any product
+    with pytest.raises(NonEnumerableError, match="derived_archimedean decides"):
         is_archimedean(construct_ring("xyq:gf:2:1:N=8"))
     with pytest.raises(ValueError):
         is_archimedean(construct_ring("zmod:6"), side="up")

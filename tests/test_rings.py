@@ -82,7 +82,7 @@ def _zn_chain(n, a):
 def test_zmod_predicates_match_integer_oracle(n):
     ring = construct_ring("zmod:%d" % n)
     assert [int(t) for t in units(ring).texts()] == _zn_units(n)
-    assert [int(t) for t in zero_divisors(ring, "right").texts()] == _zn_zero_divisors(n)
+    assert [int(t) for t in zero_divisors(ring).texts()] == _zn_zero_divisors(n)
     assert [int(t) for t in idempotents(ring).texts()] == _zn_idempotents(n)
     assert [int(t) for t in jacobson_radical(ring).texts()] == _zn_jacobson(n)
     for a in range(n):
@@ -95,7 +95,7 @@ def test_zmod_predicates_match_integer_oracle(n):
 def test_zmod_power_chains_match_integer_oracle(n):
     ring = construct_ring("zmod:%d" % n)
     for a in range(n):
-        chain, stab = principal_power_chain(ring, ring.element(a), "right")
+        chain, stab = principal_power_chain(ring, ring.element(a))
         oracle = _zn_chain(n, a)
         assert [[int(t) for t in c.texts()] for c in chain] == oracle
         assert [int(t) for t in stab.texts()] == oracle[-1]
@@ -116,7 +116,7 @@ def test_zmod_arithmetic_matches_integer_oracle():
 def test_zmod_frozen_structure():
     z6 = construct_ring("zmod:6")
     assert units(z6).texts() == ["1", "5"]
-    assert zero_divisors(z6, "right").texts() == ["0", "2", "3", "4"]
+    assert zero_divisors(z6).texts() == ["0", "2", "3", "4"]
     assert idempotents(z6).texts() == ["0", "1", "3", "4"]
     assert jacobson_radical(z6).texts() == ["0"]
     assert is_reduced(z6).reduced
@@ -125,14 +125,14 @@ def test_zmod_frozen_structure():
 
     z8 = construct_ring("zmod:8")
     assert jacobson_radical(z8).texts() == ["0", "2", "4", "6"]
-    chain, stab = principal_power_chain(z8, z8.element(2), "right")
+    chain, stab = principal_power_chain(z8, z8.element(2))
     assert [c.texts() for c in chain] == [["0", "2", "4", "6"], ["0", "4"], ["0"]]
     assert stab.texts() == ["0"]
     r = is_nilpotent(z8, z8.element(2))
     assert r.nilpotent and r.index == 3
 
     z12 = construct_ring("zmod:12")
-    chain, stab = principal_power_chain(z12, z12.element(2), "right")
+    chain, stab = principal_power_chain(z12, z12.element(2))
     assert stab.texts() == ["0", "4", "8"]   # never shrinks to zero
     assert jacobson_radical(z12).texts() == ["0", "6"]
 
@@ -223,7 +223,7 @@ def test_product_ring_componentwise():
 def test_product_of_two_boolean_factors_is_all_idempotent():
     ring = construct_ring("prod(zmod:2,zmod:2)")
     assert idempotents(ring).texts() == ["(0,0)", "(0,1)", "(1,0)", "(1,1)"]
-    assert zero_divisors(ring, "right").texts() == ["(0,0)", "(0,1)", "(1,0)"]
+    assert zero_divisors(ring).texts() == ["(0,0)", "(0,1)", "(1,0)"]
 
 
 def test_prime_subring_of_boolean_product_is_diagonal():

@@ -142,7 +142,7 @@ def oracle_archimedean(ring, side):
     nu = [v for v in ring.values() if v not in umap]
     for v in nu:
         a = ring.element(v)
-        chain, stab = principal_power_chain(ring, a, side)
+        chain, stab = principal_power_chain(ring, a)
         if set(stab.vals) != {ring.zero_v}:
             return ("fails", {"a": a.text, "stabilized": stab.texts()},
                     "principal power chain of %s stabilizes at {%s} after %d "
@@ -192,8 +192,7 @@ def check_radical(ring):
 
 def check_zero_divisors(ring):
     for side in ("right", "left"):
-        assert list(zero_divisors(ring, side).vals) == \
-            oracle_zero_divisors(ring, side)
+        assert list(zero_divisors(ring).vals) == oracle_zero_divisors(ring, side)
 
 
 def check_domain(ring):
@@ -280,7 +279,7 @@ def test_zero_divisors_of_a_product_take_few_products():
     factors = (ZmodRing(spec.factors[0]), GaloisFieldRing(spec.factors[1]))
     ring = ProductRing(spec, factors)
     calls = counting(ring, *factors)
-    assert len(zero_divisors(ring, "right")) == 256 - 8 * 15
+    assert len(zero_divisors(ring)) == 256 - 8 * 15
     assert calls[0] <= 1_000
 
 
