@@ -924,8 +924,10 @@ def window_mul(ring, xs, ys, limit: int, twist=None) -> list:
 def window_inverse(ring, g, twist=None) -> Optional[list]:
     """The window h, as long as g, with window_mul(ring, g, h, ..., twist)
     = 1, solved degree by degree; None when g's constant term is not a
-    unit.  A one-sided solution: callers that need both sides check the
-    other."""
+    unit.  This right inverse is also a left one: the terms of positive
+    degree span a two-sided ideal, nilpotent in the window, and units
+    lift modulo a nilpotent ideal, so g is a unit, and a one-sided
+    inverse of a unit is its two-sided inverse."""
     g0inv = ring.is_unit_v(g[0])
     if g0inv is None:
         return None

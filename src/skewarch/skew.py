@@ -351,7 +351,12 @@ def _inverse_of_one_plus(g: SkewPoly, precision: int) -> GeometricInverseResult:
     order at least k and the sum is complete at the first k whose window
     is zero: there g^k is zero, read through g.power_is_zero and shared
     with probes of the same powers, or its order has passed the
-    precision."""
+    precision.
+
+    One product closes the check.  g^(N+1) = 0 modulo u^(N+1), so 1 + g
+    is a unit of R[[u; alpha]]/(u^(N+1)), and in an associative ring a
+    right inverse of a unit is its two-sided inverse: (1 + g)*acc = 1
+    gives acc = (1 + g)^-1 * (1 + g)*acc = (1 + g)^-1."""
     ring, endo = g.ring, g.endo
     zero = ring.zero_v
     acc = [ring.one_v] + [zero] * precision
@@ -369,7 +374,7 @@ def _inverse_of_one_plus(g: SkewPoly, precision: int) -> GeometricInverseResult:
     one = SkewPoly.constant(ring, endo, ring.one_v)
     lhs = (one + g).truncate(precision)
     unity = one.truncate(precision)
-    if lhs * acc != unity or acc * lhs != unity:
+    if lhs * acc != unity:
         raise RuntimeError("geometric expansion failed to invert 1 + f*u")
     note = ("power (f*u)^%d vanished exactly" % index if terminated
             else "no exact zero power within the precision window")
@@ -378,7 +383,13 @@ def _inverse_of_one_plus(g: SkewPoly, precision: int) -> GeometricInverseResult:
 
 def series_inverse(g: TruncSeries) -> TruncSeries:
     """Two-sided inverse of a series whose constant term is a unit,
-    computed degree by degree.  Raises ValueError otherwise."""
+    computed degree by degree.  Raises ValueError otherwise.
+
+    window_inverse solves g*h = 1, and the one closing product checks the
+    other side, h*g = 1.  One side is enough: uR[[u; alpha]] is a
+    two-sided ideal, nilpotent modulo u^(N+1), and units lift modulo a
+    nilpotent ideal, so g is a unit because g_0 is.  A left inverse of a
+    unit is its two-sided inverse: h = h*g*g^-1 = g^-1."""
     ring, endo = g.ring, g.endo
     h = window_inverse(ring, g.coeffs, _twist(endo))
     if h is None:
@@ -386,7 +397,7 @@ def series_inverse(g: TruncSeries) -> TruncSeries:
                          % ring.text_of_v(g.coeffs[0]))
     out = TruncSeries(ring, endo, g.precision, h)
     unity = TruncSeries.constant(ring, endo, ring.one_v, g.precision)
-    if g * out != unity or out * g != unity:
+    if out * g != unity:
         raise RuntimeError("series inversion check failed")
     return out
 
