@@ -182,7 +182,10 @@ def _two_variable_quotient_archimedean(ring, side: str) -> Verdict:
     Route: both variable ideals lie in the radical, intersect only at
     zero, and each collapse is the one-variable series model over the
     coefficient field, which is reduced and Archimedean.  A ring with two
-    such ideals inherits the property from the pair of quotients."""
+    such ideals inherits the property from the pair of quotients.  The
+    ring is commutative, so the scans behind the route are one-sided
+    only in name: `_two_variable_scans` runs them once per ring, and the
+    side picks the wording of the steps."""
     F, ser = ring.field, ring.series
     steps = []
 
@@ -194,14 +197,53 @@ def _two_variable_quotient_archimedean(ring, side: str) -> Verdict:
     steps.append("coefficient field %s is reduced and %s-Archimedean "
                  "(exact scans)" % (F.spec_text, side))
 
+    scans = _two_variable_scans(ring)
+    if isinstance(scans, Verdict):
+        return scans
+    scope_checked, products_checked, radical_checked = scans
+    steps.append("the x-multiples and y-multiples intersect only at 0 "
+                 "(block representation; %d scope values checked)"
+                 % scope_checked)
+    steps.append("collapsing either variable block is a multiplicative "
+                 "projection onto the one-variable series model "
+                 "(%d products verified exactly)" % products_checked)
+
+    ser_arch = _series_model_archimedean(ser, side)
+    if ser_arch.status != HOLDS_BY_THEOREM:
+        return Verdict(INCONCLUSIVE, None,
+                       "one-variable collapse did not derive the property")
+    steps.append("each collapse target is reduced and %s-Archimedean "
+                 "(untwisted series over a field)" % side)
+    steps.append("both variable ideals lie in the radical: 1 - r*m keeps "
+                 "constant term 1 and the unit criterion reads only the "
+                 "constant term (%d products checked)" % radical_checked)
+
+    steps.append("conclusion: the model is %s-Archimedean, glued from the "
+                 "two collapses along radical ideals meeting at 0" % side)
+    return Verdict(
+        HOLDS_BY_THEOREM, {"derivation": steps},
+        "derived from the quotient-gluing characterization over the "
+        "radical ideal pair (x-multiples, y-multiples)",
+        (TAG_QUOTIENT_GLUE, TAG_SERIES_UNTWISTED))
+
+
+@memo
+def _two_variable_scans(ring):
+    """The three scans of the two-variable derivation, in its order:
+    the variable blocks meet only at 0 on every scope value; on a
+    stride-48 sample of them plus 1, x, y and x+y, each product is the
+    pair of one-variable series products; and 1 - r*m is a unit for
+    each sampled r and m in {x, y, x^2, y^2}.  None of them reads a
+    side, so both sides' derivations share one run.  Returns the FAILS
+    verdict of the first scan that breaks, else the three counts
+    (scope values, products verified, radical products)."""
+    ser = ring.series
     pool = scan_domain(ring).values
     for v in pool:
         # an x-multiple has y-series 0, a y-multiple x-series 0
         if v[1] == ser.zero_v and v[0] == ser.zero_v and v != ring.zero_v:
             return Verdict(FAILS, {"common": ring.text_of_v(v)},
                            "a nonzero value sits in both variable blocks")
-    steps.append("the x-multiples and y-multiples intersect only at 0 "
-                 "(block representation; %d scope values checked)" % len(pool))
 
     stride = max(1, len(pool) // 48)
     sample = pool[::stride]
@@ -217,16 +259,6 @@ def _two_variable_quotient_archimedean(ring, side: str) -> Verdict:
                                {"u": ring.text_of_v(u), "v": ring.text_of_v(v)},
                                "block collapse failed to respect a product")
             checked += 1
-    steps.append("collapsing either variable block is a multiplicative "
-                 "projection onto the one-variable series model "
-                 "(%d products verified exactly)" % checked)
-
-    ser_arch = _series_model_archimedean(ser, side)
-    if ser_arch.status != HOLDS_BY_THEOREM:
-        return Verdict(INCONCLUSIVE, None,
-                       "one-variable collapse did not derive the property")
-    steps.append("each collapse target is reduced and %s-Archimedean "
-                 "(untwisted series over a field)" % side)
 
     radical_checked = 0
     for m in (ring.x_v(1), ring.y_v(1), ring.x_v(min(2, ring.precision)),
@@ -237,17 +269,7 @@ def _two_variable_quotient_archimedean(ring, side: str) -> Verdict:
                                {"r": ring.text_of_v(r), "m": ring.text_of_v(m)},
                                "a variable multiple escaped the radical")
             radical_checked += 1
-    steps.append("both variable ideals lie in the radical: 1 - r*m keeps "
-                 "constant term 1 and the unit criterion reads only the "
-                 "constant term (%d products checked)" % radical_checked)
-
-    steps.append("conclusion: the model is %s-Archimedean, glued from the "
-                 "two collapses along radical ideals meeting at 0" % side)
-    return Verdict(
-        HOLDS_BY_THEOREM, {"derivation": steps},
-        "derived from the quotient-gluing characterization over the "
-        "radical ideal pair (x-multiples, y-multiples)",
-        (TAG_QUOTIENT_GLUE, TAG_SERIES_UNTWISTED))
+    return len(pool), checked, radical_checked
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +661,14 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
         % (samples, terminated))
 
 
+@memo
 def poly_zero_divisor_probe(ring, endo: Endo, side: str = "right",
                             samples: int = 2000, seed: int = 0) -> Optional[dict]:
     """Sampled hunt for a nonzero pair with b*f = 0 (side="right") or
-    f*b = 0 ("left") in the polynomial model."""
+    f*b = 0 ("left") in the polynomial model.  Kept per ring, twist,
+    side, samples and seed, so the untwisted right probe of cor-3-2 and
+    thm-3-3 is drawn once.  The returned dict is shared: callers build
+    new dicts from it and never change it."""
     _need_side(side)
     rng = derive_rng(seed, "polyzd/%s/%s/%s" % (ring.spec_text, endo.text, side))
     samples = scan_domain(ring).sample_count(samples)

@@ -7,12 +7,15 @@ caches so that no memoized result reaches another test: a kernel that is
 wrong on one pair, or a twist whose map is altered after it was built.
 The suite must then return a report that passes `validate_report`,
 renders as text, and contradicts the predictions (the CLI's exit-1
-condition)."""
+condition).  A fault in the scans of the two-variable derivation is
+read from `derived_archimedean`, whose two sides share those scans."""
 
 from types import SimpleNamespace
 
+import pytest
+
 from skewarch.endos import FrobeniusEndo, IdentityEndo
-from skewarch.props import HOLDS_BY_THEOREM, derived_archimedean
+from skewarch.props import FAILS, HOLDS_BY_THEOREM, derived_archimedean
 from skewarch.registry import RunConfig
 from skewarch.reports import render_report_text, validate_report
 from skewarch.rings import (GaloisFieldRing, XYQuotientRing, ZmodRing, ZmodSpec,
@@ -45,6 +48,23 @@ def test_a_wrong_product_fails_a_ring_law():
                                  "a": "1", "b": "1", "c": "3"}
 
 
+@pytest.mark.parametrize("kernel,pair,value,witness", [
+    ("k_add", (1, 2), 0, {"law": "additive commutativity", "a": "1", "b": "2"}),
+    ("k_mul", (0, 1), 2, {"law": "multiplicative associativity",
+                          "a": "0", "b": "0", "c": "1"}),
+    ("k_add", (2, 3), 0, {"law": "left distributivity",
+                          "a": "2", "b": "2", "c": "3"}),
+], ids=["additive-commutativity", "associativity", "left-distributivity"])
+def test_a_wrong_kernel_value_fails_its_ring_law(kernel, pair, value, witness):
+    # the law loop takes each pair sum and product once, before the
+    # triples; a value wrong in that table must still break its law
+    ring = ZmodRing(ZmodSpec(6))
+    right = getattr(ring, kernel)
+    setattr(ring, kernel, lambda x, y: value if (x, y) == pair else right(x, y))
+    report = run_planted(ring, IdentityEndo(ring), "arithmetic")
+    assert report["witness"] == witness
+
+
 def test_a_twist_altered_after_use_fails_the_twist_law():
     # the product x*a reads the power maps built before the change
     ring = GaloisFieldRing(parse_ring_spec("gf:2:2"))
@@ -74,3 +94,31 @@ def test_a_noncommuting_product_fails_the_untwisted_example():
     a, b = (ring.v_of_text(report["witness"][k]) for k in ("a", "b"))
     assert report["certificate"] == "commutativity broken in the untwisted example"
     assert mul(a, b) != ring.zero_v and a > b
+
+
+def _derivation_fails_alike_on_both_sides(ring, certificate):
+    right = derived_archimedean(ring, "right")
+    assert (right.status, right.certificate) == (FAILS, certificate)
+    left = derived_archimedean(ring, "left")
+    assert (left.status, left.witness) == (FAILS, right.witness)
+    return right.witness
+
+
+def test_a_wrong_block_product_fails_the_two_variable_derivation():
+    ring = fresh_xyq()
+    mul, xy = ring.k_mul, (ring.x_v(1), ring.y_v(1))
+    ring.k_mul = lambda x, y: ring.one_v if (x, y) == xy else mul(x, y)
+    witness = _derivation_fails_alike_on_both_sides(
+        ring, "block collapse failed to respect a product")
+    assert witness == {"u": ring.text_of_v(xy[0]), "v": ring.text_of_v(xy[1])}
+
+
+def test_a_nonunit_one_minus_rm_fails_the_two_variable_derivation():
+    ring = fresh_xyq()
+    is_unit, x = ring.has_inverse_v, ring.x_v(1)
+    wrong = ring.k_sub(ring.one_v, ring.x_v(5))
+    ring.has_inverse_v = lambda v: v != wrong and is_unit(v)
+    witness = _derivation_fails_alike_on_both_sides(
+        ring, "a variable multiple escaped the radical")
+    assert witness["m"] == ring.text_of_v(x)
+    assert ring.k_mul(ring.v_of_text(witness["r"]), x) == ring.x_v(5)
