@@ -2,9 +2,11 @@
 
 Flags: --entry --suite --seed --precision --depth --budget --format
 --jobs.  Each flag has an environment mirror SKEWARCH_<NAME>; explicit
-flags win over the environment.  Exit codes: 0 clean, 1 when a report
-fails where the statements predict success, 2 unknown entry/suite id or
-bad configuration, 3 registry construction failure.
+flags win over the environment, and the environment over the defaults:
+"all" for --entry and --suite, RunConfig's field defaults for the rest.
+Exit codes: 0 clean, 1 when a report fails where the statements predict
+success, 2 unknown entry/suite id or bad configuration, 3 registry
+construction failure.
 """
 
 import argparse
@@ -12,6 +14,7 @@ import itertools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 from .endos import EndoValidationError
 from .registry import (ENTRIES, FORMATS, RunConfig, find_entry,
@@ -79,30 +82,23 @@ def _pick(flag_value, env_name: str, fallback, cast):
 
 def _resolve(args):
     """Merge flags over environment over defaults; returns
-    (entry selector, suite selector, RunConfig) or an error string."""
-    # flags win over environment, environment over built-in defaults
+    (entry selector, suite selector, RunConfig) or an error string.  The
+    selectors default to "all"; every other default, and the type an
+    environment value is read as, is RunConfig's."""
     picks = {}
-    for field, env_name, fallback, cast in (
-            ("entry", "ENTRY", "all", str),
-            ("suite", "SUITE", "all", str),
-            ("seed", "SEED", 0, int),
-            ("precision", "PRECISION", 16, int),
-            ("depth", "DEPTH", 5, int),
-            ("budget", "BUDGET", 10_000, int),
-            ("format", "FORMAT", "json", str),
-            ("jobs", "JOBS", 1, int)):
-        value, err = _pick(getattr(args, field), env_name, fallback, cast)
+    for name, fallback in (("entry", "all"), ("suite", "all"),
+                           *((f.name, f.default) for f in fields(RunConfig))):
+        value, err = _pick(getattr(args, name), name.upper(), fallback,
+                           type(fallback))
         if err is not None:
             return None, None, None, err
-        picks[field] = value
+        picks[name] = value
+    entry_sel, suite_sel = picks.pop("entry"), picks.pop("suite")
     try:
-        config = RunConfig(seed=picks["seed"], precision=picks["precision"],
-                           depth=picks["depth"], budget=picks["budget"],
-                           format=picks["format"],
-                           jobs=picks["jobs"]).validated()
+        config = RunConfig(**picks).validated()
     except ValueError as exc:
         return None, None, None, str(exc)
-    return picks["entry"], picks["suite"], config, None
+    return entry_sel, suite_sel, config, None
 
 
 def _select(entry_sel: str, suite_sel: str):

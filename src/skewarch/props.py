@@ -24,11 +24,11 @@ from typing import Optional
 from .endos import (Endo, _twist_on, build_endo, is_compatible, is_injective,
                     is_rigid, preserves_nonunits, rigid_decomposition_check)
 from .prng import SplitMix64, derive_rng
-from .rings import (Element, SubsetHandle, construct_ring, idempotents, is_domain,
-                    is_reduced, jacobson_radical, memo, nilpotent_values, nonunits,
-                    principal_power_chain, quotient_by_ideal, require_budget,
-                    scan_domain, subring_generated, units, zero_divisors,
-                    zero_keys)
+from .rings import (Element, SubsetHandle, construct_ring, generator_texts,
+                    idempotents, is_domain, is_reduced, jacobson_radical, memo,
+                    nilpotent_values, nonunits, principal_power_chain,
+                    quotient_by_ideal, require_budget, scan_domain,
+                    subring_generated, units, zero_divisors, zero_keys)
 from .skew import (SkewPoly, TruncSeries, _inverse_of_one_plus, _need_side,
                    lowest_certificate, nilpotency_probe, parse_poly_text,
                    solve_right_divisibility, top_certificate)
@@ -186,7 +186,7 @@ def _two_variable_quotient_archimedean(ring, side: str) -> Verdict:
     ring is commutative, so the scans behind the route are one-sided
     only in name: `_two_variable_scans` runs them once per ring, and the
     side picks the wording of the steps."""
-    F, ser = ring.field, ring.series
+    F = ring.field
     steps = []
 
     f_arch = is_archimedean(F, side)
@@ -208,10 +208,8 @@ def _two_variable_quotient_archimedean(ring, side: str) -> Verdict:
                  "projection onto the one-variable series model "
                  "(%d products verified exactly)" % products_checked)
 
-    ser_arch = _series_model_archimedean(ser, side)
-    if ser_arch.status != HOLDS_BY_THEOREM:
-        return Verdict(INCONCLUSIVE, None,
-                       "one-variable collapse did not derive the property")
+    # the collapse target tser(F, N) inherits both properties from F's
+    # two scans, which the first step required
     steps.append("each collapse target is reduced and %s-Archimedean "
                  "(untwisted series over a field)" % side)
     steps.append("both variable ideals lie in the radical: 1 - r*m keeps "
@@ -408,8 +406,7 @@ def subring_inheritance_check(ambient, gens=(), side: str = "right") -> Verdict:
     sub, _, cond = subring_generated(ambient, gens)
     info = {
         "subring_card": sub.card,
-        "generators": [ambient.from_text(g).text if isinstance(g, str) else g.text
-                       for g in gens],
+        "generators": generator_texts(ambient, gens),
         "ambient_units_in_subring": cond["ambient_units_in_subring"],
     }
     ambient_arch = is_archimedean(ambient, side)
@@ -534,11 +531,11 @@ CENSUS_FIELD_SPECS = ("gf:2:1", "gf:3:1", "gf:2:2", "gf:5:1")
 CENSUS_MAX_FACTORS = 3
 
 
-def archimedean_field_census(side: str = "right"):
+def archimedean_field_census():
     """Products of small fields are regular, so the property must single
     out the division rings: exactly the one-factor products.  Returns one
-    row per unordered product."""
-    _need_side(side)
+    row per unordered product.  The rings are commutative, so the right
+    and left property are one, and the rows hold for both sides."""
     rows = []
     for n in range(1, CENSUS_MAX_FACTORS + 1):
         for combo in itertools.combinations_with_replacement(
@@ -552,7 +549,7 @@ def archimedean_field_census(side: str = "right"):
                 "cardinality": ring.card,
                 "regular": vnr,
                 "division": is_division_ring(ring),
-                "archimedean": is_archimedean(ring, side).status == HOLDS,
+                "archimedean": is_archimedean(ring).status == HOLDS,
             })
     return rows
 
@@ -1266,10 +1263,8 @@ def induction_audit(f: TruncSeries, g: TruncSeries, h_list, depth: int,
         lo = max(1, m + 1)
         for n in range(lo, depth + 1):
             hn = h_list[n - 1].coeffs[m]
-            power = ring.k_pow(cm, n)
-            prod = (ring.k_mul(hn, power) if side == "right"
-                    else ring.k_mul(power, hn))
-            if prod != f.coeffs[m]:
+            # the ring is commutative: h_n*c^n = c^n*h_n
+            if ring.k_mul(hn, ring.k_pow(cm, n)) != f.coeffs[m]:
                 stages.append({"stage": stage, "equations": eqs,
                                "mismatch": eq_text(f.coeffs[m], hn, cm, n)})
                 return Verdict(
@@ -1336,9 +1331,7 @@ def induction_audit(f: TruncSeries, g: TruncSeries, h_list, depth: int,
         collapse = []
         for n in range(lo, depth + 1):
             hn = h_list[n - 1].coeffs[m]
-            prod = (ring.k_mul(hn, g0) if side == "right"
-                    else ring.k_mul(g0, hn))
-            if prod != ring.zero_v:
+            if ring.k_mul(hn, g0) != ring.zero_v:
                 return Verdict(
                     FAILS,
                     {"stages": stages,

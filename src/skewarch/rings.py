@@ -48,7 +48,7 @@ from typing import Optional
 ENUMERATION_CAP = 65_536       # refuse to materialize finite rings beyond this
 SCOPE_ENUMERATION_BUDGET = 200_000   # truncated-model scans shrink support to fit
 NILPOTENT_BOUND = 16           # highest power a truncated-model replay tries
-UNIT_PAIR_BUDGET = 1 << 20     # pairs a scan may visit, unless it names a budget
+UNIT_PAIR_BUDGET = 1 << 20     # pairs or triples a guarded scan may visit
 
 
 class RingConstructionError(ValueError):
@@ -1227,12 +1227,12 @@ def construct_ring(spec) -> RingHandle:
 # predicates and derived sets (finite rings unless noted)
 
 
-def require_budget(ring, scan: str, count: int, budget: int = UNIT_PAIR_BUDGET):
+def require_budget(ring, scan: str, count: int):
     """Raise NonEnumerableError before a scan that would visit more than
-    `budget` pairs or triples."""
-    if count > budget:
+    UNIT_PAIR_BUDGET pairs or triples."""
+    if count > UNIT_PAIR_BUDGET:
         raise NonEnumerableError("%s: the %s visits %d, over the budget %d"
-                                 % (ring.spec_text, scan, count, budget))
+                                 % (ring.spec_text, scan, count, UNIT_PAIR_BUDGET))
 
 
 @memo
@@ -1260,23 +1260,21 @@ class NilpotenceResult:
 
 
 def is_nilpotent(ring, a: Element) -> NilpotenceResult:
-    """Exact on finite rings via power-cycle detection.  On truncated
+    """Exact on finite rings: membership in nilpotent_values decides, and
+    only a nilpotent has its powers walked, for the index.  On truncated
     models the scan replays in a widened ring: a zero power whose factors
     stayed inside the widened window is genuine, otherwise the verdict is
     flagged bound-relative."""
     if a.v == ring.zero_v:
         return NilpotenceResult(True, 1, True, "zero power reached")
     if not ring.truncated:
-        seen = set()
-        p = a.v
-        k = 1
-        while p not in seen:
-            if p == ring.zero_v:
-                return NilpotenceResult(True, k, True, "zero power reached")
-            seen.add(p)
+        if a.v not in nilpotent_values(ring):
+            return NilpotenceResult(False, None, True, "power cycle without zero")
+        p, k = a.v, 1
+        while p != ring.zero_v:
             p = ring.k_mul(p, a.v)
             k += 1
-        return NilpotenceResult(False, None, True, "power cycle without zero")
+        return NilpotenceResult(True, k, True, "zero power reached")
     wide = ring.widen()
     av = ring.lift_v(a.v, wide)
     half = wide.precision // 2
@@ -1500,10 +1498,26 @@ def is_domain(ring) -> DomainResult:
     return DomainResult(True, None, dom.exact, dom.note("pair scan"))
 
 
-def _spec_gens(ring, kind: str, texts) -> tuple:
+def generator_texts(ring, gens) -> list:
+    """Canonical texts of generators of ring, given as Elements, element
+    texts or a SubsetHandle, which yields Elements.  An Element of another
+    ring raises RingMismatchError."""
+    texts = []
+    for g in gens:
+        if isinstance(g, Element):
+            if g.ring != ring:
+                raise RingMismatchError("generator from a different ring")
+            texts.append(g.text)
+        else:
+            texts.append(ring.from_text(g).text)
+    return texts
+
+
+def _spec_gens(ring, kind: str, gens) -> tuple:
     """Generator texts of a sub or quot spec over ring, each once, in the
     ring's value order.  That order lists the ring's values, so a
     truncated ring is refused first, as construction refuses it."""
+    texts = generator_texts(ring, gens)
     require_finite((ring,), "%s parent must be a finite ring" % kind)
     return tuple(sorted(set(texts), key=lambda t: ring.sort_key_v(ring.v_of_text(t))))
 
@@ -1513,15 +1527,7 @@ def subring_generated(ring, gens):
     handle, the embedding into the ambient ring, and a unit-condition report
     listing the ambient units that lie in the subring.  Each is a unit of
     the subring too: a unit of a finite ring has a power for its inverse."""
-    texts = []
-    for g in gens:
-        if isinstance(g, Element):
-            if g.ring != ring:
-                raise RingMismatchError("generator from a different ring")
-            texts.append(g.text)
-        else:
-            texts.append(ring.from_text(g).text)
-    sub = construct_ring(SubringSpec(ring.spec, _spec_gens(ring, "sub", texts)))
+    sub = construct_ring(SubringSpec(ring.spec, _spec_gens(ring, "sub", gens)))
 
     def embed(e: Element) -> Element:
         if e.ring != sub:
@@ -1534,13 +1540,9 @@ def subring_generated(ring, gens):
 
 def quotient_by_ideal(ring, ideal):
     """Quotient by the ideal generated by a SubsetHandle or a generator
-    list.  Returns the quotient handle and the projection map."""
-    if isinstance(ideal, SubsetHandle):
-        gens = ideal.texts()
-    else:
-        gens = [g.text if isinstance(g, Element) else ring.from_text(g).text
-                for g in ideal]
-    quo = construct_ring(QuotientSpec(ring.spec, _spec_gens(ring, "quot", gens)))
+    list.  Returns the quotient handle and the projection map.  An Element
+    or a SubsetHandle of another ring raises RingMismatchError."""
+    quo = construct_ring(QuotientSpec(ring.spec, _spec_gens(ring, "quot", ideal)))
 
     def project(e: Element) -> Element:
         if e.ring != ring:

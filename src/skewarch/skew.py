@@ -496,29 +496,19 @@ def solve_right_divisibility(f: TruncSeries, g: TruncSeries, n: int,
     G = g ** n
     universe = scan_domain(ring).values
 
-    # twisted copies of G's coefficients, filled on demand
-    twisted: dict = {}
-
-    def tg(j: int, d: int):
-        got = twisted.get((j, d))
-        if got is None:
-            got = endo.power_apply_v(j, G.coeffs[d])
-            twisted[(j, d)] = got
-        return got
-
-    # candidate rows per distinct multiplier: multiplier -> residual -> [c...]
+    # candidate rows per distinct multiplier: multiplier -> residual ->
+    # [c...]; the ring is commutative, so c*mult serves both sides
     rows: dict = {}
 
     def candidates(m: int, residual):
-        mult = tg(m, 0) if side == "right" else G.coeffs[0]
-        row = rows.get((side, mult))
+        mult = (endo.power_apply_v(m, G.coeffs[0]) if side == "right"
+                else G.coeffs[0])
+        row = rows.get(mult)
         if row is None:
             row = {}
             for c in universe:
-                prod = (ring.k_mul(c, mult) if side == "right"
-                        else ring.k_mul(mult, c))
-                row.setdefault(prod, []).append(c)
-            rows[(side, mult)] = row
+                row.setdefault(ring.k_mul(c, mult), []).append(c)
+            rows[mult] = row
         return row.get(residual, ())
 
     def residual(m: int, h):
@@ -528,7 +518,7 @@ def solve_right_divisibility(f: TruncSeries, g: TruncSeries, n: int,
             if hj == ring.zero_v:
                 continue
             if side == "right":
-                term = ring.k_mul(hj, tg(j, m - j))
+                term = ring.k_mul(hj, endo.power_apply_v(j, G.coeffs[m - j]))
             else:
                 gi = G.coeffs[m - j]
                 term = (ring.k_mul(gi, endo.power_apply_v(m - j, hj))

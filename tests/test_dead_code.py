@@ -15,6 +15,10 @@ Every attribute a package method stores on self must be read as
 Every name a package module imports must also be used in that module;
 the re-exports of __init__.py are exempt.
 
+Every parameter with a default, of a package function or method, must
+be passed, by position or keyword, by some call of that name in src/,
+tests/ or demos/; a constructor's calls go by the class name.
+
 No package module holds an assert statement: python -O strips them, so
 a check must raise (RuntimeError when an internal result check fails,
 ValueError for bad input)."""
@@ -128,3 +132,59 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _call_name(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _defaulted_parameters(tree):
+    """(call name, parameter name, position or None) for each parameter
+    with a default of each def in tree.  The position counts the
+    arguments a call passes, so a method's self or cls is not counted;
+    keyword-only parameters have none."""
+    methods = {id(item): node.name for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for item in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        decorators = {d.id for d in node.decorator_list if isinstance(d, ast.Name)}
+        if id(node) in methods and "staticmethod" not in decorators:
+            positional = positional[1:]
+        name = methods[id(node)] if node.name == "__init__" else node.name
+        first = len(positional) - len(args.defaults)
+        for i, param in enumerate(positional[first:], first):
+            yield name, param.arg, i
+        for param, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, param.arg, None
+
+
+def test_every_default_parameter_is_passed():
+    # call name -> [(positional count, keyword names, passes *args or **kw)]
+    calls = defaultdict(list)
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and _call_name(node):
+                    keywords = {k.arg for k in node.keywords}
+                    starred = (None in keywords or any(
+                        isinstance(a, ast.Starred) for a in node.args))
+                    calls[_call_name(node)].append((len(node.args), keywords,
+                                                    starred))
+    unpassed = sorted(
+        "%s:%s.%s" % (path.name, name, param)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, param, pos in _defaulted_parameters(
+            ast.parse(path.read_text(encoding="utf-8")))
+        if not any(starred or param in keywords
+                   or (pos is not None and count > pos)
+                   for count, keywords, starred in calls[name]))
+    assert unpassed == []

@@ -3,40 +3,53 @@
 A suite says "fails" only when the package or a published statement is
 wrong, so no registry entry reaches those returns.  Each test here plants
 one fault in a fresh ring or twist, built outside the construction
-caches so that no memoized result reaches another test: a kernel that is
-wrong on one pair, or a twist whose map is altered after it was built.
+caches so that no memoized result reaches another test: a kernel, unit
+test or element printer that is wrong on one value or pair, or a twist
+whose map is altered after it was built.
 The suite must then return a report that passes `validate_report`,
 renders as text, and contradicts the predictions (the CLI's exit-1
 condition).  A fault in the scans of the two-variable derivation is
-read from `derived_archimedean`, whose two sides share those scans."""
+read from `derived_archimedean`, whose two sides share those scans.  A
+fault that leaves a statement unsettled, rather than broken, gives a
+valid report that contradicts nothing."""
 
 from types import SimpleNamespace
 
 import pytest
 
-from skewarch.endos import FrobeniusEndo, IdentityEndo
-from skewarch.props import FAILS, HOLDS_BY_THEOREM, derived_archimedean
+from skewarch.endos import FrobeniusEndo, IdentityEndo, SquareVariableEndo
+from skewarch.props import (FAILS, HOLDS_BY_THEOREM, HYPOTHESIS_NOT_MET,
+                            INCONCLUSIVE, derived_archimedean)
 from skewarch.registry import RunConfig
 from skewarch.reports import render_report_text, validate_report
-from skewarch.rings import (GaloisFieldRing, XYQuotientRing, ZmodRing, ZmodSpec,
-                            construct_ring, parse_ring_spec)
+from skewarch.rings import (GaloisFieldRing, TruncSeriesRing, XYQuotientRing,
+                            ZmodRing, ZmodSpec, construct_ring, parse_ring_spec,
+                            scan_domain)
 from skewarch.suites import report_contradicts_predictions, run_one
 
 
-def run_planted(ring, endo, suite_id):
-    """The report of suite_id on an entry that builds (ring, endo)."""
+def run_report(ring, endo, suite_id):
+    """The validated report of suite_id on an entry that builds (ring,
+    endo), and whether it contradicts the predictions."""
     entry = SimpleNamespace(id="planted:" + ring.spec_text,
                             build=lambda: (ring, endo))
     report = run_one(entry, suite_id, RunConfig(seed=42).validated())
     validate_report(report)
     assert render_report_text(report).startswith(
-        "%s / %s: fails\n" % (entry.id, suite_id))
-    assert report_contradicts_predictions(entry, report)
+        "%s / %s: %s\n" % (entry.id, suite_id, report["status"]))
+    return report, report_contradicts_predictions(entry, report)
+
+
+def run_planted(ring, endo, suite_id):
+    """The report of suite_id, which must fail and contradict."""
+    report, contradicts = run_report(ring, endo, suite_id)
+    assert report["status"] == FAILS and contradicts
     return report
 
 
-def fresh_xyq():
-    return XYQuotientRing(parse_ring_spec("xyq:gf:2:1:N=8"), construct_ring("gf:2:1"))
+def fresh_xyq(spec="xyq:gf:2:1:N=8", field=None):
+    spec = parse_ring_spec(spec)
+    return XYQuotientRing(spec, field or construct_ring(spec.field))
 
 
 def test_a_wrong_product_fails_a_ring_law():
@@ -63,6 +76,21 @@ def test_a_wrong_kernel_value_fails_its_ring_law(kernel, pair, value, witness):
     setattr(ring, kernel, lambda x, y: value if (x, y) == pair else right(x, y))
     report = run_planted(ring, IdentityEndo(ring), "arithmetic")
     assert report["witness"] == witness
+
+
+@pytest.mark.parametrize("wrong,law", [
+    (2, "polynomial round-trip"), (3, "series round-trip"),
+], ids=["polynomial", "series"])
+def test_a_wrong_element_text_fails_a_round_trip(wrong, law):
+    # the value `wrong` prints as its successor; at seed 42 a sampled
+    # polynomial holds 2 before any sampled series does, and a sampled
+    # series holds 3 before any sampled polynomial does
+    ring = ZmodRing(ZmodSpec(6))
+    text = ring.text_of_v
+    ring.text_of_v = lambda v: text(v + 1 if v == wrong else v)
+    report = run_planted(ring, IdentityEndo(ring), "arithmetic")
+    assert report["witness"]["law"] == law
+    assert str(wrong + 1) in report["witness"]["text"]
 
 
 def test_a_twist_altered_after_use_fails_the_twist_law():
@@ -122,3 +150,87 @@ def test_a_nonunit_one_minus_rm_fails_the_two_variable_derivation():
         ring, "a variable multiple escaped the radical")
     assert witness["m"] == ring.text_of_v(x)
     assert ring.k_mul(ring.v_of_text(witness["r"]), x) == ring.x_v(5)
+
+
+def test_a_zero_product_in_a_field_fails_the_domain_prediction():
+    # is_domain answers a field without products; the probe multiplies
+    ring = GaloisFieldRing(parse_ring_spec("gf:2:2"))
+    mul = ring.k_mul
+    ring.k_mul = lambda x, y: 0 if {x, y} == {2, 3} else mul(x, y)
+    report = run_planted(ring, IdentityEndo(ring), "thm-3-3")
+    assert report["certificate"] == ("conditions met yet the predicted domain "
+                                     "model produced a zero-divisor pair")
+    assert report["witness"]["conditions"]["domain"] == "holds"
+
+
+def test_a_nontrivial_idempotent_fails_the_derived_chain_condition():
+    # the series model's derivation reads only its base field, so the
+    # fault in the model's own product reaches the idempotent scan alone
+    spec = parse_ring_spec("tser(gf:2:1,N=4)")
+    ring = TruncSeriesRing(spec, construct_ring(spec.base))
+    e = next(v for v in scan_domain(ring).values
+             if v not in (ring.zero_v, ring.one_v))
+    mul = ring.k_mul
+    ring.k_mul = lambda x, y: x if (x, y) == (e, e) else mul(x, y)
+    report = run_planted(ring, IdentityEndo(ring), "lemma-2-3")
+    assert report["witness"] == {"e": ring.text_of_v(e)}
+
+
+def test_a_radical_holding_every_value_fails_the_gluing():
+    # the quotients come from the honest cached zmod:6; only the radical
+    # of the planted ring is wrong, so the ideals (2) and (3) look radical
+    ring = ZmodRing(ZmodSpec(6))
+    ring.k_pow = lambda x, n: ring.zero_v
+    report = run_planted(ring, IdentityEndo(ring), "prop-4-7")
+    clauses = report["witness"]["clauses"]
+    assert clauses["radical_archimedean_glue"]["status"] == FAILS
+    assert report["witness"]["generators"] == ["2", "3"]
+
+
+def test_a_comparable_pair_taken_for_incomparable_meets_no_clause():
+    # with a wrong product, (3) looks equal to (2) and (4) holds 1, so the
+    # first "incomparable" pair is (2), (4); in the honest quotients
+    # (4) lies in (2), Z/4 is not reduced and (2) escapes the radical
+    ring = ZmodRing(ZmodSpec(12))
+    mul = ring.k_mul
+    ring.k_mul = lambda x, y: (mul(x, 2) if y == 3 else 1 if (x, y) == (1, 4)
+                               else mul(x, y))
+    report, contradicts = run_report(ring, IdentityEndo(ring), "prop-4-7")
+    assert report["status"] == HYPOTHESIS_NOT_MET and not contradicts
+    assert report["witness"]["generators"] == ["2", "4"]
+    assert {c["status"] for c in report["witness"]["clauses"].values()} == \
+        {HYPOTHESIS_NOT_MET}
+
+
+def test_a_twist_sending_x_to_a_unit_fails_the_twisted_example():
+    ring = fresh_xyq()
+    xsq, x = SquareVariableEndo(ring), ring.x_v(1)
+    apply = xsq.apply_v
+    xsq.apply_v = lambda v: ring.one_v if v == x else apply(v)
+    report = run_planted(ring, xsq, "examples-4-8-9")
+    assert (report["witness"]["rigid"],
+            report["witness"]["preserves_nonunits"]) == ("yes", "no")
+
+
+def test_a_twist_acting_as_the_identity_fails_the_twisted_example():
+    # rigidity is read from the honest widened twist
+    ring = fresh_xyq()
+    xsq = SquareVariableEndo(ring)
+    xsq.power_apply_v = lambda t, v: v
+    report = run_planted(ring, xsq, "examples-4-8-9")
+    assert report["certificate"] == "twisted series model unexpectedly commutes"
+    assert report["witness"]["t*x"] == report["witness"]["x*t"]
+
+
+def test_a_field_with_a_false_nonunit_leaves_the_example_unsettled():
+    field = GaloisFieldRing(parse_ring_spec("gf:3:1"))
+    is_unit = field.has_inverse_v
+    field.has_inverse_v = lambda v: v != 2 and is_unit(v)
+    ring = fresh_xyq("xyq:gf:3:1:N=4", field)
+    for side in ("right", "left"):
+        arch = derived_archimedean(ring, side)
+        assert (arch.status, arch.certificate) == (
+            INCONCLUSIVE, "coefficient field failed its exact scans")
+    report, contradicts = run_report(ring, IdentityEndo(ring), "examples-4-8-9")
+    assert report["status"] == INCONCLUSIVE and not contradicts
+    assert report["witness"]["archimedean"] == INCONCLUSIVE

@@ -389,6 +389,14 @@ def test_cli_env_mirrors_and_flag_precedence():
     assert as_text.stdout.startswith("zmod:6 / arithmetic: holds")
 
 
+def test_resolve_without_flags_or_environment_gives_the_defaults(monkeypatch):
+    for name in list(os.environ):
+        if name.startswith(cli.ENV_PREFIX):
+            monkeypatch.delenv(name)
+    args = cli.build_parser().parse_args(["run"])
+    assert cli._resolve(args) == ("all", "all", RunConfig(), None)
+
+
 def test_cli_explain_renders_text():
     proc = _run_cli("explain", "--entry", "zmod:8", "--suite", "lemma-2-3",
                     "--seed", "42")

@@ -6,6 +6,7 @@ from skewarch.rings import (
     NonEnumerableError,
     RingConstructionError,
     RingMismatchError,
+    SubsetHandle,
     TruncSeriesRing,
     construct_ring,
     idempotents,
@@ -442,6 +443,19 @@ def test_cross_ring_arithmetic_rejected():
         _ = a + b
     with pytest.raises(RingMismatchError):
         _ = a * b
+
+
+def test_generators_of_another_ring_are_rejected():
+    z12, z6 = construct_ring("zmod:12"), construct_ring("zmod:6")
+    two = z6.from_text("2")
+    for gens in ([two], SubsetHandle(z6, [2])):
+        with pytest.raises(RingMismatchError):
+            quotient_by_ideal(z12, gens)
+        with pytest.raises(RingMismatchError):
+            subring_generated(z12, gens)
+    # the same generators given as z12's own values are accepted
+    assert quotient_by_ideal(z12, SubsetHandle(z12, [2]))[0].spec_text == "quot(zmod:12;2)"
+    assert quotient_by_ideal(z12, [z12.from_text("2")])[0].card == 2
 
 
 def test_element_text_round_trip():

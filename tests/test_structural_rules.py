@@ -1,7 +1,7 @@
-"""The structural rules for units, zero-divisors, the radical, domains,
-zero patterns and the Archimedean property on finite rings, checked
-against the brute-force scans they replace, plus kernel-call bounds and
-the cost guards of the scans that remain."""
+"""The structural rules for units, nilpotence, zero-divisors, the
+radical, domains, zero patterns and the Archimedean property on finite
+rings, checked against the brute-force scans they replace, plus
+kernel-call bounds and the cost guards of the scans that remain."""
 
 from hypothesis import given, strategies as st
 
@@ -10,6 +10,7 @@ import pytest
 from skewarch.props import is_archimedean, sandwich_unit_clause
 from skewarch.rings import (
     GaloisFieldRing,
+    NilpotenceResult,
     NonEnumerableError,
     ProductRing,
     QuotientRing,
@@ -19,6 +20,7 @@ from skewarch.rings import (
     ZmodRing,
     construct_ring,
     is_domain,
+    is_nilpotent,
     jacobson_radical,
     nonunits,
     parse_ring_spec,
@@ -152,6 +154,18 @@ def oracle_archimedean(ring, side):
             "(exhaustive %s-side scan)" % (len(nu), side))
 
 
+def oracle_nilpotence(ring, v):
+    """Power-cycle detection: walk a, a^2, ... until zero or a repeat."""
+    seen, p, k = set(), v, 1
+    while p not in seen:
+        if p == ring.zero_v:
+            return NilpotenceResult(True, k, True, "zero power reached")
+        seen.add(p)
+        p = ring.k_mul(p, v)
+        k += 1
+    return NilpotenceResult(False, None, True, "power cycle without zero")
+
+
 # ---------------------------------------------------------------------------
 # each rule against its oracle
 
@@ -195,6 +209,11 @@ def check_zero_divisors(ring):
         assert list(zero_divisors(ring).vals) == oracle_zero_divisors(ring, side)
 
 
+def check_nilpotence(ring):
+    for v in ring.values():
+        assert is_nilpotent(ring, ring.element(v)) == oracle_nilpotence(ring, v)
+
+
 def check_domain(ring):
     res = is_domain(ring)
     want = oracle_domain_witness(ring)
@@ -231,8 +250,8 @@ def check_zero_pattern(ring):
 def test_structural_rules_match_their_brute_force_scans(ring):
     # one test for all rules, so each drawn ring is built and validated once
     for check in (check_members, check_units, check_k_pow, check_radical,
-                  check_zero_divisors, check_domain, check_zero_pattern,
-                  check_archimedean):
+                  check_nilpotence, check_zero_divisors, check_domain,
+                  check_zero_pattern, check_archimedean):
         check(ring)
 
 
