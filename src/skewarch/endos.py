@@ -3,10 +3,13 @@
 The built-in twists are endomorphisms by construction, once their ring
 kind fits: the identity, Frobenius a -> a^p on gf:p:k, the diagonal
 (a, b) -> (a, a) on prod(S,S) and x -> x^2 on the two-variable model;
-tests/test_ring_laws.py checks their laws.  A table twist comes from a
-file, so build_endo checks its laws: it must fix 1 and respect + and *
-on every pair of values up to ENDO_PAIR_BUDGET pairs, else on seeded
-sampled pairs.  Rejection carries a witness pair.
+tests/test_ring_laws.py checks their laws.  Each ring object keeps its
+own built-in twists, so a twist's predicates scan the ring it was built
+on.  A table twist comes from a file, so build_endo checks its laws: it
+must fix 1 and respect + and * on every pair of values up to
+ENDO_PAIR_BUDGET pairs, else on seeded sampled pairs.  Rejection
+carries a witness pair.  Sampled checks key their streams by a twist's
+stream_text, which names a table twist by its images, not its path.
 
 The predicates follow one scan rule (rings.scan_domain): a finite ring
 scans every value in the ring itself; a truncated model scans its scope
@@ -22,9 +25,11 @@ gets its mask once per scan and a pair is zero iff the masks are
 disjoint; on other rings the pair is multiplied, in the same loop and
 order, so the witnesses are the same either way.  Two predicates bend the
 rule: is_compatible shrinks the scope support until at most
-PAIR_SCAN_BUDGET pairs remain, and preserves_nonunits tests units in the
-ring itself, because a truncated model computes the constant term, and so
-the unit test, exactly.
+PAIR_SCAN_BUDGET pairs remain, answers the identity and an injective
+twist of a domain without a scan, and refuses a finite ring's scan past
+UNIT_PAIR_BUDGET pairs; preserves_nonunits tests units in the ring
+itself, because a truncated model computes the constant term, and so the
+unit test, exactly.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .prng import CONSTRUCTION_SEED, SplitMix64, fnv1a64
-from .rings import (Element, is_reduced, memo, require_finite, scan_domain,
-                    zero_keys)
+from .rings import (Element, is_domain, is_reduced, memo, require_budget,
+                    require_finite, scan_domain, zero_keys)
 
 ENDO_PAIR_BUDGET = 65_536     # table-twist law check on every pair up to this
 ENDO_SAMPLE_PAIRS = 10_000
@@ -50,15 +55,16 @@ class EndoValidationError(ValueError):
 class Endo:
     """A ring endomorphism with cached powers: a built-in map whose ring
     kind fits, or a table read from a file whose laws build_endo has
-    checked.  Each subclass defines apply_v.  A truncated model accepts
-    only the identity and endo:xsq (frob needs gf, diag needs prod, and
-    a table needs a finite ring), so only those two define on_widened
-    and degree_bound, which act on a truncated model's values."""
+    checked.  Each subclass defines apply_v.  `stream_text` keys sampled
+    streams: a built-in twist's text, or a table twist's images in value
+    order.  A truncated model accepts only the identity and endo:xsq
+    (frob needs gf, diag needs prod, and a table needs a finite ring),
+    so only those two define degree_bound and reach widened()."""
 
     def __init__(self, ring, name: str):
         self.ring = ring
         self.name = name
-        self.text = "endo:" + name
+        self.text = self.stream_text = "endo:" + name
         self.is_identity = name == "id"
         self._power_maps = None
         self._cache = {}
@@ -72,6 +78,11 @@ class Endo:
 
     def __repr__(self):
         return "<%s on %s>" % (self.text, self.ring.spec_text)
+
+    def widened(self):
+        """The same twist on ring.widen(), the model's one widened copy:
+        that copy's own built-in twist, which every scan and replay reads."""
+        return built_in_twist(self.ring.widen(), self.name)
 
     def power_apply_v(self, t: int, v):
         """Apply the t-th power of the map: one value map per power, built
@@ -98,10 +109,6 @@ class IdentityEndo(Endo):
 
     def apply_v(self, v):
         return v
-
-    def on_widened(self, wide_ring):
-        """The same map on a widened copy of a truncated ring."""
-        return IdentityEndo(wide_ring)
 
     def degree_bound(self, t: int, dx: int, dy: int):
         """Degree bounds (x-part, y-part) of a value with bounds (dx, dy)
@@ -160,9 +167,6 @@ class SquareVariableEndo(Endo):
         xs[::shift] = v[0][:N // shift + 1]
         return tuple(xs), v[1]
 
-    def on_widened(self, wide_ring):
-        return SquareVariableEndo(wide_ring)
-
     def degree_bound(self, t: int, dx: int, dy: int):
         return dx << t, dy
 
@@ -188,6 +192,8 @@ class TableEndo(Endo):
             raise EndoValidationError("table leaves %d elements unmapped"
                                       % len(missing))
         self.table = table
+        self.stream_text = "endo:table:" + ",".join(
+            ring.text_of_v(table[v]) for v in ring.values())
 
     def apply_v(self, v):
         return self.table[v]
@@ -229,41 +235,37 @@ def _validate_endo(endo: Endo):
             for b in vals:
                 check_pair(a, b)
         return
-    rng = SplitMix64(CONSTRUCTION_SEED ^ fnv1a64(ring.spec_text + "/" + endo.text))
+    rng = SplitMix64(CONSTRUCTION_SEED ^ fnv1a64(ring.spec_text + "/" + endo.stream_text))
     for _ in range(ENDO_SAMPLE_PAIRS):
         check_pair(vals[rng.below(n)], vals[rng.below(n)])
 
 
-_ENDO_CACHE: dict = {}
+BUILT_IN_TWISTS = {"id": IdentityEndo, "frob": FrobeniusEndo,
+                   "diag": DiagonalEndo, "xsq": SquareVariableEndo}
+
+
+@memo
+def built_in_twist(ring, name: str) -> Endo:
+    """The twist endo:<name> of this ring object, built once and kept."""
+    return BUILT_IN_TWISTS[name](ring)
 
 
 def build_endo(ring, text: str) -> Endo:
     """Parse endo:id | endo:frob | endo:xsq | endo:diag | endo:table:<file>
     against a ring.  A built-in twist checks only that the ring has its
-    kind; a table twist is checked against the homomorphism laws."""
+    kind, and is kept on the ring; a table twist is checked against the
+    homomorphism laws and read anew on each call (its file can change)."""
     s = text.strip()
-    cached = _ENDO_CACHE.get((ring.spec_text, s))
-    if cached is not None:
-        return cached
     if not s.startswith("endo:"):
         raise EndoValidationError("endo spec must start with 'endo:': %r" % text)
     body = s[5:]
     if body.startswith("table:"):
         endo = TableEndo(ring, body[6:])
         _validate_endo(endo)
-        return endo     # not cached: table files can change on disk
-    if body == "id":
-        endo = IdentityEndo(ring)
-    elif body == "frob":
-        endo = FrobeniusEndo(ring)
-    elif body == "diag":
-        endo = DiagonalEndo(ring)
-    elif body == "xsq":
-        endo = SquareVariableEndo(ring)
-    else:
+        return endo
+    if body not in BUILT_IN_TWISTS:
         raise EndoValidationError("unrecognized endo spec: %r" % text)
-    _ENDO_CACHE[(ring.spec_text, s)] = endo
-    return endo
+    return built_in_twist(ring, body)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +282,7 @@ class EndoVerdict:
 
 def _twist_on(endo: Endo, dom):
     """The twist acting on the ring where the scan domain takes products."""
-    return endo if dom.exact else endo.on_widened(dom.ring)
+    return endo if dom.exact else endo.widened()
 
 
 @memo
@@ -320,12 +322,18 @@ def is_rigid(endo: Endo) -> EndoVerdict:
 
 @memo
 def is_compatible(endo: Endo) -> EndoVerdict:
-    """a*b = 0 iff a*endo(b) = 0, over all (scope) pairs."""
+    """a*b = 0 iff a*endo(b) = 0, over all (scope) pairs.  The identity
+    is compatible, and so is an injective twist of a domain: there
+    a*endo(b) = 0 iff a = 0 or b = 0 iff a*b = 0.  Any other twist scans
+    the pairs, and a finite ring refuses past UNIT_PAIR_BUDGET pairs."""
     ring = endo.ring
     dom = scan_domain(ring)
     # quadratic scan: scope support shrinks until the pairs fit the budget
     while not dom.exact and dom.support > 1 and dom.size ** 2 > PAIR_SCAN_BUDGET:
         dom = scan_domain(ring, dom.support - 1)
+    if endo.is_identity or (is_domain(ring).domain and is_injective(endo).holds):
+        return EndoVerdict(True, None, dom.exact, dom.note("pair scan"))
+    require_budget(ring, "compatibility pair scan", dom.size ** 2)
     apply = _twist_on(endo, dom).apply_v
     key, times, kz = zero_keys(dom.ring)
     keys = [key(lb) for lb in dom.lifted]

@@ -619,7 +619,7 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
     """1 + f*u inverts as the alternating geometric series; the expansion
     truncates to a polynomial exactly when f*u is nilpotent, and then the
     truncation index equals the nilpotency index."""
-    rng = derive_rng(seed, "geometric/%s/%s" % (ring.spec_text, endo.text))
+    rng = derive_rng(seed, "geometric/%s/%s" % (ring.spec_text, endo.stream_text))
     samples = scan_domain(ring).sample_count(samples)
     terminated = 0
     for _ in range(samples):
@@ -667,7 +667,7 @@ def poly_zero_divisor_probe(ring, endo: Endo, side: str = "right",
     thm-3-3 is drawn once.  The returned dict is shared: callers build
     new dicts from it and never change it."""
     _need_side(side)
-    rng = derive_rng(seed, "polyzd/%s/%s/%s" % (ring.spec_text, endo.text, side))
+    rng = derive_rng(seed, "polyzd/%s/%s/%s" % (ring.spec_text, endo.stream_text, side))
     samples = scan_domain(ring).sample_count(samples)
     for _ in range(samples):
         f = random_poly(ring, endo, rng, max_terms=3)
@@ -800,7 +800,7 @@ def series_reduced_check(ring, endo: Endo, precision: int = 16,
             "twist is not rigid (a = %s), and (a*u)^2 = a*twist(a)*u^2 = 0 "
             "gives a nonzero square-zero series, matching the equivalence"
             % rig.witness["a"])
-    rng = derive_rng(seed, "series-square/%s/%s" % (ring.spec_text, endo.text))
+    rng = derive_rng(seed, "series-square/%s/%s" % (ring.spec_text, endo.stream_text))
     samples = scan_domain(ring).sample_count(2000)
     artifacts = 0
     for _ in range(samples):
@@ -982,7 +982,7 @@ def _scope_power_product_equivalence(ring, endo: Endo, rig, seed: int) -> Verdic
     dom = scan_domain(ring, 2)
     wide = dom.ring
     wendo = _twist_on(endo, dom)
-    rng = derive_rng(seed, "powerprod/%s/%s" % (ring.spec_text, endo.text))
+    rng = derive_rng(seed, "powerprod/%s/%s" % (ring.spec_text, endo.stream_text))
     pool, lifts = zip(*((v, lv) for v, lv in zip(dom.values, dom.lifted)
                         if v != ring.zero_v))
     degs = [ring.block_degrees(v) for v in pool]
@@ -1116,7 +1116,7 @@ def _scope_falsifier(ring, endo: Endo, precision: int, depth: int,
     """Truncated coefficient rings: every nonunit has zero constant term,
     so divisor powers gain inner order and, degree by degree, escape any
     window; verify the escape numerically on scheduled candidates."""
-    rng = derive_rng(seed, "falsify/%s/%s/%s" % (ring.spec_text, endo.text,
+    rng = derive_rng(seed, "falsify/%s/%s/%s" % (ring.spec_text, endo.stream_text,
                                                  side))
     pool = scan_domain(ring, 2).values
     nonunit_pool = [v for v in pool
@@ -1421,7 +1421,7 @@ def classify(ring, endo: Endo) -> ClassificationReport:
     red = is_reduced(ring)
     dom = is_domain(ring)
     profile = {
-        "cardinality": ring.describe_cardinality(),
+        "cardinality": ring.card if red.exact else "truncated-model",
         "reduced": {"holds": red.reduced, "exact": red.exact},
         "domain": {"holds": dom.domain, "exact": dom.exact},
         "archimedean": {},

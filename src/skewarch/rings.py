@@ -501,9 +501,6 @@ class RingHandle:
     def elements(self):
         return (Element(self, v) for v in self.values())
 
-    def describe_cardinality(self):
-        return "truncated-model" if self.truncated else self.card
-
 
 def require_finite(rings, message: str, error=RingConstructionError):
     """Raise error(message) when one of the rings is a truncated model.
@@ -1043,8 +1040,10 @@ class TruncSeriesRing(TruncatedModel):
         head = _digit_values(i, self.base.values(), s + 1)
         return tuple(head) + (self.base.zero_v,) * (self.precision - s)
 
+    @memo
     def widen(self):
-        return construct_ring(TruncSeriesSpec(self.base.spec, self.precision * 2))
+        return TruncSeriesRing(TruncSeriesSpec(self.base.spec, self.precision * 2),
+                               self.base)
 
     def lift_v(self, v, wide):
         return tuple(v) + (self.base.zero_v,) * (wide.precision - self.precision)
@@ -1069,8 +1068,8 @@ class XYQuotientRing(TruncatedModel):
 
     Since xy = 0, a value a + X + Y is stored as the pair (a + X, a + Y):
     two values of the series ring tser(F, N), `self.series` (coefficients
-    of degrees 0..N), with the same constant term a.  Sums, products and
-    inverses are taken half by half in that series ring."""
+    of degrees 0..N) over the given field F, with the same constant term
+    a.  Sums, products, inverses and units are taken half by half in it."""
 
     kind = "xyq"
 
@@ -1080,7 +1079,8 @@ class XYQuotientRing(TruncatedModel):
         self.spec = spec
         self.field = field
         self.precision = spec.precision
-        self.series = construct_ring(TruncSeriesSpec(field.spec, spec.precision))
+        self.series = TruncSeriesRing(TruncSeriesSpec(field.spec, spec.precision),
+                                      field)
         self.card = None
         self.zero_v = (self.series.zero_v,) * 2
         self.one_v = (self.series.one_v,) * 2
@@ -1106,7 +1106,7 @@ class XYQuotientRing(TruncatedModel):
         return None if xs is None else (xs, inv(v[1]))
 
     def has_inverse_v(self, v) -> bool:
-        return v[0][0] != self.field.zero_v
+        return self.series.has_inverse_v(v[0])
 
     def zero_mask_v(self, v) -> int:
         """Bit 0 is set iff the x-series is nonzero, bit 1 iff the
@@ -1143,8 +1143,10 @@ class XYQuotientRing(TruncatedModel):
         pad = (self.field.zero_v,) * (self.precision - s)
         return tuple(d[:s + 1]) + pad, (d[0], *d[s + 1:]) + pad
 
+    @memo
     def widen(self):
-        return construct_ring(XYQuotientSpec(self.spec.field, self.precision * 2))
+        return XYQuotientRing(XYQuotientSpec(self.field.spec, self.precision * 2),
+                              self.field)
 
     def lift_v(self, v, wide):
         lift = self.series.lift_v

@@ -454,7 +454,7 @@ def nilpotency_probe(f, bound: int = 16) -> ProbeResult:
 def _widened_replay_is_zero(f: TruncSeries, index: int) -> bool:
     ring = f.ring
     wide = ring.widen()
-    wendo = f.endo.on_widened(wide)
+    wendo = f.endo.widened()
     inner_half = wide.precision // 2
     lifted = TruncSeries(wide, wendo, f.precision * 2,
                          [ring.lift_v(c, wide) for c in f.coeffs])

@@ -456,7 +456,7 @@ def _suite_examples(entry, ring, endo, config: RunConfig) -> Verdict:
 
 def _suite_classify(entry, ring, endo, config: RunConfig) -> Verdict:
     rep = classify(ring, endo)
-    basis = "scope-exact" if ring.truncated else "exact"
+    basis = "exact" if rep.profile["reduced"]["exact"] else "scope-exact"
     return Verdict(HOLDS, rep.as_witness(),
                    "predictions derived from %s coefficient-level "
                    "predicates" % basis, tuple(rep.cited_tags()))

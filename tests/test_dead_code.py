@@ -21,7 +21,11 @@ tests/ or demos/; a constructor's calls go by the class name.
 
 No package module holds an assert statement: python -O strips them, so
 a check must raise (RuntimeError when an internal result check fails,
-ValueError for bad input)."""
+ValueError for bad input).
+
+No method of a ring or twist class calls construct_ring or build_endo:
+a ring or twist reads its parts from the objects it was built from, not
+from the construction caches."""
 
 import ast
 import io
@@ -188,3 +192,16 @@ def test_every_default_parameter_is_passed():
                    or (pos is not None and count > pos)
                    for count, keywords, starred in calls[name]))
     assert unpassed == []
+
+
+def test_ring_and_twist_methods_read_their_own_parts():
+    builders = {"construct_ring", "build_endo"}
+    found = sorted(
+        "%s:%s.%s" % (path.name, cls.name, method.name)
+        for path in (PACKAGE / "rings.py", PACKAGE / "endos.py")
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body if isinstance(method, ast.FunctionDef)
+        if any(isinstance(node, ast.Call) and _call_name(node) in builders
+               for node in ast.walk(method)))
+    assert found == []

@@ -1,8 +1,10 @@
+import json
+
 import pytest
 
 import time
 
-from skewarch import endos
+from skewarch import endos, props, rings
 from skewarch.endos import (
     EndoValidationError,
     build_endo,
@@ -12,7 +14,10 @@ from skewarch.endos import (
     preserves_nonunits,
     rigid_decomposition_check,
 )
-from skewarch.rings import construct_ring
+from skewarch.registry import RegistryEntry, RunConfig
+from skewarch.rings import (UNIT_PAIR_BUDGET, NonEnumerableError, ZmodRing,
+                            ZmodSpec, construct_ring)
+from skewarch.suites import SUITE_IDS, run_one
 
 
 def _gf4():
@@ -52,7 +57,7 @@ def test_only_table_twists_run_the_law_check(monkeypatch, tmp_path):
     def refuse(endo):
         raise EndoValidationError("law check ran")
     monkeypatch.setattr(endos, "_validate_endo", refuse)
-    monkeypatch.setattr(endos, "_ENDO_CACHE", {})
+    monkeypatch.setattr(rings, "_RING_CACHE", {})
     for spec, twist in [("zmod:10", "endo:id"), ("gf:7:1", "endo:frob"),
                         ("prod(zmod:2,zmod:2)", "endo:diag"),
                         ("xyq:gf:2:1:N=8", "endo:xsq")]:
@@ -94,6 +99,58 @@ def test_identity_rigid_iff_reduced():
 def test_identity_compatible_is_trivial():
     idz8 = build_endo(construct_ring("zmod:8"), "endo:id")
     assert is_compatible(idz8).holds
+
+
+def _count_work(monkeypatch, bound):
+    """On fresh rings, count each kernel call (k_add, k_mul, k_pow) and
+    each pair test of zero_keys, and raise once the count passes bound."""
+    monkeypatch.setattr(rings, "_RING_CACHE", {})
+    count = [0]
+
+    def counted(fn):
+        def call(*args):
+            count[0] += 1
+            if count[0] > bound:
+                raise RuntimeError("past %d counted calls" % bound)
+            return fn(*args)
+        return call
+
+    for cls in vars(rings).values():
+        if isinstance(cls, type) and issubclass(cls, rings.RingHandle):
+            for op in ("k_add", "k_mul", "k_pow"):
+                if op in vars(cls):
+                    monkeypatch.setattr(cls, op, counted(vars(cls)[op]))
+    zero_keys = rings.zero_keys
+
+    def counted_zero_keys(ring):
+        key, times, zero = zero_keys(ring)
+        return key, counted(times), zero
+    for module in (rings, endos, props):
+        monkeypatch.setattr(module, "zero_keys", counted_zero_keys)
+    return count
+
+
+@pytest.mark.parametrize("spec,twist,suite_id,refuses", [
+    ("gf:2:16", "endo:frob", "classify", False),
+    ("gf:2:16", "endo:frob", "lemma-4-2", False),
+    ("zmod:65536", "endo:id", "classify", False),
+    ("zmod:65536", "endo:id", "lemma-4-2", False),
+    ("prod(zmod:256,zmod:256)", "endo:diag", "classify", True),
+    ("prod(zmod:256,zmod:256)", "endo:diag", "lemma-4-2", True),
+])
+def test_compatibility_on_cap_size_rings_answers_or_refuses(
+        monkeypatch, spec, twist, suite_id, refuses):
+    # the identity and an injective twist of a field need no pair scan;
+    # the diagonal twist's 65536^2 pairs are refused before the scan
+    count = _count_work(monkeypatch, 2 * UNIT_PAIR_BUDGET)
+    entry = RegistryEntry(spec + "+" + twist, spec, twist, "cap size")
+    config = RunConfig(seed=42).validated()
+    if refuses:
+        with pytest.raises(NonEnumerableError, match="compatibility pair scan"):
+            run_one(entry, suite_id, config)
+    else:
+        assert run_one(entry, suite_id, config)["suite"] == suite_id
+    assert 0 < count[0] <= 2 * UNIT_PAIR_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +281,26 @@ def test_table_endo_refuses_a_truncated_model(tmp_path):
     assert str(err.value) == "endo:table needs a finite ring"
 
 
+def test_a_table_twist_samples_by_its_images_not_its_path(tmp_path):
+    # the same swap table at two paths: every suite's report is the same
+    # once the path is masked
+    spec = "prod(gf:2:1,gf:2:1)"
+    ring = construct_ring(spec)
+    swap = [(ring.text_of_v(v), ring.text_of_v(v[::-1])) for v in ring.values()]
+    config = RunConfig(seed=42, precision=8).validated()
+    runs = []
+    for folder in ("a", "bb"):
+        path = tmp_path / folder / "swap.map"
+        path.parent.mkdir()
+        _write_table(path, swap)
+        entry = RegistryEntry(spec + "+swap", spec, "endo:table:%s" % path, "test")
+        assert entry.build()[1].stream_text == (
+            "endo:table:([0],[0]),([1],[0]),([0],[1]),([1],[1])")
+        runs.append([json.dumps(run_one(entry, suite_id, config))
+                     .replace(str(path), "PATH") for suite_id in SUITE_IDS])
+    assert len(runs[0]) == 18 and runs[0] == runs[1]
+
+
 # ---------------------------------------------------------------------------
 # grammar
 
@@ -233,6 +310,14 @@ def test_unknown_endo_name_rejected():
         build_endo(construct_ring("zmod:6"), "endo:conjugate")
     with pytest.raises(EndoValidationError):
         build_endo(construct_ring("zmod:6"), "id")        # missing endo: head
+
+
+def test_a_built_in_twist_is_kept_on_its_own_ring():
+    cached = construct_ring("zmod:6")
+    assert build_endo(cached, "endo:id").ring is cached
+    fresh = ZmodRing(ZmodSpec(6))
+    twist = build_endo(fresh, "endo:id")
+    assert twist.ring is fresh and build_endo(fresh, " endo:id ") is twist
 
 
 def test_endo_equality_and_text():

@@ -25,7 +25,7 @@ from skewarch.skew import TruncSeries, solve_right_divisibility
 def reference_falsifier(ring, endo, precision=16, depth=5, budget=10_000, seed=0,
                         side="right"):
     """The finite-ring candidate search, stage by stage."""
-    rng = derive_rng(seed, "falsify/%s/%s/%s" % (ring.spec_text, endo.text, side))
+    rng = derive_rng(seed, "falsify/%s/%s/%s" % (ring.spec_text, endo.stream_text, side))
     notes = []
     examined = 0
 

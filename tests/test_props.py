@@ -392,7 +392,7 @@ def test_geometric_termination_walks_one_power_chain_per_sample(monkeypatch):
 
 
 def _zero_divisor_probe_in_full(ring, endo, side, samples, seed):
-    rng = derive_rng(seed, "polyzd/%s/%s/%s" % (ring.spec_text, endo.text, side))
+    rng = derive_rng(seed, "polyzd/%s/%s/%s" % (ring.spec_text, endo.stream_text, side))
     for _ in range(scan_domain(ring).sample_count(samples)):
         f = random_poly(ring, endo, rng, max_terms=3)
         b = random_poly(ring, endo, rng, max_terms=3)
@@ -406,7 +406,7 @@ def _zero_divisor_probe_in_full(ring, endo, side, samples, seed):
 def _square_scan_in_full(ring, endo, precision, seed):
     """The sampled branch of series_reduced_check under a rigid twist:
     its status, witness and count of truncation artifacts."""
-    rng = derive_rng(seed, "series-square/%s/%s" % (ring.spec_text, endo.text))
+    rng = derive_rng(seed, "series-square/%s/%s" % (ring.spec_text, endo.stream_text))
     artifacts = 0
     for _ in range(scan_domain(ring).sample_count(2000)):
         s = random_series(ring, endo, rng, precision, max_support=precision // 2)

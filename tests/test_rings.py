@@ -2,12 +2,15 @@ import math
 
 import pytest
 
+from skewarch.endos import SquareVariableEndo
 from skewarch.rings import (
+    GaloisFieldRing,
     NonEnumerableError,
     RingConstructionError,
     RingMismatchError,
     SubsetHandle,
     TruncSeriesRing,
+    XYQuotientRing,
     construct_ring,
     idempotents,
     is_domain,
@@ -276,7 +279,7 @@ def test_quotient_by_ideal_helper_projects():
 
 def test_trunc_series_ring_basics():
     ring = construct_ring("tser(gf:2:1,N=8)")
-    assert ring.describe_cardinality() == "truncated-model"
+    assert ring.truncated and ring.card is None
     assert ring.scope == 4
     t = ring.element(ring.monomial_v(1))
     t4 = ring.element(ring.monomial_v(4))
@@ -287,6 +290,34 @@ def test_trunc_series_ring_basics():
     assert not is_nilpotent(ring, t).nilpotent
     zero = is_nilpotent(ring, ring.zero)
     assert (zero.nilpotent, zero.index, zero.exact) == (True, 1, True)
+
+
+@pytest.mark.parametrize("spec,text,expected", [
+    ("tser(zmod:4,N=6)", "[2]", (True, 2, True, "zero power reached in widened model")),
+    ("tser(gf:2:1,N=4)", "[[0],[0],[1]]",
+     (True, 5, False, "zero power reached; truncation artifact possible")),
+])
+def test_truncated_nilpotence_replays_in_the_widened_model(spec, text, expected):
+    # u^2 has u^10 = 0 only because the widened window ends at u^8
+    ring = construct_ring(spec)
+    got = is_nilpotent(ring, ring.from_text(text))
+    assert (got.nilpotent, got.index, got.exact, got.note) == expected
+
+
+def test_a_truncated_model_reads_the_parts_it_was_built_from():
+    field = GaloisFieldRing(parse_ring_spec("gf:2:1"))
+    spec = parse_ring_spec("tser(gf:2:1,N=4)")
+    assert TruncSeriesRing(spec, field).widen().base is field
+    ring = XYQuotientRing(parse_ring_spec("xyq:gf:2:1:N=8"), field)
+    assert ring.series.base is field and ring.widen().field is field
+    assert ring.widen() is ring.widen() is scan_domain(ring).ring
+    assert SquareVariableEndo(ring).widened().ring is ring.widen()
+    calls, mul = [], field.k_mul
+    field.k_mul = lambda x, y: calls.append((x, y)) or mul(x, y)
+    x = ring.x_v(1)
+    assert ring.k_mul(x, x) == ring.x_v(2) and calls
+    field.has_inverse_v = lambda v: False
+    assert not ring.has_inverse_v(ring.one_v)
 
 
 def test_trunc_series_unit_iff_constant_unit():

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from skewarch import endos, props, rings, suites
+from skewarch import props, rings, suites
 from skewarch.endos import IdentityEndo, build_endo
 from skewarch.props import derived_archimedean, poly_radical_check, poly_zero_divisor_probe
 from skewarch.registry import ENTRIES, RunConfig
@@ -82,7 +82,6 @@ def test_memo_warmth_cannot_change_a_report(seed42_matrix, monkeypatch):
     # reversed, thm-3-4 fills each shared result before thm-3-3, and
     # thm-3-3 before cor-3-2
     monkeypatch.setattr(rings, "_RING_CACHE", {})
-    monkeypatch.setattr(endos, "_ENDO_CACHE", {})
     config = RunConfig(seed=42).validated()
     cells = [(entry, suite_id) for entry in ENTRIES for suite_id in SUITE_IDS]
     assert len(cells) == len(seed42_matrix.reports) == 198

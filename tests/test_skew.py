@@ -240,11 +240,18 @@ def test_probe_flags_window_truncation_as_artifact():
     assert not res.genuine                  # u^7 = 0 only because of the window
 
 
-def test_probe_accepts_constant_nilpotents_in_series():
-    ring = construct_ring("zmod:4")
+@pytest.mark.parametrize("spec,expected", [
+    ("zmod:4", (True, 2, True,
+                "zero power with supports inside the half-precision window")),
+    ("gf:5:1", (False, None, False,
+                "no zero power up to exponent 17 at this precision")),
+])
+def test_probe_accepts_constant_nilpotents_in_series(spec, expected):
+    # 2 is nilpotent in zmod:4 and a unit in gf:5:1
+    ring = construct_ring(spec)
     idn = build_endo(ring, "endo:id")
     res = nilpotency_probe(TruncSeries.constant(ring, idn, 2, 6))
-    assert res.zero_power_found and res.index == 2 and res.genuine
+    assert (res.zero_power_found, res.index, res.genuine, res.note) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_xyq_zero_pattern_decides_the_scanned_products(spec):
     shrinks to, every (a, b) and (a, alpha(b))."""
     ring = construct_ring(spec)
     dom = scan_domain(ring)
-    xsq = SquareVariableEndo(ring).on_widened(dom.ring)
+    xsq = SquareVariableEndo(ring).widened()
     lifted = dom.lifted
     check_xyq_products(dom.ring, itertools.combinations_with_replacement(lifted, 2))
     check_xyq_products(dom.ring, ((a, xsq.apply_v(a)) for a in lifted))
