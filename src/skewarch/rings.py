@@ -402,7 +402,8 @@ class SubsetHandle:
     def __init__(self, ring, values):
         self.ring = ring
         self.members = frozenset(values)
-        self.vals = tuple(sorted(self.members, key=ring.sort_key_v))
+        ring.values()   # builds the value index
+        self.vals = tuple(sorted(self.members, key=ring._index.__getitem__))
 
     def __contains__(self, item):
         v = item.v if isinstance(item, Element) else item
@@ -1303,18 +1304,37 @@ def zero_divisors(ring) -> SubsetHandle:
 
 
 @memo
+def squares(ring) -> dict:
+    """The square table v -> v*v of a finite ring in value order, one
+    product per value, shared by idempotents and nilpotent_values."""
+    mul = ring.k_mul
+    return {v: mul(v, v) for v in ring.values()}
+
+
+@memo
 def idempotents(ring) -> SubsetHandle:
-    return SubsetHandle(ring, [v for v in ring.values() if ring.k_mul(v, v) == v])
+    return SubsetHandle(ring, [v for v, sq in squares(ring).items() if sq == v])
 
 
 @memo
 def nilpotent_values(ring) -> frozenset:
     """The nilpotent values of a finite ring, for the radical and the
-    Archimedean test.  The right ideals a^i*R fall strictly until they
-    reach 0 (a^i = a^(i+1)*r would give a^i = a^(i+k)*r^k), so a
-    nilpotent has index at most log2|R| and that one power decides."""
-    m = ring.card.bit_length() - 1
-    return frozenset(v for v in ring.values() if ring.k_pow(v, m) == ring.zero_v)
+    Archimedean test.  v is nilpotent iff v^2 is (v^2k = (v^2)^k), so each
+    value walks the squaring map v -> v^2 -> ... of the square table until
+    it meets 0, a value already decided, whose verdict it takes, or its
+    own path: a cycle without 0, which holds no nilpotent, since the
+    squares of a nilpotent reach 0 and stay there."""
+    sq = squares(ring)
+    nil = {ring.zero_v: True}
+    for v in sq:
+        path = []
+        while v not in nil:
+            nil[v] = False   # on the path; a cycle back to it keeps False
+            path.append(v)
+            v = sq[v]
+        for p in path:
+            nil[p] = nil[v]
+    return frozenset(v for v, n in nil.items() if n)
 
 
 @memo
@@ -1362,19 +1382,22 @@ def zero_keys(ring):
 
 def principal_power_chain(ring, a: Element):
     """Descending sets R*a^n, stopping at the first repeat.  The ring is
-    commutative, so R*a^n = a^n*R and one chain serves both sides.
+    commutative, so R*a^n = a^n*R and one chain serves both sides.  Each
+    set is built from the one before it, R*a^(n+1) = {s*a : s in R*a^n}
+    by associativity, so a chain costs |R| plus the sizes of its sets in
+    products.  A unit's chain is [R], with no product: r -> r*a is onto.
     Returns (chain, stabilized set)."""
     vals = ring.values()
-    chain = []
-    power = a.v
-    prev = None
+    if ring.has_inverse_v(a.v):
+        whole = SubsetHandle(ring, vals)
+        return [whole], whole
+    mul, chain, prev = ring.k_mul, [], vals
     while True:
-        cur = frozenset(ring.k_mul(r, power) for r in vals)
-        if prev is not None and cur == prev:
+        cur = frozenset(mul(s, a.v) for s in prev)
+        if chain and cur == prev:
             break
         chain.append(SubsetHandle(ring, cur))
         prev = cur
-        power = ring.k_mul(power, a.v)
         if len(chain) > len(vals) + 1:
             raise RuntimeError("power chain failed to stabilize")
     return chain, chain[-1]

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 import pytest
 
-from skewarch.props import is_archimedean, sandwich_unit_clause
+from skewarch.props import (is_archimedean, sandwich_unit_clause,
+                            von_neumann_regular)
 from skewarch.rings import (
     GaloisFieldRing,
     NilpotenceResult,
@@ -19,9 +20,12 @@ from skewarch.rings import (
     TruncSeriesRing,
     ZmodRing,
     construct_ring,
+    idempotents,
     is_domain,
     is_nilpotent,
+    is_reduced,
     jacobson_radical,
+    nilpotent_values,
     nonunits,
     parse_ring_spec,
     principal_power_chain,
@@ -166,6 +170,27 @@ def oracle_nilpotence(ring, v):
     return NilpotenceResult(False, None, True, "power cycle without zero")
 
 
+def oracle_power_chain(ring, v):
+    """The sets {r*v^n : r in R}, each from every r and the power v^n,
+    up to the first repeat."""
+    vals, chain, power = ring.values(), [], v
+    while True:
+        cur = {ring.k_mul(r, power) for r in vals}
+        if chain and cur == chain[-1]:
+            return chain
+        chain.append(cur)
+        power = ring.k_mul(power, v)
+
+
+def oracle_regular(ring):
+    """The first a with no x making a*x*a = a, by two products per x."""
+    vals = ring.values()
+    for a in vals:
+        if not any(ring.k_mul(ring.k_mul(a, x), a) == a for x in vals):
+            return False, ring.element(a)
+    return True, None
+
+
 # ---------------------------------------------------------------------------
 # each rule against its oracle
 
@@ -202,6 +227,27 @@ def check_k_pow(ring):
 
 def check_radical(ring):
     assert list(jacobson_radical(ring).vals) == oracle_radical(ring)
+
+
+def check_idempotents(ring):
+    assert idempotents(ring).vals == tuple(v for v in ring.values()
+                                           if ring.k_mul(v, v) == v)
+
+
+def check_power_chain(ring):
+    """Each set built from the one before it is the set built from every
+    value, in value order."""
+    vals = ring.values()
+    for v in vals:
+        chain, stab = principal_power_chain(ring, ring.element(v))
+        want = oracle_power_chain(ring, v)
+        assert [s.vals for s in chain] == \
+            [tuple(u for u in vals if u in w) for w in want]
+        assert stab.members == want[-1]
+
+
+def check_regular(ring):
+    assert von_neumann_regular(ring) == oracle_regular(ring)
 
 
 def check_zero_divisors(ring):
@@ -251,7 +297,8 @@ def test_structural_rules_match_their_brute_force_scans(ring):
     # one test for all rules, so each drawn ring is built and validated once
     for check in (check_members, check_units, check_k_pow, check_radical,
                   check_nilpotence, check_zero_divisors, check_domain,
-                  check_zero_pattern, check_archimedean):
+                  check_zero_pattern, check_archimedean, check_power_chain,
+                  check_idempotents, check_regular):
         check(ring)
 
 
@@ -332,6 +379,51 @@ def test_subring_of_a_truncated_model_is_refused_before_any_product():
     with pytest.raises(RingConstructionError):
         SubRing(spec, parent)
     assert calls[0] == 0
+
+
+CAP_SIZE_RINGS = [
+    # fresh instances, and the value whose power chain is counted: 2, the
+    # field generator x (value 2), and (2,2)
+    ("zmod:65536", ZmodRing, 2),
+    ("gf:2:16", GaloisFieldRing, 2),
+    ("prod(zmod:256,zmod:256)",
+     lambda spec: ProductRing(spec, [ZmodRing(f) for f in spec.factors]), (2, 2)),
+]
+
+
+@pytest.mark.parametrize("spec, build, a", CAP_SIZE_RINGS,
+                         ids=[c[0] for c in CAP_SIZE_RINGS])
+def test_exact_procedures_on_cap_size_rings_take_at_most_two_products_a_value(
+        spec, build, a):
+    # called in this order on one instance, each call is charged only the
+    # products it adds to what the calls before it computed
+    ring = build(parse_ring_spec(spec))
+    calls, n = counting(ring), ring.card
+    procedures = [
+        ("units", lambda: units(ring)),
+        ("nilpotent_values", lambda: nilpotent_values(ring)),
+        ("idempotents", lambda: idempotents(ring)),
+        ("is_reduced", lambda: is_reduced(ring)),
+        ("is_domain", lambda: is_domain(ring)),
+        ("zero_pattern", lambda: zero_pattern(ring)),
+        ("is_archimedean.right", lambda: is_archimedean(ring, "right")),
+        ("is_archimedean.left", lambda: is_archimedean(ring, "left")),
+        ("principal_power_chain", lambda: principal_power_chain(ring, ring.element(a))),
+    ]
+    taken = {}
+    for name, call in procedures:
+        calls[0] = 0
+        call()
+        taken[name] = calls[0]
+    assert all(c <= 2 * n for c in taken.values()), taken
+    assert taken["nilpotent_values"] + taken["idempotents"] == n
+    calls[0] = 0
+    assert principal_power_chain(ring, ring.one)[1].members == set(ring.values())
+    unit = next(v for v in ring.values() if v != ring.one_v and ring.has_inverse_v(v))
+    chain, _ = principal_power_chain(ring, ring.element(unit))
+    assert len(chain) == 1 and calls[0] == 0
+    if spec == "zmod:65536":
+        assert taken["principal_power_chain"] == 2 * n - 1
 
 
 # ---------------------------------------------------------------------------
