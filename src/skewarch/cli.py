@@ -4,6 +4,9 @@ Flags: --entry --suite --seed --precision --depth --budget --format
 --jobs.  Each flag has an environment mirror SKEWARCH_<NAME>; explicit
 flags win over the environment, and the environment over the defaults:
 "all" for --entry and --suite, RunConfig's field defaults for the rest.
+--jobs N gives each coefficient ring's cells to one of at most N worker
+processes, so no two workers build the same ring's facts, and prints the
+reports in cell order; more workers than rings gain nothing.
 Exit codes: 0 clean, 1 when a report fails where the statements predict
 success, 2 unknown entry/suite id or bad configuration, 3 registry
 construction failure.
@@ -20,7 +23,7 @@ from .endos import EndoValidationError
 from .registry import (ENTRIES, FORMATS, RunConfig, find_entry,
                        startup_self_check)
 from .reports import render_json, render_list_json, render_list_text, render_text
-from .rings import RingConstructionError
+from .rings import RingConstructionError, construct_ring
 from .suites import SUITE_IDS, report_contradicts_predictions, run_one
 
 ENV_PREFIX = "SKEWARCH_"
@@ -45,7 +48,8 @@ def _add_flags(sub):
     sub.add_argument("--depth", type=int, help="falsifier divisibility depth")
     sub.add_argument("--budget", type=int, help="sample budget per probe")
     sub.add_argument("--format", choices=FORMATS, help="output format")
-    sub.add_argument("--jobs", type=int, help="parallel suite processes")
+    sub.add_argument("--jobs", type=int,
+                     help="worker processes, at most one per coefficient ring")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,19 +122,37 @@ def _select(entry_sel: str, suite_sel: str):
     return entries, suites, None
 
 
-def _run_cell(entry, suite_id: str, config: RunConfig) -> dict:
-    # pickled by name, so the pool works also where run_one is rebound
-    return run_one(entry, suite_id, config)
+def _run_cells(cells, config: RunConfig) -> list:
+    # run_one is read at call time, so the pool works also where it is rebound
+    return [run_one(entry, suite_id, config) for entry, suite_id in cells]
+
+
+def _ring_groups(cells) -> list:
+    """Cell indices grouped by the canonical spec of the entry's
+    coefficient ring, the largest group first; equal sizes keep the order
+    in which their rings first appear."""
+    groups = {}
+    for i, (entry, _) in enumerate(cells):
+        groups.setdefault(construct_ring(entry.ring_spec).spec_text, []).append(i)
+    return sorted(groups.values(), key=lambda group: -len(group))
 
 
 def _collect_reports(cells, config: RunConfig):
-    """One report per (entry, suite id) cell, in cell order."""
-    if config.jobs == 1 or len(cells) == 1:
-        return [run_one(entry, suite_id, config) for entry, suite_id in cells]
-    # merged in cell order regardless of completion order
-    entries, suite_ids = zip(*cells)
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(_run_cell, entries, suite_ids, itertools.repeat(config)))
+    """One report per (entry, suite id) cell, in cell order.  Under --jobs
+    each pool task runs every cell over one coefficient ring, so the
+    ring's memoized facts are built in one process only; a selection over
+    one ring runs in process."""
+    groups = _ring_groups(cells) if config.jobs > 1 else []
+    if len(groups) <= 1:
+        return _run_cells(cells, config)
+    reports = [None] * len(cells)
+    tasks = [[cells[i] for i in group] for group in groups]
+    with ProcessPoolExecutor(max_workers=min(config.jobs, len(groups))) as pool:
+        for group, done in zip(groups, pool.map(_run_cells, tasks,
+                                                itertools.repeat(config))):
+            for i, report in zip(group, done):
+                reports[i] = report
+    return reports
 
 
 def main(argv=None) -> int:

@@ -108,27 +108,37 @@ def is_archimedean(ring, side: str = "right") -> Verdict:
     """Exact on a finite ring.  A chain R*a^n (or a^n*R) stops at its
     first repeat and stays put from there, and R*a^m = {0} forces
     a^m = 1*a^m = 0, so a nonunit's chain reaches {0} iff a is nilpotent.
-    Only the first non-nilpotent nonunit has its chain built, for the
-    witness.  The ring is commutative, so R*a^n = a^n*R and both sides
-    are one property; the side names it in the certificate.  A truncated
-    model has no values to list, so nonunits raises NonEnumerableError,
-    whose message points to derived_archimedean."""
+    The ring is commutative, so R*a^n = a^n*R and both sides are one
+    property: the search is side-free and runs once per ring, and only
+    the HOLDS certificate names the side.  A truncated model has no
+    values to list, so nonunits raises NonEnumerableError, whose message
+    points to derived_archimedean."""
     _need_side(side)
-    nu = nonunits(ring)
-    nil = nilpotent_values(ring)
-    a = next((a for a in nu if a.v not in nil), None)
-    if a is not None:
-        chain, stab = principal_power_chain(ring, a)
-        return Verdict(
-            FAILS,
-            {"a": a.text, "stabilized": stab.texts()},
-            "principal power chain of %s stabilizes at {%s} after %d "
-            "steps without reaching {0} (exact)"
-            % (a.text, ",".join(stab.texts()), len(chain)))
+    failure = _archimedean_failure(ring)
+    if failure is not None:
+        return failure
     return Verdict(
         HOLDS, None,
         "all %d nonunit power chains stabilize at {0} (exhaustive "
-        "%s-side scan)" % (len(nu), side))
+        "%s-side scan)" % (len(nonunits(ring)), side))
+
+
+@memo
+def _archimedean_failure(ring) -> Optional[Verdict]:
+    """The FAILS verdict of the first non-nilpotent nonunit, whose chain
+    alone is built, for the witness; None when every nonunit is
+    nilpotent."""
+    nu, nil = nonunits(ring), nilpotent_values(ring)
+    a = next((a for a in nu if a.v not in nil), None)
+    if a is None:
+        return None
+    chain, stab = principal_power_chain(ring, a)
+    return Verdict(
+        FAILS,
+        {"a": a.text, "stabilized": stab.texts()},
+        "principal power chain of %s stabilizes at {%s} after %d "
+        "steps without reaching {0} (exact)"
+        % (a.text, ",".join(stab.texts()), len(chain)))
 
 
 @memo

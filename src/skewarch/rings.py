@@ -475,11 +475,6 @@ class RingHandle:
             self._index = {v: i for i, v in enumerate(self._values)}
         return self._values
 
-    def sort_key_v(self, v) -> int:
-        """The index of v in the value listing."""
-        self.values()
-        return self._index[v]
-
     # -- units: each class has a rule for is_unit_v (inverse or None) and
     # has_inverse_v (whether a unit), and computes no pair scan
 
@@ -801,7 +796,8 @@ class SubRing(RingHandle):
         return self.parent.k_mul(x, y)
 
     def _enumerate(self):
-        return sorted(self.members, key=self.parent.sort_key_v)
+        self.parent.values()   # builds the parent's value index
+        return sorted(self.members, key=self.parent._index.__getitem__)
 
     def text_of_v(self, v):
         return self.parent.text_of_v(v)
@@ -833,17 +829,20 @@ class QuotientRing(RingHandle):
                 _additive_group(parent, ideal, (parent.k_mul(r, g) for r in vals))
         self.ideal = SubsetHandle(parent, ideal)
         rep, self._unit_lifts = {}, {}   # unit coset -> a parent unit in it
+        self._reps = []
         for a in vals:
             if a in rep:
                 continue
-            coset = [parent.k_add(a, i) for i in ideal]
-            r = min(coset, key=parent.sort_key_v)
-            for m in coset:
-                rep[m] = r
+            # the values come in parent index order, and meeting any member
+            # of a coset maps the whole coset, so a, the first member met,
+            # is the member of least index
+            self._reps.append(a)
+            for m in (parent.k_add(a, i) for i in ideal):
+                rep[m] = a
                 if parent.has_inverse_v(m):
-                    self._unit_lifts[r] = m
+                    self._unit_lifts[a] = m
         self.rep_map = rep
-        self.card = len(set(rep.values()))
+        self.card = len(self._reps)
         self.zero_v = rep[parent.zero_v]
         self.one_v = rep[parent.one_v]
         super().__init__()
@@ -867,7 +866,7 @@ class QuotientRing(RingHandle):
         return v in self._unit_lifts
 
     def _enumerate(self):
-        return sorted(set(self.rep_map.values()), key=self.parent.sort_key_v)
+        return self._reps   # built in parent index order
 
     def text_of_v(self, v):
         return self.parent.text_of_v(v)
@@ -1243,6 +1242,7 @@ def units(ring) -> SubsetHandle:
     return SubsetHandle(ring, [v for v in ring.values() if ring.has_inverse_v(v)])
 
 
+@memo
 def nonunits(ring) -> SubsetHandle:
     u = units(ring).members
     return SubsetHandle(ring, [v for v in ring.values() if v not in u])
@@ -1544,7 +1544,8 @@ def _spec_gens(ring, kind: str, gens) -> tuple:
     truncated ring is refused first, as construction refuses it."""
     texts = generator_texts(ring, gens)
     require_finite((ring,), "%s parent must be a finite ring" % kind)
-    return tuple(sorted(set(texts), key=lambda t: ring.sort_key_v(ring.v_of_text(t))))
+    ring.values()   # builds the value index
+    return tuple(sorted(set(texts), key=lambda t: ring._index[ring.v_of_text(t)]))
 
 
 def subring_generated(ring, gens):

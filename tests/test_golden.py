@@ -11,6 +11,8 @@ import hashlib
 import io
 import json
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +43,15 @@ def _digest(text: str):
 def test_full_matrix_report_bytes_frozen(seed42_matrix):
     assert _digest(seed42_matrix.json) == GOLDEN_JSON
     assert _digest(seed42_matrix.explain) == GOLDEN_EXPLAIN
+
+
+def test_full_matrix_at_two_jobs_prints_the_golden_bytes():
+    # the pool path in a fresh process: one worker task per coefficient ring
+    run = subprocess.run([sys.executable, "-m", "skewarch.cli", "run",
+                          "--entry", "all", "--suite", "all", "--seed", "42",
+                          "--jobs", "2"], capture_output=True, text=True)
+    assert run.returncode == 0
+    assert _digest(run.stdout) == GOLDEN_JSON
 
 
 def test_small_config_report_bytes_frozen():

@@ -1,7 +1,9 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -340,14 +342,60 @@ def test_cli_run_is_deterministic_across_processes():
 
 
 def test_cli_jobs_merge_in_task_order():
-    serial = _run_cli("run", "--entry", "zmod:6", "--suite", "all",
-                      "--seed", "5", "--jobs", "1")
-    parallel = _run_cli("run", "--entry", "zmod:6", "--suite", "all",
-                        "--seed", "5", "--jobs", "2")
-    assert serial.returncode == parallel.returncode == 0
-    assert serial.stdout == parallel.stdout
-    doc = json.loads(serial.stdout)
+    # one ring runs in process; a selection of several rings goes through
+    # the pool, with fewer and with more workers than the two largest groups
+    one_ring = [_run_cli("run", "--entry", "zmod:6", "--suite", "all",
+                         "--seed", "5", "--jobs", jobs) for jobs in "12"]
+    assert one_ring[0].returncode == one_ring[1].returncode == 0
+    assert one_ring[0].stdout == one_ring[1].stdout
+    doc = json.loads(one_ring[0].stdout)
     assert [r["suite"] for r in doc["reports"]] == list(SUITE_IDS)
+    rings = [_run_cli("run", "--entry", "all", "--suite", "lemma-2-3",
+                      "--seed", "5", "--jobs", jobs) for jobs in "123"]
+    assert [proc.returncode for proc in rings] == [0, 0, 0]
+    assert rings[0].stdout == rings[1].stdout == rings[2].stdout
+    doc = json.loads(rings[0].stdout)
+    assert [r["entry"] for r in doc["reports"]] == list(EXPECTED_ENTRY_IDS)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the rebound run_one reaches the workers only by fork")
+def test_pool_runs_each_ring_in_one_process_and_merges_in_cell_order(monkeypatch):
+    def where(entry, suite_id, config):
+        time.sleep(0.005)   # long enough for both workers to take tasks
+        return os.getpid(), entry.ring_spec, entry.id, suite_id
+
+    monkeypatch.setattr(cli, "run_one", where)
+    cells = [(e, s) for e in ENTRIES for s in ("arithmetic", "classify")]
+    done = cli._collect_reports(cells, RunConfig(jobs=2))
+    assert [d[2:] for d in done] == [(e.id, s) for e, s in cells]
+    pids = {}
+    for pid, ring_spec, _, _ in done:
+        pids.setdefault(ring_spec, set()).add(pid)
+    assert len(pids) == 8
+    assert all(len(p) == 1 for p in pids.values()), pids
+    assert os.getpid() not in set().union(*pids.values())
+
+
+def test_one_ring_at_two_jobs_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for one ring")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    twins = [find_entry("gf:2:2"), find_entry("gf:2:2+endo:frob")]
+    cells = [(e, "arithmetic") for e in twins]
+    assert cli._collect_reports(cells, RunConfig(seed=5, jobs=2)) == \
+        [run_one(e, s, RunConfig(seed=5)) for e, s in cells]
+
+
+def test_ring_groups_put_the_largest_first_and_ties_in_first_appearance():
+    cells = [(e, s) for e in ENTRIES for s in ("arithmetic", "classify")]
+    groups = cli._ring_groups(cells)
+    assert sorted(i for g in groups for i in g) == list(range(len(cells)))
+    assert [cells[g[0]][0].id for g in groups] == [
+        "gf:2:2", "prod(zmod:2,zmod:2)", "xyq:gf:2:1:N=8", "zmod:6",
+        "zmod:8", "zmod:12", "gf:5:1", "prod(zmod:2,zmod:3)"]
+    assert [len(g) for g in groups] == [4, 4, 4, 2, 2, 2, 2, 2]
 
 
 def test_cli_expected_falsifier_chain_exits_zero():

@@ -197,17 +197,28 @@ def oracle_regular(ring):
 
 def check_members(ring):
     """A subring's members, and a quotient's ideal, are the two-sided
-    closure of its seeds."""
+    closure of its seeds.  A subring lists its members, and a quotient
+    its coset representatives (each the coset member of least parent
+    index), in parent value order."""
     if ring.kind not in ("sub", "quot"):
         return
     parent = ring.parent
+    pvals = parent.values()
     gens = [parent.v_of_text(g) for g in ring.spec.gens]
     if ring.kind == "sub":
         assert ring.members == oracle_closure(parent,
                                               [ring.zero_v, ring.one_v, *gens])
-    else:
-        assert ring.ideal.members == oracle_closure(parent, [parent.zero_v, *gens],
-                                                    parent.values())
+        assert ring.values() == [v for v in pvals if v in ring.members]
+        return
+    assert ring.ideal.members == oracle_closure(parent, [parent.zero_v, *gens],
+                                                pvals)
+    index = {v: i for i, v in enumerate(pvals)}
+    least = {a: min((parent.k_add(a, i) for i in ring.ideal.members),
+                    key=index.__getitem__)
+             for a in pvals}
+    assert all(ring.project_v(a) == r for a, r in least.items())
+    reps = set(least.values())
+    assert ring.values() == [v for v in pvals if v in reps]
 
 
 def check_units(ring):
@@ -416,6 +427,8 @@ def test_exact_procedures_on_cap_size_rings_take_at_most_two_products_a_value(
         call()
         taken[name] = calls[0]
     assert all(c <= 2 * n for c in taken.values()), taken
+    # the two sides are one search, run once per ring
+    assert taken["is_archimedean.left"] == 0
     assert taken["nilpotent_values"] + taken["idempotents"] == n
     calls[0] = 0
     assert principal_power_chain(ring, ring.one)[1].members == set(ring.values())
