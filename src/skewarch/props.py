@@ -24,8 +24,8 @@ from typing import Optional
 from .endos import (Endo, _twist_on, build_endo, is_compatible, is_injective,
                     is_rigid, preserves_nonunits, rigid_decomposition_check)
 from .prng import SplitMix64, derive_rng
-from .rings import (Element, SubsetHandle, construct_ring, generator_texts,
-                    idempotents, is_domain, is_reduced, jacobson_radical, memo,
+from .rings import (Element, SubsetHandle, construct_ring, idempotents,
+                    is_domain, is_reduced, jacobson_radical, memo,
                     nilpotent_values, nonunits, principal_power_chain,
                     quotient_by_ideal, require_budget, scan_domain,
                     subring_generated, units, zero_divisors, zero_keys)
@@ -416,7 +416,7 @@ def subring_inheritance_check(ambient, gens=(), side: str = "right") -> Verdict:
     sub, _, cond = subring_generated(ambient, gens)
     info = {
         "subring_card": sub.card,
-        "generators": generator_texts(ambient, gens),
+        "generators": list(sub.spec.gens),
         "ambient_units_in_subring": cond["ambient_units_in_subring"],
     }
     ambient_arch = is_archimedean(ambient, side)

@@ -402,8 +402,7 @@ class SubsetHandle:
     def __init__(self, ring, values):
         self.ring = ring
         self.members = frozenset(values)
-        ring.values()   # builds the value index
-        self.vals = tuple(sorted(self.members, key=ring._index.__getitem__))
+        self.vals = tuple(sorted(self.members, key=ring.value_index.__getitem__))
 
     def __contains__(self, item):
         v = item.v if isinstance(item, Element) else item
@@ -446,7 +445,6 @@ class RingHandle:
                                                     ENUMERATION_CAP))
         self._cache = {}
         self._values = None
-        self._index = None
 
     # identity is the canonical spec text, so re-constructing the same
     # spec yields interoperable handles
@@ -472,8 +470,12 @@ class RingHandle:
     def values(self):
         if self._values is None:
             self._values = list(self._enumerate())
-            self._index = {v: i for i, v in enumerate(self._values)}
         return self._values
+
+    @cached_property
+    def value_index(self) -> dict:
+        """value -> its position in values(), built on first use."""
+        return {v: i for i, v in enumerate(self.values())}
 
     # -- units: each class has a rule for is_unit_v (inverse or None) and
     # has_inverse_v (whether a unit), and computes no pair scan
@@ -733,13 +735,6 @@ class ProductRing(RingHandle):
         return tuple(f.v_of_text(t) for f, t in zip(self.factors, parts))
 
 
-def _generator_values(ring, spec, parent) -> list:
-    """The generators of a subring or quotient spec as parent values.
-    Both list the parent's values, so the parent must be finite."""
-    require_finite((parent,), "%s parent must be a finite ring" % ring.kind)
-    return [parent.v_of_text(g) for g in spec.gens]
-
-
 def _additive_group(parent, members: set, gens) -> set:
     """Grow the additive group members to the group it and the gens
     generate.  A gen g outside the group H so far adds the cosets H + g,
@@ -769,17 +764,17 @@ def _closure(parent, seeds) -> set:
 
 
 class SubRing(RingHandle):
-    """Closure of {0, 1} and the generators inside a finite parent; shares
-    the ambient unity by construction.  Its units and inverses are the
-    parent's: a unit of a finite ring has a power for its inverse, which
-    lies in every subring holding the unit."""
+    """Closure of {0, 1} and the generators (see derived_ring) inside a
+    finite parent; shares the ambient unity by construction.  Its units
+    and inverses are the parent's: a unit of a finite ring has a power for
+    its inverse, which lies in every subring holding the unit."""
 
     kind = "sub"
 
-    def __init__(self, spec: SubringSpec, parent):
-        self.spec = spec
+    def __init__(self, parent, gens: tuple):
+        self.spec = SubringSpec(parent.spec, tuple(map(parent.text_of_v, gens)))
         self.parent = parent
-        self.members = frozenset(_closure(parent, _generator_values(self, spec, parent)))
+        self.members = frozenset(_closure(parent, gens))
         self.card = len(self.members)
         self.is_unit_v, self.has_inverse_v = parent.is_unit_v, parent.has_inverse_v
         self.zero_v = parent.zero_v
@@ -796,8 +791,7 @@ class SubRing(RingHandle):
         return self.parent.k_mul(x, y)
 
     def _enumerate(self):
-        self.parent.values()   # builds the parent's value index
-        return sorted(self.members, key=self.parent._index.__getitem__)
+        return sorted(self.members, key=self.parent.value_index.__getitem__)
 
     def text_of_v(self, v):
         return self.parent.text_of_v(v)
@@ -811,18 +805,17 @@ class SubRing(RingHandle):
 
 class QuotientRing(RingHandle):
     """Quotient of a finite ring by the ideal generated by the given
-    elements.  Elements are canonical coset representatives: the coset
-    member of least parent enumeration index.  A coset is a unit iff it
+    values (see derived_ring).  Elements are canonical coset
+    representatives: the coset member of least parent enumeration index.  A coset is a unit iff it
     holds a parent unit u, and then its inverse is the coset of u's
     inverse: a finite commutative ring is a product of local rings, and
     in a local ring units lift modulo every ideal."""
 
     kind = "quot"
 
-    def __init__(self, spec: QuotientSpec, parent):
-        self.spec = spec
+    def __init__(self, parent, gens: tuple):
+        self.spec = QuotientSpec(parent.spec, tuple(map(parent.text_of_v, gens)))
         self.parent = parent
-        gens = _generator_values(self, spec, parent)
         ideal, vals = {parent.zero_v}, parent.values()
         for g in gens:
             if g not in ideal:   # else R*g lies in the ideal so far
@@ -1194,9 +1187,10 @@ def construct_ring(spec) -> RingHandle:
     RingConstructionError there: a malformed spec or a reducible gf
     modulus (parse_ring_spec), a finite ring past ENUMERATION_CAP
     (RingHandle.__init__, before a field builds its tables), a quotient
-    by an ideal containing 1, and a part or precision a construction
-    refuses (zmod:1, a truncated model as a factor, parent or base,
-    refused by require_finite; xyq with N < 2).  A spec that passes
+    by an ideal containing 1, a generator naming no value of its parent
+    (canonical_gens), and a part or precision a construction refuses
+    (zmod:1, a truncated model as a factor, parent or base, refused by
+    require_finite; xyq with N < 2).  A spec that passes
     builds a ring, so no ring law is sampled here; tests/test_ring_laws.py
     checks the laws of every kind."""
     if isinstance(spec, str):
@@ -1212,9 +1206,9 @@ def construct_ring(spec) -> RingHandle:
     elif isinstance(spec, ProductSpec):
         ring = ProductRing(spec, tuple(construct_ring(f) for f in spec.factors))
     elif isinstance(spec, SubringSpec):
-        ring = SubRing(spec, construct_ring(spec.parent))
+        ring = derived_ring(construct_ring(spec.parent), SubRing, spec.gens)
     elif isinstance(spec, QuotientSpec):
-        ring = QuotientRing(spec, construct_ring(spec.parent))
+        ring = derived_ring(construct_ring(spec.parent), QuotientRing, spec.gens)
     elif isinstance(spec, TruncSeriesSpec):
         ring = TruncSeriesRing(spec, construct_ring(spec.base))
     elif isinstance(spec, XYQuotientSpec):
@@ -1223,6 +1217,36 @@ def construct_ring(spec) -> RingHandle:
         raise RingConstructionError("unknown spec %r" % (spec,))
     _RING_CACHE[key] = ring
     return ring
+
+
+def canonical_gens(parent, kind: str, gens) -> tuple:
+    """Generators of a sub or quot of parent (element texts, Elements or
+    a SubsetHandle) as parent values, each once, in the parent's value
+    order.  That order lists the parent's values, so a truncated parent
+    is refused first.  A text naming no value raises
+    RingConstructionError, an Element of another ring RingMismatchError."""
+    require_finite((parent,), "%s parent must be a finite ring" % kind)
+    vals = set()
+    for g in gens:
+        if isinstance(g, Element) and g.ring != parent:
+            raise RingMismatchError("generator from a different ring")
+        try:
+            vals.add(g.v if isinstance(g, Element) else parent.v_of_text(g))
+        except ValueError as err:
+            raise RingConstructionError(str(err)) from None
+    return tuple(sorted(vals, key=parent.value_index.__getitem__))
+
+
+def derived_ring(parent, cls, gens):
+    """The SubRing or QuotientRing (cls) of parent that gens generate,
+    built over parent itself and memoized on it, so construct_ring and
+    the helpers give one object per parent and canonical generators."""
+    return _derived_ring(parent, cls, canonical_gens(parent, cls.kind, gens))
+
+
+@memo
+def _derived_ring(parent, cls, gens: tuple):
+    return cls(parent, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -1523,37 +1547,12 @@ def is_domain(ring) -> DomainResult:
     return DomainResult(True, None, dom.exact, dom.note("pair scan"))
 
 
-def generator_texts(ring, gens) -> list:
-    """Canonical texts of generators of ring, given as Elements, element
-    texts or a SubsetHandle, which yields Elements.  An Element of another
-    ring raises RingMismatchError."""
-    texts = []
-    for g in gens:
-        if isinstance(g, Element):
-            if g.ring != ring:
-                raise RingMismatchError("generator from a different ring")
-            texts.append(g.text)
-        else:
-            texts.append(ring.from_text(g).text)
-    return texts
-
-
-def _spec_gens(ring, kind: str, gens) -> tuple:
-    """Generator texts of a sub or quot spec over ring, each once, in the
-    ring's value order.  That order lists the ring's values, so a
-    truncated ring is refused first, as construction refuses it."""
-    texts = generator_texts(ring, gens)
-    require_finite((ring,), "%s parent must be a finite ring" % kind)
-    ring.values()   # builds the value index
-    return tuple(sorted(set(texts), key=lambda t: ring._index[ring.v_of_text(t)]))
-
-
 def subring_generated(ring, gens):
     """Closure of {0, 1, gens} under ring operations.  Returns the subring
     handle, the embedding into the ambient ring, and a unit-condition report
     listing the ambient units that lie in the subring.  Each is a unit of
     the subring too: a unit of a finite ring has a power for its inverse."""
-    sub = construct_ring(SubringSpec(ring.spec, _spec_gens(ring, "sub", gens)))
+    sub = derived_ring(ring, SubRing, gens)
 
     def embed(e: Element) -> Element:
         if e.ring != sub:
@@ -1568,7 +1567,7 @@ def quotient_by_ideal(ring, ideal):
     """Quotient by the ideal generated by a SubsetHandle or a generator
     list.  Returns the quotient handle and the projection map.  An Element
     or a SubsetHandle of another ring raises RingMismatchError."""
-    quo = construct_ring(QuotientSpec(ring.spec, _spec_gens(ring, "quot", ideal)))
+    quo = derived_ring(ring, QuotientRing, ideal)
 
     def project(e: Element) -> Element:
         if e.ring != ring:

@@ -25,7 +25,9 @@ ValueError for bad input).
 
 No method of a ring or twist class calls construct_ring or build_endo:
 a ring or twist reads its parts from the objects it was built from, not
-from the construction caches."""
+from the construction caches.  In rings.py only construct_ring calls
+construct_ring, so a subring or quotient is built over the ring it is
+given."""
 
 import ast
 import io
@@ -205,3 +207,13 @@ def test_ring_and_twist_methods_read_their_own_parts():
         if any(isinstance(node, ast.Call) and _call_name(node) in builders
                for node in ast.walk(method)))
     assert found == []
+    # a subring or quotient is built over the ring it is given, through
+    # rings.derived_ring, so in rings.py only construct_ring itself (for
+    # the parts a spec names) calls construct_ring
+    callers = sorted(
+        top.name
+        for top in ast.parse((PACKAGE / "rings.py").read_text(encoding="utf-8")).body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        if any(isinstance(node, ast.Call) and _call_name(node) == "construct_ring"
+               for node in ast.walk(top)))
+    assert callers == ["construct_ring"]

@@ -4,8 +4,10 @@ A suite says "fails" only when the package or a published statement is
 wrong, so no registry entry reaches those returns.  Each test here plants
 one fault in a fresh ring or twist, built outside the construction
 caches so that no memoized result reaches another test: a kernel, unit
-test or element printer that is wrong on one value or pair, or a twist
-whose map is altered after it was built.
+test or element printer that is wrong on a few values or pairs, a wrong
+result planted in a ring's memo, or a twist whose map is altered after
+it was built.  A subring or quotient is built over the ring it is
+given, so a fault planted in a ring reaches its quotients too.
 The suite must then return a report that passes `validate_report`,
 renders as text, and contradicts the predictions (the CLI's exit-1
 condition).  A fault in the scans of the two-variable derivation is
@@ -22,9 +24,9 @@ from skewarch.props import (FAILS, HOLDS_BY_THEOREM, HYPOTHESIS_NOT_MET,
                             INCONCLUSIVE, derived_archimedean)
 from skewarch.registry import RunConfig
 from skewarch.reports import render_report_text, validate_report
-from skewarch.rings import (GaloisFieldRing, TruncSeriesRing, XYQuotientRing,
-                            ZmodRing, ZmodSpec, construct_ring, parse_ring_spec,
-                            scan_domain)
+from skewarch.rings import (GaloisFieldRing, SubsetHandle, TruncSeriesRing,
+                            XYQuotientRing, ZmodRing, ZmodSpec, construct_ring,
+                            parse_ring_spec, scan_domain)
 from skewarch.suites import report_contradicts_predictions, run_one
 
 
@@ -177,12 +179,11 @@ def test_a_nontrivial_idempotent_fails_the_derived_chain_condition():
 
 
 def test_a_radical_holding_every_value_fails_the_gluing():
-    # the quotients come from the honest cached zmod:6; only the radical
-    # of the planted ring is wrong: every square is 0, so the square table
-    # calls every value nilpotent and the ideals (2) and (3) look radical
+    # the quotients are built over the planted ring, whose kernels are
+    # honest; only its memoized radical is wrong: it holds every value,
+    # so the ideals (2) and (3) look radical
     ring = ZmodRing(ZmodSpec(6))
-    mul = ring.k_mul
-    ring.k_mul = lambda x, y: ring.zero_v if x == y else mul(x, y)
+    ring._cache[("jacobson_radical",)] = SubsetHandle(ring, ring.values())
     report = run_planted(ring, IdentityEndo(ring), "prop-4-7")
     clauses = report["witness"]["clauses"]
     assert clauses["radical_archimedean_glue"]["status"] == FAILS
@@ -190,16 +191,22 @@ def test_a_radical_holding_every_value_fails_the_gluing():
 
 
 def test_a_comparable_pair_taken_for_incomparable_meets_no_clause():
-    # with a wrong product, (3) looks equal to (2) and (4) holds 1, so the
-    # first "incomparable" pair is (2), (4); in the honest quotients
-    # (4) lies in (2), Z/4 is not reduced and (2) escapes the radical
+    # the pair scan forms each R*a from the products r*a: with wrong
+    # products, r*3 for r >= 4 reads r*2, so (3) holds (2), and 2*2 and
+    # 8*2 read 0, so the scanned (2) misses 4 and the first "incomparable"
+    # pair is (2), (4).  The quotients close each ideal additively, which
+    # restores 4, and multiply only representatives 0..3, where 2*2 = 0
+    # modulo (4) anyway, so they are honest: (4) lies in (2), Z/4 is not
+    # reduced and (2) escapes the radical
     ring = ZmodRing(ZmodSpec(12))
     mul = ring.k_mul
-    ring.k_mul = lambda x, y: (mul(x, 2) if y == 3 else 1 if (x, y) == (1, 4)
+    ring.k_mul = lambda x, y: (mul(x, 2) if y == 3 and x >= 4
+                               else 0 if (x, y) in ((2, 2), (8, 2))
                                else mul(x, y))
     report, contradicts = run_report(ring, IdentityEndo(ring), "prop-4-7")
     assert report["status"] == HYPOTHESIS_NOT_MET and not contradicts
     assert report["witness"]["generators"] == ["2", "4"]
+    assert report["witness"]["pair"]["intersection"] == ["0", "4", "8"]
     assert {c["status"] for c in report["witness"]["clauses"].values()} == \
         {HYPOTHESIS_NOT_MET}
 

@@ -11,6 +11,8 @@ from skewarch.rings import (
     SubsetHandle,
     TruncSeriesRing,
     XYQuotientRing,
+    ZmodRing,
+    ZmodSpec,
     construct_ring,
     idempotents,
     is_domain,
@@ -273,6 +275,43 @@ def test_quotient_by_ideal_helper_projects():
     assert project(z12.element(4)).text == "0"
 
 
+@pytest.mark.parametrize("spec,helper,gens,canonical", [
+    ("quot(zmod:12;14)", quotient_by_ideal, ["2"], "quot(zmod:12;2)"),
+    ("sub(zmod:12;4,2,2)", subring_generated, ["2", "4"], "sub(zmod:12;2,4)"),
+], ids=["quot", "sub"])
+def test_spec_and_helper_build_one_object_with_one_canonical_text(
+        spec, helper, gens, canonical):
+    # the generators are read once, each value kept once, in value order
+    parsed = construct_ring(spec)
+    built = helper(construct_ring("zmod:12"), gens)[0]
+    assert parsed is built and parsed.spec_text == canonical
+    assert construct_ring(canonical) is parsed
+    assert parsed.parent is construct_ring("zmod:12")
+
+
+def test_a_sub_or_quot_is_built_over_the_ring_it_is_given():
+    # the parent is not a cached ring, and a kernel planted on it reaches
+    # the quotient's products
+    parent = ZmodRing(ZmodSpec(12))
+    sub = subring_generated(parent, ["3"])[0]
+    quo = quotient_by_ideal(parent, ["4"])[0]
+    assert sub.parent is parent and quo.parent is parent
+    assert quo is quotient_by_ideal(parent, [parent.element(4), "4"])[0]
+    assert quo == construct_ring("quot(zmod:12;4)")
+    assert quo is not construct_ring("quot(zmod:12;4)")
+    mul = parent.k_mul
+    parent.k_mul = lambda x, y: 2 if (x, y) == (3, 3) else mul(x, y)
+    assert quo.k_mul(3, 3) == 2 and sub.k_mul(3, 3) == 2
+
+
+def test_helpers_raise_a_construction_error_for_a_bad_generator_text():
+    z12 = construct_ring("zmod:12")
+    for helper in (subring_generated, quotient_by_ideal):
+        with pytest.raises(RingConstructionError) as err:
+            helper(z12, ["2", "x"])
+        assert str(err.value) == "bad element 'x' for zmod:12"
+
+
 # ---------------------------------------------------------------------------
 # truncated models
 
@@ -440,7 +479,10 @@ def test_construction_failures():
                 # finite but beyond the enumeration cap
                 "zmod:70000", "prod(zmod:300,zmod:300)",
                 # an ideal that contains 1: zero would equal one
-                "quot(zmod:6;1)", "quot(prod(zmod:2,zmod:3);(1,1))"]:
+                "quot(zmod:6;1)", "quot(prod(zmod:2,zmod:3);(1,1))",
+                # a generator text naming no value of the parent
+                "sub(zmod:12;x)", "quot(gf:2:2;[1])", "sub(quot(zmod:12;4);(1,0))",
+                "quot(sub(prod(zmod:2,zmod:2););(1,0))"]:
         with pytest.raises(RingConstructionError):
             construct_ring(bad)
     # a truncated model as a part: each construction keeps its own message

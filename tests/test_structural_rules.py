@@ -20,6 +20,7 @@ from skewarch.rings import (
     TruncSeriesRing,
     ZmodRing,
     construct_ring,
+    derived_ring,
     idempotents,
     is_domain,
     is_nilpotent,
@@ -364,7 +365,7 @@ def test_quotient_of_zmod_2048_builds_in_few_kernel_calls():
     spec = parse_ring_spec("quot(zmod:2048;2)")
     parent = ZmodRing(spec.parent)
     calls = counting(parent, kernels=KERNELS)
-    quo = QuotientRing(spec, parent)
+    quo = derived_ring(parent, QuotientRing, spec.gens)
     assert calls[0] <= 20_000
     assert quo.ideal.members == frozenset(range(0, 2048, 2))
     assert quo.values() == [0, 1]
@@ -374,7 +375,7 @@ def test_units_of_a_quotient_of_zmod_4096_take_few_kernel_calls():
     spec = parse_ring_spec("quot(zmod:4096;2048)")
     parent = ZmodRing(spec.parent)
     calls = counting(parent, kernels=KERNELS)
-    quo = QuotientRing(spec, parent)
+    quo = derived_ring(parent, QuotientRing, spec.gens)
     assert quo.card == 2048
     assert units(quo).vals == tuple(range(1, 2048, 2))
     assert len(nonunits(quo)) == 1024
@@ -388,7 +389,7 @@ def test_subring_of_a_truncated_model_is_refused_before_any_product():
     parent = TruncSeriesRing(spec.parent, ZmodRing(spec.parent.base))
     calls = counting(parent, kernels=KERNELS)
     with pytest.raises(RingConstructionError):
-        SubRing(spec, parent)
+        derived_ring(parent, SubRing, spec.gens)
     assert calls[0] == 0
 
 
