@@ -497,6 +497,21 @@ def test_construction_failures():
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("bad", [
+    "zmod:x", "xyq:gf:2:1:N=x", "gf:2", "gf:x:1", "gf:2:2:1,x,1", "sub(zmod:6)",
+    "tser(zmod:2)", "tser(zmod:2,N=x)", "prod(zmod:2,nope)"])
+def test_malformed_spec_texts_raise_a_construction_error(bad):
+    with pytest.raises(RingConstructionError):
+        construct_ring(bad)
+
+
+def test_a_factor_keeps_its_own_construction_error():
+    with pytest.raises(RingConstructionError) as err:
+        construct_ring("prod(zmod:70000,zmod:2)")
+    assert str(err.value) == ("zmod:70000 has 70000 elements, beyond the "
+                              "enumeration cap 65536")
+
+
 def test_helpers_refuse_a_truncated_parent_before_sorting_generators():
     # the generators are put in the parent's value order, which a
     # truncated model does not have; the refusal is construction's own
