@@ -7,7 +7,6 @@ from .rings import (  # noqa: F401
     RingMismatchError,
     NonEnumerableError,
     construct_ring,
-    parse_ring_spec,
     units,
     nonunits,
     is_unit,

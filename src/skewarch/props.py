@@ -416,7 +416,7 @@ def subring_inheritance_check(ambient, gens=(), side: str = "right") -> Verdict:
     sub, _, cond = subring_generated(ambient, gens)
     info = {
         "subring_card": sub.card,
-        "generators": list(sub.spec.gens),
+        "generators": list(map(sub.text_of_v, sub.gens)),
         "ambient_units_in_subring": cond["ambient_units_in_subring"],
     }
     ambient_arch = is_archimedean(ambient, side)

@@ -30,8 +30,9 @@ logarithms log(1 + g^n), so a product or sum of nonzero values is an
 index sum and a lookup (see GaloisFieldRing).  The polynomial product
 only builds these tables.
 
-Every ring has a canonical text form (see parse_ring_spec) and every
-element a canonical printed form; parse and print round-trip exactly.
+Every ring has a canonical text form, which construct_ring parses and
+each ring prints from its parts, and every element a canonical printed
+form; parse and print round-trip exactly.
 No floating point is used anywhere.
 """
 
@@ -86,69 +87,6 @@ def memo(fn):
             obj._cache[key] = fn(obj, *args)
         return obj._cache[key]
     return cached
-
-
-# ---------------------------------------------------------------------------
-# spec values
-
-
-@dataclass(frozen=True)
-class ZmodSpec:
-    n: int
-
-
-@dataclass(frozen=True)
-class GFSpec:
-    p: int
-    k: int
-    irr: tuple  # monic irreducible, little-endian, length k+1
-
-
-@dataclass(frozen=True)
-class ProductSpec:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class SubringSpec:
-    parent: object
-    gens: tuple  # canonical element texts in the parent
-
-
-@dataclass(frozen=True)
-class QuotientSpec:
-    parent: object
-    gens: tuple  # ideal generators, canonical element texts
-
-
-@dataclass(frozen=True)
-class TruncSeriesSpec:
-    base: object
-    precision: int
-
-
-@dataclass(frozen=True)
-class XYQuotientSpec:
-    field: GFSpec
-    precision: int
-
-
-def spec_to_text(spec) -> str:
-    if isinstance(spec, ZmodSpec):
-        return "zmod:%d" % spec.n
-    if isinstance(spec, GFSpec):
-        return "gf:%d:%d:%s" % (spec.p, spec.k, ",".join(str(c) for c in spec.irr))
-    if isinstance(spec, ProductSpec):
-        return "prod(%s)" % ",".join(spec_to_text(f) for f in spec.factors)
-    if isinstance(spec, SubringSpec):
-        return "sub(%s;%s)" % (spec_to_text(spec.parent), ",".join(spec.gens))
-    if isinstance(spec, QuotientSpec):
-        return "quot(%s;%s)" % (spec_to_text(spec.parent), ",".join(spec.gens))
-    if isinstance(spec, TruncSeriesSpec):
-        return "tser(%s,N=%d)" % (spec_to_text(spec.base), spec.precision)
-    if isinstance(spec, XYQuotientSpec):
-        return "xyq:%s:N=%d" % (spec_to_text(spec.field), spec.precision)
-    raise TypeError("not a ring spec: %r" % (spec,))
 
 
 def split_top(text: str, sep: str):
@@ -235,110 +173,14 @@ def _digits(i, base, length):
 def default_irreducible(p: int, k: int) -> tuple:
     """Lexicographically least monic irreducible of degree k over Z/p,
     scanning constant-first digit vectors.  Pinned so that gf:p:k without
-    an explicit modulus always means the same field table."""
+    an explicit modulus always means the same field table.  The scan
+    always returns: Z/p has a monic irreducible of every degree k >= 1,
+    since GF(p^k) exists and the minimal polynomial of a generator of
+    its unit group has degree k."""
     for i in range(p ** k):
         cand = _digits(i, p, k) + [1]
         if _is_irreducible(cand, p):
             return tuple(cand)
-    raise RingConstructionError("no irreducible of degree %d over Z/%d" % (k, p))
-
-
-def parse_ring_spec(text: str):
-    """Parse the canonical ring grammar.
-
-    zmod:6 | gf:2:2:1,1,1 (modulus optional) | prod(s1,s2,...) |
-    sub(s;g1,g2) | quot(s;g1,g2) | tser(s,N=16) | xyq:gf:2:1:N=8
-    """
-    s = text.strip()
-    if s.startswith("zmod:"):
-        try:
-            n = int(s[5:])
-        except ValueError:
-            raise RingConstructionError("bad zmod spec: %r" % text)
-        return ZmodSpec(n)
-    if s.startswith("xyq:"):
-        body = s[4:]
-        at = body.rfind(":N=")
-        if at < 0:
-            raise RingConstructionError("xyq spec needs :N=<precision>: %r" % text)
-        field = parse_ring_spec(body[:at])
-        if not isinstance(field, GFSpec):
-            raise RingConstructionError("xyq base must be a gf spec: %r" % text)
-        try:
-            prec = int(body[at + 3:])
-        except ValueError:
-            raise RingConstructionError("bad xyq precision: %r" % text)
-        return XYQuotientSpec(field, prec)
-    if s.startswith("gf:"):
-        parts = s.split(":")
-        if len(parts) not in (3, 4):
-            raise RingConstructionError("bad gf spec: %r" % text)
-        try:
-            p, k = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise RingConstructionError("bad gf spec: %r" % text)
-        if not _is_prime(p) or k < 1:
-            raise RingConstructionError("gf needs prime p and k >= 1: %r" % text)
-        if len(parts) == 4:
-            try:
-                irr = tuple(int(c) for c in parts[3].split(","))
-            except ValueError:
-                raise RingConstructionError("bad gf modulus: %r" % text)
-            if len(irr) != k + 1 or irr[-1] != 1 or any(not 0 <= c < p for c in irr):
-                raise RingConstructionError("gf modulus must be monic of degree k with "
-                                            "coefficients in [0,p): %r" % text)
-            if not _is_irreducible(list(irr), p):
-                raise RingConstructionError("gf modulus is reducible: %r" % text)
-        else:
-            irr = default_irreducible(p, k)
-        return GFSpec(p, k, irr)
-    if s.startswith("prod(") and s.endswith(")"):
-        factors = _parse_spec_list(s[5:-1], text)
-        if len(factors) < 2:
-            raise RingConstructionError("prod needs at least two factors: %r" % text)
-        return ProductSpec(tuple(factors))
-    for head, cls in (("sub(", SubringSpec), ("quot(", QuotientSpec)):
-        if s.startswith(head) and s.endswith(")"):
-            inner = s[len(head):-1]
-            halves = split_top(inner, ";")
-            if len(halves) != 2:
-                raise RingConstructionError("%s...) needs parent;gens: %r" % (head, text))
-            parent = parse_ring_spec(halves[0])
-            gens = tuple(g for g in (t.strip() for t in split_top(halves[1], ","))
-                         if g != "")
-            return cls(parent, gens)
-    if s.startswith("tser(") and s.endswith(")"):
-        inner = s[5:-1]
-        at = inner.rfind(",N=")
-        if at < 0:
-            raise RingConstructionError("tser needs (base,N=prec): %r" % text)
-        try:
-            prec = int(inner[at + 3:])
-        except ValueError:
-            raise RingConstructionError("bad tser precision: %r" % text)
-        return TruncSeriesSpec(parse_ring_spec(inner[:at]), prec)
-    raise RingConstructionError("unrecognized ring spec: %r" % text)
-
-
-def _parse_spec_list(body: str, context: str):
-    """Split a comma-joined factor list where gf moduli also use commas.
-
-    Fragments that fail to parse are re-joined with their successor and
-    retried; a gf spec with an explicit modulus only parses once the whole
-    modulus is present, so the greedy repair stops in the right place."""
-    pieces = split_top(body, ",")
-    out = []
-    pending = ""
-    for piece in pieces:
-        pending = piece if not pending else pending + "," + piece
-        try:
-            out.append(parse_ring_spec(pending))
-        except RingConstructionError:
-            continue
-        pending = ""
-    if pending:
-        raise RingConstructionError("unparseable factor %r in %r" % (pending, context))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +279,8 @@ class RingHandle:
     kind = "?"
     truncated = False
 
-    def __init__(self):
-        self.spec_text = spec_to_text(self.spec)
+    def __init__(self, spec_text: str):
+        self.spec_text = spec_text
         if self.card is not None and self.card > ENUMERATION_CAP:
             raise RingConstructionError("%s has %d elements, beyond the enumeration "
                                         "cap %d" % (self.spec_text, self.card,
@@ -512,15 +354,12 @@ def require_finite(rings, message: str, error=RingConstructionError):
 class ZmodRing(RingHandle):
     kind = "zmod"
 
-    def __init__(self, spec: ZmodSpec):
-        if spec.n < 2:
+    def __init__(self, n: int):
+        if n < 2:
             raise RingConstructionError("zmod modulus must be >= 2")
-        self.spec = spec
-        self.n = spec.n
-        self.card = spec.n
-        self.zero_v = 0
-        self.one_v = 1 % spec.n
-        super().__init__()
+        self.n = self.card = n
+        self.zero_v, self.one_v = 0, 1
+        super().__init__("zmod:%d" % n)
 
     def k_add(self, x, y):
         return (x + y) % self.n
@@ -566,14 +405,12 @@ class GaloisFieldRing(RingHandle):
 
     kind = "gf"
 
-    def __init__(self, spec: GFSpec):
-        self.spec = spec
-        self.p, self.k = spec.p, spec.k
-        self.irr = spec.irr
-        self.card = spec.p ** spec.k
+    def __init__(self, p: int, k: int, irr: tuple):
+        self.p, self.k, self.irr = p, k, irr
+        self.card = p ** k
         self.zero_v, self.one_v = 0, 1
         self._texts = {}         # value -> printed form, filled as printed
-        super().__init__()
+        super().__init__("gf:%d:%d:%s" % (p, k, ",".join(map(str, irr))))
         self._build_tables()
 
     def _coords(self, v):
@@ -606,7 +443,7 @@ class GaloisFieldRing(RingHandle):
     def _primitive_element(self):
         """The least nonzero value of multiplicative order q-1:
         g^((q-1)/r) != 1 for each prime r dividing q-1.  The modulus is
-        irreducible (parse_ring_spec checks it), so the units form a
+        irreducible (construct_ring checks it), so the units form a
         cyclic group and such g exists.  For k >= 2 the constants have
         order at most p-1 < q-1, so none of them is chosen."""
         one, order = self._coords(1), self.card - 1
@@ -687,8 +524,7 @@ class GaloisFieldRing(RingHandle):
 class ProductRing(RingHandle):
     kind = "prod"
 
-    def __init__(self, spec: ProductSpec, factors):
-        self.spec = spec
+    def __init__(self, factors: tuple):
         self.factors = factors
         require_finite(factors, "product factors must be finite rings")
         self.card = 1
@@ -696,7 +532,7 @@ class ProductRing(RingHandle):
             self.card *= f.card
         self.zero_v = tuple(f.zero_v for f in factors)
         self.one_v = tuple(f.one_v for f in factors)
-        super().__init__()
+        super().__init__("prod(%s)" % ",".join(f.spec_text for f in factors))
 
     def k_add(self, x, y):
         return tuple(f.k_add(a, b) for f, a, b in zip(self.factors, x, y))
@@ -772,14 +608,14 @@ class SubRing(RingHandle):
     kind = "sub"
 
     def __init__(self, parent, gens: tuple):
-        self.spec = SubringSpec(parent.spec, tuple(map(parent.text_of_v, gens)))
-        self.parent = parent
+        self.parent, self.gens = parent, gens
         self.members = frozenset(_closure(parent, gens))
         self.card = len(self.members)
         self.is_unit_v, self.has_inverse_v = parent.is_unit_v, parent.has_inverse_v
         self.zero_v = parent.zero_v
         self.one_v = parent.one_v
-        super().__init__()
+        super().__init__("sub(%s;%s)" % (parent.spec_text,
+                                         ",".join(map(parent.text_of_v, gens))))
 
     def k_add(self, x, y):
         return self.parent.k_add(x, y)
@@ -806,16 +642,15 @@ class SubRing(RingHandle):
 class QuotientRing(RingHandle):
     """Quotient of a finite ring by the ideal generated by the given
     values (see derived_ring).  Elements are canonical coset
-    representatives: the coset member of least parent enumeration index.  A coset is a unit iff it
-    holds a parent unit u, and then its inverse is the coset of u's
-    inverse: a finite commutative ring is a product of local rings, and
-    in a local ring units lift modulo every ideal."""
+    representatives: the coset member of least parent enumeration index.
+    A coset is a unit iff it holds a parent unit u, and then its inverse
+    is the coset of u's inverse: a finite commutative ring is a product
+    of local rings, and in a local ring units lift modulo every ideal."""
 
     kind = "quot"
 
     def __init__(self, parent, gens: tuple):
-        self.spec = QuotientSpec(parent.spec, tuple(map(parent.text_of_v, gens)))
-        self.parent = parent
+        self.parent, self.gens = parent, gens
         ideal, vals = {parent.zero_v}, parent.values()
         for g in gens:
             if g not in ideal:   # else R*g lies in the ideal so far
@@ -838,7 +673,8 @@ class QuotientRing(RingHandle):
         self.card = len(self._reps)
         self.zero_v = rep[parent.zero_v]
         self.one_v = rep[parent.one_v]
-        super().__init__()
+        super().__init__("quot(%s;%s)" % (parent.spec_text,
+                                          ",".join(map(parent.text_of_v, gens))))
         if self.zero_v == self.one_v:
             raise RingConstructionError("%s: zero equals one" % self.spec_text)
 
@@ -977,18 +813,15 @@ class TruncSeriesRing(TruncatedModel):
 
     kind = "tser"
 
-    def __init__(self, spec: TruncSeriesSpec, base):
+    def __init__(self, base, precision: int):
         require_finite((base,), "tser base must be a finite ring")
-        self.spec = spec
-        self.base = base
-        self.precision = spec.precision
-        if spec.precision < 1:
+        if precision < 1:
             raise RingConstructionError("tser precision must be >= 1")
+        self.base, self.precision = base, precision
         self.card = None
-        width = spec.precision + 1
-        self.zero_v = (base.zero_v,) * width
-        self.one_v = (base.one_v,) + (base.zero_v,) * (spec.precision)
-        super().__init__()
+        self.zero_v = (base.zero_v,) * (precision + 1)
+        self.one_v = (base.one_v,) + (base.zero_v,) * precision
+        super().__init__("tser(%s,N=%d)" % (base.spec_text, precision))
 
     def k_add(self, x, y):
         return tuple(map(self.base.k_add, x, y))
@@ -1035,8 +868,7 @@ class TruncSeriesRing(TruncatedModel):
 
     @memo
     def widen(self):
-        return TruncSeriesRing(TruncSeriesSpec(self.base.spec, self.precision * 2),
-                               self.base)
+        return TruncSeriesRing(self.base, self.precision * 2)
 
     def lift_v(self, v, wide):
         return tuple(v) + (self.base.zero_v,) * (wide.precision - self.precision)
@@ -1066,18 +898,15 @@ class XYQuotientRing(TruncatedModel):
 
     kind = "xyq"
 
-    def __init__(self, spec: XYQuotientSpec, field):
-        if spec.precision < 2:
+    def __init__(self, field, precision: int):
+        if precision < 2:
             raise RingConstructionError("xyq precision must be >= 2")
-        self.spec = spec
-        self.field = field
-        self.precision = spec.precision
-        self.series = TruncSeriesRing(TruncSeriesSpec(field.spec, spec.precision),
-                                      field)
+        self.field, self.precision = field, precision
+        self.series = TruncSeriesRing(field, precision)
         self.card = None
         self.zero_v = (self.series.zero_v,) * 2
         self.one_v = (self.series.one_v,) * 2
-        super().__init__()
+        super().__init__("xyq:%s:N=%d" % (field.spec_text, precision))
 
     def k_add(self, x, y):
         add = self.series.k_add
@@ -1138,8 +967,7 @@ class XYQuotientRing(TruncatedModel):
 
     @memo
     def widen(self):
-        return XYQuotientRing(XYQuotientSpec(self.field.spec, self.precision * 2),
-                              self.field)
+        return XYQuotientRing(self.field, self.precision * 2)
 
     def lift_v(self, v, wide):
         lift = self.series.lift_v
@@ -1177,45 +1005,123 @@ class XYQuotientRing(TruncatedModel):
 # ---------------------------------------------------------------------------
 # construction
 
-_RING_CACHE: dict = {}
+_RING_CACHE: dict = {}   # spec text, or (builder, *parts), -> ring
 
 
-def construct_ring(spec) -> RingHandle:
-    """Build (or fetch) the ring for a spec value or spec text.
+def _ints(texts, message: str) -> list:
+    """The integers the texts name; RingConstructionError(message) when
+    one names none."""
+    try:
+        return [int(t) for t in texts]
+    except ValueError:
+        raise RingConstructionError(message) from None
+
+
+def _precision_split(body: str, sep: str, kind: str, text: str):
+    """(part text, precision) of a body that ends in sep and a precision."""
+    part, found, precision = body.rpartition(sep)
+    if not found:
+        raise RingConstructionError("%s spec needs %s<precision>: %r" % (kind, sep, text))
+    return part, _ints([precision], "bad %s precision: %r" % (kind, text))[0]
+
+
+def _gf_parts(s: str, text: str) -> tuple:
+    """(p, k, irr) of a gf text.  The size cap is checked before any
+    primality or modulus work, and without forming p^k for a large k:
+    for p >= 2, p^k is past the cap iff p^min(k, b) is, where 2^b is the
+    first power of two past it."""
+    parts = s.split(":")
+    if len(parts) not in (3, 4):
+        raise RingConstructionError("bad gf spec: %r" % text)
+    p, k = _ints(parts[1:3], "bad gf spec: %r" % text)
+    if p > 1 and k > 0 and p ** min(k, ENUMERATION_CAP.bit_length()) > ENUMERATION_CAP:
+        raise RingConstructionError("%s has %d^%d elements, beyond the enumeration "
+                                    "cap %d" % (s, p, k, ENUMERATION_CAP))
+    if k < 1 or not _is_prime(p):
+        raise RingConstructionError("gf needs prime p and k >= 1: %r" % text)
+    if len(parts) == 3:
+        return p, k, default_irreducible(p, k)
+    irr = tuple(_ints(parts[3].split(","), "bad gf modulus: %r" % text))
+    if len(irr) != k + 1 or irr[-1] != 1 or any(not 0 <= c < p for c in irr):
+        raise RingConstructionError("gf modulus must be monic of degree k with "
+                                    "coefficients in [0,p): %r" % text)
+    if not _is_irreducible(list(irr), p):
+        raise RingConstructionError("gf modulus is reducible: %r" % text)
+    return p, k, irr
+
+
+def _factor_texts(body: str) -> list:
+    """The factor texts of a prod body.  A gf modulus also uses commas,
+    so a comma piece that starts with a digit continues the piece before
+    it: every kind starts with a letter."""
+    texts = []
+    for piece in split_top(body, ","):
+        if texts and piece.strip()[:1].isdigit():
+            texts[-1] += "," + piece
+        else:
+            texts.append(piece)
+    return texts
+
+
+def construct_ring(text: str) -> RingHandle:
+    """Build (or fetch) the ring a spec text names.  The grammar:
+
+        zmod:6 | gf:2:2:1,1,1 (modulus optional) | prod(s1,s2,...) |
+        sub(s;g1,g2) | quot(s;g1,g2) | tser(s,N=16) | xyq:gf:2:1:N=8
+
+    Each part a text names is built through construct_ring and handed to
+    the ring's class, which prints the canonical text from its parts.  A
+    text seen before is answered from the cache without parsing, and
+    texts naming the same parts (gf:2:2 and gf:2:2:1,1,1, say) give one
+    object.
 
     Construction checks what a spec can get wrong and raises
-    RingConstructionError there: a malformed spec or a reducible gf
-    modulus (parse_ring_spec), a finite ring past ENUMERATION_CAP
-    (RingHandle.__init__, before a field builds its tables), a quotient
-    by an ideal containing 1, a generator naming no value of its parent
+    RingConstructionError there: a malformed spec, a gf past
+    ENUMERATION_CAP or with a reducible modulus (_gf_parts), any other
+    finite ring past the cap (RingHandle.__init__), a quotient by an
+    ideal containing 1, a generator naming no value of its parent
     (canonical_gens), and a part or precision a construction refuses
     (zmod:1, a truncated model as a factor, parent or base, refused by
-    require_finite; xyq with N < 2).  A spec that passes
-    builds a ring, so no ring law is sampled here; tests/test_ring_laws.py
-    checks the laws of every kind."""
-    if isinstance(spec, str):
-        spec = parse_ring_spec(spec)
-    key = spec_to_text(spec)
-    cached = _RING_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(spec, ZmodSpec):
-        ring = ZmodRing(spec)
-    elif isinstance(spec, GFSpec):
-        ring = GaloisFieldRing(spec)
-    elif isinstance(spec, ProductSpec):
-        ring = ProductRing(spec, tuple(construct_ring(f) for f in spec.factors))
-    elif isinstance(spec, SubringSpec):
-        ring = derived_ring(construct_ring(spec.parent), SubRing, spec.gens)
-    elif isinstance(spec, QuotientSpec):
-        ring = derived_ring(construct_ring(spec.parent), QuotientRing, spec.gens)
-    elif isinstance(spec, TruncSeriesSpec):
-        ring = TruncSeriesRing(spec, construct_ring(spec.base))
-    elif isinstance(spec, XYQuotientSpec):
-        ring = XYQuotientRing(spec, construct_ring(spec.field))
+    require_finite; xyq with N < 2).  A spec that passes builds a ring,
+    so no ring law is sampled here; tests/test_ring_laws.py checks the
+    laws of every kind."""
+    ring = _RING_CACHE.get(text)
+    if ring is not None:
+        return ring
+    s = text.strip()
+    if s.startswith("zmod:"):
+        build, parts = ZmodRing, _ints([s[5:]], "bad zmod spec: %r" % text)
+    elif s.startswith("xyq:"):
+        base, precision = _precision_split(s[4:], ":N=", "xyq", text)
+        field = construct_ring(base)
+        if field.kind != "gf":
+            raise RingConstructionError("xyq base must be a gf spec: %r" % text)
+        build, parts = XYQuotientRing, (field, precision)
+    elif s.startswith("gf:"):
+        build, parts = GaloisFieldRing, _gf_parts(s, text)
+    elif s.startswith("prod(") and s.endswith(")"):
+        factors = tuple(construct_ring(f) for f in _factor_texts(s[5:-1]))
+        if len(factors) < 2:
+            raise RingConstructionError("prod needs at least two factors: %r" % text)
+        build, parts = ProductRing, (factors,)
+    elif s.startswith(("sub(", "quot(")) and s.endswith(")"):
+        head, _, inner = s[:-1].partition("(")
+        halves = split_top(inner, ";")
+        if len(halves) != 2:
+            raise RingConstructionError("%s(...) needs parent;gens: %r" % (head, text))
+        gens = tuple(g for g in (t.strip() for t in split_top(halves[1], ",")) if g)
+        cls = SubRing if head == "sub" else QuotientRing
+        build, parts = derived_ring, (construct_ring(halves[0]), cls, gens)
+    elif s.startswith("tser(") and s.endswith(")"):
+        base, precision = _precision_split(s[5:-1], ",N=", "tser", text)
+        build, parts = TruncSeriesRing, (construct_ring(base), precision)
     else:
-        raise RingConstructionError("unknown spec %r" % (spec,))
-    _RING_CACHE[key] = ring
+        raise RingConstructionError("unrecognized ring spec: %r" % text)
+    key = (build, *parts)
+    ring = _RING_CACHE.get(key)
+    if ring is None:
+        ring = _RING_CACHE[key] = build(*parts)
+    _RING_CACHE[text] = ring
     return ring
 
 

@@ -31,11 +31,11 @@ def twist_specs(ring, table_dir):
     twists, written to `table_dir`."""
     specs = ["endo:id"]
     images = {}
-    if ring.kind == "gf" and ring.spec.k >= 2:
+    if ring.kind == "gf" and ring.k >= 2:
         specs.append("endo:frob")
-        q = ring.spec.p ** (ring.spec.k - 1)
+        q = ring.p ** (ring.k - 1)
         images["frob-power"] = lambda v: ring.k_pow(v, q)
-    elif ring.kind == "prod" and ring.spec.factors[0] == ring.spec.factors[1]:
+    elif ring.kind == "prod" and ring.factors[0] == ring.factors[1]:
         specs.append("endo:diag")
         images["swap"] = lambda v: (v[1], v[0])
         images["collapse"] = lambda v: (v[1], v[1])

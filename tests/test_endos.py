@@ -16,7 +16,7 @@ from skewarch.endos import (
 )
 from skewarch.registry import RegistryEntry, RunConfig
 from skewarch.rings import (UNIT_PAIR_BUDGET, NonEnumerableError, ZmodRing,
-                            ZmodSpec, construct_ring)
+                            construct_ring)
 from skewarch.suites import SUITE_IDS, run_one
 
 
@@ -254,6 +254,26 @@ def test_table_endo_rejects_the_cube_map(tmp_path):
     assert err.value.witness["sum_of_images"] == "[0,0]"
 
 
+def test_table_endo_rejects_an_additive_map_that_is_not_multiplicative(tmp_path):
+    # a + b*w -> a fixes 1 and is F2-linear, but w*w = w + 1 -> 1, not 0*0
+    ring = _gf4()
+    f = tmp_path / "constant-part.map"
+    _write_table(f, [(e.text, ring.text_of_v(e.v % 2)) for e in ring.elements()])
+    with pytest.raises(EndoValidationError) as err:
+        build_endo(ring, "endo:table:%s" % f)
+    assert err.value.witness == {"law": "*", "a": "[0,1]", "b": "[0,1]",
+                                 "image_of_product": "[1,0]",
+                                 "product_of_images": "[0,0]"}
+
+
+def test_table_endo_rejects_a_line_without_an_arrow(tmp_path):
+    f = tmp_path / "arrowless.map"
+    f.write_text("0 -> 0\n1 => 1\n")
+    with pytest.raises(EndoValidationError) as err:
+        build_endo(construct_ring("zmod:2"), "endo:table:%s" % f)
+    assert str(err.value) == "bad table line '1 => 1'"
+
+
 def test_table_endo_rejects_incomplete_tables(tmp_path):
     ring = _gf4()
     f = tmp_path / "partial.map"
@@ -315,7 +335,7 @@ def test_unknown_endo_name_rejected():
 def test_a_built_in_twist_is_kept_on_its_own_ring():
     cached = construct_ring("zmod:6")
     assert build_endo(cached, "endo:id").ring is cached
-    fresh = ZmodRing(ZmodSpec(6))
+    fresh = ZmodRing(6)
     twist = build_endo(fresh, "endo:id")
     assert twist.ring is fresh and build_endo(fresh, " endo:id ") is twist
 

@@ -13,7 +13,7 @@ import pytest
 
 from skewarch.endos import build_endo
 from skewarch.rings import (GaloisFieldRing, RingConstructionError, _digits,
-                            construct_ring, parse_ring_spec)
+                            construct_ring, default_irreducible)
 from skewarch.skew import SkewPoly, TruncSeries, series_inverse
 
 ROUNDS = 40
@@ -281,7 +281,7 @@ def test_field_tables_take_about_q_polynomial_products(monkeypatch):
     product = GaloisFieldRing._poly_mul
     monkeypatch.setattr(GaloisFieldRing, "_poly_mul",
                         lambda self, x, y: calls.append(1) or product(self, x, y))
-    ring = GaloisFieldRing(parse_ring_spec("gf:2:8"))
+    ring = GaloisFieldRing(2, 8, default_irreducible(2, 8))
     assert len(ring.values()) == 256
     assert len(calls) <= 256 + 256 // 4
     calls.clear()

@@ -25,8 +25,7 @@ from skewarch.props import (FAILS, HOLDS_BY_THEOREM, HYPOTHESIS_NOT_MET,
 from skewarch.registry import RunConfig
 from skewarch.reports import render_report_text, validate_report
 from skewarch.rings import (GaloisFieldRing, SubsetHandle, TruncSeriesRing,
-                            XYQuotientRing, ZmodRing, ZmodSpec, construct_ring,
-                            parse_ring_spec, scan_domain)
+                            XYQuotientRing, ZmodRing, construct_ring, scan_domain)
 from skewarch.suites import report_contradicts_predictions, run_one
 
 
@@ -49,13 +48,12 @@ def run_planted(ring, endo, suite_id):
     return report
 
 
-def fresh_xyq(spec="xyq:gf:2:1:N=8", field=None):
-    spec = parse_ring_spec(spec)
-    return XYQuotientRing(spec, field or construct_ring(spec.field))
+def fresh_xyq():
+    return XYQuotientRing(construct_ring("gf:2:1"), 8)
 
 
 def test_a_wrong_product_fails_a_ring_law():
-    ring = ZmodRing(ZmodSpec(6))
+    ring = ZmodRing(6)
     mul = ring.k_mul
     ring.k_mul = lambda x, y: 1 if (x, y) == (2, 3) else mul(x, y)
     report = run_planted(ring, IdentityEndo(ring), "arithmetic")
@@ -73,7 +71,7 @@ def test_a_wrong_product_fails_a_ring_law():
 def test_a_wrong_kernel_value_fails_its_ring_law(kernel, pair, value, witness):
     # the law loop takes each pair sum and product once, before the
     # triples; a value wrong in that table must still break its law
-    ring = ZmodRing(ZmodSpec(6))
+    ring = ZmodRing(6)
     right = getattr(ring, kernel)
     setattr(ring, kernel, lambda x, y: value if (x, y) == pair else right(x, y))
     report = run_planted(ring, IdentityEndo(ring), "arithmetic")
@@ -87,7 +85,7 @@ def test_a_wrong_element_text_fails_a_round_trip(wrong, law):
     # the value `wrong` prints as its successor; at seed 42 a sampled
     # polynomial holds 2 before any sampled series does, and a sampled
     # series holds 3 before any sampled polynomial does
-    ring = ZmodRing(ZmodSpec(6))
+    ring = ZmodRing(6)
     text = ring.text_of_v
     ring.text_of_v = lambda v: text(v + 1 if v == wrong else v)
     report = run_planted(ring, IdentityEndo(ring), "arithmetic")
@@ -97,7 +95,7 @@ def test_a_wrong_element_text_fails_a_round_trip(wrong, law):
 
 def test_a_twist_altered_after_use_fails_the_twist_law():
     # the product x*a reads the power maps built before the change
-    ring = GaloisFieldRing(parse_ring_spec("gf:2:2"))
+    ring = GaloisFieldRing(2, 2, (1, 1, 1))
     frob = FrobeniusEndo(ring)
     frob.power_apply_v(1, ring.one_v)
     frob.apply_v = lambda v: v
@@ -156,7 +154,7 @@ def test_a_nonunit_one_minus_rm_fails_the_two_variable_derivation():
 
 def test_a_zero_product_in_a_field_fails_the_domain_prediction():
     # is_domain answers a field without products; the probe multiplies
-    ring = GaloisFieldRing(parse_ring_spec("gf:2:2"))
+    ring = GaloisFieldRing(2, 2, (1, 1, 1))
     mul = ring.k_mul
     ring.k_mul = lambda x, y: 0 if {x, y} == {2, 3} else mul(x, y)
     report = run_planted(ring, IdentityEndo(ring), "thm-3-3")
@@ -168,8 +166,7 @@ def test_a_zero_product_in_a_field_fails_the_domain_prediction():
 def test_a_nontrivial_idempotent_fails_the_derived_chain_condition():
     # the series model's derivation reads only its base field, so the
     # fault in the model's own product reaches the idempotent scan alone
-    spec = parse_ring_spec("tser(gf:2:1,N=4)")
-    ring = TruncSeriesRing(spec, construct_ring(spec.base))
+    ring = TruncSeriesRing(construct_ring("gf:2:1"), 4)
     e = next(v for v in scan_domain(ring).values
              if v not in (ring.zero_v, ring.one_v))
     mul = ring.k_mul
@@ -182,7 +179,7 @@ def test_a_radical_holding_every_value_fails_the_gluing():
     # the quotients are built over the planted ring, whose kernels are
     # honest; only its memoized radical is wrong: it holds every value,
     # so the ideals (2) and (3) look radical
-    ring = ZmodRing(ZmodSpec(6))
+    ring = ZmodRing(6)
     ring._cache[("jacobson_radical",)] = SubsetHandle(ring, ring.values())
     report = run_planted(ring, IdentityEndo(ring), "prop-4-7")
     clauses = report["witness"]["clauses"]
@@ -198,7 +195,7 @@ def test_a_comparable_pair_taken_for_incomparable_meets_no_clause():
     # restores 4, and multiply only representatives 0..3, where 2*2 = 0
     # modulo (4) anyway, so they are honest: (4) lies in (2), Z/4 is not
     # reduced and (2) escapes the radical
-    ring = ZmodRing(ZmodSpec(12))
+    ring = ZmodRing(12)
     mul = ring.k_mul
     ring.k_mul = lambda x, y: (mul(x, 2) if y == 3 and x >= 4
                                else 0 if (x, y) in ((2, 2), (8, 2))
@@ -232,10 +229,10 @@ def test_a_twist_acting_as_the_identity_fails_the_twisted_example():
 
 
 def test_a_field_with_a_false_nonunit_leaves_the_example_unsettled():
-    field = GaloisFieldRing(parse_ring_spec("gf:3:1"))
+    field = GaloisFieldRing(3, 1, (0, 1))
     is_unit = field.has_inverse_v
     field.has_inverse_v = lambda v: v != 2 and is_unit(v)
-    ring = fresh_xyq("xyq:gf:3:1:N=4", field)
+    ring = XYQuotientRing(field, 4)
     for side in ("right", "left"):
         arch = derived_archimedean(ring, side)
         assert (arch.status, arch.certificate) == (

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from skewarch import rings
 from skewarch.endos import SquareVariableEndo
 from skewarch.rings import (
     GaloisFieldRing,
@@ -12,7 +13,6 @@ from skewarch.rings import (
     TruncSeriesRing,
     XYQuotientRing,
     ZmodRing,
-    ZmodSpec,
     construct_ring,
     idempotents,
     is_domain,
@@ -21,7 +21,6 @@ from skewarch.rings import (
     is_unit,
     jacobson_radical,
     nonunits,
-    parse_ring_spec,
     principal_power_chain,
     quotient_by_ideal,
     scan_domain,
@@ -292,7 +291,7 @@ def test_spec_and_helper_build_one_object_with_one_canonical_text(
 def test_a_sub_or_quot_is_built_over_the_ring_it_is_given():
     # the parent is not a cached ring, and a kernel planted on it reaches
     # the quotient's products
-    parent = ZmodRing(ZmodSpec(12))
+    parent = ZmodRing(12)
     sub = subring_generated(parent, ["3"])[0]
     quo = quotient_by_ideal(parent, ["4"])[0]
     assert sub.parent is parent and quo.parent is parent
@@ -344,10 +343,9 @@ def test_truncated_nilpotence_replays_in_the_widened_model(spec, text, expected)
 
 
 def test_a_truncated_model_reads_the_parts_it_was_built_from():
-    field = GaloisFieldRing(parse_ring_spec("gf:2:1"))
-    spec = parse_ring_spec("tser(gf:2:1,N=4)")
-    assert TruncSeriesRing(spec, field).widen().base is field
-    ring = XYQuotientRing(parse_ring_spec("xyq:gf:2:1:N=8"), field)
+    field = GaloisFieldRing(2, 1, (0, 1))
+    assert TruncSeriesRing(field, 4).widen().base is field
+    ring = XYQuotientRing(field, 8)
     assert ring.series.base is field and ring.widen().field is field
     assert ring.widen() is ring.widen() is scan_domain(ring).ring
     assert SquareVariableEndo(ring).widened().ring is ring.widen()
@@ -388,8 +386,8 @@ def test_series_domain_answer_matches_the_pair_scan(spec, monkeypatch):
     """Over a domain base the answer needs no product; otherwise the scan
     finds the same first witness."""
     witness = _pair_scan(construct_ring(spec))
-    parsed = parse_ring_spec(spec)
-    ring = TruncSeriesRing(parsed, construct_ring(parsed.base))   # nothing memoized
+    cached = construct_ring(spec)
+    ring = TruncSeriesRing(cached.base, cached.precision)   # nothing memoized
     calls = []
     mul = TruncSeriesRing.k_mul
     monkeypatch.setattr(TruncSeriesRing, "k_mul",
@@ -471,6 +469,50 @@ def test_construct_ring_is_memoized():
     assert construct_ring("zmod:6") is construct_ring("zmod:6")
     # default modulus fills in to the same canonical object
     assert construct_ring("gf:2:2") is construct_ring("gf:2:2:1,1,1")
+    assert construct_ring("prod(zmod:2, zmod:3)") is construct_ring("prod(zmod:2,zmod:3)")
+
+
+def test_texts_naming_one_field_build_its_tables_once(monkeypatch):
+    monkeypatch.setattr(rings, "_RING_CACHE", {})
+    builds, build = [], GaloisFieldRing._build_tables
+    monkeypatch.setattr(GaloisFieldRing, "_build_tables",
+                        lambda self: builds.append(self.spec_text) or build(self))
+    field = construct_ring("gf:2:3")
+    for text in ["gf:2:3:1,1,0,1", " gf:2:3 ", "xyq:gf:2:3:N=4", "tser(gf:2:3,N=2)",
+                 "prod(gf:2:3:1,1,0,1,zmod:2)"]:
+        construct_ring(text)
+    assert builds == ["gf:2:3:1,1,0,1"]
+    assert construct_ring("xyq:gf:2:3:N=4").field is field
+
+
+def test_a_text_seen_before_is_not_parsed_again(monkeypatch):
+    monkeypatch.setattr(rings, "_RING_CACHE", {})
+    calls = []
+    for name in ("split_top", "default_irreducible"):
+        helper = getattr(rings, name)
+        monkeypatch.setattr(rings, name, lambda *args, _helper=helper:
+                            calls.append(args) or _helper(*args))
+    texts = ["prod(gf:2:2,zmod:3)", "quot(zmod:12;4)", "xyq:gf:2:1:N=8"]
+    first = [construct_ring(text) for text in texts]
+    assert calls
+    calls.clear()
+    assert [construct_ring(text) for text in texts] == first
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", ["gf:2:40", "xyq:gf:2:40:N=8",
+                                  "gf:1000000000000000003:1", "gf:2:100000000"])
+def test_an_over_cap_field_is_refused_before_any_primality_or_modulus_work(
+        monkeypatch, text):
+    calls = []
+    for name in ("_is_prime", "_pmod"):
+        helper = getattr(rings, name)
+        monkeypatch.setattr(rings, name, lambda *args, _helper=helper:
+                            calls.append(args) or _helper(*args))
+    with pytest.raises(RingConstructionError) as err:
+        construct_ring(text)
+    assert "beyond the enumeration cap 65536" in str(err.value)
+    assert calls == []
 
 
 def test_construction_failures():
@@ -499,7 +541,8 @@ def test_construction_failures():
 
 @pytest.mark.parametrize("bad", [
     "zmod:x", "xyq:gf:2:1:N=x", "gf:2", "gf:x:1", "gf:2:2:1,x,1", "sub(zmod:6)",
-    "tser(zmod:2)", "tser(zmod:2,N=x)", "prod(zmod:2,nope)"])
+    "tser(zmod:2)", "tser(zmod:2,N=x)", "prod(zmod:2,nope)", "gf:2:0", "gf:1:3",
+    "tser(zmod:2,N=0)"])
 def test_malformed_spec_texts_raise_a_construction_error(bad):
     with pytest.raises(RingConstructionError):
         construct_ring(bad)
@@ -544,6 +587,17 @@ def test_generators_of_another_ring_are_rejected():
     # the same generators given as z12's own values are accepted
     assert quotient_by_ideal(z12, SubsetHandle(z12, [2]))[0].spec_text == "quot(zmod:12;2)"
     assert quotient_by_ideal(z12, [z12.from_text("2")])[0].card == 2
+
+
+@pytest.mark.parametrize("spec,bad", [
+    ("zmod:6", "x"), ("gf:2:2", "1,0"), ("gf:2:2", "[1]"), ("prod(zmod:2,zmod:3)", "1,1"),
+    ("prod(zmod:2,zmod:3)", "(1)"), ("tser(zmod:4,N=2)", "1,2"),
+    ("tser(zmod:4,N=2)", "[1,2,3,0]"), ("xyq:gf:2:1:N=2", "[1]"),
+    ("xyq:gf:2:1:N=2", "([1];[])"), ("xyq:gf:2:1:N=2", "([1];1;[])"),
+    ("xyq:gf:2:1:N=2", "([1];[];[[1],[0],[1]])")])
+def test_a_malformed_element_text_raises_a_value_error(spec, bad):
+    with pytest.raises(ValueError):
+        construct_ring(spec).from_text(bad)
 
 
 def test_element_text_round_trip():

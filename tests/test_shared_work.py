@@ -17,12 +17,12 @@ from skewarch import props, rings, suites
 from skewarch.endos import IdentityEndo, build_endo
 from skewarch.props import derived_archimedean, poly_radical_check, poly_zero_divisor_probe
 from skewarch.registry import ENTRIES, RunConfig
-from skewarch.rings import XYQuotientRing, ZmodRing, ZmodSpec, construct_ring, parse_ring_spec
+from skewarch.rings import XYQuotientRing, ZmodRing, construct_ring
 from skewarch.suites import SUITE_IDS, run_one
 
 
 def fresh_xyq():
-    return XYQuotientRing(parse_ring_spec("xyq:gf:2:1:N=8"), construct_ring("gf:2:1"))
+    return XYQuotientRing(construct_ring("gf:2:1"), 8)
 
 
 class LoopEnded(Exception):
@@ -63,7 +63,7 @@ def test_the_left_derivation_reuses_the_right_scans(monkeypatch):
 
 
 def test_cor_3_2_and_thm_3_3_share_one_probe(monkeypatch):
-    ring, seed = ZmodRing(ZmodSpec(8)), 42
+    ring, seed = ZmodRing(8), 42
     drawn, seen = [], []
     sample = props.random_poly
     monkeypatch.setattr(props, "random_poly",

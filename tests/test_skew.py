@@ -163,6 +163,25 @@ def test_mixed_ring_or_twist_rejected():
         _ = c + d
 
 
+def test_operands_outside_their_domain_are_rejected():
+    r4, r6 = construct_ring("zmod:4"), construct_ring("zmod:6")
+    idn, other = build_endo(r4, "endo:id"), build_endo(r6, "endo:id")
+    with pytest.raises(ValueError, match="twist acts on a different ring"):
+        SkewPoly(r4, other, [1])
+    with pytest.raises(ValueError, match="twist acts on a different ring"):
+        TruncSeries(r4, other, 4, [1])
+    f = SkewPoly(r4, idn, [0, 1])
+    with pytest.raises(ValueError, match="exponent >= 1"):
+        f.power(0)
+    with pytest.raises(ValueError, match="exponent >= 1"):
+        f.power_is_zero(0)
+    s4, s5 = TruncSeries(r4, idn, 4, [1]), TruncSeries(r4, idn, 5, [1])
+    with pytest.raises(ValueError, match="precision mismatch"):
+        _ = s4 * s5
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        solve_right_divisibility(s4, s4, 0)
+
+
 # ---------------------------------------------------------------------------
 # inverses of 1 + f*u
 

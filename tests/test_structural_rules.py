@@ -28,7 +28,7 @@ from skewarch.rings import (
     jacobson_radical,
     nilpotent_values,
     nonunits,
-    parse_ring_spec,
+    default_irreducible,
     principal_power_chain,
     quotient_by_ideal,
     subring_generated,
@@ -205,7 +205,7 @@ def check_members(ring):
         return
     parent = ring.parent
     pvals = parent.values()
-    gens = [parent.v_of_text(g) for g in ring.spec.gens]
+    gens = ring.gens
     if ring.kind == "sub":
         assert ring.members == oracle_closure(parent,
                                               [ring.zero_v, ring.one_v, *gens])
@@ -335,7 +335,7 @@ KERNELS = ("k_add", "k_neg", "k_mul")
 
 
 def test_archimedean_on_zmod_4096_takes_few_products():
-    ring = ZmodRing(parse_ring_spec("zmod:4096"))
+    ring = ZmodRing(4096)
     calls = counting(ring)
     assert is_archimedean(ring, "right").status == "holds"
     assert is_archimedean(ring, "left").status == "holds"
@@ -343,7 +343,7 @@ def test_archimedean_on_zmod_4096_takes_few_products():
 
 
 def test_radical_and_units_of_gf_2_8_take_few_products():
-    ring = GaloisFieldRing(parse_ring_spec("gf:2:8"))
+    ring = GaloisFieldRing(2, 8, default_irreducible(2, 8))
     calls = counting(ring)
     assert len(jacobson_radical(ring)) == 1
     assert calls[0] <= 1_500
@@ -353,29 +353,26 @@ def test_radical_and_units_of_gf_2_8_take_few_products():
 
 
 def test_zero_divisors_of_a_product_take_few_products():
-    spec = parse_ring_spec("prod(zmod:16,gf:2:4)")
-    factors = (ZmodRing(spec.factors[0]), GaloisFieldRing(spec.factors[1]))
-    ring = ProductRing(spec, factors)
+    factors = (ZmodRing(16), GaloisFieldRing(2, 4, default_irreducible(2, 4)))
+    ring = ProductRing(factors)
     calls = counting(ring, *factors)
     assert len(zero_divisors(ring)) == 256 - 8 * 15
     assert calls[0] <= 1_000
 
 
 def test_quotient_of_zmod_2048_builds_in_few_kernel_calls():
-    spec = parse_ring_spec("quot(zmod:2048;2)")
-    parent = ZmodRing(spec.parent)
+    parent = ZmodRing(2048)
     calls = counting(parent, kernels=KERNELS)
-    quo = derived_ring(parent, QuotientRing, spec.gens)
+    quo = derived_ring(parent, QuotientRing, ["2"])
     assert calls[0] <= 20_000
     assert quo.ideal.members == frozenset(range(0, 2048, 2))
     assert quo.values() == [0, 1]
 
 
 def test_units_of_a_quotient_of_zmod_4096_take_few_kernel_calls():
-    spec = parse_ring_spec("quot(zmod:4096;2048)")
-    parent = ZmodRing(spec.parent)
+    parent = ZmodRing(4096)
     calls = counting(parent, kernels=KERNELS)
-    quo = derived_ring(parent, QuotientRing, spec.gens)
+    quo = derived_ring(parent, QuotientRing, ["2048"])
     assert quo.card == 2048
     assert units(quo).vals == tuple(range(1, 2048, 2))
     assert len(nonunits(quo)) == 1024
@@ -385,21 +382,19 @@ def test_units_of_a_quotient_of_zmod_4096_take_few_kernel_calls():
 
 
 def test_subring_of_a_truncated_model_is_refused_before_any_product():
-    spec = parse_ring_spec("sub(tser(zmod:2,N=40);[0,1])")
-    parent = TruncSeriesRing(spec.parent, ZmodRing(spec.parent.base))
+    parent = TruncSeriesRing(ZmodRing(2), 40)
     calls = counting(parent, kernels=KERNELS)
     with pytest.raises(RingConstructionError):
-        derived_ring(parent, SubRing, spec.gens)
+        derived_ring(parent, SubRing, ["[0,1]"])
     assert calls[0] == 0
 
 
 CAP_SIZE_RINGS = [
     # fresh instances, and the value whose power chain is counted: 2, the
     # field generator x (value 2), and (2,2)
-    ("zmod:65536", ZmodRing, 2),
-    ("gf:2:16", GaloisFieldRing, 2),
-    ("prod(zmod:256,zmod:256)",
-     lambda spec: ProductRing(spec, [ZmodRing(f) for f in spec.factors]), (2, 2)),
+    ("zmod:65536", lambda: ZmodRing(65536), 2),
+    ("gf:2:16", lambda: GaloisFieldRing(2, 16, default_irreducible(2, 16)), 2),
+    ("prod(zmod:256,zmod:256)", lambda: ProductRing((ZmodRing(256), ZmodRing(256))), (2, 2)),
 ]
 
 
@@ -409,7 +404,7 @@ def test_exact_procedures_on_cap_size_rings_take_at_most_two_products_a_value(
         spec, build, a):
     # called in this order on one instance, each call is charged only the
     # products it adds to what the calls before it computed
-    ring = build(parse_ring_spec(spec))
+    ring = build()
     calls, n = counting(ring), ring.card
     procedures = [
         ("units", lambda: units(ring)),

@@ -21,8 +21,8 @@ from skewarch.props import (FAILS, HOLDS, HYPOTHESIS_NOT_MET, INCONCLUSIVE,
                             twisted_power_product_equivalence, von_neumann_regular)
 from skewarch.registry import ENTRIES
 from skewarch.rings import (GaloisFieldRing, NonEnumerableError, ProductRing,
-                            XYQuotientRing, ZmodRing, construct_ring, is_domain,
-                            parse_ring_spec, scan_domain, units, zero_pattern)
+                            XYQuotientRing, ZmodRing, construct_ring, default_irreducible,
+                            is_domain, scan_domain, units, zero_pattern)
 
 # ---------------------------------------------------------------------------
 # the zero pattern of the widened F[[x,y]]/(xy), on the products the scans
@@ -216,8 +216,7 @@ def test_registry_zero_tests_match_the_multiplying_scans():
 
 
 def test_power_product_scan_takes_few_products():
-    spec = parse_ring_spec("prod(zmod:2,zmod:3)")
-    ring = ProductRing(spec, tuple(ZmodRing(f) for f in spec.factors))
+    ring = ProductRing((ZmodRing(2), ZmodRing(3)))
     calls = counting(ring)
     v = twisted_power_product_equivalence(ring, IdentityEndo(ring))
     assert "219660 twisted products" in v.certificate
@@ -225,8 +224,7 @@ def test_power_product_scan_takes_few_products():
 
 
 def test_compatibility_scan_on_xyq_multiplies_nothing(monkeypatch):
-    ring = XYQuotientRing(parse_ring_spec("xyq:gf:2:1:N=8"),
-                          construct_ring("gf:2:1"))
+    ring = XYQuotientRing(construct_ring("gf:2:1"), 8)
     first = is_compatible(SquareVariableEndo(ring))   # builds the scan domain
     calls = []
     for r in (ring, ring.widen()):
@@ -237,14 +235,14 @@ def test_compatibility_scan_on_xyq_multiplies_nothing(monkeypatch):
 
 
 def test_units_of_a_field_compute_no_inverse():
-    ring = GaloisFieldRing(parse_ring_spec("gf:2:10"))
+    ring = GaloisFieldRing(2, 10, default_irreducible(2, 10))
     calls = counting(ring)
     assert len(units(ring)) == 1023
     assert calls[0] == 0
 
 
 def test_regularity_and_dedekind_scans_past_their_budget_raise_at_once():
-    ring = ZmodRing(parse_ring_spec("zmod:2048"))
+    ring = ZmodRing(2048)
     with pytest.raises(NonEnumerableError):
         dedekind_finite_clause(ring)
     with pytest.raises(NonEnumerableError):
@@ -252,8 +250,7 @@ def test_regularity_and_dedekind_scans_past_their_budget_raise_at_once():
 
 
 def test_nonunit_scan_on_xyq_computes_no_inverse(monkeypatch):
-    ring = XYQuotientRing(parse_ring_spec("xyq:gf:2:1:N=8"),
-                          construct_ring("gf:2:1"))
+    ring = XYQuotientRing(construct_ring("gf:2:1"), 8)
     monkeypatch.setattr(ring, "is_unit_v", lambda v: pytest.fail("inverse taken"))
     assert preserves_nonunits(SquareVariableEndo(ring)).holds
 
@@ -262,7 +259,7 @@ def test_falsifier_and_principal_pairs_past_their_budget_raise_at_once():
     """The principal-ideal search is guarded; the falsifier needs no
     guard, since on a finite ring it reads the exact Archimedean test,
     which decides zmod:4096 in the products its own bound allows."""
-    ring = ZmodRing(parse_ring_spec("zmod:4096"))
+    ring = ZmodRing(4096)
     calls = counting(ring)
     with pytest.raises(NonEnumerableError):
         first_incomparable_principal_pair(ring)
