@@ -7,11 +7,15 @@ contradict the predictions (the CLI's exit-0 condition), and nothing
 may raise but a documented NonEnumerableError.  Twists are the
 built-ins of each ring kind and table twists written to a temporary
 directory: a power of Frobenius, the coordinate swap and the collapse
-(a, b) -> (b, b) of a square product."""
+(a, b) -> (b, b) of a square product.  The sweep of every ring of at
+most 256 elements also pins its report bytes: sweep_digests.json holds
+one sha256 per spec over the reports of all its twists."""
 
 import hashlib
+import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,10 +151,28 @@ def sweep_specs(max_card):
                     for b in bases[i:] if cards[a] * cards[b] <= max_card]
 
 
+SWEEP_CONFIG = RunConfig(seed=42, precision=8).validated()
+SWEEP_DIGESTS = json.loads(Path(__file__).with_name("sweep_digests.json").read_text())
+
+
+def sweep_digest(spec, table_dir):
+    """Check every suite on every twist of spec, and return the sha256 of
+    all their reports, in twist order, with table_dir masked out."""
+    reports = []
+    for twist in twist_specs(construct_ring(spec), table_dir):
+        entry = _entry(spec, twist, "drawn")
+        pair = run_pair(entry, SWEEP_CONFIG)
+        check_reports(entry, pair)
+        reports += pair
+    text = render_json(reports, SWEEP_CONFIG).replace(str(table_dir), "TABLES")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_the_sweep_digests_name_every_sweep_spec_in_order():
+    assert list(SWEEP_DIGESTS) == sweep_specs(256)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("spec", sweep_specs(256))
 def test_every_suite_holds_on_every_ring_of_at_most_256_elements(tmp_path, spec):
-    config = RunConfig(seed=42, precision=8).validated()
-    for twist in twist_specs(construct_ring(spec), tmp_path):
-        entry = _entry(spec, twist, "drawn")
-        check_reports(entry, run_pair(entry, config))
+    assert sweep_digest(spec, tmp_path) == SWEEP_DIGESTS[spec]
