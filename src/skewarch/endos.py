@@ -3,13 +3,16 @@
 The built-in twists are endomorphisms by construction, once their ring
 kind fits: the identity, Frobenius a -> a^p on gf:p:k, the diagonal
 (a, b) -> (a, a) on prod(S,S) and x -> x^2 on the two-variable model;
-tests/test_ring_laws.py checks their laws.  Each ring object keeps its
-own built-in twists, so a twist's predicates scan the ring it was built
-on.  A table twist comes from a file, so build_endo checks its laws: it
-must fix 1 and respect + and * on every pair of values up to
-ENDO_PAIR_BUDGET pairs, else on seeded sampled pairs.  Rejection
-carries a witness pair.  Sampled checks key their streams by a twist's
-stream_text, which names a table twist by its images, not its path.
+tests/test_ring_laws.py checks their laws.  A table twist comes from a
+file, so its constructor checks that it fixes 1 and respects + and * on
+every pair of values up to ENDO_PAIR_BUDGET pairs, else on seeded
+sampled pairs; rejection carries a witness pair.  build_twist builds
+each twist once per ring object, name and table text, and build_endo
+reads a table's file on every call, so a rewritten file gives a new,
+checked twist.  Twists are equal when their ring, text and stream_text
+are.  stream_text names a table by its images in value order, so the
+streams of sampled checks, keyed by it, ignore the path, and memos
+keyed by a twist never mix two tables written to one path.
 
 The predicates follow one scan rule (rings.scan_domain): a finite ring
 scans every value in the ring itself; a truncated model scans its scope
@@ -54,8 +57,8 @@ class EndoValidationError(ValueError):
 
 class Endo:
     """A ring endomorphism with cached powers: a built-in map whose ring
-    kind fits, or a table read from a file whose laws build_endo has
-    checked.  Each subclass defines apply_v.  `stream_text` keys sampled
+    kind fits, or a table read from a file whose laws its constructor
+    checks.  Each subclass defines apply_v.  `stream_text` keys sampled
     streams: a built-in twist's text, or a table twist's images in value
     order.  A truncated model accepts only the identity and endo:xsq
     (frob needs gf, diag needs prod, and a table needs a finite ring),
@@ -71,10 +74,10 @@ class Endo:
 
     def __eq__(self, other):
         return (isinstance(other, Endo) and other.ring == self.ring
-                and other.text == self.text)
+                and other.text == self.text and other.stream_text == self.stream_text)
 
     def __hash__(self):
-        return hash((self.ring.spec_text, self.text))
+        return hash((self.ring.spec_text, self.text, self.stream_text))
 
     def __repr__(self):
         return "<%s on %s>" % (self.text, self.ring.spec_text)
@@ -82,7 +85,7 @@ class Endo:
     def widened(self):
         """The same twist on ring.widen(), the model's one widened copy:
         that copy's own built-in twist, which every scan and replay reads."""
-        return built_in_twist(self.ring.widen(), self.name)
+        return build_twist(self.ring.widen(), self.name, None)
 
     def power_apply_v(self, t: int, v):
         """Apply the t-th power of the map: one value map per power, built
@@ -172,21 +175,19 @@ class SquareVariableEndo(Endo):
 
 
 class TableEndo(Endo):
-    """Full association table read from a file of "src -> dst" lines."""
+    """A finite ring's table of "src -> dst" lines, its laws checked."""
 
-    def __init__(self, ring, path: str):
-        require_finite((ring,), "endo:table needs a finite ring", EndoValidationError)
-        super().__init__(ring, "table:" + path)
+    def __init__(self, ring, name: str, table_text: str):
+        super().__init__(ring, name)
         table = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "->" not in line:
-                    raise EndoValidationError("bad table line %r" % line)
-                src, dst = line.split("->", 1)
-                table[ring.v_of_text(src.strip())] = ring.v_of_text(dst.strip())
+        for line in table_text.split("\n"):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "->" not in line:
+                raise EndoValidationError("bad table line %r" % line)
+            src, dst = line.split("->", 1)
+            table[ring.v_of_text(src.strip())] = ring.v_of_text(dst.strip())
         missing = [v for v in ring.values() if v not in table]
         if missing:
             raise EndoValidationError("table leaves %d elements unmapped"
@@ -194,6 +195,7 @@ class TableEndo(Endo):
         self.table = table
         self.stream_text = "endo:table:" + ",".join(
             ring.text_of_v(table[v]) for v in ring.values())
+        _validate_endo(self)
 
     def apply_v(self, v):
         return self.table[v]
@@ -245,27 +247,31 @@ BUILT_IN_TWISTS = {"id": IdentityEndo, "frob": FrobeniusEndo,
 
 
 @memo
-def built_in_twist(ring, name: str) -> Endo:
-    """The twist endo:<name> of this ring object, built once and kept."""
-    return BUILT_IN_TWISTS[name](ring)
+def build_twist(ring, name: str, table_text: Optional[str]) -> Endo:
+    """The twist endo:<name> of this ring object, built once per name and,
+    for a table twist, once per text of its file (None for a built-in)."""
+    if table_text is None:
+        return BUILT_IN_TWISTS[name](ring)
+    return TableEndo(ring, name, table_text)
 
 
 def build_endo(ring, text: str) -> Endo:
     """Parse endo:id | endo:frob | endo:xsq | endo:diag | endo:table:<file>
     against a ring.  A built-in twist checks only that the ring has its
-    kind, and is kept on the ring; a table twist is checked against the
-    homomorphism laws and read anew on each call (its file can change)."""
+    kind; a table twist needs a finite ring, and its file is read on each
+    call (the file can change), but checked once per ring and content."""
     s = text.strip()
     if not s.startswith("endo:"):
         raise EndoValidationError("endo spec must start with 'endo:': %r" % text)
-    body = s[5:]
-    if body.startswith("table:"):
-        endo = TableEndo(ring, body[6:])
-        _validate_endo(endo)
-        return endo
-    if body not in BUILT_IN_TWISTS:
+    name = s[5:]
+    if name.startswith("table:"):
+        require_finite((ring,), "endo:table needs a finite ring", EndoValidationError)
+        with open(name[6:], "r", encoding="utf-8") as fh:
+            table_text = fh.read()
+        return build_twist(ring, name, table_text)
+    if name not in BUILT_IN_TWISTS:
         raise EndoValidationError("unrecognized endo spec: %r" % text)
-    return built_in_twist(ring, body)
+    return build_twist(ring, name, None)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +304,7 @@ def is_injective(endo: Endo) -> EndoVerdict:
                                {"a": ring.text_of_v(seen[img]),
                                 "b": ring.text_of_v(a),
                                 "image": dom.ring.text_of_v(img)},
-                               dom.exact, "image collision" if dom.exact
-                               else "image collision at scope")
+                               dom.exact, "image collision")
         seen[img] = a
     return EndoVerdict(True, None, dom.exact, dom.note("image scan"))
 

@@ -138,8 +138,6 @@ def _pmod(a, m, p):
 
 def _is_irreducible(coeffs, p) -> bool:
     k = len(coeffs) - 1
-    if k <= 0:
-        return False
     if k == 1:
         return True
     for d in range(1, k // 2 + 1):

@@ -58,13 +58,6 @@ from .registry import RunConfig
 from .rings import is_domain, scan_domain
 from .skew import SkewPoly, TruncSeries, parse_poly_text
 
-SUITE_IDS = (
-    "arithmetic", "lemma-2-3", "prop-2-2", "remark-2-4", "prop-3-1",
-    "cor-3-2", "thm-3-3", "thm-3-4", "prop-4-1", "lemma-4-2", "lemma-4-3",
-    "thm-4-4", "thm-4-5", "cor-4-6", "prop-4-7", "examples-4-8-9",
-    "classify", "falsify",
-)
-
 REPORT_FIELDS = ("entry", "suite", "status", "witness", "certificate",
                  "theorem_tags")
 
@@ -493,6 +486,7 @@ _RUNNERS = {
     "classify": _suite_classify,
     "falsify": _suite_falsify,
 }
+SUITE_IDS = tuple(_RUNNERS)
 
 
 # statements about rings whose values can be listed: suite id ->

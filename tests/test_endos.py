@@ -14,9 +14,11 @@ from skewarch.endos import (
     preserves_nonunits,
     rigid_decomposition_check,
 )
+from skewarch.props import poly_zero_divisor_probe
 from skewarch.registry import RegistryEntry, RunConfig
 from skewarch.rings import (UNIT_PAIR_BUDGET, NonEnumerableError, ZmodRing,
                             construct_ring)
+from skewarch.skew import parse_poly_text
 from skewarch.suites import SUITE_IDS, run_one
 
 
@@ -319,6 +321,97 @@ def test_a_table_twist_samples_by_its_images_not_its_path(tmp_path):
         runs.append([json.dumps(run_one(entry, suite_id, config))
                      .replace(str(path), "PATH") for suite_id in SUITE_IDS])
     assert len(runs[0]) == 18 and runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# one twist per ring and table content
+
+
+SQUARE = "prod(gf:2:1,gf:2:1)"
+
+
+def _table_of(ring, image):
+    return [(ring.text_of_v(v), ring.text_of_v(image(v))) for v in ring.values()]
+
+
+def _count_law_checks(monkeypatch):
+    """Count _validate_endo calls, on fresh rings."""
+    monkeypatch.setattr(rings, "_RING_CACHE", {})
+    calls = []
+    validate = endos._validate_endo
+    monkeypatch.setattr(endos, "_validate_endo",
+                        lambda endo: calls.append(endo) or validate(endo))
+    return calls
+
+
+def test_every_suite_of_a_table_twist_entry_checks_its_laws_once(monkeypatch, tmp_path):
+    calls = _count_law_checks(monkeypatch)
+    path = tmp_path / "swap.map"
+    _write_table(path, _table_of(construct_ring(SQUARE), lambda v: v[::-1]))
+    entry = RegistryEntry(SQUARE + "+swap", SQUARE, "endo:table:%s" % path, "test")
+    config = RunConfig(seed=42, precision=8).validated()
+    for suite_id in SUITE_IDS:
+        run_one(entry, suite_id, config)
+    assert len(calls) == 1
+
+
+def test_a_rewritten_table_is_a_new_checked_twist(monkeypatch, tmp_path):
+    calls = _count_law_checks(monkeypatch)
+    ring = construct_ring(SQUARE)
+    path = tmp_path / "twist.map"
+    spec = "endo:table:%s" % path
+    _write_table(path, _table_of(ring, lambda v: v))
+    identity = build_endo(ring, spec)
+    assert build_endo(ring, spec) is identity and len(calls) == 1
+    assert is_rigid(identity).holds
+    _write_table(path, _table_of(ring, lambda v: v[::-1]))
+    swap = build_endo(ring, spec)
+    assert swap is not identity and swap != identity and len(calls) == 2
+    # a * swap(a) = (0,1) * (1,0) = 0: is_rigid was computed again
+    assert is_rigid(swap).witness == {"a": "([0],[1])"}
+    _write_table(path, _table_of(ring, lambda v: v))
+    assert build_endo(ring, spec) is identity and len(calls) == 2
+
+
+def test_a_broken_table_raises_on_every_build(monkeypatch, tmp_path):
+    calls = _count_law_checks(monkeypatch)
+    ring = construct_ring("zmod:4")
+    path = tmp_path / "zero.map"
+    _write_table(path, [(str(a), "0") for a in range(4)])
+    for _ in range(2):
+        with pytest.raises(EndoValidationError):
+            build_endo(ring, "endo:table:%s" % path)
+    assert len(calls) == 2
+
+
+def test_one_table_at_two_paths_is_two_twists_each_checked_once(monkeypatch, tmp_path):
+    calls = _count_law_checks(monkeypatch)
+    ring = construct_ring(SQUARE)
+    twists = []
+    for name in ("a.map", "b.map"):
+        _write_table(tmp_path / name, _table_of(ring, lambda v: v[::-1]))
+        spec = "endo:table:%s" % (tmp_path / name)
+        twists.append(build_endo(ring, spec))
+        assert build_endo(ring, spec) is twists[-1]
+    assert twists[0] != twists[1] and twists[0].stream_text == twists[1].stream_text
+    assert len(calls) == 2
+
+
+def test_a_rewritten_table_gets_its_own_zero_divisor_probe(tmp_path):
+    """A twist-keyed ring memo must not hand the identity table's probe
+    to the swap table later written to the same path."""
+    ring = construct_ring(SQUARE)
+    path = tmp_path / "rewritten.map"
+    spec = "endo:table:%s" % path
+    _write_table(path, _table_of(ring, lambda v: v))
+    identity = build_endo(ring, spec)
+    assert poly_zero_divisor_probe(ring, identity, "right", 2000, 0) is not None
+    _write_table(path, _table_of(ring, lambda v: v[::-1]))
+    swap = build_endo(ring, spec)
+    pair = poly_zero_divisor_probe(ring, swap, "right", 2000, 0)
+    f, b = parse_poly_text(pair["f"]), parse_poly_text(pair["b"])
+    assert not f.is_zero and not b.is_zero and (b * f).is_zero
+    assert swap != identity
 
 
 # ---------------------------------------------------------------------------
