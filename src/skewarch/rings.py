@@ -21,7 +21,9 @@ one coefficient-window product, window_mul, and one degree-by-degree
 inverse, window_inverse, each with an optional twist.  The two-variable
 model is a pair of series: since xy = 0, a value a + X + Y is stored as
 the one-variable series a + X and a + Y, which share the constant a, and
-computed half by half with the series ring's kernels.
+computed half by half with the series ring's kernels.  Coefficients that
+are values of either model, themselves windows, are multiplied term by
+term into rows through the base ring's kernels.
 
 GF(p^k) stores a value as the integer whose base-p digits are its
 coordinates and computes by table lookup: construction finds a primitive
@@ -276,6 +278,7 @@ class SubsetHandle:
 class RingHandle:
     kind = "?"
     truncated = False
+    layout = None       # a truncated model's window layout (see window_mul)
 
     def __init__(self, spec_text: str):
         self.spec_text = spec_text
@@ -533,13 +536,17 @@ class ProductRing(RingHandle):
         super().__init__("prod(%s)" % ",".join(f.spec_text for f in factors))
 
     def k_add(self, x, y):
-        return tuple(f.k_add(a, b) for f, a, b in zip(self.factors, x, y))
+        if len(x) == 2:
+            return self.factors[0].k_add(x[0], y[0]), self.factors[1].k_add(x[1], y[1])
+        return tuple([f.k_add(a, b) for f, a, b in zip(self.factors, x, y)])
 
     def k_neg(self, x):
         return tuple(f.k_neg(a) for f, a in zip(self.factors, x))
 
     def k_mul(self, x, y):
-        return tuple(f.k_mul(a, b) for f, a, b in zip(self.factors, x, y))
+        if len(x) == 2:
+            return self.factors[0].k_mul(x[0], y[0]), self.factors[1].k_mul(x[1], y[1])
+        return tuple([f.k_mul(a, b) for f, a, b in zip(self.factors, x, y)])
 
     def is_unit_v(self, v):
         invs = []
@@ -724,17 +731,53 @@ def last_nonzero(cs, zero) -> int:
     return next((i for i in range(len(cs) - 1, -1, -1) if cs[i] != zero), -1)
 
 
+def _terms(layout, v):
+    # the base windows of v as lists of (degree, nonzero value) terms
+    zero, split = layout[0].zero_v, layout[1]
+    return [[(k, c) for k, c in enumerate(w) if c != zero] for w in split(v)]
+
+
+def _add_products(rows, xs, ys, base):
+    """Add the product of two values listed by _terms into rows, window by
+    window: terms of degrees k and l add into entry k + l, within the row."""
+    add, mul, zero = base.k_add, base.k_mul, base.zero_v
+    for row, x_terms, y_terms in zip(rows, xs, ys):
+        top = len(row) - 1
+        for k, x in x_terms:
+            for l, y in y_terms:
+                if k + l > top:
+                    break
+                p = mul(x, y)
+                row[k + l] = p if row[k + l] == zero else add(row[k + l], p)
+
+
 def window_mul(ring, xs, ys, limit: int, twist=None) -> list:
     """Coefficients 0..limit of sum x_i * twist(i, y_j) u^(i+j) for two
     coefficient windows over ring, skipping zero coefficients.
     twist(t, v) applies the t-th power of an endomorphism; None is the
     identity and costs no call.  Every series product in the package is
     this one: truncated series rings, each block of F[[x,y]]/(xy), and
-    skew polynomials and series (u*a = alpha(a)*u)."""
-    zero = ring.zero_v
+    skew polynomials and series (u*a = alpha(a)*u).  A truncated model's
+    layout is (finite base ring, value -> base windows, rows -> value)."""
+    zero, layout = ring.zero_v, ring.layout
+    nonzero_ys = [(j, y) for j, y in enumerate(ys) if y != zero]
+    if layout is not None:
+        (base, _, join), width = layout, ring.precision + 1
+        rows = [None] * (limit + 1)
+        listed = [(j, _terms(layout, y) if twist is None else y) for j, y in nonzero_ys]
+        for i, x in enumerate(xs):
+            if x != zero:
+                x_terms = _terms(layout, x)
+                for j, y in listed:
+                    if i + j > limit:
+                        break
+                    if rows[i + j] is None:
+                        rows[i + j] = [[base.zero_v] * width for _ in x_terms]
+                    _add_products(rows[i + j], x_terms, y if twist is None else
+                                  _terms(layout, twist(i, y)), base)
+        return [zero if row is None else join(row) for row in rows]
     add, mul = ring.k_add, ring.k_mul
     out = [zero] * (limit + 1)
-    nonzero_ys = [(j, y) for j, y in enumerate(ys) if y != zero]
     for i, x in enumerate(xs):
         if x != zero:
             for j, y in nonzero_ys:
@@ -755,9 +798,23 @@ def window_inverse(ring, g, twist=None) -> Optional[list]:
     g0inv = ring.is_unit_v(g[0])
     if g0inv is None:
         return None
-    zero = ring.zero_v
+    zero, layout = ring.zero_v, ring.layout
     add, mul = ring.k_add, ring.k_mul
     h = [g0inv]
+    if layout is not None:
+        base, _, join = layout
+        terms = [_terms(layout, c) for c in g]
+        h_terms = [_terms(layout, g0inv)]
+        for m in range(1, len(g)):
+            rows = [[base.zero_v] * (ring.precision + 1) for _ in terms[0]]
+            for i in range(1, m + 1):
+                if g[i] != zero:
+                    _add_products(rows, terms[i], h_terms[m - i] if twist is None
+                                  else _terms(layout, twist(i, h[m - i])), base)
+            h.append(ring.k_neg(mul(g0inv, join(rows))))
+            if twist is None:
+                h_terms.append(_terms(layout, h[-1]))
+        return h
     for m in range(1, len(g)):
         acc = zero
         for i in range(1, m + 1):
@@ -819,6 +876,7 @@ class TruncSeriesRing(TruncatedModel):
         self.card = None
         self.zero_v = (base.zero_v,) * (precision + 1)
         self.one_v = (base.one_v,) + (base.zero_v,) * precision
+        self.layout = (base, lambda v: (v,), lambda rows: tuple(rows[0]))
         super().__init__("tser(%s,N=%d)" % (base.spec_text, precision))
 
     def k_add(self, x, y):
@@ -904,6 +962,7 @@ class XYQuotientRing(TruncatedModel):
         self.card = None
         self.zero_v = (self.series.zero_v,) * 2
         self.one_v = (self.series.one_v,) * 2
+        self.layout = (field, lambda v: v, lambda rows: tuple(map(tuple, rows)))
         super().__init__("xyq:%s:N=%d" % (field.spec_text, precision))
 
     def k_add(self, x, y):

@@ -84,6 +84,15 @@ def random_value(ring, rnd):
             (a, *(rnd.choice(vals) for _ in range(N))))
 
 
+def base(ring):
+    return ring.base if ring.kind == "tser" else ring.field
+
+
+def windows(ring, v):
+    """A truncated model's value as its windows over the base ring."""
+    return (v,) if ring.kind == "tser" else v
+
+
 def random_coefficient(ring, rnd):
     if ring.truncated:
         return random_value(ring, rnd)
@@ -102,8 +111,12 @@ def test_truncated_model_products_match_the_reference(spec):
         assert ring.k_mul(v, w) == ref(v, w)
 
 
+# over the truncated models the coefficients are windows, multiplied term
+# by term: non-field bases, where term sums cancel, and both xyq twists
 TWISTED = [("gf:2:2", "endo:frob"), ("xyq:gf:2:1:N=4", "endo:xsq"),
-           ("tser(zmod:4,N=6)", "endo:id")]
+           ("tser(zmod:4,N=6)", "endo:id"), ("tser(prod(zmod:2,zmod:3),N=4)", "endo:id"),
+           ("xyq:gf:3:1:N=4", "endo:id")]
+TRUNCATED_TWISTED = TWISTED[1:]
 
 
 @pytest.mark.parametrize("ring_spec,endo_spec", TWISTED)
@@ -146,19 +159,83 @@ def test_twisted_series_inverse_is_two_sided(ring_spec, endo_spec):
         assert schoolbook(ring.k_add, mul, ring.zero_v, h, g, n, endo.apply_v) == one
 
 
+@pytest.mark.parametrize("ring_spec,endo_spec", TRUNCATED_TWISTED)
+def test_a_coefficient_whose_terms_cancel_is_exactly_zero(ring_spec, endo_spec):
+    """(a + a*u) * (1 - u) has a*(-1) + a*alpha(1) = 0 at degree 1, for
+    every twist: each term of the row cancels."""
+    ring = construct_ring(ring_spec)
+    endo = build_endo(ring, endo_spec)
+    mul = reference_mul(ring)
+    rnd = random.Random(ring_spec + endo_spec)
+    a = ring.zero_v
+    while sum(c != base(ring).zero_v for w in windows(ring, a) for c in w) < 3:
+        a = random_value(ring, rnd)
+    xs, ys = [a, a], [ring.one_v, ring.k_neg(ring.one_v)]
+    want = schoolbook(ring.k_add, mul, ring.zero_v, xs, ys, 2, endo.apply_v)
+    assert want[1] == ring.zero_v != want[2]
+    series = TruncSeries(ring, endo, 2, xs) * TruncSeries(ring, endo, 2, ys)
+    poly = SkewPoly(ring, endo, xs) * SkewPoly(ring, endo, ys)
+    assert list(series.coeffs) == list(poly.coeffs) == want
+    assert series.coeffs[1] == poly.coeffs[1] == ring.zero_v
+
+
+def test_a_top_coefficient_whose_terms_cancel_is_stripped():
+    """In tser(zmod:4,N=6), a = 2t^4 + t^5 and b = 2t + t^2 multiply to 0:
+    the degree-6 row takes 2*1 + 1*2 = 0 and higher degrees drop.  So the
+    top coefficient of (1 + a*u) * (1 + b*u) cancels and is stripped."""
+    ring = construct_ring("tser(zmod:4,N=6)")
+    endo = build_endo(ring, "endo:id")
+    a, b = ring.v_of_text("[0,0,0,0,2,1]"), ring.v_of_text("[0,2,1]")
+    assert reference_mul(ring)(a, b) == ring.zero_v
+    assert (SkewPoly(ring, endo, [a]) * SkewPoly(ring, endo, [b])).is_zero
+    product = SkewPoly(ring, endo, [ring.one_v, a]) * SkewPoly(ring, endo, [ring.one_v, b])
+    assert product.coeffs == (ring.one_v, ring.k_add(a, b))
+    series = TruncSeries(ring, endo, 2, [ring.one_v, a]) * TruncSeries(ring, endo, 2,
+                                                                      [ring.one_v, b])
+    assert series.coeffs[2] == ring.zero_v
+
+
+@pytest.mark.parametrize("ring_spec,endo_spec", [("tser(zmod:4,N=6)", "endo:id"),
+                                                 ("xyq:gf:2:1:N=4", "endo:xsq")])
+def test_a_series_product_makes_one_base_product_per_nonzero_term_pair(
+        monkeypatch, ring_spec, endo_spec):
+    """The base ring's k_mul runs once for each pair of nonzero terms
+    (x_i[k], alpha^i(y_j)[l]) with i + j and k + l within the precisions,
+    window by window: no product is skipped or repeated."""
+    ring = construct_ring(ring_spec)
+    endo = build_endo(ring, endo_spec)
+    zero, n = base(ring).zero_v, 8
+    rnd = random.Random(ring_spec)
+    xs = [random_value(ring, rnd) for _ in range(n + 1)]
+    ys = [random_value(ring, rnd) for _ in range(n + 1)]
+    xs[2] = ys[5] = ring.zero_v
+    twisted = [ys]
+    for _ in range(n):
+        twisted.append([endo.apply_v(y) for y in twisted[-1]])
+    want = sum(1 for i, x in enumerate(xs) for j, y in enumerate(twisted[i]) if i + j <= n
+               for xw, yw in zip(windows(ring, x), windows(ring, y))
+               for k, c in enumerate(xw) for l, d in enumerate(yw)
+               if c != zero and d != zero and k + l <= ring.precision)
+    count = [0]
+    kernel = type(base(ring)).k_mul
+
+    def counted(self, x, y):
+        count[0] += 1
+        return kernel(self, x, y)
+    monkeypatch.setattr(type(base(ring)), "k_mul", counted)
+    TruncSeries(ring, endo, n, xs) * TruncSeries(ring, endo, n, ys)
+    assert count[0] == want > 0
+
+
 @pytest.mark.parametrize("spec", ["xyq:gf:3:1:N=4", "tser(zmod:4,N=6)"])
 def test_unit_inverses_on_the_support_two_scope(spec):
     ring = construct_ring(spec)
     ref = reference_mul(ring)
-    if ring.kind == "xyq":
-        constant, constant_of = ring.field, lambda v: v[0][0]
-    else:
-        constant, constant_of = ring.base, lambda v: v[0]
     for i in range(ring.scope_size(2)):
         v = ring.scope_value(i, 2)
         inv = ring.is_unit_v(v)
         assert ring.has_inverse_v(v) == (inv is not None)
-        if constant.is_unit_v(constant_of(v)) is None:
+        if base(ring).is_unit_v(windows(ring, v)[0][0]) is None:
             assert inv is None
         else:
             assert ref(v, inv) == ring.one_v and ref(inv, v) == ring.one_v

@@ -225,6 +225,17 @@ def test_product_ring_componentwise():
     assert is_reduced(ring).reduced
 
 
+@pytest.mark.parametrize("spec", ["prod(zmod:2,gf:2:2)", "prod(zmod:2,zmod:3,zmod:2)"])
+def test_product_kernels_act_factor_by_factor_on_two_and_three_factors(spec):
+    ring = construct_ring(spec)
+    for x in ring.values():
+        for y in ring.values():
+            assert ring.k_add(x, y) == tuple(f.k_add(a, b)
+                                             for f, a, b in zip(ring.factors, x, y))
+            assert ring.k_mul(x, y) == tuple(f.k_mul(a, b)
+                                             for f, a, b in zip(ring.factors, x, y))
+
+
 def test_product_of_two_boolean_factors_is_all_idempotent():
     ring = construct_ring("prod(zmod:2,zmod:2)")
     assert idempotents(ring).texts() == ["(0,0)", "(0,1)", "(1,0)", "(1,1)"]
@@ -574,6 +585,25 @@ def test_cross_ring_arithmetic_rejected():
         _ = a + b
     with pytest.raises(RingMismatchError):
         _ = a * b
+
+
+def test_elements_take_only_elements_and_no_negative_power():
+    two = construct_ring("zmod:6").element(2)
+    with pytest.raises(TypeError, match="cannot combine 1 with ring element"):
+        _ = two + 1
+    with pytest.raises(ValueError, match="negative powers"):
+        _ = two ** -1
+
+
+def test_equal_elements_and_subsets_of_equal_rings_hash_alike():
+    ring, fresh = construct_ring("zmod:6"), ZmodRing(6)
+    assert fresh is not ring and fresh == ring
+    a, b = ring.element(2), fresh.from_text("2")
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    us, listed = units(ring), SubsetHandle(fresh, [5, 1])
+    assert us == listed and hash(us) == hash(listed) and len({us, listed}) == 1
+    assert us != SubsetHandle(ring, [1]) and us != {1, 5}
+    assert repr(us) == "{1,5}" and repr(SubsetHandle(ring, [])) == "{}"
 
 
 def test_generators_of_another_ring_are_rejected():

@@ -106,6 +106,19 @@ def test_series_text_round_trip_pads():
     assert parse_poly_text(s.to_text()) == s
 
 
+def test_equal_polynomials_and_series_hash_alike_and_print_their_text():
+    ring = construct_ring("gf:2:2")
+    frob = build_endo(ring, "endo:frob")
+    f = SkewPoly(ring, frob, [1, 2, 0])
+    g = parse_poly_text(f.to_text())
+    assert f == g and f is not g and hash(f) == hash(g) and len({f, g}) == 1
+    assert repr(f) == f.to_text() == "[[1,0],[0,1]]@gf:2:2:1,1,1;endo:frob"
+    s = TruncSeries(ring, frob, 3, [1, 2])
+    t = parse_poly_text(s.to_text())
+    assert s == t and s is not t and hash(s) == hash(t) and len({s, t}) == 1
+    assert repr(s) == s.to_text() == "[[1,0],[0,1],[0,0],[0,0]]@gf:2:2:1,1,1;endo:frob;N=3"
+
+
 def test_parse_rejects_malformed_text():
     for bad in ["[1,2]", "1,2@zmod:4;endo:id", "[1]@zmod:4",
                 "[1,2,3]@zmod:4;endo:id;N=1"]:
