@@ -802,11 +802,11 @@ def window_inverse(ring, g, twist=None) -> Optional[list]:
     add, mul = ring.k_add, ring.k_mul
     h = [g0inv]
     if layout is not None:
-        base, _, join = layout
+        (base, _, join), width = layout, ring.precision + 1
         terms = [_terms(layout, c) for c in g]
         h_terms = [_terms(layout, g0inv)]
         for m in range(1, len(g)):
-            rows = [[base.zero_v] * (ring.precision + 1) for _ in terms[0]]
+            rows = [[base.zero_v] * width for _ in terms[0]]
             for i in range(1, m + 1):
                 if g[i] != zero:
                     _add_products(rows, terms[i], h_terms[m - i] if twist is None

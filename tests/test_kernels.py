@@ -85,11 +85,13 @@ def random_value(ring, rnd):
 
 
 def base(ring):
+    """A truncated model's base ring, read apart from ring.layout."""
     return ring.base if ring.kind == "tser" else ring.field
 
 
 def windows(ring, v):
-    """A truncated model's value as its windows over the base ring."""
+    """A truncated model's value as its windows over the base ring, read
+    apart from ring.layout, which the tests below check."""
     return (v,) if ring.kind == "tser" else v
 
 
@@ -231,11 +233,15 @@ def test_a_series_product_makes_one_base_product_per_nonzero_term_pair(
 def test_unit_inverses_on_the_support_two_scope(spec):
     ring = construct_ring(spec)
     ref = reference_mul(ring)
+    if ring.kind == "xyq":
+        constant, constant_of = ring.field, lambda v: v[0][0]
+    else:
+        constant, constant_of = ring.base, lambda v: v[0]
     for i in range(ring.scope_size(2)):
         v = ring.scope_value(i, 2)
         inv = ring.is_unit_v(v)
         assert ring.has_inverse_v(v) == (inv is not None)
-        if base(ring).is_unit_v(windows(ring, v)[0][0]) is None:
+        if constant.is_unit_v(constant_of(v)) is None:
             assert inv is None
         else:
             assert ref(v, inv) == ring.one_v and ref(inv, v) == ring.one_v
