@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from skewarch.registry import ENTRIES, RunConfig, startup_self_check
-from skewarch.reports import render_json, render_report_text
+from skewarch.reports import render_json, render_text
 from skewarch.suites import SUITE_IDS, run_one
 
 # property tests draw the same examples on every run and never time out
@@ -27,4 +27,4 @@ def seed42_matrix():
                for entry in ENTRIES for suite_id in SUITE_IDS]
     return SimpleNamespace(
         reports=reports, json=render_json(reports, config),
-        explain="".join(render_report_text(r) for r in reports))
+        explain=render_text(reports))

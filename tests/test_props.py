@@ -32,10 +32,11 @@ from skewarch.props import (
     subring_inheritance_check,
     twisted_power_product_equivalence,
 )
-from skewarch.endos import is_rigid
+from skewarch.endos import EndoVerdict, IdentityEndo, is_rigid
 from skewarch.prng import derive_rng
 from skewarch.registry import ENTRIES
-from skewarch.rings import NonEnumerableError, construct_ring, scan_domain
+from skewarch.rings import (NonEnumerableError, SubsetHandle, XYQuotientRing,
+                            ZmodRing, construct_ring, scan_domain)
 from skewarch.skew import SkewPoly, TruncSeries, nilpotency_probe, parse_poly_text
 
 ALL_STATUSES = {HOLDS, FAILS, HYPOTHESIS_NOT_MET, INCONCLUSIVE,
@@ -727,6 +728,165 @@ def test_induction_audit_order_escape_at_scope():
     assert [s["stage"] for s in v.witness["stages"]] == ["replay",
                                                          "order-escape"]
     assert v.certificate.startswith("order-escape audit at scope")
+
+
+# Every halt of the audit, with its full verdict.  Honest inputs reach the
+# first four; the rest plant one fault in a fresh ring or twist, built
+# outside the construction caches, as tests/test_planted_faults.py does.
+
+_REPLAY = {"stage": "replay", "detail": "f = h_n*g^n verified for n = 1..3"}
+_FORCED = ("coefficient forced to 0: it lies in every multiple set down to "
+           "the stabilized {0}")
+
+
+def _audit(ring, endo, f, g, hs, precision=8):
+    """The audit of constants f, g and h_1..h_len(hs), given as texts."""
+    c = lambda t: _const_series(ring, endo, t, precision)
+    return induction_audit(c(f), c(g), [c(t) for t in hs], len(hs))
+
+
+def _planted_rigid(endo):
+    endo._cache[("is_rigid",)] = EndoVerdict(True, None, True, "planted")
+    return endo
+
+
+def _verdict(v):
+    return v.status, v.witness, v.certificate
+
+
+def test_induction_audit_refuses_depth_zero():
+    z6, e6 = _pair("zmod:6")
+    with pytest.raises(ValueError, match="audit depth must be >= 1"):
+        induction_audit(_const_series(z6, e6, "0"), _const_series(z6, e6, "2"),
+                        [], 0)
+
+
+def test_induction_audit_halts_on_a_chain_that_happens_to_spare_zero():
+    v = _audit(*_pair("zmod:6"), "0", "2", "000")
+    assert _verdict(v) == (HYPOTHESIS_NOT_MET, {
+        "stages": [_REPLAY, {
+            "stage": "constant-term",
+            "equations": ["0 = 0*2^1", "0 = 0*2^2", "0 = 0*2^3"],
+            "stabilized": ["0", "2", "4"], "chain_length": 1,
+            "conclusion": "no chain certificate"}],
+        "halt": {"stage": "constant-term", "coefficient": "0",
+                 "stabilized": ["0", "2", "4"]},
+    }, "audit halts at the constant-term stage: the right chain of 2 "
+       "stabilizes at {0,2,4} without reaching {0}; the coefficient happens "
+       "to vanish anyway")
+
+
+def test_induction_audit_is_inconclusive_on_a_chain_longer_than_depth():
+    v = _audit(*_pair("zmod:32"), "8", "2", "421")
+    assert _verdict(v) == (INCONCLUSIVE, {
+        "stages": [_REPLAY, {
+            "stage": "constant-term",
+            "equations": ["8 = 4*2^1", "8 = 2*2^2", "8 = 1*2^3"],
+            "stabilized": ["0"], "chain_length": 5}],
+        "halt": {"stage": "constant-term", "chain_length": 5},
+    }, "the chain of 2 needs 5 steps to stabilize but the audit only has "
+       "witnesses up to depth 3")
+
+
+def test_induction_audit_is_inconclusive_on_a_divisor_of_inner_order_zero():
+    v = _audit(*_pair("tser(prod(zmod:2,zmod:2),N=4)"), "[(1,0)]", "[(1,0)]",
+               ["[(1,1)]"])
+    assert _verdict(v) == (INCONCLUSIVE, {"stages": [
+        {"stage": "replay", "detail": "f = h_n*g^n verified for n = 1..1"}]},
+        "the divisor constant has inner order zero; no escape certificate "
+        "at this scale")
+
+
+def test_induction_audit_halts_where_a_twist_power_makes_a_unit():
+    # a rigid verdict planted in the twist's memo, and a first twist power
+    # that sends the divisor constant 2 to 1
+    ring = ZmodRing(8)
+    endo = _planted_rigid(IdentityEndo(ring))
+    endo.power_apply_v = lambda t, v: ring.one_v if t else v
+    v = _audit(ring, endo, "0", "2", "000")
+    assert _verdict(v) == (HYPOTHESIS_NOT_MET, {
+        "stages": [_REPLAY, {
+            "stage": "constant-term",
+            "equations": ["0 = 0*2^1", "0 = 0*2^2", "0 = 0*2^3"],
+            "stabilized": ["0"], "chain_length": 3, "conclusion": _FORCED},
+            {"stage": "product-collapse-0",
+             "equations": ["0 = 0*2^1", "0 = 0*2^1", "0 = 0*2^1"]},
+            {"stage": "degree-1", "blocked": "twist power 1 sends the "
+             "divisor constant to the unit 1"}],
+        "halt": {"stage": "degree-1", "unit_image": "1"},
+    }, "audit halts at the degree-1 stage: the twist fails to preserve "
+       "nonunits there, so the multiple sets of 1 are everything and "
+       "certify nothing")
+
+
+def test_induction_audit_fails_on_a_reduced_equation_that_breaks():
+    # a power kernel wrong on 2^3 only; the replay multiplies series
+    ring = ZmodRing(8)
+    power = ring.k_pow
+    ring.k_pow = lambda x, n: 1 if (x, n) == (2, 3) else power(x, n)
+    v = _audit(ring, IdentityEndo(ring), "0", "2", "421")
+    assert _verdict(v) == (FAILS, {
+        "stages": [_REPLAY, {
+            "stage": "constant-term",
+            "equations": ["0 = 4*2^1", "0 = 2*2^2"],
+            "mismatch": "0 = 1*2^3"}],
+        "halt": {"stage": "constant-term", "equation": "0 = 1*2^3"},
+    }, "the reduced constant-term equation fails numerically although every "
+       "lower degree vanished and the twist is rigid")
+
+
+def test_induction_audit_fails_on_a_coefficient_the_chain_forces_to_zero(
+        monkeypatch):
+    # a power chain that claims 2 is nilpotent in zmod:6
+    def chain(ring, a):
+        zero = SubsetHandle(ring, [ring.zero_v])
+        return [zero], zero
+    monkeypatch.setattr(props, "principal_power_chain", chain)
+    ring = ZmodRing(6)
+    v = _audit(ring, IdentityEndo(ring), "2", "2", "121")
+    assert _verdict(v) == (FAILS, {
+        "stages": [_REPLAY, {
+            "stage": "constant-term",
+            "equations": ["2 = 1*2^1", "2 = 2*2^2", "2 = 1*2^3"],
+            "stabilized": ["0"], "chain_length": 1}],
+        "halt": {"stage": "constant-term", "coefficient": "2"},
+    }, "the chain certificate forces the constant-term coefficient to zero "
+       "yet it is 2")
+
+
+def test_induction_audit_fails_where_a_rigid_twist_leaves_a_product():
+    # the identity of zmod:8 is not rigid (4*4 = 0); a planted verdict says
+    # it is, and 2*2 is no zero product
+    ring = ZmodRing(8)
+    v = _audit(ring, _planted_rigid(IdentityEndo(ring)), "0", "2", "421")
+    assert _verdict(v) == (FAILS, {
+        "stages": [_REPLAY, {
+            "stage": "constant-term",
+            "equations": ["0 = 4*2^1", "0 = 2*2^2", "0 = 1*2^3"],
+            "stabilized": ["0"], "chain_length": 3, "conclusion": _FORCED}],
+        "halt": {"stage": "product-collapse", "n": 2, "h": "2"},
+    }, "rigid collapse failed: the helper constant 2 times the divisor "
+       "constant is nonzero")
+
+
+def test_induction_audit_fails_on_a_coefficient_that_escapes_no_order():
+    # the xyq case of test_induction_audit_order_escape_at_scope, with an
+    # inner order wrong on x^3 only
+    x = XYQuotientRing(construct_ring("gf:2:1"), 8)
+    e = IdentityEndo(x)
+    g = TruncSeries.constant(x, e, x.x_v(1), 16)
+    f = TruncSeries.constant(x, e, x.x_v(3), 16)
+    hs = [TruncSeries.constant(x, e, x.x_v(3 - n) if n < 3 else x.one_v, 16)
+          for n in (1, 2, 3)]
+    order, x3 = x.inner_order, x.x_v(3)
+    x.inner_order = lambda v: 1 if v == x3 else order(v)
+    v = induction_audit(f, g, hs, 3)
+    assert _verdict(v) == (FAILS, {
+        "stages": [_REPLAY], "degree": 0,
+        "coefficient": "([0];[[0],[0],[1],[0],[0],[0],[0],[0]];"
+                       "[[0],[0],[0],[0],[0],[0],[0],[0]])",
+    }, "coefficient at degree 0 has inner order 1 < 3, contradicting "
+       "divisibility by g^3")
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,18 @@ def test_render_report_text_layout():
     assert text.endswith("\n")
 
 
+def test_validate_report_refuses_a_certificate_that_is_not_text():
+    good = run_one(find_entry("gf:5:1"), "arithmetic", RunConfig())
+    with pytest.raises(ReportShapeError, match="certificate must be a string"):
+        validate_report(dict(good, certificate=None))
+
+
+def test_render_report_text_renders_a_scalar_witness():
+    good = run_one(find_entry("gf:5:1"), "arithmetic", RunConfig())
+    text = render_report_text(dict(good, witness="2"))
+    assert text.endswith('  witness:\n    "2"\n')
+
+
 def test_render_list_outputs():
     doc = json.loads(render_list_json(ENTRIES))
     assert doc["schema"] == 1

@@ -322,6 +322,16 @@ def test_helpers_raise_a_construction_error_for_a_bad_generator_text():
         assert str(err.value) == "bad element 'x' for zmod:12"
 
 
+def test_embed_and_project_refuse_an_element_of_another_ring():
+    z12 = construct_ring("zmod:12")
+    _, embed, _ = subring_generated(z12, ["3"])
+    _, project = quotient_by_ideal(z12, ["4"])
+    with pytest.raises(RingMismatchError, match="element not in the subring"):
+        embed(z12.element(3))
+    with pytest.raises(RingMismatchError, match="not in the ambient ring"):
+        project(construct_ring("zmod:6").element(1))
+
+
 # ---------------------------------------------------------------------------
 # truncated models
 
@@ -438,6 +448,15 @@ def test_xy_quotient_scope_enumeration_puts_nonunits_first():
     vals = ring.scope_values()
     assert len(vals) == 2 ** (1 + 2 * ring.scope)
     assert vals[0] == ring.zero_v
+
+
+def test_a_scope_past_the_enumeration_budget_shrinks_or_is_refused():
+    # support <= s holds 16^(s+1) values: the scope 5 of N = 10 shrinks to
+    # 3, whose 65,536 values fit the budget, and support 4 is refused
+    ring = construct_ring("tser(zmod:16,N=10)")
+    assert (ring.scope, ring.bounded_support()) == (5, 3)
+    with pytest.raises(NonEnumerableError, match="too large to scan"):
+        ring.scope_values(max_support=4)
 
 
 def test_scope_value_numbers_the_scope_listing():
