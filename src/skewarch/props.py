@@ -1125,9 +1125,11 @@ def archimedean_falsifier(ring, endo: Endo, precision: int = 16,
 
 def _scope_falsifier(ring, endo: Endo, precision: int, depth: int,
                      budget: int, seed: int, side: str) -> Verdict:
-    """Truncated coefficient rings: every nonunit has zero constant term,
-    so divisor powers gain inner order and, degree by degree, escape any
-    window; verify the escape numerically on scheduled candidates."""
+    """Truncated coefficient rings: every nonunit constant has inner order
+    >= 1, so divisor powers gain inner order and, degree by degree, escape
+    any window.  Verify the escape on scheduled candidates: no g^depth
+    has a degree `_order_escape_degree` finds.  A candidate with a zero
+    constant term needs no check, and its power is not built."""
     rng = derive_rng(seed, "falsify/%s/%s/%s" % (ring.spec_text, endo.stream_text,
                                                  side))
     pool = scan_domain(ring, 2).values
@@ -1162,21 +1164,18 @@ def _scope_falsifier(ring, endo: Endo, precision: int, depth: int,
         examined += 1
         if examined > budget:
             break
+        # a zero constant term kills the low degrees of g^depth outright
+        if g.coeffs[0] == ring.zero_v:
+            continue
         G = g ** depth
-        # with a nonzero nonunit constant term, at least depth - m factors
-        # of each degree-m product are that constant, each of inner order
-        # >= 1; a zero constant term instead kills the low degrees outright
-        need_base = depth if g.coeffs[0] != ring.zero_v else 0
-        for m, c in enumerate(G.coeffs):
-            inner = ring.inner_order(c)
-            need = max(0, need_base - m) if need_base else 0
-            if c != ring.zero_v and inner is not None and inner < need:
-                return Verdict(
-                    INCONCLUSIVE,
-                    {"g": g.to_text(), "degree": m},
-                    "a divisor power coefficient kept inner order %d < %d; "
-                    "the escape argument needs closer analysis here"
-                    % (inner, need))
+        m = _order_escape_degree(ring, G.coeffs, depth)
+        if m is not None:
+            return Verdict(
+                INCONCLUSIVE,
+                {"g": g.to_text(), "degree": m},
+                "a divisor power coefficient kept inner order %d < %d; "
+                "the escape argument needs closer analysis here"
+                % (ring.inner_order(G.coeffs[m]), depth - m))
     notes.append("escape verified on %d scheduled divisor candidates: every "
                  "coefficient of g^%d has inner order >= %d - degree"
                  % (len(candidates), depth, depth))
@@ -1207,10 +1206,13 @@ def _falsifier_conclusion(ring, endo: Endo, side: str, notes, examined):
 def induction_audit(f: TruncSeries, g: TruncSeries, h_list, depth: int,
                     side: str = "right") -> Verdict:
     """Replay divisibility witnesses f = h_n * g^n (or the left mirror)
-    and audit the degreewise vanishing argument: chain certificates force
-    each audited coefficient of f to zero, the rigid twist collapses the
-    helper products, and the audit halts at the first stage whose
-    hypothesis is unavailable."""
+    and audit the degreewise vanishing argument at degrees 0..min(precision,
+    depth - 1): chain certificates force each audited coefficient of f to
+    zero, the rigid twist collapses the helper products, and the audit
+    halts at the first stage whose hypothesis is unavailable, with the
+    stage records so far and the halting stage.  Truncated coefficient
+    rings have no chains; a divisor constant of positive inner order
+    bounds each coefficient's inner order instead (`_order_escape_degree`)."""
     _need_side(side)
     if depth < 1:
         raise ValueError("audit depth must be >= 1")
@@ -1218,9 +1220,8 @@ def induction_audit(f: TruncSeries, g: TruncSeries, h_list, depth: int,
         raise ValueError("audit to depth %d needs %d divisibility "
                          "witnesses, got %d" % (depth, depth, len(h_list)))
     ring, endo = f.ring, f.endo
-    f._check(g)
-    for h in h_list:
-        f._check(h)
+    for s in (g, *h_list):
+        f._check(s)
 
     g0 = g.coeffs[0]
     if ring.has_inverse_v(g0):
@@ -1230,100 +1231,111 @@ def induction_audit(f: TruncSeries, g: TruncSeries, h_list, depth: int,
             "divisible by every power and the audit is vacuous"
             % ring.text_of_v(g0))
 
-    for n in range(1, depth + 1):
-        prod = (h_list[n - 1] * (g ** n) if side == "right"
-                else (g ** n) * h_list[n - 1])
-        if prod != f:
+    # g, g*g, (g*g)*g, ...: the products g ** n takes
+    powers = itertools.accumulate([g] * depth, lambda a, b: a * b)
+    for n, (h, gn) in enumerate(zip(h_list, powers), 1):
+        if (h * gn if side == "right" else gn * h) != f:
             raise ValueError("divisibility witness %d fails to replay" % n)
     stages = [{"stage": "replay",
                "detail": ("f = h_n*g^n verified for n = 1..%d" if side ==
                           "right" else "f = g^n*h_n verified for n = 1..%d")
                % depth}]
+    top = min(f.precision, depth - 1)
+    text = ring.text_of_v
 
     if ring.truncated:
-        return _order_escape_audit(f, g, depth, stages)
+        min_ord = ring.inner_order(g0)
+        if min_ord is not None and min_ord < 1:
+            return Verdict(
+                INCONCLUSIVE, {"stages": stages},
+                "the divisor constant has inner order zero; no escape "
+                "certificate at this scale")
+        m = _order_escape_degree(ring, f.coeffs, depth)
+        if m is not None:
+            return Verdict(
+                FAILS, {"stages": stages, "degree": m,
+                        "coefficient": text(f.coeffs[m])},
+                "coefficient at degree %d has inner order %s < %d, "
+                "contradicting divisibility by g^%d"
+                % (m, ring.inner_order(f.coeffs[m]), depth - m, depth))
+        stages.append({"stage": "order-escape",
+                       "detail": "every audited coefficient has inner order "
+                       ">= %d - degree (degrees %s)"
+                       % (depth, ",".join(map(str, range(top + 1))))})
+        return Verdict(
+            HOLDS, {"stages": stages},
+            "order-escape audit at scope: the divisor constant has inner "
+            "order >= 1, so deeper divisibility pushes every audited "
+            "coefficient out of the window (twist rigid: %s)"
+            % ("yes" if is_rigid(endo).holds else "no"))
 
     rig = is_rigid(endo)
 
     def eq_text(lhs_v, hn_v, base_v, n):
         if side == "right":
-            return "%s = %s*%s^%d" % (ring.text_of_v(lhs_v),
-                                      ring.text_of_v(hn_v),
-                                      ring.text_of_v(base_v), n)
-        return "%s = %s^%d*%s" % (ring.text_of_v(lhs_v),
-                                  ring.text_of_v(base_v), n,
-                                  ring.text_of_v(hn_v))
+            return "%s = %s*%s^%d" % (text(lhs_v), text(hn_v), text(base_v), n)
+        return "%s = %s^%d*%s" % (text(lhs_v), text(base_v), n, text(hn_v))
 
-    def audit_degree(m: int):
-        """Returns (halt_verdict | None) after appending this degree's
-        stage record."""
+    def halt(status, stop, certificate, **extra):
+        return Verdict(status, {"stages": stages, "halt": stop, **extra},
+                       certificate)
+
+    for m in range(top + 1):
         cm = endo.power_apply_v(m, g0) if side == "right" else g0
+        fm = f.coeffs[m]
         stage = "constant-term" if m == 0 else "degree-%d" % m
         if ring.has_inverse_v(cm):
             stages.append({"stage": stage,
                            "blocked": "twist power %d sends the divisor "
-                           "constant to the unit %s" % (m,
-                                                        ring.text_of_v(cm))})
-            return Verdict(
-                HYPOTHESIS_NOT_MET,
-                {"stages": stages,
-                 "halt": {"stage": stage, "unit_image": ring.text_of_v(cm)}},
+                           "constant to the unit %s" % (m, text(cm))})
+            return halt(
+                HYPOTHESIS_NOT_MET, {"stage": stage, "unit_image": text(cm)},
                 "audit halts at the %s stage: the twist fails to preserve "
                 "nonunits there, so the multiple sets of %s are everything "
-                "and certify nothing" % (stage, ring.text_of_v(cm)))
+                "and certify nothing" % (stage, text(cm)))
+        # h_n for n = m+1..depth, read at degree m
+        helpers = [(n, h.coeffs[m]) for n, h in
+                   enumerate(h_list[m:depth], m + 1)]
         eqs = []
-        lo = max(1, m + 1)
-        for n in range(lo, depth + 1):
-            hn = h_list[n - 1].coeffs[m]
+        for n, hn in helpers:
+            eq = eq_text(fm, hn, cm, n)
             # the ring is commutative: h_n*c^n = c^n*h_n
-            if ring.k_mul(hn, ring.k_pow(cm, n)) != f.coeffs[m]:
+            if ring.k_mul(hn, ring.k_pow(cm, n)) != fm:
                 stages.append({"stage": stage, "equations": eqs,
-                               "mismatch": eq_text(f.coeffs[m], hn, cm, n)})
-                return Verdict(
-                    FAILS,
-                    {"stages": stages,
-                     "halt": {"stage": stage,
-                              "equation": eq_text(f.coeffs[m], hn, cm, n)}},
+                               "mismatch": eq})
+                return halt(
+                    FAILS, {"stage": stage, "equation": eq},
                     "the reduced %s equation fails numerically although "
                     "every lower degree vanished and the twist is rigid"
                     % stage)
-            eqs.append(eq_text(f.coeffs[m], hn, cm, n))
+            eqs.append(eq)
         chain, stab = principal_power_chain(ring, Element(ring, cm))
         record = {"stage": stage, "equations": eqs,
                   "stabilized": stab.texts(), "chain_length": len(chain)}
         stages.append(record)
         if stab.members != {ring.zero_v}:
-            fm = f.coeffs[m]
-            survives = (", and the coefficient %s survives"
-                        % ring.text_of_v(fm) if fm != ring.zero_v
-                        else "; the coefficient happens to vanish anyway")
             record["conclusion"] = "no chain certificate"
-            return Verdict(
+            return halt(
                 HYPOTHESIS_NOT_MET,
-                {"stages": stages,
-                 "halt": {"stage": stage,
-                          "coefficient": ring.text_of_v(fm),
-                          "stabilized": stab.texts()}},
+                {"stage": stage, "coefficient": text(fm),
+                 "stabilized": stab.texts()},
                 "audit halts at the %s stage: the %s chain of %s "
                 "stabilizes at {%s} without reaching {0}%s"
-                % (stage, side, ring.text_of_v(cm),
-                   ",".join(stab.texts()), survives))
+                % (stage, side, text(cm), ",".join(stab.texts()),
+                   ", and the coefficient %s survives" % text(fm)
+                   if fm != ring.zero_v
+                   else "; the coefficient happens to vanish anyway"))
         if len(chain) > depth:
-            return Verdict(
-                INCONCLUSIVE,
-                {"stages": stages,
-                 "halt": {"stage": stage, "chain_length": len(chain)}},
+            return halt(
+                INCONCLUSIVE, {"stage": stage, "chain_length": len(chain)},
                 "the chain of %s needs %d steps to stabilize but the audit "
                 "only has witnesses up to depth %d"
-                % (ring.text_of_v(cm), len(chain), depth))
-        if f.coeffs[m] != ring.zero_v:
-            return Verdict(
-                FAILS,
-                {"stages": stages,
-                 "halt": {"stage": stage,
-                          "coefficient": ring.text_of_v(f.coeffs[m])}},
+                % (text(cm), len(chain), depth))
+        if fm != ring.zero_v:
+            return halt(
+                FAILS, {"stage": stage, "coefficient": text(fm)},
                 "the chain certificate forces the %s coefficient to zero "
-                "yet it is %s" % (stage, ring.text_of_v(f.coeffs[m])))
+                "yet it is %s" % (stage, text(fm)))
         record["conclusion"] = ("coefficient forced to 0: it lies in every "
                                 "multiple set down to the stabilized {0}")
         # collapse the helper products for later degrees
@@ -1331,37 +1343,24 @@ def induction_audit(f: TruncSeries, g: TruncSeries, h_list, depth: int,
             stages.append({"stage": "product-collapse",
                            "blocked": "twist is not rigid",
                            "witness": rig.witness})
-            return Verdict(
+            return halt(
                 HYPOTHESIS_NOT_MET,
-                {"stages": stages,
-                 "halt": {"stage": "product-collapse",
-                          "derived": {stage: "0"}},
-                 "derived": {"coefficient": stage, "value": "0"}},
+                {"stage": "product-collapse", "derived": {stage: "0"}},
                 "the %s coefficient is forced to 0 by the chain "
                 "certificate, but the audit halts at the product-collapse "
-                "stage: the twist is not rigid (%s)" % (stage, rig.note))
-        collapse = []
-        for n in range(lo, depth + 1):
-            hn = h_list[n - 1].coeffs[m]
+                "stage: the twist is not rigid (%s)" % (stage, rig.note),
+                derived={"coefficient": stage, "value": "0"})
+        for n, hn in helpers:
             if ring.k_mul(hn, g0) != ring.zero_v:
-                return Verdict(
-                    FAILS,
-                    {"stages": stages,
-                     "halt": {"stage": "product-collapse",
-                              "n": n, "h": ring.text_of_v(hn)}},
+                return halt(
+                    FAILS, {"stage": "product-collapse", "n": n,
+                            "h": text(hn)},
                     "rigid collapse failed: the helper constant %s times "
-                    "the divisor constant is nonzero" % ring.text_of_v(hn))
-            collapse.append(eq_text(ring.zero_v, hn, g0, 1))
+                    "the divisor constant is nonzero" % text(hn))
         stages.append({"stage": "product-collapse-%d" % m,
-                       "equations": collapse})
-        return None
+                       "equations": [eq_text(ring.zero_v, hn, g0, 1)
+                                     for _, hn in helpers]})
 
-    for m in range(0, min(f.precision, depth - 1) + 1):
-        halt = audit_degree(m)
-        if halt is not None:
-            return halt
-
-    top = min(f.precision, depth - 1)
     return Verdict(
         HOLDS, {"stages": stages},
         "audited coefficients 0..%d all vanish under exact chain "
@@ -1369,41 +1368,14 @@ def induction_audit(f: TruncSeries, g: TruncSeries, h_list, depth: int,
         "replayed to depth %d" % (top, rig.note, depth))
 
 
-def _order_escape_audit(f, g, depth, stages) -> Verdict:
-    """Truncated coefficient rings: chains are unavailable, but nonunit
-    constants have positive inner order, so each coefficient of f must
-    carry inner order at least depth minus its degree."""
-    ring = f.ring
-    g0 = g.coeffs[0]
-    min_ord = ring.inner_order(g0)
-    if min_ord is not None and min_ord < 1:
-        return Verdict(
-            INCONCLUSIVE, {"stages": stages},
-            "the divisor constant has inner order zero; no escape "
-            "certificate at this scale")
-    rig = is_rigid(f.endo)
-    checked = []
-    for m in range(min(f.precision, depth - 1) + 1):
-        c = f.coeffs[m]
-        inner = ring.inner_order(c)
-        if c != ring.zero_v and (inner is None or inner < depth - m):
-            return Verdict(
-                FAILS,
-                {"stages": stages, "degree": m,
-                 "coefficient": ring.text_of_v(c)},
-                "coefficient at degree %d has inner order %s < %d, "
-                "contradicting divisibility by g^%d"
-                % (m, inner, depth - m, depth))
-        checked.append(m)
-    stages.append({"stage": "order-escape",
-                   "detail": "every audited coefficient has inner order >= "
-                   "%d - degree (degrees %s)" % (depth,
-                                                 ",".join(map(str, checked)))})
-    return Verdict(
-        HOLDS, {"stages": stages},
-        "order-escape audit at scope: the divisor constant has inner order "
-        ">= 1, so deeper divisibility pushes every audited coefficient out "
-        "of the window (twist rigid: %s)" % ("yes" if rig.holds else "no"))
+def _order_escape_degree(ring, coeffs, depth: int) -> Optional[int]:
+    """The first degree m < depth whose coefficient is nonzero with inner
+    order below depth - m, or None.  A multiple of g^depth has none when
+    g's constant term, a factor of each degree-m term at least depth - m
+    times, has inner order >= 1."""
+    return next((m for m, c in enumerate(coeffs[:depth])
+                 if c != ring.zero_v and ring.inner_order(c) < depth - m),
+                None)
 
 
 # ---------------------------------------------------------------------------

@@ -84,8 +84,6 @@ def render_list_text(entries) -> str:
 
 def _witness_lines(obj, indent: int):
     pad = "  " * indent
-    if obj is None:
-        return [pad + "(none)"]
     if isinstance(obj, dict):
         out = []
         for k, v in obj.items():

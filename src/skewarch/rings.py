@@ -121,14 +121,10 @@ def _is_prime(p: int) -> bool:
 
 
 def _pmod(a, m, p):
-    # m monic
+    # a and m monic; each step strips the remainder, so its top is nonzero
     a = list(a)
     dm = len(m) - 1
-    while len(a) - 1 >= dm and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < dm:
-            break
+    while len(a) - 1 >= dm:
         c = a[-1]
         shift = len(a) - 1 - dm
         for j in range(dm + 1):
@@ -926,8 +922,9 @@ class TruncSeriesRing(TruncatedModel):
     def widen(self):
         return TruncSeriesRing(self.base, self.precision * 2)
 
-    def lift_v(self, v, wide):
-        return tuple(v) + (self.base.zero_v,) * (wide.precision - self.precision)
+    def lift_v(self, v):
+        """v in widen(), whose window is twice as long."""
+        return tuple(v) + (self.base.zero_v,) * self.precision
 
     def text_of_v(self, v):
         return "[%s]" % ",".join(self.base.text_of_v(c) for c in v)
@@ -1026,9 +1023,9 @@ class XYQuotientRing(TruncatedModel):
     def widen(self):
         return XYQuotientRing(self.field, self.precision * 2)
 
-    def lift_v(self, v, wide):
+    def lift_v(self, v):
         lift = self.series.lift_v
-        return lift(v[0], wide.series), lift(v[1], wide.series)
+        return lift(v[0]), lift(v[1])
 
     def text_of_v(self, v):
         text = self.field.text_of_v
@@ -1266,10 +1263,9 @@ def is_nilpotent(ring, a: Element) -> NilpotenceResult:
             k += 1
         return NilpotenceResult(True, k, True, "zero power reached")
     wide = ring.widen()
-    av = ring.lift_v(a.v, wide)
+    av = ring.lift_v(a.v)
     half = wide.precision // 2
-    p = av
-    clean = max(ring.block_degrees(a.v)) <= half
+    p, clean = av, True
     for k in range(2, NILPOTENT_BOUND + 1):
         p = wide.k_mul(p, av)
         if p == wide.zero_v:
@@ -1430,7 +1426,7 @@ class ScanDomain:
         """The values, lifted into `ring`."""
         if self.exact:
             return self.values
-        return [self.scanned.lift_v(v, self.ring) for v in self.values]
+        return [self.scanned.lift_v(v) for v in self.values]
 
     def note(self, scan: str) -> str:
         if self.exact:

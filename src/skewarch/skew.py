@@ -457,7 +457,7 @@ def _widened_replay_is_zero(f: TruncSeries, index: int) -> bool:
     wendo = f.endo.widened()
     inner_half = wide.precision // 2
     lifted = TruncSeries(wide, wendo, f.precision * 2,
-                         [ring.lift_v(c, wide) for c in f.coeffs])
+                         [ring.lift_v(c) for c in f.coeffs])
     power = lifted
     for _ in range(index - 1):
         power = power * lifted

@@ -889,6 +889,20 @@ def test_induction_audit_fails_on_a_coefficient_that_escapes_no_order():
        "divisibility by g^3")
 
 
+def test_scope_falsifier_is_inconclusive_on_a_power_that_escapes_no_order():
+    # the falsifier checks g^depth with the audit's escape test; an inner
+    # order wrong on x^5 only stops it at the constant divisor x
+    x = XYQuotientRing(construct_ring("gf:2:1"), 8)
+    e = IdentityEndo(x)
+    order, x5 = x.inner_order, x.x_v(5)
+    x.inner_order = lambda v: 1 if v == x5 else order(v)
+    v = archimedean_falsifier(x, e, depth=5)
+    assert _verdict(v) == (INCONCLUSIVE, {
+        "g": TruncSeries.constant(x, e, x.x_v(1), 16).to_text(), "degree": 0,
+    }, "a divisor power coefficient kept inner order 1 < 5; the escape "
+       "argument needs closer analysis here")
+
+
 # ---------------------------------------------------------------------------
 # quotient gluing along a pair of ideals
 

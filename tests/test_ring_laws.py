@@ -214,7 +214,7 @@ def test_every_xyq_operation_keeps_one_constant_term(drawn):
                  xsq.apply_v(a), xsq.power_apply_v(2, a)]
         if ring.is_unit_v(a) is not None:
             made.append(ring.is_unit_v(a))
-        check_xyq_value(wide, ring.lift_v(a, wide))
+        check_xyq_value(wide, ring.lift_v(a))
     for v in made:
         check_xyq_value(ring, v)
 
