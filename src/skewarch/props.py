@@ -79,24 +79,45 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # random operands; coefficients come from the support <= 2 scan domain
 
+_POLY_DEGREE = 6        # the default degree bound of a drawn polynomial
 
-def random_poly(ring, endo: Endo, rng: SplitMix64, max_degree: int = 6,
-                max_terms: int = 4) -> SkewPoly:
-    pool = scan_domain(ring, 2).values
-    coeffs = [ring.zero_v] * (max_degree + 1)
-    for _ in range(rng.below(max_terms) + 1):
-        coeffs[rng.below(max_degree + 1)] = pool[rng.below(len(pool))]
-    return SkewPoly(ring, endo, coeffs)
+
+def _draw_terms(rng, pool, zero, top, max_terms: int) -> dict:
+    """One seeded draw of 1..max_terms writes, each a pool value at a
+    degree in 0..top, as {degree: nonzero value}.  Each write draws the
+    pool index before the degree; a later write to a degree wins, and a
+    zero write erases the term."""
+    below, size, span, terms = rng.below, len(pool), top + 1, {}
+    for _ in range(below(max_terms) + 1):
+        value = pool[below(size)]
+        degree = below(span)
+        if value == zero:
+            terms.pop(degree, None)
+        else:
+            terms[degree] = value
+    return terms
+
+
+def _dense(terms: dict, zero, length: int) -> list:
+    coeffs = [zero] * length
+    for degree, value in terms.items():
+        coeffs[degree] = value
+    return coeffs
+
+
+def random_poly(ring, endo: Endo, rng: SplitMix64,
+                max_degree: int = _POLY_DEGREE, max_terms: int = 4) -> SkewPoly:
+    terms = _draw_terms(rng, scan_domain(ring, 2).values, ring.zero_v,
+                        max_degree, max_terms)
+    return SkewPoly(ring, endo, _dense(terms, ring.zero_v, max_degree + 1))
 
 
 def random_series(ring, endo: Endo, rng: SplitMix64, precision: int,
                   max_support: Optional[int] = None) -> TruncSeries:
-    pool = scan_domain(ring, 2).values
     top = precision if max_support is None else min(max_support, precision)
-    coeffs = [ring.zero_v] * (precision + 1)
-    for _ in range(rng.below(4) + 1):
-        coeffs[rng.below(top + 1)] = pool[rng.below(len(pool))]
-    return TruncSeries(ring, endo, precision, coeffs)
+    terms = _draw_terms(rng, scan_domain(ring, 2).values, ring.zero_v, top, 4)
+    return TruncSeries(ring, endo, precision,
+                       _dense(terms, ring.zero_v, precision + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -681,15 +702,19 @@ def poly_zero_divisor_probe(ring, endo: Endo, side: str = "right",
     _need_side(side)
     rng = derive_rng(seed, "polyzd/%s/%s/%s" % (ring.spec_text, endo.stream_text, side))
     samples = scan_domain(ring).sample_count(samples)
+    pool, zero = scan_domain(ring, 2).values, ring.zero_v
     for _ in range(samples):
-        f = random_poly(ring, endo, rng, max_terms=3)
-        b = random_poly(ring, endo, rng, max_terms=3)
-        if f.is_zero or b.is_zero:
+        # the draws of random_poly(ring, endo, rng, max_terms=3)
+        f = _draw_terms(rng, pool, zero, _POLY_DEGREE, 3)
+        b = _draw_terms(rng, pool, zero, _POLY_DEGREE, 3)
+        if not (f and b):
             continue
         left, right = (b, f) if side == "right" else (f, b)
-        if top_certificate(left, right) != ring.zero_v:
+        if top_certificate(endo, max(left.items()), max(right.items())) != zero:
             continue        # the top coefficient of the product is nonzero
-        if (left * right).is_zero:
+        f, b = (SkewPoly(ring, endo, _dense(t, zero, _POLY_DEGREE + 1))
+                for t in (f, b))
+        if (b * f if side == "right" else f * b).is_zero:
             return {"f": f.to_text(), "b": b.to_text()}
     return None
 
@@ -814,15 +839,19 @@ def series_reduced_check(ring, endo: Endo, precision: int = 16,
             % rig.witness["a"])
     rng = derive_rng(seed, "series-square/%s/%s" % (ring.spec_text, endo.stream_text))
     samples = scan_domain(ring).sample_count(2000)
+    pool, zero = scan_domain(ring, 2).values, ring.zero_v
     artifacts = 0
     for _ in range(samples):
-        s = random_series(ring, endo, rng, precision,
-                          max_support=precision // 2)
-        if s.is_zero:
+        # the draws of random_series(ring, endo, rng, precision,
+        # max_support=precision // 2)
+        terms = _draw_terms(rng, pool, zero, precision // 2, 4)
+        if not terms:
             continue
         # the support cap keeps 2*order within the precision
-        if lowest_certificate(s, s) != ring.zero_v:
+        low = min(terms.items())
+        if lowest_certificate(endo, low, low, precision) != zero:
             continue
+        s = TruncSeries(ring, endo, precision, _dense(terms, zero, precision + 1))
         if (s * s).is_zero:
             probe = nilpotency_probe(s, bound=2)
             if (probe.zero_power_found and probe.genuine
@@ -1280,6 +1309,7 @@ def induction_audit(f: TruncSeries, g: TruncSeries, h_list, depth: int,
         return Verdict(status, {"stages": stages, "halt": stop, **extra},
                        certificate)
 
+    chains = {}         # the power chain of each distinct divisor constant
     for m in range(top + 1):
         cm = endo.power_apply_v(m, g0) if side == "right" else g0
         fm = f.coeffs[m]
@@ -1309,7 +1339,9 @@ def induction_audit(f: TruncSeries, g: TruncSeries, h_list, depth: int,
                     "every lower degree vanished and the twist is rigid"
                     % stage)
             eqs.append(eq)
-        chain, stab = principal_power_chain(ring, Element(ring, cm))
+        if cm not in chains:
+            chains[cm] = principal_power_chain(ring, Element(ring, cm))
+        chain, stab = chains[cm]
         record = {"stage": stage, "equations": eqs,
                   "stabilized": stab.texts(), "chain_length": len(chain)}
         stages.append(record)

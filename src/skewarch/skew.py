@@ -122,10 +122,10 @@ class SkewPoly:
 
     def power_is_zero(self, k: int) -> bool:
         """Whether self^k = 0, for k >= 1.  The top coefficient of
-        self^(j+1) = self^j * self is top_certificate(self^j, self) whenever
-        that is nonzero, so a chain of one product per power shows the
-        powers nonzero; power(k) is computed in full only at and past the
-        first power where the chain hits zero."""
+        self^(j+1) = self^j * self is the top_certificate of their top
+        terms whenever that is nonzero, so a chain of one product per
+        power shows the powers nonzero; power(k) is computed in full only
+        at and past the first power where the chain hits zero."""
         if k < 1:
             raise ValueError("power_is_zero() needs an exponent >= 1")
         if self.is_zero:
@@ -267,22 +267,25 @@ class TruncSeries:
         return self.to_text()
 
 
-def top_certificate(p: SkewPoly, q: SkewPoly):
-    """p_top * alpha^deg(p)(q_top) for nonzero p and q: the one term of
-    p*q at degree deg(p) + deg(q), so its top coefficient and a proof
-    that p*q is nonzero whenever it is nonzero.  Zero shows nothing."""
-    return _term(p.endo, p.coeffs[-1], p.degree, q.coeffs[-1])
+def top_certificate(endo, p_top, q_top):
+    """x * alpha^d(y) for the top terms p_top = (d, x) of a nonzero p and
+    q_top = (e, y) of a nonzero q: the one term of p*q at degree d + e,
+    so its top coefficient and a proof that p*q is nonzero whenever it is
+    nonzero.  Zero shows nothing."""
+    (d, x), (_, y) = p_top, q_top
+    return _term(endo, x, d, y)
 
 
-def lowest_certificate(s: TruncSeries, t: TruncSeries):
-    """s_o * alpha^o(t_o') for nonzero s and t of orders o and o': the one
-    term of s*t at degree o + o', so its lowest coefficient and a proof
-    that s*t is nonzero whenever it is nonzero and o + o' is within the
-    precision.  Zero (always, past the precision) shows nothing."""
-    o, o2 = s.order(), t.order()
-    if o + o2 > s.precision:
-        return s.ring.zero_v
-    return _term(s.endo, s.coeffs[o], o, t.coeffs[o2])
+def lowest_certificate(endo, s_low, t_low, precision: int):
+    """x * alpha^o(y) for the lowest terms s_low = (o, x) of a nonzero s
+    and t_low = (o', y) of a nonzero t: the one term of s*t at degree
+    o + o', so its lowest coefficient and a proof that s*t is nonzero
+    whenever it is nonzero and o + o' is within the precision.  Zero
+    (always, past the precision) shows nothing."""
+    (o, x), (o2, y) = s_low, t_low
+    if o + o2 > precision:
+        return endo.ring.zero_v
+    return _term(endo, x, o, y)
 
 
 def parse_poly_text(text: str):

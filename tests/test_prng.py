@@ -12,8 +12,8 @@ import pytest
 
 from skewarch.endos import build_endo
 from skewarch.prng import CONSTRUCTION_SEED, SplitMix64, derive_rng
-from skewarch.props import random_poly, random_series
-from skewarch.rings import construct_ring
+from skewarch.props import _draw_terms, random_poly, random_series
+from skewarch.rings import construct_ring, scan_domain
 
 MASK64 = (1 << 64) - 1
 
@@ -79,3 +79,21 @@ def _drawn_texts(seed):
 def test_the_drawn_operands_replay(seed, digest):
     text = "\n".join(_drawn_texts(seed))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec, twist", DRAWN)
+def test_a_term_draw_uses_up_the_stream_of_an_operand_draw(spec, twist):
+    # the probes draw terms where the samplers draw operands: the same
+    # terms, and the next output of either stream is the same
+    ring = construct_ring(spec)
+    endo, pool, zero = build_endo(ring, twist), scan_domain(ring, 2).values, ring.zero_v
+    for seed in range(40):
+        terms_rng, operand_rng = SplitMix64(seed), SplitMix64(seed)
+        if seed % 2:
+            terms = _draw_terms(terms_rng, pool, zero, 6, 3)
+            operand = random_poly(ring, endo, operand_rng, max_terms=3)
+        else:
+            terms = _draw_terms(terms_rng, pool, zero, 5, 4)
+            operand = random_series(ring, endo, operand_rng, 10, max_support=5)
+        assert terms == {d: c for d, c in enumerate(operand.coeffs) if c != zero}
+        assert terms_rng.below(1 << 64) == operand_rng.below(1 << 64)

@@ -699,6 +699,19 @@ def test_induction_audit_derives_zero_coefficients():
                          "degree-1"]
 
 
+def test_induction_audit_builds_each_constant_chain_once(monkeypatch):
+    # the identity twist sends g's constant term 0 to itself at every
+    # degree, so degrees 0..2 read one chain
+    built, chain = [], props.principal_power_chain
+    monkeypatch.setattr(props, "principal_power_chain",
+                        lambda *a: built.append(1) or chain(*a))
+    z6, e6 = _pair("zmod:6")
+    g = TruncSeries(z6, e6, 8, [z6.zero_v, z6.one_v])     # g = u
+    zero = _const_series(z6, e6, "0")
+    v = induction_audit(zero, g, [zero] * 3, 3)
+    assert v.status == HOLDS and len(built) == 1
+
+
 def test_induction_audit_vacuous_and_errors():
     g4 = construct_ring("gf:2:2")
     fr = build_endo(g4, "endo:frob")

@@ -65,8 +65,8 @@ def test_the_left_derivation_reuses_the_right_scans(monkeypatch):
 def test_cor_3_2_and_thm_3_3_share_one_probe(monkeypatch):
     ring, seed = ZmodRing(8), 42
     drawn, seen = [], []
-    sample = props.random_poly
-    monkeypatch.setattr(props, "random_poly",
+    sample = props._draw_terms
+    monkeypatch.setattr(props, "_draw_terms",
                         lambda *a, **k: drawn.append(1) or sample(*a, **k))
     monkeypatch.setattr(props, "poly_zero_divisor_probe",
                         lambda *a: seen.append(poly_zero_divisor_probe(*a)) or seen[-1])

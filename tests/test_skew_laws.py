@@ -18,8 +18,9 @@ the kinds with a built-in twist under that twist:
 
 - SkewPoly.power_is_zero(k) agrees with the k-fold product;
 - power_windows yields the truncated powers;
-- top_certificate and lowest_certificate are the coefficients of the
-  full product at the top and lowest degrees they name."""
+- top_certificate and lowest_certificate, given the operands' top and
+  lowest terms, are the coefficients of the full product at the top and
+  lowest degrees they name."""
 
 import functools
 import itertools
@@ -162,10 +163,13 @@ def test_certificates_are_the_extreme_coefficients_of_the_product(drawn, precisi
     p, q = (SkewPoly(ring, endo, cs) for cs in lists)
     if not (p.is_zero or q.is_zero):
         product, top = p * q, p.degree + q.degree
-        assert top_certificate(p, q) == (product.coeffs[top] if top <= product.degree
-                                         else ring.zero_v)
+        tops = [(x.degree, x.coeffs[-1]) for x in (p, q)]
+        assert top_certificate(endo, *tops) == (product.coeffs[top]
+                                                if top <= product.degree
+                                                else ring.zero_v)
     s, t = (TruncSeries(ring, endo, precision, cs[:precision + 1]) for cs in lists)
     if not (s.is_zero or t.is_zero):
         lowest = s.order() + t.order()
-        assert lowest_certificate(s, t) == ((s * t).coeffs[lowest] if lowest <= precision
-                                            else ring.zero_v)
+        lows = [(x.order(), x.coeffs[x.order()]) for x in (s, t)]
+        assert lowest_certificate(endo, *lows, precision) == (
+            (s * t).coeffs[lowest] if lowest <= precision else ring.zero_v)
