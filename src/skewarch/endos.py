@@ -5,8 +5,9 @@ kind fits: the identity, Frobenius a -> a^p on gf:p:k, the diagonal
 (a, b) -> (a, a) on prod(S,S) and x -> x^2 on the two-variable model;
 tests/test_ring_laws.py checks their laws.  A table twist comes from a
 file, so its constructor checks that it fixes 1 and respects + and * on
-every pair of values up to ENDO_PAIR_BUDGET pairs, else on seeded
-sampled pairs; rejection carries a witness pair.  build_twist builds
+every pair (a, g) of a value and a member of an additive generating set
+of at most log2 |R| values, which is exact at every ring size and draws
+no random number; rejection carries a witness pair.  build_twist builds
 each twist once per ring object, name and table text, and build_endo
 reads a table's file on every call, so a rewritten file gives a new,
 checked twist.  Twists are equal when their ring, text and stream_text
@@ -21,8 +22,8 @@ copy, and evaluates every product and image there, so a reported zero or
 collision is never a truncation artifact.  Scope results carry
 exact=False and a note naming the support bound.
 
-is_rigid and is_compatible only ask whether a product is zero.  Where the
-ring has a zero pattern (rings.zero_pattern: a finite reduced commutative
+is_rigid and is_compatible only ask whether a product is zero, through
+rings.zero_keys: where the ring has masks (a finite reduced commutative
 ring, or the widened F[[x,y]]/(xy)), each scanned value and twist image
 gets its mask once per scan and a pair is zero iff the masks are
 disjoint; on other rings the pair is multiplied, in the same loop and
@@ -40,12 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .prng import CONSTRUCTION_SEED, SplitMix64, fnv1a64
-from .rings import (Element, is_domain, is_reduced, memo, require_budget,
-                    require_finite, scan_domain, zero_keys)
+from .rings import (Element, _additive_group, is_domain, is_reduced, memo,
+                    require_budget, require_finite, scan_domain, zero_keys)
 
-ENDO_PAIR_BUDGET = 65_536     # table-twist law check on every pair up to this
-ENDO_SAMPLE_PAIRS = 10_000
 PAIR_SCAN_BUDGET = 40_000     # quadratic scope scans shrink support to fit
 
 
@@ -202,44 +200,43 @@ class TableEndo(Endo):
 
 
 def _validate_endo(endo: Endo):
-    """Check that a table twist fixes 1 and respects + and * on every pair
-    of values while there are at most ENDO_PAIR_BUDGET pairs, else on
-    ENDO_SAMPLE_PAIRS seeded draws.  Table twists exist only on finite
-    rings.  Raises EndoValidationError with the failing law and pair."""
+    """Check that a table twist f fixes 1, and that f(a+g) = f(a)+f(g)
+    and f(a*g) = f(a)*f(g) for every value a and every g of an additive
+    generating set G.  Every b is a sum of members of G, so by induction
+    f is additive on all pairs (a = 0 gives f(0) = 0), and then
+    multiplicative, by distributivity.  Table twists exist only on
+    finite rings.  Raises EndoValidationError with the failing law and
+    pair (a, g), checking + before * for each a, then each g."""
     ring = endo.ring
-    if endo.apply_v(ring.one_v) != ring.one_v:
+    f = endo.apply_v
+    if f(ring.one_v) != ring.one_v:
         raise EndoValidationError(
             "%s on %s does not fix 1" % (endo.text, ring.spec_text),
             {"law": "unity"})
-
-    def check_pair(a, b):
-        la = endo.apply_v(a)
-        lb = endo.apply_v(b)
-        s = endo.apply_v(ring.k_add(a, b))
-        if s != ring.k_add(la, lb):
-            raise EndoValidationError(
-                "%s on %s is not additive" % (endo.text, ring.spec_text),
-                {"law": "+", "a": ring.text_of_v(a), "b": ring.text_of_v(b),
-                 "image_of_sum": ring.text_of_v(s),
-                 "sum_of_images": ring.text_of_v(ring.k_add(la, lb))})
-        m = endo.apply_v(ring.k_mul(a, b))
-        if m != ring.k_mul(la, lb):
-            raise EndoValidationError(
-                "%s on %s is not multiplicative" % (endo.text, ring.spec_text),
-                {"law": "*", "a": ring.text_of_v(a), "b": ring.text_of_v(b),
-                 "image_of_product": ring.text_of_v(m),
-                 "product_of_images": ring.text_of_v(ring.k_mul(la, lb))})
-
-    vals = ring.values()
-    n = len(vals)
-    if n * n <= ENDO_PAIR_BUDGET:
-        for a in vals:
-            for b in vals:
-                check_pair(a, b)
-        return
-    rng = SplitMix64(CONSTRUCTION_SEED ^ fnv1a64(ring.spec_text + "/" + endo.stream_text))
-    for _ in range(ENDO_SAMPLE_PAIRS):
-        check_pair(vals[rng.below(n)], vals[rng.below(n)])
+    # G: each value outside the group the earlier members generate, so
+    # each member at least doubles the group and |G| <= log2 |R|
+    gens, group = [], {ring.zero_v}
+    for v in ring.values():
+        if v not in group:
+            gens.append(v)
+            _additive_group(ring, group, (v,))
+    for a in ring.values():
+        fa = f(a)
+        for g in gens:
+            s, fs = f(ring.k_add(a, g)), ring.k_add(fa, f(g))
+            if s != fs:
+                raise EndoValidationError(
+                    "%s on %s is not additive" % (endo.text, ring.spec_text),
+                    {"law": "+", "a": ring.text_of_v(a), "b": ring.text_of_v(g),
+                     "image_of_sum": ring.text_of_v(s),
+                     "sum_of_images": ring.text_of_v(fs)})
+            m, fm = f(ring.k_mul(a, g)), ring.k_mul(fa, f(g))
+            if m != fm:
+                raise EndoValidationError(
+                    "%s on %s is not multiplicative" % (endo.text, ring.spec_text),
+                    {"law": "*", "a": ring.text_of_v(a), "b": ring.text_of_v(g),
+                     "image_of_product": ring.text_of_v(m),
+                     "product_of_images": ring.text_of_v(fm)})
 
 
 BUILT_IN_TWISTS = {"id": IdentityEndo, "frob": FrobeniusEndo,

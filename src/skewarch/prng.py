@@ -88,9 +88,3 @@ def fnv1a64(text: str) -> int:
 def derive_rng(master_seed: int, task: str) -> SplitMix64:
     """Independent stream for a named task under one master seed."""
     return SplitMix64((master_seed & MASK64) ^ fnv1a64(task))
-
-
-# Fixed seed for the sampled law check of a table twist (endos).
-# Deliberately independent of any run configuration: a twist either
-# builds or it does not, regardless of the seed a caller passes.
-CONSTRUCTION_SEED = 0x5EED0FF1CE

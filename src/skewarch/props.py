@@ -41,7 +41,10 @@ HOLDS_BY_THEOREM = "holds-by-theorem"
 
 STATUSES = (HOLDS, FAILS, HYPOTHESIS_NOT_MET, INCONCLUSIVE, HOLDS_BY_THEOREM)
 
-POWER_PRODUCT_BUDGET = 400_000   # exact scan shrinks its bounds to fit
+POWER_PRODUCT_BUDGET = 400_000   # exact scan takes the first bounds that fit
+# (product length, exponent, twist depth) bounds of the exact scan, largest first
+POWER_PRODUCT_BOUNDS = ((3, 3, 3), (3, 3, 2), (3, 3, 1), (3, 2, 1), (3, 1, 1),
+                        (2, 1, 1), (1, 1, 1))
 POWER_PRODUCT_SAMPLES = 200      # guarded tuples on a truncated model
 
 # fixed tag catalog; these exact strings appear in reports
@@ -903,35 +906,18 @@ def twisted_power_product_equivalence(ring, endo: Endo, seed: int = 0) -> Verdic
     vanishes.  Exponent zero would insert a unity factor and break the
     equivalence, so exponents start at 1.  The coefficient ring is
     commutative, so the bases' arrangement does not change the plain
-    product, which is taken once, in tuple order.
-
-    On a finite ring every zero test goes through rings.zero_keys: masks
-    under & where the ring has a zero pattern, else values under k_mul.
-    For each base tuple the scan first builds the set of reachable
-    twisted products, from left to right over each position's distinct
-    table entries.  When every reachable product agrees with the plain
-    product's zero-ness, all k_max^n * (t_max+1)^n (exponent, twist)
-    choices count as checked at once; otherwise that base tuple's
-    (exponent, twist) loop is replayed in order, so the first witness and
-    the count are those of the plain ordered scan.  The masks multiply
-    exactly (rings.zero_pattern), so the reachable set holds the zero-ness
-    of every product the loop would compute."""
+    product, which is taken once, in tuple order.  A finite ring takes
+    the first of POWER_PRODUCT_BOUNDS whose scan fits
+    POWER_PRODUCT_BUDGET, and _power_product_scan scans it."""
     rig = is_rigid(endo)
     if ring.truncated:
         return _scope_power_product_equivalence(ring, endo, rig, seed)
 
     vals = [v for v in ring.values() if v != ring.zero_v]
-    # shrink bounds deterministically until the scan fits the budget
-    n_max, k_max, t_max = 3, 3, 3     # product length, exponent, twist depth
-    while (len(vals) * k_max * (t_max + 1)) ** n_max > POWER_PRODUCT_BUDGET:
-        if t_max > 1:
-            t_max -= 1
-        elif k_max > 1:
-            k_max -= 1
-        elif n_max > 1:
-            n_max -= 1
-        else:
-            break
+    n_max, k_max, t_max = next(
+        (b for b in POWER_PRODUCT_BOUNDS
+         if (len(vals) * b[1] * (b[2] + 1)) ** b[0] <= POWER_PRODUCT_BUDGET),
+        POWER_PRODUCT_BOUNDS[-1])
     bounds = "lengths <= %d, exponents <= %d, twist depths <= %d" % (
         n_max, k_max, t_max)
 
@@ -943,57 +929,7 @@ def twisted_power_product_equivalence(ring, endo: Endo, seed: int = 0) -> Verdic
             "product is nonzero, so both sides vanish only on zero bases "
             "(exact shortcut)", ())
 
-    key, times, zero = zero_keys(ring)
-    # twisted-power table of keys: tbl[a][k][t] = key(twist^t(a^k))
-    tbl = {}
-    for a in vals:
-        per_k = []
-        for k in range(1, k_max + 1):
-            pw = ring.k_pow(a, k)
-            per_k.append([key(endo.power_apply_v(t, pw)) for t in range(t_max + 1)])
-        tbl[a] = per_k
-    entries = {a: {e for row in per_k for e in row} for a, per_k in tbl.items()}
-    base_key = {a: key(a) for a in vals}
-
-    violation = None
-    checked = 0
-    for n in range(1, n_max + 1):
-        if violation:
-            break
-        for tup in itertools.product(vals, repeat=n):
-            acc = base_key[tup[0]]
-            for x in tup[1:]:
-                acc = times(acc, base_key[x])
-            rhs_zero = acc == zero
-            reach = entries[tup[0]]
-            for a in tup[1:]:
-                reach = {times(r, e) for r in reach for e in entries[a]}
-            if all((r == zero) == rhs_zero for r in reach):
-                checked += (k_max * (t_max + 1)) ** n
-                continue
-            for ks in itertools.product(range(1, k_max + 1), repeat=n):
-                if violation:
-                    break
-                for ts in itertools.product(range(t_max + 1), repeat=n):
-                    acc = tbl[tup[0]][ks[0] - 1][ts[0]]
-                    for i in range(1, n):
-                        if acc == zero:
-                            break
-                        acc = times(acc, tbl[tup[i]][ks[i] - 1][ts[i]])
-                    checked += 1
-                    if (acc == zero) != rhs_zero:
-                        violation = {
-                            "bases": [ring.text_of_v(a) for a in tup],
-                            "exponents": list(ks),
-                            "twists": list(ts),
-                            "twisted_product": "zero" if acc == zero
-                            else "nonzero",
-                            "plain_product": "zero" if rhs_zero else "nonzero",
-                        }
-                        break
-            if violation:
-                break
-
+    violation, checked = _power_product_scan(ring, endo, vals, n_max, k_max, t_max)
     if rig.holds:
         if violation:
             return Verdict(FAILS, violation,
@@ -1013,6 +949,64 @@ def twisted_power_product_equivalence(ring, endo: Endo, seed: int = 0) -> Verdic
         HYPOTHESIS_NOT_MET, {"rigid_witness": rig.witness},
         "twist is not rigid (%s); no break found within %s" % (rig.note,
                                                                bounds))
+
+
+def _power_product_scan(ring, endo: Endo, vals, n_max, k_max, t_max):
+    """The ordered scan of a finite ring: every base tuple of length
+    <= n_max over vals, and for each every (exponent, twist) choice.
+    Returns (the first violation or None, the products checked).
+
+    Every zero test goes through rings.zero_keys, whose keys multiply
+    exactly.  For each base tuple the scan first builds the set of
+    reachable twisted products, from left to right over each position's
+    distinct table entries.  When every reachable product agrees with
+    the plain product's zero-ness, all k_max^n * (t_max+1)^n choices
+    count as checked at once; otherwise the tuple's choices are replayed
+    in order, each fold stopping at its first zero product, which
+    absorbs, so the first witness and the count are those of the plain
+    ordered scan."""
+    key, times, zero = zero_keys(ring)
+    # twisted-power table of keys: tbl[a][k-1][t] = key(twist^t(a^k))
+    tbl = {}
+    for a in vals:
+        pows = [ring.k_pow(a, k) for k in range(1, k_max + 1)]
+        tbl[a] = [[key(endo.power_apply_v(t, pw)) for t in range(t_max + 1)]
+                  for pw in pows]
+    entries = {a: {e for row in per_k for e in row} for a, per_k in tbl.items()}
+    base_key = {a: key(a) for a in vals}
+    checked = 0
+    for n in range(1, n_max + 1):
+        choices = list(itertools.product(
+            itertools.product(range(k_max), repeat=n),
+            itertools.product(range(t_max + 1), repeat=n)))
+        for tup in itertools.product(vals, repeat=n):
+            acc = base_key[tup[0]]
+            for x in tup[1:]:
+                acc = times(acc, base_key[x])
+            rhs_zero = acc == zero
+            reach = entries[tup[0]]
+            for a in tup[1:]:
+                reach = {times(r, e) for r in reach for e in entries[a]}
+            if all((r == zero) == rhs_zero for r in reach):
+                checked += len(choices)
+                continue
+            rows = [tbl[a] for a in tup]
+            for ks, ts in choices:
+                acc = rows[0][ks[0]][ts[0]]
+                for i in range(1, n):
+                    if acc == zero:
+                        break
+                    acc = times(acc, rows[i][ks[i]][ts[i]])
+                checked += 1
+                if (acc == zero) != rhs_zero:
+                    return {
+                        "bases": [ring.text_of_v(a) for a in tup],
+                        "exponents": [k + 1 for k in ks],
+                        "twists": list(ts),
+                        "twisted_product": "zero" if acc == zero else "nonzero",
+                        "plain_product": "zero" if rhs_zero else "nonzero",
+                    }, checked
+    return None, checked
 
 
 def _scope_power_product_equivalence(ring, endo: Endo, rig, seed: int) -> Verdict:

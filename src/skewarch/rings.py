@@ -828,7 +828,6 @@ class TruncatedModel(RingHandle):
     order."""
 
     truncated = True
-    zero_mask_v = None       # no zero pattern (see zero_pattern)
 
     def values(self):
         raise NonEnumerableError("%s is a truncated model: it has no value "
@@ -1329,38 +1328,29 @@ def jacobson_radical(ring) -> SubsetHandle:
 
 
 @memo
-def zero_pattern(ring):
-    """A map v -> int mask with a*b = 0 iff mask(a) & mask(b) == 0, or
-    None when the ring has none.  The masks multiply: mask(a*b) =
-    mask(a) & mask(b).
+def zero_keys(ring):
+    """(key, times, zero): where a scan decides whether products of
+    values of ring vanish, key(a*b) = times(key(a), key(b)), and it
+    equals zero iff a*b = 0.
 
-    - A finite reduced ring: bit i of mask(v) is set iff
+    - A finite reduced ring: masks under &.  Bit i of key(v) is set iff
       v*e_i != 0, for the primitive idempotents e_i in value order.  R is
       the product of the R*e_i, each a finite reduced local commutative
       ring and so a field.  Building the masks costs n*m products.
-    - F[[x,y]]/(xy): XYQuotientRing.zero_mask_v, exact on the products of
-      lifted scope values and their twist images in the widened copy.
-    - Every other ring (not reduced, or a truncated series ring): None."""
-    if ring.truncated:
-        return ring.zero_mask_v
+    - F[[x,y]]/(xy): XYQuotientRing.zero_mask_v under &, exact on the
+      products of lifted scope values and their twist images in the
+      widened copy.
+    - Every other ring (not reduced, or a truncated series ring): the
+      values themselves under k_mul."""
+    if ring.kind == "xyq":
+        return ring.zero_mask_v, operator.and_, 0
     z, mul = ring.zero_v, ring.k_mul
-    if nilpotent_values(ring) != {z}:
-        return None
+    if ring.truncated or nilpotent_values(ring) != {z}:
+        return (lambda v: v), mul, z
     idem = [e for e in idempotents(ring).vals if e != z]
     prims = [e for e in idem if not any(f != e and mul(f, e) == f for f in idem)]
-    return {v: sum(1 << i for i, e in enumerate(prims) if mul(v, e) != z)
-            for v in ring.values()}.__getitem__
-
-
-def zero_keys(ring):
-    """(key, times, zero): where a scan decides whether products of
-    values of ring vanish.  With a zero pattern, keys are masks under &;
-    without one, the values themselves under k_mul.  Either way
-    key(a*b) = times(key(a), key(b)), and it equals zero iff a*b = 0."""
-    pattern = zero_pattern(ring)
-    if pattern is None:
-        return (lambda v: v), ring.k_mul, ring.zero_v
-    return pattern, operator.and_, 0
+    return ({v: sum(1 << i for i, e in enumerate(prims) if mul(v, e) != z)
+             for v in ring.values()}.__getitem__, operator.and_, 0)
 
 
 def principal_power_chain(ring, a: Element):

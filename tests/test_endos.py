@@ -1,8 +1,11 @@
+import itertools
 import json
+import random
+import time
 
 import pytest
 
-import time
+from test_structural_rules import CARDS
 
 from skewarch import endos, props, rings
 from skewarch.endos import (
@@ -40,12 +43,10 @@ def test_frobenius_is_the_squaring_map():
         assert ring.element(fr.power_apply_v(2, e.v)) == e
 
 
-def test_frobenius_on_a_field_past_the_pair_budget_builds_quickly(tmp_path):
-    # a table of the Frobenius images on GF(2^9): 512^2 pairs exceed
-    # ENDO_PAIR_BUDGET, so its laws are checked on seeded sampled pairs
-    # instead of hanging on every pair
+def test_a_frobenius_table_on_gf_2_9_is_law_checked_within_10_seconds(tmp_path):
+    # a table of the Frobenius images on GF(2^9): its laws are checked on
+    # 512 values times 9 additive generators, not on 512^2 pairs
     ring = construct_ring("gf:2:9")
-    assert ring.card ** 2 > endos.ENDO_PAIR_BUDGET
     f = tmp_path / "frob.map"
     _write_table(f, [(e.text, (e * e).text) for e in ring.elements()])
     start = time.perf_counter()
@@ -266,6 +267,74 @@ def test_table_endo_rejects_an_additive_map_that_is_not_multiplicative(tmp_path)
     assert err.value.witness == {"law": "*", "a": "[0,1]", "b": "[0,1]",
                                  "image_of_product": "[1,0]",
                                  "product_of_images": "[0,0]"}
+
+
+def test_table_endo_rejects_a_non_additive_table_past_256_elements(tmp_path):
+    # the identity of Z/65536 but 777 -> 778: not additive, and a check
+    # on sampled pairs would almost surely miss the one moved value
+    ring = construct_ring("zmod:65536")
+    f = tmp_path / "moved.map"
+    _write_table(f, [(a, 778 if a == 777 else a) for a in range(ring.card)])
+    with pytest.raises(EndoValidationError) as err:
+        build_endo(ring, "endo:table:%s" % f)
+    # the first failing (value, generator) pair: 776 + 1 -> 778, not 777
+    assert err.value.witness == {"law": "+", "a": "776", "b": "1",
+                                 "image_of_sum": "778", "sum_of_images": "777"}
+
+
+def _is_endomorphism(ring, image):
+    """The all-pairs oracle: image fixes 1 and respects + and * on every
+    pair of values."""
+    vals = ring.values()
+    return image[ring.one_v] == ring.one_v and all(
+        image[ring.k_add(a, b)] == ring.k_add(image[a], image[b])
+        and image[ring.k_mul(a, b)] == ring.k_mul(image[a], image[b])
+        for a in vals for b in vals)
+
+
+def _table_builds(ring, image):
+    text = "\n".join("%s -> %s" % (ring.text_of_v(v), ring.text_of_v(image[v]))
+                     for v in ring.values())
+    try:
+        endos.TableEndo(ring, "table:oracle", text)
+    except EndoValidationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("spec, endomorphisms", [
+    ("zmod:4", 1), ("gf:2:2", 2), ("prod(zmod:2,zmod:2)", 4)])
+def test_the_law_check_accepts_every_map_the_all_pairs_oracle_accepts(spec, endomorphisms):
+    # all 256 maps of a 4-element ring to itself
+    ring = construct_ring(spec)
+    vals = ring.values()
+    accepted = 0
+    for images in itertools.product(vals, repeat=len(vals)):
+        image = dict(zip(vals, images))
+        builds = _table_builds(ring, image)
+        assert builds == _is_endomorphism(ring, image), image
+        accepted += builds
+    assert accepted == endomorphisms
+
+
+SMALL_SPECS = [s for s in CARDS if CARDS[s] <= 36] + [
+    "prod(%s,%s)" % (a, b) for a in CARDS for b in CARDS
+    if CARDS[a] <= CARDS[b] and CARDS[a] * CARDS[b] <= 36]
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS)
+def test_the_law_check_matches_the_oracle_on_moved_points_of_the_identity(spec):
+    # seeded changes of one to three points of the identity, and the
+    # identity itself
+    ring = construct_ring(spec)
+    vals = ring.values()
+    rng = random.Random(spec)
+    assert _table_builds(ring, dict(zip(vals, vals)))
+    for _ in range(20):
+        image = dict(zip(vals, vals))
+        for _ in range(rng.randint(1, 3)):
+            image[rng.choice(vals)] = rng.choice(vals)
+        assert _table_builds(ring, image) == _is_endomorphism(ring, image), image
 
 
 def test_table_endo_rejects_a_line_without_an_arrow(tmp_path):

@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import runpy
 import subprocess
 import sys
@@ -45,11 +46,15 @@ def test_full_matrix_report_bytes_frozen(seed42_matrix):
     assert _digest(seed42_matrix.explain) == GOLDEN_EXPLAIN
 
 
-def test_full_matrix_at_two_jobs_prints_the_golden_bytes():
-    # the pool path in a fresh process: one worker task per coefficient ring
+@pytest.mark.parametrize("jobs, hash_seed", [("1", "0"), ("2", "12345")])
+def test_full_matrix_at_two_jobs_prints_the_golden_bytes(jobs, hash_seed):
+    # a fresh process under a fixed hash seed, serial and on the pool path
+    # (one worker task per coefficient ring, the workers inheriting the
+    # seed): the bytes do not depend on the hash seed
     run = subprocess.run([sys.executable, "-m", "skewarch.cli", "run",
                           "--entry", "all", "--suite", "all", "--seed", "42",
-                          "--jobs", "2"], capture_output=True, text=True)
+                          "--jobs", jobs], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONHASHSEED": hash_seed})
     assert run.returncode == 0
     assert _digest(run.stdout) == GOLDEN_JSON
 

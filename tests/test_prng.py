@@ -11,7 +11,7 @@ import hashlib
 import pytest
 
 from skewarch.endos import build_endo
-from skewarch.prng import CONSTRUCTION_SEED, SplitMix64, derive_rng
+from skewarch.prng import SplitMix64, derive_rng
 from skewarch.props import _draw_terms, random_poly, random_series
 from skewarch.rings import construct_ring, scan_domain
 
@@ -40,7 +40,7 @@ def test_the_generator_gives_the_published_outputs(seed, outputs):
 
 
 # 2^64 - 1: the state wraps inside the first outputs
-@pytest.mark.parametrize("seed", [0, 1, 42, MASK64, CONSTRUCTION_SEED])
+@pytest.mark.parametrize("seed", [0, 1, 42, MASK64, 0x5EED0FF1CE])
 def test_below_is_the_reference_output_mod_the_bound(seed):
     # 300 outputs: more than four batches of 64
     bounds = [1 + k % 97 for k in range(299)] + [(1 << 64) + 12345]

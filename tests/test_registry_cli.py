@@ -493,3 +493,39 @@ def test_main_contradiction_exits_1(monkeypatch, capsys):
                      "--suite", "arithmetic"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["reports"][0]["status"] == HOLDS
+
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    """monkeypatch, with no SKEWARCH_ variable set."""
+    for name in list(os.environ):
+        if name.startswith(cli.ENV_PREFIX):
+            monkeypatch.delenv(name)
+    return monkeypatch
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["run", "--entry", "zmod:6", "--suite", "arithmetic"],
+     {"SKEWARCH_SEED": "abc"}, "bad SKEWARCH_SEED value"),
+    (["run", "--entry", "zmod:6", "--suite", "arithmetic", "--precision", "1"],
+     {}, "precision must be >= 2"),
+    (["run", "--entry", "nope", "--suite", "arithmetic"], {}, "unknown entry id"),
+    (["run", "--entry", "zmod:6", "--suite", "nope"], {}, "unknown suite id"),
+])
+def test_main_refusals_in_process_exit_2(clean_env, capsys, argv, env, message):
+    for name, value in env.items():
+        clean_env.setenv(name, value)
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_main_list_text_explain_and_env_mirror_in_process(clean_env, capsys):
+    assert cli.main(["list", "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 11
+    assert "calibration: field" in out
+    assert cli.main(["explain", "--entry", "zmod:6", "--suite", "arithmetic"]) == 0
+    assert capsys.readouterr().out.startswith("zmod:6 / arithmetic: holds")
+    clean_env.setenv("SKEWARCH_SEED", "7")
+    assert cli.main(["run", "--entry", "zmod:6", "--suite", "arithmetic"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 7

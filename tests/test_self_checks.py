@@ -3,9 +3,10 @@ plain raises that python -O keeps.
 
 Each result check is made to fail by monkeypatching what it checks: the
 divisibility solver's witness replay, the one closing product of each
-series inverse, the inverse checks of the two truncated models, and the
-falsifier's constant-stage witnesses.  The falsifier also rejects a
-depth below one and a negative precision.
+series inverse, the inverse checks of the two truncated models, the
+falsifier's constant-stage witnesses, and the power chain's bound on
+its length, by a kernel that changes between calls.  The falsifier also
+rejects a depth below one and a negative precision.
 
 Each series inverse closes with exactly one product: a one-sided inverse
 of a unit is two-sided, so a second product would prove nothing more."""
@@ -126,6 +127,25 @@ def test_falsifier_raises_when_a_constant_stage_witness_is_missing(monkeypatch):
                         lambda *args, **kwargs: DivisibilityResult("none", None, 0, ""))
     with pytest.raises(RuntimeError, match="constant-stage"):
         props.archimedean_falsifier(ring, endo, seed=0)
+
+
+def test_power_chain_raises_when_its_sets_never_repeat():
+    # a kernel that depends on how often it was called: the first 4
+    # products are x % 2, then x % 2 + 2 and x % 2 alternate, two calls
+    # each, so the chain of 2 alternates between {0, 1} and {2, 3}.  A
+    # kernel that is a function of its arguments only shrinks the chain.
+    ring = rings.ZmodRing(4)
+    calls = [0]
+
+    def drifting(x, y):
+        calls[0] += 1
+        late = calls[0] > 4 and (calls[0] - 5) % 4 < 2
+        return x % 2 + 2 * late
+
+    ring.k_mul = drifting
+    with pytest.raises(RuntimeError, match="^power chain failed to stabilize$"):
+        rings.principal_power_chain(ring, ring.element(2))
+    assert calls[0] == 14
 
 
 @pytest.mark.parametrize("spec,twist", [("zmod:6", "endo:id"), ("zmod:8", "endo:id"),

@@ -6,6 +6,7 @@ the boolean unit test, the cost guards of the pair scans and of the
 principal-quotient search, and the falsifier's product count."""
 
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from skewarch.props import (FAILS, HOLDS, HYPOTHESIS_NOT_MET, INCONCLUSIVE,
 from skewarch.registry import ENTRIES
 from skewarch.rings import (GaloisFieldRing, NonEnumerableError, ProductRing,
                             XYQuotientRing, ZmodRing, construct_ring, default_irreducible,
-                            is_domain, scan_domain, units, zero_pattern)
+                            is_domain, scan_domain, units, zero_keys)
 
 # ---------------------------------------------------------------------------
 # the zero pattern of the widened F[[x,y]]/(xy), on the products the scans
@@ -30,11 +31,12 @@ from skewarch.rings import (GaloisFieldRing, NonEnumerableError, ProductRing,
 
 
 def check_xyq_products(wide, pairs):
-    pattern = zero_pattern(wide)
+    key, times, zero = zero_keys(wide)
+    assert (times, zero) == (operator.and_, 0)
     for a, b in pairs:
         ab = wide.k_mul(a, b)
-        assert pattern(ab) == pattern(a) & pattern(b)
-        assert (ab == wide.zero_v) == (pattern(a) & pattern(b) == 0)
+        assert key(ab) == times(key(a), key(b))
+        assert (ab == wide.zero_v) == (times(key(a), key(b)) == zero)
 
 
 @pytest.mark.parametrize("spec", ["xyq:gf:2:1:N=8", "xyq:gf:3:1:N=4"])
