@@ -185,7 +185,11 @@ class TableEndo(Endo):
             if "->" not in line:
                 raise EndoValidationError("bad table line %r" % line)
             src, dst = line.split("->", 1)
-            table[ring.v_of_text(src.strip())] = ring.v_of_text(dst.strip())
+            v = ring.v_of_text(src.strip())
+            if v in table:
+                raise EndoValidationError("table maps %s twice"
+                                          % ring.text_of_v(v))
+            table[v] = ring.v_of_text(dst.strip())
         missing = [v for v in ring.values() if v not in table]
         if missing:
             raise EndoValidationError("table leaves %d elements unmapped"

@@ -654,19 +654,26 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
                                 precision: int = 16) -> Verdict:
     """1 + f*u inverts as the alternating geometric series; the expansion
     truncates to a polynomial exactly when f*u is nilpotent, and then the
-    truncation index equals the nilpotency index."""
+    truncation index equals the nilpotency index.  The checks depend on
+    f alone, and a failing f returns at its first draw, so each distinct
+    f is checked once and a repeat counts its first draw's termination."""
     rng = derive_rng(seed, "geometric/%s/%s" % (ring.spec_text, endo.stream_text))
     samples = scan_domain(ring).sample_count(samples)
     terminated = 0
+    seen = {}       # f.coeffs -> whether the expansion of f terminated
     for _ in range(samples):
         f = random_poly(ring, endo, rng, max_terms=3)
         if f.is_zero:
             continue
-        # both procedures read the powers and top coefficients kept on
+        if f.coeffs in seen:
+            terminated += seen[f.coeffs]
+            continue
+        # both procedures read the powers and coefficient chains kept on
         # this one f*u
         fu = f.shift(1)
         res = _inverse_of_one_plus(fu, precision)   # raises if the identity fails
         probe = nilpotency_probe(fu, bound=precision + 1)
+        seen[f.coeffs] = res.terminated
         if res.terminated:
             terminated += 1
             if not (probe.zero_power_found and probe.index == res.index):

@@ -45,10 +45,10 @@ def _term(endo, x, d, y):
 class SkewPoly:
     """Exact twisted polynomial; coefficients little-endian, trailing
     zeros stripped, the zero polynomial has an empty coefficient tuple.
-    Immutable, so the powers computed by power() and the top coefficients
-    read by power_is_zero() are kept on it."""
+    Immutable, so the powers computed by power() and the chains of top
+    and lowest coefficients read by first_zero_power() are kept on it."""
 
-    __slots__ = ("ring", "endo", "coeffs", "_powers", "_tops")
+    __slots__ = ("ring", "endo", "coeffs", "_powers", "_tops", "_lows")
 
     def __init__(self, ring, endo: Endo, coeffs):
         if endo.ring is not ring and endo.ring != ring:
@@ -61,6 +61,7 @@ class SkewPoly:
         self.coeffs = tuple(cs)
         self._powers = None     # self^2, self^3, ... as far as asked for
         self._tops = None       # top coefficients of self, self^2, ...
+        self._lows = None       # lowest coefficients of self, self^2, ...
 
     @classmethod
     def constant(cls, ring, endo, value):
@@ -120,26 +121,53 @@ class SkewPoly:
             powers.append((powers[-1] if powers else self) * self)
         return powers[k - 2]
 
+    def first_zero_power(self, lo: int, hi: int) -> Optional[int]:
+        """The least k in lo..hi with self^k = 0, or None; lo >= 1.
+        Two chains of one product per power show powers nonzero without
+        building them: tops[j - 1], the top coefficient of self^j at
+        degree j*degree, and lows[j - 1], the lowest at j*order.  Each
+        is the one term of self^j * self at its degree, so tops[j] =
+        tops[j-1] * alpha^(j*degree)(top) and lows[j] = lows[j-1] *
+        alpha^(j*order)(low), the top_certificate and the uncut
+        lowest_certificate of self^j and self.  self^k is nonzero while
+        either chain is, so power(k) is computed in full only from the
+        later chain's first zero on.  The lowest chain is walked only
+        when the top chain dies by hi."""
+        if lo < 1:
+            raise ValueError("first_zero_power() needs an exponent >= 1")
+        if self.is_zero:
+            return lo if lo <= hi else None
+        if self._tops is None:
+            self._tops = [self.coeffs[-1]]
+        nonzero_below = self._certify(self._tops, self.degree, hi)
+        if nonzero_below <= hi:
+            order = self.order()
+            if self._lows is None:
+                # a monomial's lowest term is its top term
+                self._lows = (self._tops if order == self.degree
+                              else [self.coeffs[order]])
+            nonzero_below = max(nonzero_below,
+                                self._certify(self._lows, order, hi))
+        for k in range(max(lo, nonzero_below), hi + 1):
+            if self.power(k).is_zero:
+                return k
+        return None
+
+    def _certify(self, chain, step, hi):
+        """Extend a chain of extreme coefficients, chain[j - 1] that of
+        self^j at degree j*step, to self^hi or its first zero.  Returns
+        an exponent below which every power of self is nonzero."""
+        zero, endo, base = self.ring.zero_v, self.endo, chain[0]
+        while len(chain) < hi and chain[-1] != zero:
+            chain.append(_term(endo, chain[-1], len(chain) * step, base))
+        return len(chain) if chain[-1] == zero else len(chain) + 1
+
     def power_is_zero(self, k: int) -> bool:
-        """Whether self^k = 0, for k >= 1.  The top coefficient of
-        self^(j+1) = self^j * self is the top_certificate of their top
-        terms whenever that is nonzero, so a chain of one product per
-        power shows the powers nonzero; power(k) is computed in full only
-        at and past the first power where the chain hits zero."""
+        """Whether self^k = 0, for k >= 1: first_zero_power(k, k) == k,
+        so the chains and powers found before are not found again."""
         if k < 1:
             raise ValueError("power_is_zero() needs an exponent >= 1")
-        if self.is_zero:
-            return True
-        ring, top, step = self.ring, self.coeffs[-1], self.degree
-        tops = self._tops
-        if tops is None:
-            tops = self._tops = [top]
-        # tops[j - 1] is the top coefficient of self^j, of degree j*step
-        while len(tops) < k and tops[-1] != ring.zero_v:
-            tops.append(_term(self.endo, tops[-1], len(tops) * step, top))
-        if k <= len(tops) and tops[k - 1] != ring.zero_v:
-            return False
-        return self.power(k).is_zero
+        return self.first_zero_power(k, k) == k
 
     def shift(self, k: int = 1):
         """Multiply by u^k on the right."""
@@ -420,16 +448,16 @@ class ProbeResult:
 def nilpotency_probe(f, bound: int = 16) -> ProbeResult:
     """Search powers f^k for k <= bound.
 
-    Exact for polynomials, read through f.power_is_zero, so the powers
-    and top coefficients of f found before are not found again.  For
-    truncated series the verdict is genuine only if every intermediate
-    support stayed within half the precision window (and, when the
-    coefficient ring is itself truncated, a replay with widened
+    Exact for polynomials, read through one f.first_zero_power call, so
+    the powers and coefficient chains of f found before are not found
+    again.  For truncated series the verdict is genuine only if every
+    intermediate support stayed within half the precision window (and,
+    when the coefficient ring is itself truncated, a replay with widened
     coefficients still vanishes)."""
     if isinstance(f, SkewPoly):
-        for k in range(2, bound + 2):
-            if f.power_is_zero(k):
-                return ProbeResult(True, k, True, "exact zero power")
+        k = f.first_zero_power(2, bound + 1)
+        if k is not None:
+            return ProbeResult(True, k, True, "exact zero power")
         return ProbeResult(False, None, True,
                            "no zero power up to exponent %d" % (bound + 1))
     half = f.precision // 2

@@ -345,6 +345,15 @@ def test_table_endo_rejects_a_line_without_an_arrow(tmp_path):
     assert str(err.value) == "bad table line '1 => 1'"
 
 
+def test_table_endo_rejects_a_value_mapped_twice(tmp_path):
+    # the second line for 1 would otherwise win and build the identity
+    f = tmp_path / "twice.map"
+    _write_table(f, [(0, 0), (1, 3), (1, 1), (2, 2), (3, 3)])
+    with pytest.raises(EndoValidationError) as err:
+        build_endo(construct_ring("zmod:4"), "endo:table:%s" % f)
+    assert str(err.value) == "table maps 1 twice"
+
+
 def test_table_endo_rejects_incomplete_tables(tmp_path):
     ring = _gf4()
     f = tmp_path / "partial.map"

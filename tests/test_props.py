@@ -37,7 +37,9 @@ from skewarch.prng import derive_rng
 from skewarch.registry import ENTRIES
 from skewarch.rings import (NonEnumerableError, SubsetHandle, XYQuotientRing,
                             ZmodRing, construct_ring, scan_domain)
-from skewarch.skew import SkewPoly, TruncSeries, nilpotency_probe, parse_poly_text
+from skewarch import skew
+from skewarch.skew import (SkewPoly, TruncSeries, _inverse_of_one_plus,
+                           nilpotency_probe, parse_poly_text)
 
 ALL_STATUSES = {HOLDS, FAILS, HYPOTHESIS_NOT_MET, INCONCLUSIVE,
                 HOLDS_BY_THEOREM}
@@ -365,8 +367,10 @@ def test_geometric_termination_catches_an_index_disagreement(monkeypatch):
 def test_geometric_termination_walks_one_power_chain_per_sample(monkeypatch):
     """The expansion, the probe and the escape replay read the powers of
     one f*u: powers 2 to precision + 2 at most, one product each.  Full
-    powers are built only once the chain of top coefficients hits zero,
-    which it never does over a field with an injective twist."""
+    powers are built only once both the chain of top coefficients and the
+    chain of lowest coefficients have hit zero.  The top chain never does
+    over a field with an injective twist, and on zmod:8 the lowest chain
+    of f*u = u + 2u^2 never does, though its top chain dies at the cube."""
     precision = 6
     products = []       # SkewPoly products per sampled polynomial
     draw, multiply = props.random_poly, SkewPoly.__mul__
@@ -391,6 +395,86 @@ def test_geometric_termination_walks_one_power_chain_per_sample(monkeypatch):
         assert products and max(products) <= precision + 2
         if rs == "gf:2:2":
             assert max(products) == 0
+    ring, endo = _pair("zmod:8")
+    fu = SkewPoly(ring, endo, [1, 2]).shift(1)
+    products[:] = [0]
+    assert not _inverse_of_one_plus(fu, precision).terminated
+    assert not nilpotency_probe(fu, bound=precision + 1).zero_power_found
+    assert products == [0] and fu._tops[-1] == 0
+
+
+def _geometric_check_per_draw(ring, endo, samples, seed, precision=16):
+    """geometric_termination_check with every draw checked afresh, on an
+    f*u of its own: the oracle of its one check per distinct sample."""
+    rng = derive_rng(seed, "geometric/%s/%s" % (ring.spec_text, endo.stream_text))
+    samples = scan_domain(ring).sample_count(samples)
+    terminated = 0
+    for _ in range(samples):
+        f = random_poly(ring, endo, rng, max_terms=3)
+        if f.is_zero:
+            continue
+        fu = f.shift(1)
+        res = _inverse_of_one_plus(fu, precision)
+        probe = nilpotency_probe(fu, bound=precision + 1)
+        if res.terminated:
+            terminated += 1
+            if not (probe.zero_power_found and probe.index == res.index):
+                return props.Verdict(
+                    FAILS,
+                    {"f": f.to_text(), "termination_index": res.index,
+                     "probe_index": probe.index},
+                    "expansion terminated at %d but the power probe says %s"
+                    % (res.index, probe.index))
+        elif probe.zero_power_found and probe.genuine:
+            if not any(fu.power(k).order() > precision
+                       for k in range(1, probe.index)):
+                return props.Verdict(
+                    FAILS,
+                    {"f": f.to_text(), "probe_index": probe.index},
+                    "f*u has exact zero power %d inside the window yet the "
+                    "expansion did not terminate" % probe.index)
+    return props.Verdict(
+        HOLDS, None,
+        "two-sided inverse identity and termination/nilpotency agreement "
+        "verified on %d sampled polynomials (%d with polynomial inverse)"
+        % (samples, terminated))
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=[e.id for e in ENTRIES])
+def test_geometric_termination_checks_each_distinct_sample_once(monkeypatch, entry):
+    """Seeds 0-3: the same verdict as checking every draw, and a draw
+    seen before in the call makes no SkewPoly product and no window
+    product."""
+    ring, endo = entry.build()
+    expected = [_geometric_check_per_draw(ring, endo, 200, seed) for seed in range(4)]
+    draws, counts = [], []      # per draw: its coefficients, its products
+    draw, multiply, window = props.random_poly, SkewPoly.__mul__, skew.window_mul
+
+    def counted_draw(*args, **kwargs):
+        f = draw(*args, **kwargs)
+        draws.append(f.coeffs)
+        counts.append(0)
+        return f
+
+    def counted_multiply(a, b):
+        counts[-1] += 1
+        return multiply(a, b)
+
+    def counted_window(*args, **kwargs):
+        counts[-1] += 1
+        return window(*args, **kwargs)
+
+    monkeypatch.setattr(props, "random_poly", counted_draw)
+    monkeypatch.setattr(SkewPoly, "__mul__", counted_multiply)
+    monkeypatch.setattr(skew, "window_mul", counted_window)
+    for seed in range(4):
+        draws.clear()
+        counts.clear()
+        assert geometric_termination_check(ring, endo, 200, seed) == expected[seed]
+        repeats = [n for i, n in enumerate(counts) if draws[i] in draws[:i]]
+        assert repeats == [0] * len(repeats)
+        if not ring.truncated:
+            assert repeats
 
 
 # the two probes with every sampled product built in full: the oracles of

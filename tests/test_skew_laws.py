@@ -16,7 +16,9 @@ it are checked against the full products on registry entries and on
 drawn rings: finite rings of every derived kind with the identity, and
 the kinds with a built-in twist under that twist:
 
-- SkewPoly.power_is_zero(k) agrees with the k-fold product;
+- SkewPoly.first_zero_power, power_is_zero and nilpotency_probe, which
+  read the chains of top and lowest coefficients, agree with the k-fold
+  products;
 - power_windows yields the truncated powers;
 - top_certificate and lowest_certificate, given the operands' top and
   lowest terms, are the coefficients of the full product at the top and
@@ -32,8 +34,8 @@ from skewarch.endos import build_endo
 from skewarch.registry import ENTRIES
 from skewarch.rings import construct_ring
 from skewarch.skew import (SkewPoly, TruncSeries, geometric_inverse,
-                           lowest_certificate, power_windows, series_inverse,
-                           top_certificate)
+                           lowest_certificate, nilpotency_probe, power_windows,
+                           series_inverse, top_certificate)
 from test_ring_laws import TWIST_OF_KIND, twisted_rings, value_strategy
 from test_structural_rules import finite_rings
 
@@ -133,18 +135,39 @@ SQUARE_ZERO_UNDER_DIAG = (DIAG, build_endo(DIAG, "endo:diag"),
                           [[(0, 0), (0, 1)] + [(0, 0)] * (MAX_DEGREE - 1)])
 
 
+Z8 = construct_ring("zmod:8")
+# u + 2u^2: the top chain 2, 4, 0 dies at k = 3, the lowest chain 1, 1, ...
+# shows every power nonzero
+TOP_DIES_LOW_LIVES = (Z8, build_endo(Z8, "endo:id"), [[0, 1, 2, 0, 0]])
+# 2u + u^2 + 2u^3: both chains read 2, 4, 0, yet the cube is
+# 4u^4 + 6u^5 + u^6 + 6u^7 + 4u^8, found only by the full power
+BOTH_DIE_CUBE_LIVES = (Z8, build_endo(Z8, "endo:id"), [[0, 2, 1, 2, 0]])
+
+
 @settings(max_examples=100)   # vanishing powers are rare on the registry
-@given(twisted_coeffs(1, drawn_pairs), st.integers(1, 6))
-@example(SQUARE_ZERO_UNDER_DIAG, 2)
-def test_power_is_zero_agrees_with_the_full_power(drawn, k):
+@given(twisted_coeffs(1, drawn_pairs), st.integers(1, 6), st.integers(0, 6))
+@example(SQUARE_ZERO_UNDER_DIAG, 2, 0)
+@example(TOP_DIES_LOW_LIVES, 1, 6)
+@example(BOTH_DIE_CUBE_LIVES, 1, 6)
+def test_power_is_zero_agrees_with_the_full_power(drawn, lo, span):
+    """first_zero_power(lo, hi), power_is_zero and nilpotency_probe, which
+    read the chains of top and lowest coefficients, against the k-fold
+    products."""
     ring, endo, (coeffs,) = drawn
-    full = functools.reduce(operator.mul, [SkewPoly(ring, endo, coeffs)] * k)
-    # straight to k, where the chain alone may answer
-    assert SkewPoly(ring, endo, coeffs).power_is_zero(k) == full.is_zero
-    # every exponent up to k, on a chain that may die on the way
+    hi = lo + span
     f = SkewPoly(ring, endo, coeffs)
-    assert [f.power_is_zero(j) for j in range(1, k + 1)] == \
-        [functools.reduce(operator.mul, [f] * j).is_zero for j in range(1, k + 1)]
+    zero = [functools.reduce(operator.mul, [f] * k).is_zero
+            for k in range(1, hi + 1)]
+    least = next((k for k in range(lo, hi + 1) if zero[k - 1]), None)
+    # straight to the asked exponents, where the chains alone may answer
+    assert SkewPoly(ring, endo, coeffs).power_is_zero(hi) == zero[-1]
+    assert SkewPoly(ring, endo, coeffs).first_zero_power(lo, hi) == least
+    # every exponent up to hi, on chains that may die on the way
+    assert [f.power_is_zero(k) for k in range(1, hi + 1)] == zero
+    assert f.first_zero_power(lo, hi) == least
+    probe = nilpotency_probe(SkewPoly(ring, endo, coeffs), bound=hi - 1)
+    index = next((k for k in range(2, hi + 1) if zero[k - 1]), None)
+    assert (probe.zero_power_found, probe.index) == (index is not None, index)
 
 
 @settings(max_examples=100)   # a dropped twist shows on few draws
