@@ -59,6 +59,17 @@ def test_full_matrix_at_two_jobs_prints_the_golden_bytes(jobs, hash_seed):
     assert _digest(run.stdout) == GOLDEN_JSON
 
 
+def test_explain_prints_the_golden_text_under_another_hash_seed():
+    # scans keep per-call dicts keyed by ring values; no text may depend
+    # on their hash order
+    run = subprocess.run([sys.executable, "-m", "skewarch.cli", "explain",
+                          "--entry", "all", "--suite", "all", "--seed", "42"],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONHASHSEED": "99"})
+    assert run.returncode == 0
+    assert _digest(run.stdout) == GOLDEN_EXPLAIN
+
+
 def test_small_config_report_bytes_frozen():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -13,8 +13,11 @@ renders as text, and contradicts the predictions (the CLI's exit-1
 condition).  A fault in the scans of the two-variable derivation is
 read from `derived_archimedean`, whose two sides share those scans.  A
 fault that leaves a statement unsettled, rather than broken, gives a
-valid report that contradicts nothing."""
+valid report that contradicts nothing.  A kernel wrong on a pair that a
+scan multiplies more than once must give the witness of the same scan
+with every product taken afresh."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -27,6 +30,8 @@ from skewarch.reports import render_report_text, validate_report
 from skewarch.rings import (GaloisFieldRing, SubsetHandle, TruncSeriesRing,
                             XYQuotientRing, ZmodRing, construct_ring, scan_domain)
 from skewarch.suites import report_contradicts_predictions, run_one
+
+from test_shared_work import arithmetic_per_product, two_variable_scans_per_product
 
 
 def run_report(ring, endo, suite_id):
@@ -139,6 +144,49 @@ def test_a_wrong_block_product_fails_the_two_variable_derivation():
     witness = _derivation_fails_alike_on_both_sides(
         ring, "block collapse failed to respect a product")
     assert witness == {"u": ring.text_of_v(xy[0]), "v": ring.text_of_v(xy[1])}
+
+
+def _repeated_pair(ring, scan, skip=0):
+    """The first pair, from product `skip` on, that scan(ring) multiplies
+    more than once, with every product taken afresh."""
+    mul, pairs = ring.k_mul, []
+    ring.k_mul = lambda x, y: pairs.append((x, y)) or mul(x, y)
+    scan(ring)
+    counts = Counter(pairs)
+    return next(p for p in pairs[skip:] if counts[p] > 1)
+
+
+def _wrong_on(ring, pair):
+    mul = ring.k_mul
+    assert mul(*pair) != ring.one_v
+    ring.k_mul = lambda x, y: ring.one_v if (x, y) == pair else mul(x, y)
+    return ring
+
+
+def test_a_wrong_repeated_product_fails_a_ring_law_as_its_oracle_does():
+    # past the table of the 10 x 10 pair products, in the triples
+    config = RunConfig(seed=42).validated()
+    entry = SimpleNamespace(id="planted:" + fresh_xyq().spec_text)
+
+    def oracle(ring):
+        return arithmetic_per_product(entry, ring, IdentityEndo(ring), config)
+
+    pair = _repeated_pair(fresh_xyq(), oracle, skip=10 ** 2)
+    expected = oracle(_wrong_on(fresh_xyq(), pair))
+    ring = _wrong_on(fresh_xyq(), pair)
+    report = run_planted(ring, IdentityEndo(ring), "arithmetic")
+    assert (report["witness"], report["certificate"]) == (expected.witness,
+                                                          expected.certificate)
+
+
+def test_a_wrong_repeated_product_fails_the_derivation_as_its_oracle_does():
+    # a sample value times x: the collapse scan and the radical scan
+    # both take it
+    pair = _repeated_pair(fresh_xyq(), two_variable_scans_per_product)
+    expected = two_variable_scans_per_product(_wrong_on(fresh_xyq(), pair))
+    witness = _derivation_fails_alike_on_both_sides(_wrong_on(fresh_xyq(), pair),
+                                                    expected.certificate)
+    assert witness == expected.witness
 
 
 def test_a_nonunit_one_minus_rm_fails_the_two_variable_derivation():
