@@ -17,6 +17,7 @@ reached.  Theorem tags are the fixed catalog strings used in reports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -27,7 +28,7 @@ from .prng import SplitMix64, derive_rng
 from .rings import (Element, SubsetHandle, construct_ring, idempotents,
                     is_domain, is_reduced, jacobson_radical, memo,
                     nilpotent_values, nonunits, principal_power_chain,
-                    quotient_by_ideal, require_budget, scan_domain,
+                    product_memo, quotient_by_ideal, require_budget, scan_domain,
                     subring_generated, units, zero_divisors, zero_keys)
 from .skew import (SkewPoly, TruncSeries, _inverse_of_one_plus, _need_side,
                    lowest_certificate, nilpotency_probe, parse_poly_text,
@@ -268,7 +269,12 @@ def _two_variable_scans(ring):
     each sampled r and m in {x, y, x^2, y^2}.  None of them reads a
     side, so both sides' derivations share one run.  Returns the FAILS
     verdict of the first scan that breaks, else the three counts
-    (scope values, products verified, radical products)."""
+    (scope values, products verified, radical products).
+
+    The block-collapse scan takes each distinct series product once,
+    through a product memo local to this call, and the model's own
+    product afresh for every pair, so no pair's check reads the product
+    it checks."""
     ser = ring.series
     pool = scan_domain(ring).values
     for v in pool:
@@ -281,12 +287,13 @@ def _two_variable_scans(ring):
     sample = pool[::stride]
     gens = [ring.one_v, ring.x_v(1), ring.y_v(1),
             ring.k_add(ring.x_v(1), ring.y_v(1))]
+    ser_mul = product_memo(ser)
     checked = 0
     for u in sample + gens:
         for v in sample + gens:
             w = ring.k_mul(u, v)
-            if (w[0] != ser.k_mul(u[0], v[0])
-                    or w[1] != ser.k_mul(u[1], v[1])):
+            if (w[0] != ser_mul(u[0], v[0])
+                    or w[1] != ser_mul(u[1], v[1])):
                 return Verdict(FAILS,
                                {"u": ring.text_of_v(u), "v": ring.text_of_v(v)},
                                "block collapse failed to respect a product")
@@ -1020,7 +1027,10 @@ def _scope_power_product_equivalence(ring, endo: Endo, rig, seed: int) -> Verdic
     """Sampled scope version for truncated coefficient rings.  Products
     are replayed in the widened model, and a tuple only counts when its
     twisted degree bound fits the widened window, so every zero test is
-    exact rather than a truncation artifact."""
+    exact rather than a truncation artifact.  Draws repeat bases, powers
+    and partial products: each twisted power is built once per (pool
+    index, exponent, twist depth), and each distinct product, powers
+    included, taken once, through a product memo local to this call."""
     dom = scan_domain(ring, 2)
     wide = dom.ring
     wendo = _twist_on(endo, dom)
@@ -1029,6 +1039,7 @@ def _scope_power_product_equivalence(ring, endo: Endo, rig, seed: int) -> Verdic
                         if v != ring.zero_v))
     degs = [ring.block_degrees(v) for v in pool]
     zero = wide.zero_v
+    mul, powers = product_memo(wide), {}
     checked = 0
     draws = 0
     while checked < POWER_PRODUCT_SAMPLES and draws < POWER_PRODUCT_SAMPLES * 20:
@@ -1045,18 +1056,16 @@ def _scope_power_product_equivalence(ring, endo: Endo, rig, seed: int) -> Verdic
             by += bound[1]
         if bx > wide.precision or by > wide.precision:
             continue
-        tup = [pool[i] for i in picks]
-        lifted = [lifts[i] for i in picks]
-        acc = wide.one_v
-        for v, k, t in zip(lifted, ks, ts):
-            acc = wide.k_mul(acc, wendo.power_apply_v(t, wide.k_pow(v, k)))
-        plain = wide.one_v
-        for v in lifted:
-            plain = wide.k_mul(plain, v)
-        plain_zero = plain == zero
+        keys = list(zip(picks, ks, ts))
+        for i, k, t in keys:
+            if (i, k, t) not in powers:
+                powers[i, k, t] = wendo.power_apply_v(
+                    t, functools.reduce(mul, [lifts[i]] * k))
+        acc = functools.reduce(mul, [powers[key] for key in keys])
+        plain_zero = functools.reduce(mul, [lifts[i] for i in picks]) == zero
         checked += 1
         if (acc == zero) != plain_zero:
-            witness = {"bases": [ring.text_of_v(v) for v in tup],
+            witness = {"bases": [ring.text_of_v(pool[i]) for i in picks],
                        "exponents": ks, "twists": ts}
             if rig.holds:
                 return Verdict(FAILS, witness,

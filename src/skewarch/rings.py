@@ -147,15 +147,38 @@ def _is_irreducible(coeffs, p) -> bool:
 
 
 def _power(mul, one, x, n: int):
-    """x^n by square-and-multiply; x^0 is one, also for x = 0."""
-    acc = one
+    """x^n by square-and-multiply; x^0 is one, also for x = 0.  The
+    accumulator starts at the power of x for n's lowest set bit, so no
+    product is by one."""
+    if not n:
+        return one
+    while not n & 1:
+        x = mul(x, x)
+        n >>= 1
+    acc = x
+    n >>= 1
     while n:
+        x = mul(x, x)
         if n & 1:
             acc = mul(acc, x)
         n >>= 1
-        if n:
-            x = mul(x, x)
     return acc
+
+
+def product_memo(ring):
+    """A mul(x, y) that calls ring.k_mul once per distinct pair and reads
+    the result from a dict after that.  A scan makes one per call and
+    drops it on return.  It is no cache on the ring: memory stays
+    bounded by one call's distinct pairs, and no other check reads a
+    product from it."""
+    products, k_mul = {}, ring.k_mul
+
+    def mul(x, y):
+        p = products.get((x, y))
+        if p is None:
+            p = products[x, y] = k_mul(x, y)
+        return p
+    return mul
 
 
 def _digits(i, base, length):
@@ -407,6 +430,7 @@ class GaloisFieldRing(RingHandle):
         self.card = p ** k
         self.zero_v, self.one_v = 0, 1
         self._texts = {}         # value -> printed form, filled as printed
+        self._parsed = {}        # text -> value, filled as parsed
         super().__init__("gf:%d:%d:%s" % (p, k, ",".join(map(str, irr))))
         self._build_tables()
 
@@ -509,13 +533,16 @@ class GaloisFieldRing(RingHandle):
         return text
 
     def v_of_text(self, text):
-        s = text.strip()
-        if not (s.startswith("[") and s.endswith("]")):
-            raise ValueError("bad element %r for %s" % (text, self.spec_text))
-        parts = [t.strip() for t in s[1:-1].split(",")]
-        if len(parts) != self.k:
-            raise ValueError("element %r needs %d coordinates" % (text, self.k))
-        return self._value([int(t) % self.p for t in parts])
+        v = self._parsed.get(text)
+        if v is None:
+            s = text.strip()
+            if not (s.startswith("[") and s.endswith("]")):
+                raise ValueError("bad element %r for %s" % (text, self.spec_text))
+            parts = [t.strip() for t in s[1:-1].split(",")]
+            if len(parts) != self.k:
+                raise ValueError("element %r needs %d coordinates" % (text, self.k))
+            v = self._parsed[text] = self._value([int(t) % self.p for t in parts])
+        return v
 
 
 class ProductRing(RingHandle):

@@ -55,7 +55,7 @@ from .props import (
     _unmet_parts,
 )
 from .registry import RunConfig
-from .rings import is_domain, scan_domain
+from .rings import is_domain, product_memo, scan_domain
 from .skew import SkewPoly, TruncSeries, parse_poly_text
 
 REPORT_FIELDS = ("entry", "suite", "status", "witness", "certificate",
@@ -82,8 +82,10 @@ def _suite_arithmetic(entry, ring, endo, config: RunConfig) -> Verdict:
     round-trips.  The pool is the support-2 scan domain: 10 draws from a
     truncated model's scope values, 12 from a finite ring of more than
     12 values, every value of a smaller one.  Each pair sum and pair
-    product is taken once, before the triples, so a triple costs four
-    more products: (ab)c, a(bc), a(b+c) and (a+b)c."""
+    product is tabled once, before the triples, and a triple reads four
+    more products: (ab)c, a(bc), a(b+c) and (a+b)c.  Each distinct
+    product is taken once, through a product memo local to this call,
+    since draws, pair products and pair sums repeat."""
     rng = derive_rng(config.seed, "arith/%s" % entry.id)
     dom = scan_domain(ring, 2)
     pool = dom.values
@@ -96,7 +98,7 @@ def _suite_arithmetic(entry, ring, endo, config: RunConfig) -> Verdict:
     else:
         tri = pool
         basis = "exhaustive"
-    add, mul = ring.k_add, ring.k_mul
+    add, mul = ring.k_add, product_memo(ring)
     sums = [[add(a, b) for b in tri] for a in tri]
     prods = [[mul(a, b) for b in tri] for a in tri]
     for i, a in enumerate(tri):

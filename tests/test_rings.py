@@ -3,7 +3,7 @@ import math
 import pytest
 
 from skewarch import rings
-from skewarch.endos import SquareVariableEndo
+from skewarch.endos import SquareVariableEndo, TableEndo
 from skewarch.rings import (
     GaloisFieldRing,
     NonEnumerableError,
@@ -647,6 +647,42 @@ def test_generators_of_another_ring_are_rejected():
 def test_a_malformed_element_text_raises_a_value_error(spec, bad):
     with pytest.raises(ValueError):
         construct_ring(spec).from_text(bad)
+
+
+def test_a_field_parses_each_element_text_once():
+    # a Frobenius table names every value twice, as a source and as an
+    # image; a malformed text is refused again, so nothing was kept for it
+    field = GaloisFieldRing(2, 4, rings.default_irreducible(2, 4))
+    parsed, value = [], field._value
+    field._value = lambda coords: parsed.append(coords) or value(coords)
+    TableEndo(field, "table:frob", "\n".join(
+        "%s -> %s" % (field.text_of_v(v), field.text_of_v(field.k_mul(v, v)))
+        for v in field.values()))
+    assert len(parsed) == field.card == 16
+    for bad in ("[1]", "[1,x,0,0]", "1,0,0,0"):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                field.v_of_text(bad)
+    assert len(parsed) == 16
+
+
+@pytest.mark.parametrize("fresh", [
+    lambda: (ZmodRing(8), 3),
+    lambda: (XYQuotientRing(construct_ring("gf:2:1"), 4),
+             ((1, 1, 0, 0, 0), (1, 0, 1, 0, 0))),
+], ids=["zmod:8", "xyq:gf:2:1:N=4"])
+def test_a_power_takes_only_its_square_and_multiply_products(fresh):
+    # n's bit length less one squarings, and a product for each set bit
+    # above the lowest, none of them by one: x^1 takes no product
+    ring, x = fresh()
+    mul, calls = ring.k_mul, []
+    ring.k_mul = lambda a, b: calls.append(1) or mul(a, b)
+    expected = ring.one_v
+    for n in range(10):
+        calls.clear()
+        assert ring.k_pow(x, n) == expected
+        assert len(calls) == (n.bit_length() + bin(n).count("1") - 2 if n else 0)
+        expected = mul(expected, x)
 
 
 def test_element_text_round_trip():

@@ -1,13 +1,16 @@
 """Work that several checks share is done once, and the order in which
 the checks run cannot change a report.
 
-The ring-law loop takes each pair product once; the two sides of the
-two-variable derivation share one run of its scans; cor-3-2 and thm-3-3
-share one polynomial zero-divisor probe.  Exact kernel counts guard the
-first two, and object identity with a sampler that may not draw guards
-the third.  The last test runs the seed-42 matrix backwards from empty
-construction caches, so each shared result is filled by a different
-cell than in the forward run, and compares every report."""
+The ring-law loop takes each distinct product once; the two sides of
+the two-variable derivation share one run of its scans; cor-3-2 and
+thm-3-3 share one polynomial zero-divisor probe.  Exact kernel counts
+guard the first two, and object identity with a sampler that may not
+draw guards the third.  The next test runs the seed-42 matrix
+backwards from empty construction caches, so each shared result is
+filled by a different cell than in the forward run, and compares every
+report.  Last, the three scans that keep per-call product memos must
+give the verdicts of their loops with every product taken afresh, kept
+here as oracles."""
 
 from types import SimpleNamespace
 
@@ -33,12 +36,13 @@ class LoopEnded(Exception):
     pass
 
 
-def test_the_law_loop_takes_four_products_per_triple(monkeypatch):
+def test_the_law_loop_takes_981_distinct_products(monkeypatch):
     # the loop ends where the twist law builds its variable; 10 scope
-    # draws give |tri|^2 table products and 4 per triple: 100 + 4000
+    # draws give |tri|^2 table products and 4 per triple, 4,100 in all,
+    # of which 981 are distinct
     ring = fresh_xyq()
     mul, calls = ring.k_mul, []
-    ring.k_mul = lambda x, y: calls.append(1) or mul(x, y)
+    ring.k_mul = lambda x, y: calls.append((x, y)) or mul(x, y)
 
     def variable(*args):
         raise LoopEnded
@@ -48,7 +52,7 @@ def test_the_law_loop_takes_four_products_per_triple(monkeypatch):
     with pytest.raises(LoopEnded):
         suites._suite_arithmetic(entry, ring, IdentityEndo(ring),
                                  RunConfig(seed=42).validated())
-    assert len(calls) == 10 ** 2 + 4 * 10 ** 3 == 4100
+    assert len(calls) == len(set(calls)) == 981
 
 
 def test_the_left_derivation_reuses_the_right_scans(monkeypatch):
