@@ -25,7 +25,7 @@ from typing import Optional
 from .endos import (Endo, _twist_on, build_endo, is_compatible, is_injective,
                     is_rigid, preserves_nonunits, rigid_decomposition_check)
 from .prng import SplitMix64, derive_rng
-from .rings import (Element, SubsetHandle, construct_ring, idempotents,
+from .rings import (Element, SubsetHandle, _power, construct_ring, idempotents,
                     is_domain, is_reduced, jacobson_radical, memo,
                     nilpotent_values, nonunits, principal_power_chain,
                     product_memo, quotient_by_ideal, require_budget, scan_domain,
@@ -675,8 +675,8 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
         if f.coeffs in seen:
             terminated += seen[f.coeffs]
             continue
-        # both procedures read the powers and coefficient chains kept on
-        # this one f*u
+        # both procedures read the powers and the top-coefficient chain
+        # kept on this one f*u
         fu = f.shift(1)
         res = _inverse_of_one_plus(fu, precision)   # raises if the identity fails
         probe = nilpotency_probe(fu, bound=precision + 1)
@@ -690,7 +690,7 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
                      "probe_index": probe.index},
                     "expansion terminated at %d but the power probe says %s"
                     % (res.index, probe.index))
-        elif probe.zero_power_found and probe.genuine:
+        elif probe.zero_power_found:
             # termination can only be expected if no earlier power slipped
             # past the precision window; the powers below the probe's
             # index are nonzero, so each has an order
@@ -1060,7 +1060,7 @@ def _scope_power_product_equivalence(ring, endo: Endo, rig, seed: int) -> Verdic
         for i, k, t in keys:
             if (i, k, t) not in powers:
                 powers[i, k, t] = wendo.power_apply_v(
-                    t, functools.reduce(mul, [lifts[i]] * k))
+                    t, _power(mul, wide.one_v, lifts[i], k))
         acc = functools.reduce(mul, [powers[key] for key in keys])
         plain_zero = functools.reduce(mul, [lifts[i] for i in picks]) == zero
         checked += 1
@@ -1270,7 +1270,7 @@ def induction_audit(f: TruncSeries, g: TruncSeries, h_list, depth: int,
             "divisible by every power and the audit is vacuous"
             % ring.text_of_v(g0))
 
-    # g, g*g, (g*g)*g, ...: the products g ** n takes
+    # g, g*g, (g*g)*g, ...: one product per power
     powers = itertools.accumulate([g] * depth, lambda a, b: a * b)
     for n, (h, gn) in enumerate(zip(h_list, powers), 1):
         if (h * gn if side == "right" else gn * h) != f:

@@ -541,7 +541,11 @@ class GaloisFieldRing(RingHandle):
             parts = [t.strip() for t in s[1:-1].split(",")]
             if len(parts) != self.k:
                 raise ValueError("element %r needs %d coordinates" % (text, self.k))
-            v = self._parsed[text] = self._value([int(t) % self.p for t in parts])
+            try:
+                coords = [int(t) % self.p for t in parts]
+            except ValueError:
+                raise ValueError("bad element %r for %s" % (text, self.spec_text))
+            v = self._parsed[text] = self._value(coords)
         return v
 
 

@@ -12,12 +12,13 @@ could mistake a truncated tail for zero carry a genuine/artifact flag.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 from .endos import Endo, build_endo
-from .rings import (construct_ring, first_nonzero, last_nonzero, scan_domain,
-                    split_top, window_inverse, window_mul)
+from .rings import (_power, construct_ring, first_nonzero, last_nonzero,
+                    scan_domain, split_top, window_inverse, window_mul)
 
 
 def _need_side(side: str):
@@ -45,10 +46,10 @@ def _term(endo, x, d, y):
 class SkewPoly:
     """Exact twisted polynomial; coefficients little-endian, trailing
     zeros stripped, the zero polynomial has an empty coefficient tuple.
-    Immutable, so the powers computed by power() and the chains of top
-    and lowest coefficients read by first_zero_power() are kept on it."""
+    Immutable, so the powers computed by power() and the chain of top
+    coefficients read by first_zero_power() are kept on it."""
 
-    __slots__ = ("ring", "endo", "coeffs", "_powers", "_tops", "_lows")
+    __slots__ = ("ring", "endo", "coeffs", "_powers", "_tops")
 
     def __init__(self, ring, endo: Endo, coeffs):
         if endo.ring is not ring and endo.ring != ring:
@@ -61,7 +62,6 @@ class SkewPoly:
         self.coeffs = tuple(cs)
         self._powers = None     # self^2, self^3, ... as far as asked for
         self._tops = None       # top coefficients of self, self^2, ...
-        self._lows = None       # lowest coefficients of self, self^2, ...
 
     @classmethod
     def constant(cls, ring, endo, value):
@@ -123,51 +123,28 @@ class SkewPoly:
 
     def first_zero_power(self, lo: int, hi: int) -> Optional[int]:
         """The least k in lo..hi with self^k = 0, or None; lo >= 1.
-        Two chains of one product per power show powers nonzero without
+        A chain of one product per power shows powers nonzero without
         building them: tops[j - 1], the top coefficient of self^j at
-        degree j*degree, and lows[j - 1], the lowest at j*order.  Each
-        is the one term of self^j * self at its degree, so tops[j] =
-        tops[j-1] * alpha^(j*degree)(top) and lows[j] = lows[j-1] *
-        alpha^(j*order)(low), the top_certificate and the uncut
-        lowest_certificate of self^j and self.  self^k is nonzero while
-        either chain is, so power(k) is computed in full only from the
-        later chain's first zero on.  The lowest chain is walked only
-        when the top chain dies by hi."""
+        degree j*degree, is the one term of self^j * self at its degree,
+        so tops[j] = tops[j-1] * alpha^(j*degree)(top), the
+        top_certificate of self^j and self.  self^k is nonzero while the
+        chain is, so power(k) is computed in full only from the chain's
+        first zero on."""
         if lo < 1:
             raise ValueError("first_zero_power() needs an exponent >= 1")
         if self.is_zero:
             return lo if lo <= hi else None
+        top, zero = self.coeffs[-1], self.ring.zero_v
         if self._tops is None:
-            self._tops = [self.coeffs[-1]]
-        nonzero_below = self._certify(self._tops, self.degree, hi)
-        if nonzero_below <= hi:
-            order = self.order()
-            if self._lows is None:
-                # a monomial's lowest term is its top term
-                self._lows = (self._tops if order == self.degree
-                              else [self.coeffs[order]])
-            nonzero_below = max(nonzero_below,
-                                self._certify(self._lows, order, hi))
+            self._tops = [top]
+        tops = self._tops
+        while len(tops) < hi and tops[-1] != zero:
+            tops.append(_term(self.endo, tops[-1], len(tops) * self.degree, top))
+        nonzero_below = len(tops) if tops[-1] == zero else len(tops) + 1
         for k in range(max(lo, nonzero_below), hi + 1):
             if self.power(k).is_zero:
                 return k
         return None
-
-    def _certify(self, chain, step, hi):
-        """Extend a chain of extreme coefficients, chain[j - 1] that of
-        self^j at degree j*step, to self^hi or its first zero.  Returns
-        an exponent below which every power of self is nonzero."""
-        zero, endo, base = self.ring.zero_v, self.endo, chain[0]
-        while len(chain) < hi and chain[-1] != zero:
-            chain.append(_term(endo, chain[-1], len(chain) * step, base))
-        return len(chain) if chain[-1] == zero else len(chain) + 1
-
-    def power_is_zero(self, k: int) -> bool:
-        """Whether self^k = 0, for k >= 1: first_zero_power(k, k) == k,
-        so the chains and powers found before are not found again."""
-        if k < 1:
-            raise ValueError("power_is_zero() needs an exponent >= 1")
-        return self.first_zero_power(k, k) == k
 
     def shift(self, k: int = 1):
         """Multiply by u^k on the right."""
@@ -259,13 +236,9 @@ class TruncSeries:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers need series_inverse")
-        if n == 0:
-            return TruncSeries.constant(self.ring, self.endo, self.ring.one_v,
-                                        self.precision)
-        acc = self
-        for _ in range(n - 1):
-            acc = acc * self
-        return acc
+        one = TruncSeries.constant(self.ring, self.endo, self.ring.one_v,
+                                   self.precision)
+        return _power(operator.mul, one, self, n)
 
     def _check(self, other):
         _common(self, other)
@@ -380,8 +353,8 @@ def _inverse_of_one_plus(g: SkewPoly, precision: int) -> GeometricInverseResult:
     """geometric_inverse for g = f*u: the inverse of 1 + g as the sum of
     the windows of (-g)^k.  g = f*u has a zero constant term, so g^k has
     order at least k and the sum is complete at the first k whose window
-    is zero: there g^k is zero, read through g.power_is_zero and shared
-    with probes of the same powers, or its order has passed the
+    is zero: there g^k is zero, read through g.first_zero_power and
+    shared with probes of the same powers, or its order has passed the
     precision.
 
     One product closes the check.  g^(N+1) = 0 modulo u^(N+1), so 1 + g
@@ -399,7 +372,7 @@ def _inverse_of_one_plus(g: SkewPoly, precision: int) -> GeometricInverseResult:
         for d, c in enumerate(window):
             if c != zero:
                 acc[d] = step(acc[d], c)
-    index = k if g.power_is_zero(k) else None
+    index = k if g.first_zero_power(k, k) == k else None
     terminated = index is not None
     acc = TruncSeries(ring, endo, precision, acc)
     one = SkewPoly.constant(ring, endo, ring.one_v)
@@ -449,8 +422,8 @@ def nilpotency_probe(f, bound: int = 16) -> ProbeResult:
     """Search powers f^k for k <= bound.
 
     Exact for polynomials, read through one f.first_zero_power call, so
-    the powers and coefficient chains of f found before are not found
-    again.  For truncated series the verdict is genuine only if every
+    the powers and the top-coefficient chain of f found before are not
+    found again.  For truncated series the verdict is genuine only if every
     intermediate support stayed within half the precision window (and,
     when the coefficient ring is itself truncated, a replay with widened
     coefficients still vanishes)."""

@@ -345,6 +345,13 @@ def test_table_endo_rejects_a_line_without_an_arrow(tmp_path):
     assert str(err.value) == "bad table line '1 => 1'"
 
 
+def test_table_endo_names_an_element_text_with_a_typo(tmp_path):
+    f = tmp_path / "typo.map"
+    _write_table(f, [("[0,0,0,0]", "[0,0,0,0]"), ("[1,x,0,0]", "[1,0,0,0]")])
+    with pytest.raises(ValueError, match=r"^bad element '\[1,x,0,0\]' for gf:2:4:"):
+        build_endo(construct_ring("gf:2:4"), "endo:table:%s" % f)
+
+
 def test_table_endo_rejects_a_value_mapped_twice(tmp_path):
     # the second line for 1 would otherwise win and build the identity
     f = tmp_path / "twice.map"

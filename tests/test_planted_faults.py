@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import pytest
 
 from skewarch.endos import FrobeniusEndo, IdentityEndo, SquareVariableEndo
-from skewarch.props import (FAILS, HOLDS_BY_THEOREM, HYPOTHESIS_NOT_MET,
+from skewarch.props import (FAILS, HOLDS, HOLDS_BY_THEOREM, HYPOTHESIS_NOT_MET,
                             INCONCLUSIVE, derived_archimedean)
 from skewarch.registry import RunConfig
 from skewarch.reports import render_report_text, validate_report
@@ -221,6 +221,27 @@ def test_a_nontrivial_idempotent_fails_the_derived_chain_condition():
     ring.k_mul = lambda x, y: x if (x, y) == (e, e) else mul(x, y)
     report = run_planted(ring, IdentityEndo(ring), "lemma-2-3")
     assert report["witness"] == {"e": ring.text_of_v(e)}
+
+
+def test_a_unit_product_of_nonunits_fails_two_consequence_clauses():
+    # 2*4 read as 1, on a ring that still reads Archimedean: the sandwich
+    # scan takes b*a*c as (c*a)*b, the ring being commutative, and finds
+    # 1 = 4*1*2 with the nonunit 2; and 2*4 = 1 with 4*2 = 0 breaks
+    # Dedekind-finiteness
+    ring = ZmodRing(8)
+    mul = ring.k_mul
+    ring.k_mul = lambda x, y: 1 if (x, y) == (2, 4) else mul(x, y)
+    report = run_planted(ring, IdentityEndo(ring), "lemma-2-3")
+    witness = report["witness"]
+    assert {k: witness[k] for k in ("a", "b", "c", "nonunit_factor")} == \
+        {"a": "1", "b": "4", "c": "2", "nonunit_factor": "c"}
+    assert witness["clause"] == "sandwich_units"
+    assert witness["clauses"] == {"sandwich_units": FAILS,
+                                  "zero_divisors_in_radical": HOLDS,
+                                  "trivial_idempotents": HOLDS,
+                                  "dedekind_finite": FAILS}
+    assert report["certificate"].startswith(
+        "clause sandwich_units fails although the ring is right-Archimedean")
 
 
 def test_a_radical_holding_every_value_fails_the_gluing():

@@ -367,10 +367,10 @@ def test_geometric_termination_catches_an_index_disagreement(monkeypatch):
 def test_geometric_termination_walks_one_power_chain_per_sample(monkeypatch):
     """The expansion, the probe and the escape replay read the powers of
     one f*u: powers 2 to precision + 2 at most, one product each.  Full
-    powers are built only once both the chain of top coefficients and the
-    chain of lowest coefficients have hit zero.  The top chain never does
-    over a field with an injective twist, and on zmod:8 the lowest chain
-    of f*u = u + 2u^2 never does, though its top chain dies at the cube."""
+    powers are built only once the chain of top coefficients has hit
+    zero.  It never does over a field with an injective twist; on zmod:8
+    the top chain of f*u = u + 2u^2 dies at the cube, so the expansion
+    builds its powers 2 to precision + 1 and the probe one more."""
     precision = 6
     products = []       # SkewPoly products per sampled polynomial
     draw, multiply = props.random_poly, SkewPoly.__mul__
@@ -400,7 +400,7 @@ def test_geometric_termination_walks_one_power_chain_per_sample(monkeypatch):
     products[:] = [0]
     assert not _inverse_of_one_plus(fu, precision).terminated
     assert not nilpotency_probe(fu, bound=precision + 1).zero_power_found
-    assert products == [0] and fu._tops[-1] == 0
+    assert products == [precision + 1] and fu._tops == [2, 4, 0]
 
 
 def _geometric_check_per_draw(ring, endo, samples, seed, precision=16):

@@ -663,7 +663,11 @@ def test_a_field_parses_each_element_text_once():
         for _ in range(2):
             with pytest.raises(ValueError):
                 field.v_of_text(bad)
-    assert len(parsed) == 16
+    assert len(parsed) == len(field._parsed) == 16
+    # a coordinate that is no integer is named with the text and the ring
+    with pytest.raises(ValueError) as err:
+        field.v_of_text("[1,x,0,0]")
+    assert str(err.value) == "bad element '[1,x,0,0]' for gf:2:4:1,1,0,0,1"
 
 
 @pytest.mark.parametrize("fresh", [

@@ -5,7 +5,8 @@ Each draw picks a registry entry and sparse coefficient lists of one to
 three terms (values of a finite ring, scope values of drawn
 support on the two-variable model), the shape the suites sample:
 
-- SkewPoly.power(k) equals the k-fold product taken left to right;
+- SkewPoly.power(k) equals the k-fold product taken left to right, and
+  so does a series power s ** n, taken by square-and-multiply;
 - geometric_inverse equals a dense reference, the alternating sum of the
   truncated exact powers of f*u, in series, termination, index and note;
 - series_inverse is a two-sided inverse;
@@ -16,9 +17,8 @@ it are checked against the full products on registry entries and on
 drawn rings: finite rings of every derived kind with the identity, and
 the kinds with a built-in twist under that twist:
 
-- SkewPoly.first_zero_power, power_is_zero and nilpotency_probe, which
-  read the chains of top and lowest coefficients, agree with the k-fold
-  products;
+- SkewPoly.first_zero_power and nilpotency_probe, which read the chain
+  of top coefficients, agree with the k-fold products;
 - power_windows yields the truncated powers;
 - top_certificate and lowest_certificate, given the operands' top and
   lowest terms, are the coefficients of the full product at the top and
@@ -36,7 +36,7 @@ from skewarch.rings import construct_ring
 from skewarch.skew import (SkewPoly, TruncSeries, geometric_inverse,
                            lowest_certificate, nilpotency_probe, power_windows,
                            series_inverse, top_certificate)
-from test_ring_laws import TWIST_OF_KIND, twisted_rings, value_strategy
+from test_ring_laws import TWIST_OF_KIND, tser_rings, twisted_rings, value_strategy
 from test_structural_rules import finite_rings
 
 MAX_DEGREE = 4
@@ -93,6 +93,26 @@ def test_power_is_the_left_to_right_product(drawn, k):
     assert f.power(max(1, k - 2)) == functools.reduce(operator.mul, [f] * max(1, k - 2))
 
 
+XYQ, XSQ = next(entry for entry in ENTRIES if entry.endo_spec == "endo:xsq").build()
+# x + y*u + x*u^3 on the two-variable model under x -> x^2
+XSQ_SERIES = (XYQ, XSQ, [[XYQ.x_v(1), XYQ.y_v(1), XYQ.zero_v, XYQ.x_v(1), XYQ.zero_v]])
+
+
+@given(twisted_coeffs(1, st.one_of(
+    drawn_pairs, tser_rings.map(lambda ring: (ring, build_endo(ring, "endo:id"))))),
+    st.integers(0, 8))
+@example(XSQ_SERIES, 8)
+def test_series_power_is_the_left_to_right_product(drawn, precision):
+    """s ** n regroups the k-fold product by square-and-multiply, which
+    holds only in an associative ring: under endo:xsq on the two-variable
+    model, because the twist is an endomorphism of the truncated model."""
+    ring, endo, (coeffs,) = drawn
+    s = TruncSeries(ring, endo, precision, coeffs[:precision + 1])
+    assert s ** 0 == TruncSeries.constant(ring, endo, ring.one_v, precision)
+    for n in range(1, 10):
+        assert s ** n == functools.reduce(operator.mul, [s] * n)
+
+
 @settings(max_examples=100)   # terminating draws are rare
 @given(twisted_coeffs(1), st.integers(1, 8))
 def test_geometric_inverse_matches_the_dense_sum(drawn, precision):
@@ -136,12 +156,20 @@ SQUARE_ZERO_UNDER_DIAG = (DIAG, build_endo(DIAG, "endo:diag"),
 
 
 Z8 = construct_ring("zmod:8")
-# u + 2u^2: the top chain 2, 4, 0 dies at k = 3, the lowest chain 1, 1, ...
-# shows every power nonzero
+# u + 2u^2: the top chain 2, 4, 0 dies at k = 3, yet no power is zero,
+# as the lowest coefficients 1, 1, ... show
 TOP_DIES_LOW_LIVES = (Z8, build_endo(Z8, "endo:id"), [[0, 1, 2, 0, 0]])
-# 2u + u^2 + 2u^3: both chains read 2, 4, 0, yet the cube is
-# 4u^4 + 6u^5 + u^6 + 6u^7 + 4u^8, found only by the full power
+# 2u + u^2 + 2u^3: the top and the lowest coefficients both read 2, 4, 0,
+# yet the cube is 4u^4 + 6u^5 + u^6 + 6u^7 + 4u^8
 BOTH_DIE_CUBE_LIVES = (Z8, build_endo(Z8, "endo:id"), [[0, 2, 1, 2, 0]])
+
+
+P4 = construct_ring("prod(zmod:4,zmod:4)")
+# (2,0) + (0,1)u: its top chain (0,1), (0,1)*diag((0,1)) = 0 dies at the
+# square, which is (0,2)u, and the cube is zero; a chain twisted by the
+# order 0 instead of the degree would read (0,1) on and miss the cube
+CUBE_ZERO_UNDER_DIAG = (P4, build_endo(P4, "endo:diag"),
+                        [[(2, 0), (0, 1)] + [(0, 0)] * (MAX_DEGREE - 1)])
 
 
 @settings(max_examples=100)   # vanishing powers are rare on the registry
@@ -149,21 +177,21 @@ BOTH_DIE_CUBE_LIVES = (Z8, build_endo(Z8, "endo:id"), [[0, 2, 1, 2, 0]])
 @example(SQUARE_ZERO_UNDER_DIAG, 2, 0)
 @example(TOP_DIES_LOW_LIVES, 1, 6)
 @example(BOTH_DIE_CUBE_LIVES, 1, 6)
-def test_power_is_zero_agrees_with_the_full_power(drawn, lo, span):
-    """first_zero_power(lo, hi), power_is_zero and nilpotency_probe, which
-    read the chains of top and lowest coefficients, against the k-fold
-    products."""
+@example(CUBE_ZERO_UNDER_DIAG, 1, 3)
+def test_first_zero_power_agrees_with_the_full_power(drawn, lo, span):
+    """first_zero_power(lo, hi) and nilpotency_probe, which read the chain
+    of top coefficients, against the k-fold products."""
     ring, endo, (coeffs,) = drawn
     hi = lo + span
     f = SkewPoly(ring, endo, coeffs)
     zero = [functools.reduce(operator.mul, [f] * k).is_zero
             for k in range(1, hi + 1)]
     least = next((k for k in range(lo, hi + 1) if zero[k - 1]), None)
-    # straight to the asked exponents, where the chains alone may answer
-    assert SkewPoly(ring, endo, coeffs).power_is_zero(hi) == zero[-1]
+    # straight to the asked exponents, where the chain alone may answer
+    assert (SkewPoly(ring, endo, coeffs).first_zero_power(hi, hi) == hi) == zero[-1]
     assert SkewPoly(ring, endo, coeffs).first_zero_power(lo, hi) == least
-    # every exponent up to hi, on chains that may die on the way
-    assert [f.power_is_zero(k) for k in range(1, hi + 1)] == zero
+    # every exponent up to hi, on a chain that may die on the way
+    assert [f.first_zero_power(k, k) == k for k in range(1, hi + 1)] == zero
     assert f.first_zero_power(lo, hi) == least
     probe = nilpotency_probe(SkewPoly(ring, endo, coeffs), bound=hi - 1)
     index = next((k for k in range(2, hi + 1) if zero[k - 1]), None)
