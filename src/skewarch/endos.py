@@ -267,8 +267,12 @@ def build_endo(ring, text: str) -> Endo:
     name = s[5:]
     if name.startswith("table:"):
         require_finite((ring,), "endo:table needs a finite ring", EndoValidationError)
-        with open(name[6:], "r", encoding="utf-8") as fh:
-            table_text = fh.read()
+        try:
+            with open(name[6:], "r", encoding="utf-8") as fh:
+                table_text = fh.read()
+        except OSError as exc:
+            raise EndoValidationError("cannot read endo table %r: %s"
+                                      % (name[6:], exc.strerror)) from exc
         return build_twist(ring, name, table_text)
     if name not in BUILT_IN_TWISTS:
         raise EndoValidationError("unrecognized endo spec: %r" % text)

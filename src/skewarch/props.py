@@ -663,7 +663,12 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
     truncates to a polynomial exactly when f*u is nilpotent, and then the
     truncation index equals the nilpotency index.  The checks depend on
     f alone, and a failing f returns at its first draw, so each distinct
-    f is checked once and a repeat counts its first draw's termination."""
+    f is checked once and a repeat counts its first draw's termination.
+
+    Only a terminated expansion is probed, and its powers are kept on
+    f*u.  One that stops at a zero window of (f*u)^k0 without a zero
+    power can have exact zero powers only above k0, where (f*u)^k0
+    already has order > precision, so there is nothing to check."""
     rng = derive_rng(seed, "geometric/%s/%s" % (ring.spec_text, endo.stream_text))
     samples = scan_domain(ring).sample_count(samples)
     terminated = 0
@@ -675,14 +680,12 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
         if f.coeffs in seen:
             terminated += seen[f.coeffs]
             continue
-        # both procedures read the powers and the top-coefficient chain
-        # kept on this one f*u
         fu = f.shift(1)
         res = _inverse_of_one_plus(fu, precision)   # raises if the identity fails
-        probe = nilpotency_probe(fu, bound=precision + 1)
         seen[f.coeffs] = res.terminated
         if res.terminated:
             terminated += 1
+            probe = nilpotency_probe(fu, bound=precision + 1)
             if not (probe.zero_power_found and probe.index == res.index):
                 return Verdict(
                     FAILS,
@@ -690,17 +693,6 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
                      "probe_index": probe.index},
                     "expansion terminated at %d but the power probe says %s"
                     % (res.index, probe.index))
-        elif probe.zero_power_found:
-            # termination can only be expected if no earlier power slipped
-            # past the precision window; the powers below the probe's
-            # index are nonzero, so each has an order
-            if not any(fu.power(k).order() > precision
-                       for k in range(1, probe.index)):
-                return Verdict(
-                    FAILS,
-                    {"f": f.to_text(), "probe_index": probe.index},
-                    "f*u has exact zero power %d inside the window yet the "
-                    "expansion did not terminate" % probe.index)
     return Verdict(
         HOLDS, None,
         "two-sided inverse identity and termination/nilpotency agreement "
@@ -1166,9 +1158,9 @@ def _scope_falsifier(ring, endo: Endo, precision: int, depth: int,
                      budget: int, seed: int, side: str) -> Verdict:
     """Truncated coefficient rings: every nonunit constant has inner order
     >= 1, so divisor powers gain inner order and, degree by degree, escape
-    any window.  Verify the escape on scheduled candidates: no g^depth
-    has a degree `_order_escape_degree` finds.  A candidate with a zero
-    constant term needs no check, and its power is not built."""
+    any window.  Verify the escape on the scheduled candidates the budget
+    leaves: no g^depth has a degree `_order_escape_degree` finds.  A
+    candidate with a zero constant term needs no check and no power."""
     rng = derive_rng(seed, "falsify/%s/%s/%s" % (ring.spec_text, endo.stream_text,
                                                  side))
     pool = scan_domain(ring, 2).values
@@ -1199,10 +1191,8 @@ def _scope_falsifier(ring, endo: Endo, precision: int, depth: int,
         if not s.is_unit() and not s.is_zero:
             candidates.append(s)
         examined += 1
-    for g in candidates:
-        examined += 1
-        if examined > budget:
-            break
+    verified = candidates[:max(0, budget - examined)]
+    for g in verified:
         # a zero constant term kills the low degrees of g^depth outright
         if g.coeffs[0] == ring.zero_v:
             continue
@@ -1217,8 +1207,8 @@ def _scope_falsifier(ring, endo: Endo, precision: int, depth: int,
                 % (ring.inner_order(G.coeffs[m]), depth - m))
     notes.append("escape verified on %d scheduled divisor candidates: every "
                  "coefficient of g^%d has inner order >= %d - degree"
-                 % (len(candidates), depth, depth))
-    return _falsifier_conclusion(ring, endo, side, notes, examined)
+                 % (len(verified), depth, depth))
+    return _falsifier_conclusion(ring, endo, side, notes, examined + len(verified))
 
 
 def _falsifier_conclusion(ring, endo: Endo, side: str, notes, examined):

@@ -106,6 +106,19 @@ def split_top(text: str, sep: str):
     return parts
 
 
+def list_entries(text: str, what: str):
+    """The comma-separated entries of a bracketed list text; none for
+    "[]".  ValueError without the brackets, and for an empty entry, which
+    dropping would move every later entry down one place."""
+    s = text.strip()
+    if not (s.startswith("[") and s.endswith("]")):
+        raise ValueError("%s must be a bracketed list: %r" % (what, text))
+    entries = split_top(s[1:-1], ",") if s[1:-1].strip() else []
+    if any(not e.strip() for e in entries):
+        raise ValueError("empty entry in %s %r" % (what, text))
+    return entries
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -960,15 +973,15 @@ class TruncSeriesRing(TruncatedModel):
         return "[%s]" % ",".join(self.base.text_of_v(c) for c in v)
 
     def v_of_text(self, text):
-        s = text.strip()
-        if not (s.startswith("[") and s.endswith("]")):
-            raise ValueError("bad element %r for %s" % (text, self.spec_text))
-        parts = [t for t in split_top(s[1:-1], ",") if t.strip() != ""]
-        if len(parts) > self.precision + 1:
-            raise ValueError("element %r exceeds precision %d" % (text, self.precision))
-        coeffs = [self.base.v_of_text(t) for t in parts]
-        coeffs += [self.base.zero_v] * (self.precision + 1 - len(coeffs))
-        return tuple(coeffs)
+        return self.v_of_entries(list_entries(text, self.spec_text + " element"))
+
+    def v_of_entries(self, entries):
+        """The value whose coefficients the entry texts name, in order."""
+        if len(entries) > self.precision + 1:
+            raise ValueError("%d coefficients exceed precision %d"
+                             % (len(entries), self.precision))
+        coeffs = [self.base.v_of_text(t) for t in entries]
+        return tuple(coeffs + [self.base.zero_v] * (self.precision + 1 - len(coeffs)))
 
 
 class XYQuotientRing(TruncatedModel):
@@ -1025,10 +1038,13 @@ class XYQuotientRing(TruncatedModel):
         return (v[0] != z) | (v[1] != z) << 1
 
     def x_v(self, power: int = 1):
+        if not 1 <= power <= self.precision:
+            raise ValueError("variable power must be in 1..%d, got %d"
+                             % (self.precision, power))
         return self.series.monomial_v(power), self.series.zero_v
 
     def y_v(self, power: int = 1):
-        return self.series.zero_v, self.series.monomial_v(power)
+        return self.x_v(power)[::-1]
 
     def inner_order(self, v) -> Optional[int]:
         orders = map(self.series.inner_order, v)
@@ -1069,21 +1085,9 @@ class XYQuotientRing(TruncatedModel):
         parts = split_top(s[1:-1], ";")
         if len(parts) != 3:
             raise ValueError("xyq element %r needs (const;[x-block];[y-block])" % text)
-        F = self.field
-        a = F.v_of_text(parts[0])
-        halves = []
-        for part in parts[1:]:
-            t = part.strip()
-            if not (t.startswith("[") and t.endswith("]")):
-                raise ValueError("bad xyq block %r" % part)
-            entries = [e for e in split_top(t[1:-1], ",") if e.strip() != ""]
-            if len(entries) > self.precision:
-                raise ValueError("xyq block %r exceeds precision %d"
-                                 % (part, self.precision))
-            coeffs = [a] + [F.v_of_text(e) for e in entries]
-            coeffs += [F.zero_v] * (self.precision + 1 - len(coeffs))
-            halves.append(tuple(coeffs))
-        return tuple(halves)
+        # each half is a series with the common constant term first
+        return tuple(self.series.v_of_entries([parts[0]] + list_entries(b, "xyq block"))
+                     for b in parts[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from typing import Optional
 
 from .endos import Endo, build_endo
 from .rings import (_power, construct_ring, first_nonzero, last_nonzero,
-                    scan_domain, split_top, window_inverse, window_mul)
+                    list_entries, scan_domain, split_top, window_inverse,
+                    window_mul)
 
 
 def _need_side(side: str):
@@ -147,9 +148,9 @@ class SkewPoly:
         return None
 
     def shift(self, k: int = 1):
-        """Multiply by u^k on the right."""
-        if self.is_zero:
-            return self
+        """Multiply by u^k on the right, k >= 0."""
+        if k < 0:
+            raise ValueError("shift() needs k >= 0, got %d" % k)
         return SkewPoly(self.ring, self.endo,
                         [self.ring.zero_v] * k + list(self.coeffs))
 
@@ -199,6 +200,9 @@ class TruncSeries:
 
     @classmethod
     def monomial(cls, ring, endo, k: int, value, precision: int):
+        if not 0 <= k <= precision:
+            raise ValueError("monomial degree must be in 0..%d, got %d"
+                             % (precision, k))
         cs = [ring.zero_v] * (precision + 1)
         cs[k] = value
         return cls(ring, endo, precision, cs)
@@ -297,9 +301,7 @@ def parse_poly_text(text: str):
     if len(halves) != 2:
         raise ValueError("polynomial text needs a single top-level '@': %r" % text)
     body, tail = halves
-    body = body.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError("coefficients must be bracketed: %r" % text)
+    entries = list_entries(body, "coefficients")
     tail_parts = split_top(tail, ";")
     if len(tail_parts) == 2:
         ring_text, endo_text = tail_parts
@@ -311,7 +313,6 @@ def parse_poly_text(text: str):
         raise ValueError("polynomial text needs ring;endo[;N=prec]: %r" % text)
     ring = construct_ring(ring_text.strip())
     endo = build_endo(ring, endo_text.strip())
-    entries = [e for e in split_top(body[1:-1], ",") if e.strip() != ""]
     coeffs = [ring.v_of_text(e) for e in entries]
     if precision is None:
         return SkewPoly(ring, endo, coeffs)

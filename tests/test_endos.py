@@ -337,6 +337,14 @@ def test_the_law_check_matches_the_oracle_on_moved_points_of_the_identity(spec):
         assert _table_builds(ring, image) == _is_endomorphism(ring, image), image
 
 
+def test_table_endo_names_a_path_it_cannot_read(tmp_path):
+    ring = construct_ring("zmod:2")
+    for path in (tmp_path / "missing.map", tmp_path):
+        with pytest.raises(EndoValidationError,
+                           match="^cannot read endo table %r: " % str(path)):
+            build_endo(ring, "endo:table:%s" % path)
+
+
 def test_table_endo_rejects_a_line_without_an_arrow(tmp_path):
     f = tmp_path / "arrowless.map"
     f.write_text("0 -> 0\n1 => 1\n")

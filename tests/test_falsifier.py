@@ -17,8 +17,8 @@ from skewarch.endos import build_endo
 from skewarch.prng import derive_rng
 from skewarch.props import (FAILS, Verdict, _falsifier_conclusion, archimedean_falsifier,
                             random_series)
-from skewarch.rings import (Element, GaloisFieldRing, ZmodRing, nonunits, principal_power_chain,
-                            require_budget)
+from skewarch.rings import (Element, GaloisFieldRing, ZmodRing, construct_ring, nonunits,
+                            principal_power_chain, require_budget)
 from skewarch.skew import TruncSeries, solve_right_divisibility
 
 
@@ -176,3 +176,30 @@ def test_finite_falsifier_builds_only_the_witness_chain_and_draws_nothing(monkey
     monkeypatch.setattr(props, "derive_rng", lambda *args: pytest.fail("drew from a stream"))
     verdict = archimedean_falsifier(ring, build_endo(ring, twist), seed=0, side=side)
     assert len(chains) == (verdict.status == FAILS)
+
+
+@pytest.mark.parametrize("precision,budget,verified,examined,powers", [
+    (16, 3, 3, 3, 3), (16, 10_000, 20, 20, 8), (1, 10, 6, 10, 6), (1, 10_000, 16, 20, 12)])
+def test_scope_falsifier_names_only_the_candidates_it_verified(monkeypatch, precision, budget,
+                                                               verified, examined, powers):
+    """xyq:gf:2:1:N=8 schedules 8 constants with a nonzero constant term,
+    then 3 monomials (1 at precision 1) on each of 4 of them, then random
+    series up to 16 candidates, one draw per examined candidate.  The
+    candidates verified are the first the budget leaves; a zero constant
+    term needs no power."""
+    ring = construct_ring("xyq:gf:2:1:N=8")
+    built, power = [], TruncSeries.__pow__
+
+    def counted_power(s, n):
+        built.append(n)
+        return power(s, n)
+
+    monkeypatch.setattr(TruncSeries, "__pow__", counted_power)
+    verdict = archimedean_falsifier(ring, build_endo(ring, "endo:xsq"), precision=precision,
+                                    seed=42, budget=budget)
+    assert "escape verified on %d scheduled divisor candidates" % verified \
+        in verdict.certificate
+    assert verdict.certificate.endswith(
+        "(%d candidates examined); the characterization certifies the reduced "
+        "right-Archimedean series model (scope basis)" % examined)
+    assert len(built) == powers

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from skewarch.endos import FrobeniusEndo, IdentityEndo, SquareVariableEndo
+from skewarch.endos import FrobeniusEndo, IdentityEndo, SquareVariableEndo, TableEndo
 from skewarch.props import (FAILS, HOLDS, HOLDS_BY_THEOREM, HYPOTHESIS_NOT_MET,
                             INCONCLUSIVE, derived_archimedean)
 from skewarch.registry import RunConfig
@@ -275,6 +275,21 @@ def test_a_comparable_pair_taken_for_incomparable_meets_no_clause():
     assert report["witness"]["pair"]["intersection"] == ["0", "4", "8"]
     assert {c["status"] for c in report["witness"]["clauses"].values()} == \
         {HYPOTHESIS_NOT_MET}
+
+
+def test_a_table_altered_after_its_law_check_fails_the_rigidity_decomposition():
+    # alpha(2) = 1 on Z/4: a*alpha(a) = 0 still forces a = 0, so the twist
+    # is rigid, but 2*2 = 0 while 2*alpha(2) = 2, and 2 squares to zero
+    ring = ZmodRing(4)
+    endo = TableEndo(ring, "table:planted",
+                     "".join("%d -> %d\n" % (v, v) for v in ring.values()))
+    endo.table[2] = 1
+    report = run_planted(ring, endo, "lemma-4-2")
+    assert report["witness"] == {
+        "rigid": "yes", "compatible": "no", "reduced": "no",
+        "compatible_witness": {"a": "2", "b": "2",
+                               "direction": "a*b = 0 but a*alpha(b) != 0"},
+        "square_zero": "2"}
 
 
 def test_a_twist_sending_x_to_a_unit_fails_the_twisted_example():

@@ -365,12 +365,12 @@ def test_geometric_termination_catches_an_index_disagreement(monkeypatch):
 
 
 def test_geometric_termination_walks_one_power_chain_per_sample(monkeypatch):
-    """The expansion, the probe and the escape replay read the powers of
-    one f*u: powers 2 to precision + 2 at most, one product each.  Full
-    powers are built only once the chain of top coefficients has hit
-    zero.  It never does over a field with an injective twist; on zmod:8
-    the top chain of f*u = u + 2u^2 dies at the cube, so the expansion
-    builds its powers 2 to precision + 1 and the probe one more."""
+    """The expansion and the probe of a terminated expansion read the
+    powers of one f*u: powers 2 to precision + 2 at most, one product
+    each.  Full powers are built only once the chain of top coefficients
+    has hit zero.  It never does over a field with an injective twist; on
+    zmod:8 the top chain of f*u = u + 2u^2 dies at the cube, so the
+    expansion builds its powers 2 to precision + 1 and a probe one more."""
     precision = 6
     products = []       # SkewPoly products per sampled polynomial
     draw, multiply = props.random_poly, SkewPoly.__mul__

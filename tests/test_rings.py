@@ -441,6 +441,17 @@ def test_xy_quotient_ring_relations():
     assert not is_nilpotent(ring, x + y).nilpotent
     zero = is_nilpotent(ring, ring.zero)
     assert (zero.nilpotent, zero.index, zero.exact) == (True, 1, True)
+    assert ring.y_v(8) == (ring.series.zero_v, ring.series.monomial_v(8))
+
+
+@pytest.mark.parametrize("power", [0, 9, -1])
+def test_xy_quotient_variable_powers_outside_1_to_n_are_refused(power):
+    # x^0 would be a pair whose halves have different constant terms
+    ring = construct_ring("xyq:gf:2:1:N=8")
+    for name in ("x", "y"):
+        with pytest.raises(ValueError,
+                           match="variable power must be in 1..8, got %d" % power):
+            getattr(ring, name + "_v")(power)
 
 
 def test_xy_quotient_scope_enumeration_puts_nonunits_first():
@@ -643,7 +654,10 @@ def test_generators_of_another_ring_are_rejected():
     ("prod(zmod:2,zmod:3)", "(1)"), ("tser(zmod:4,N=2)", "1,2"),
     ("tser(zmod:4,N=2)", "[1,2,3,0]"), ("xyq:gf:2:1:N=2", "[1]"),
     ("xyq:gf:2:1:N=2", "([1];[])"), ("xyq:gf:2:1:N=2", "([1];1;[])"),
-    ("xyq:gf:2:1:N=2", "([1];[];[[1],[0],[1]])")])
+    ("xyq:gf:2:1:N=2", "([1];[];[[1],[0],[1]])"),
+    # an empty entry would shift the later ones down one degree
+    ("tser(zmod:4,N=4)", "[1,,2]"), ("tser(zmod:4,N=4)", "[,1]"),
+    ("xyq:gf:2:1:N=2", "([1];[[1],];[])"), ("xyq:gf:2:1:N=2", "([1];[];[,[1]])")])
 def test_a_malformed_element_text_raises_a_value_error(spec, bad):
     with pytest.raises(ValueError):
         construct_ring(spec).from_text(bad)

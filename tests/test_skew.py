@@ -126,6 +126,16 @@ def test_parse_rejects_malformed_text():
             parse_poly_text(bad)
 
 
+@pytest.mark.parametrize("body", ["1,,2", ",1", "1,", " , "])
+def test_parse_refuses_an_empty_coefficient_entry(body):
+    # dropping it would move every later coefficient down one degree
+    for tail in ("", ";N=4"):
+        with pytest.raises(ValueError, match="empty entry"):
+            parse_poly_text("[%s]@zmod:4;endo:id%s" % (body, tail))
+    assert parse_poly_text("[ ]@zmod:4;endo:id").is_zero
+    assert parse_poly_text("[]@zmod:4;endo:id;N=4").is_zero
+
+
 def test_series_rejects_a_negative_precision():
     ring = construct_ring("zmod:4")
     idn = build_endo(ring, "endo:id")
@@ -197,6 +207,14 @@ def test_operands_outside_their_domain_are_rejected():
         _ = s4 * s5
     with pytest.raises(ValueError, match="power must be >= 1"):
         solve_right_divisibility(s4, s4, 0)
+    with pytest.raises(ValueError, match=r"shift\(\) needs k >= 0, got -1"):
+        f.shift(-1)
+    assert f.shift(0) == f
+    for k in (-1, 5):
+        with pytest.raises(ValueError,
+                           match="monomial degree must be in 0..4, got %d" % k):
+            TruncSeries.monomial(r4, idn, k, 1, 4)
+    assert TruncSeries.monomial(r4, idn, 4, 3, 4).coeffs == (0, 0, 0, 0, 3)
 
 
 # ---------------------------------------------------------------------------
