@@ -162,8 +162,12 @@ def _is_irreducible(coeffs, p) -> bool:
 def _power(mul, one, x, n: int):
     """x^n by square-and-multiply; x^0 is one, also for x = 0.  The
     accumulator starts at the power of x for n's lowest set bit, so no
-    product is by one."""
-    if not n:
+    product is by one.  A negative n raises ValueError: the one check of
+    every k_pow and Element power."""
+    if n <= 0:
+        if n:
+            raise ValueError("negative powers need an explicit inverse: "
+                             "exponent %d" % n)
         return one
     while not n & 1:
         x = mul(x, x)
@@ -251,8 +255,6 @@ class Element:
         return Element(self.ring, self.ring.k_mul(self.v, other.v))
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers need an explicit inverse")
         return Element(self.ring, self.ring.k_pow(self.v, n))
 
     def __eq__(self, other):
@@ -523,8 +525,8 @@ class GaloisFieldRing(RingHandle):
         return self._exp[log[x] + log[y]]
 
     def k_pow(self, x, n: int):
-        if n == 0:
-            return 1
+        if n <= 0:
+            return _power(self.k_mul, 1, x, n)
         return self._exp[self._log[x] * n % (self.card - 1)] if x else 0
 
     def is_unit_v(self, v):
@@ -941,6 +943,9 @@ class TruncSeriesRing(TruncatedModel):
         return self.base.has_inverse_v(v[0])
 
     def monomial_v(self, k: int):
+        if not 0 <= k <= self.precision:
+            raise ValueError("monomial degree must be in 0..%d, got %d"
+                             % (self.precision, k))
         out = [self.base.zero_v] * (self.precision + 1)
         out[k] = self.base.one_v
         return tuple(out)

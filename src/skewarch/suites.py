@@ -230,8 +230,8 @@ def _poly_side_suite(ring, endo, config: RunConfig, side: str) -> Verdict:
                        "coefficient conditions undecided at this "
                        "scale").tagged(tag)
     if cond["satisfied"]:
-        probe = poly_zero_divisor_probe(ring, endo, side,
-                                        samples=min(2000, config.budget),
+        samples = min(2000, config.budget)
+        probe = poly_zero_divisor_probe(ring, endo, side, samples=samples,
                                         seed=config.seed)
         if probe is not None:
             return Verdict(
@@ -243,7 +243,8 @@ def _poly_side_suite(ring, endo, config: RunConfig, side: str) -> Verdict:
             "coefficient conditions %s; %s zero-divisor probe found "
             "nothing in %d samples"
             % ("verified exactly" if cond["basis"] == "exact"
-               else "verified at scope", side, min(2000, config.budget)),
+               else "verified at scope", side,
+               scan_domain(ring).sample_count(samples)),
             (tag,))
     unmet = _unmet_parts(cond)
     demo = None

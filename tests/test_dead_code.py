@@ -27,17 +27,25 @@ No method of a ring or twist class calls construct_ring or build_endo:
 a ring or twist reads its parts from the objects it was built from, not
 from the construction caches.  In rings.py only construct_ring calls
 construct_ring, so a subring or quotient is built over the ring it is
-given."""
+given.
+
+Each brute-force oracle of the tests is defined once, in tests/oracles.py:
+no test module defines a function named as an oracle is, or imports an
+oracle from another test module, and every function of tests/oracles.py
+is used by some test, directly or through another oracle."""
 
 import ast
 import io
 import tokenize
 from collections import defaultdict
+from fnmatch import fnmatch
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "skewarch"
 SEARCHED = ("src", "tests", "demos")
+ORACLE_NAMES = ("oracle_*", "_oracle_*", "reference_*", "*_per_product", "*_in_full",
+                "*_per_draw", "_zn_*")
 
 
 def _named(node):
@@ -217,3 +225,47 @@ def test_ring_and_twist_methods_read_their_own_parts():
         if any(isinstance(node, ast.Call) and _call_name(node) == "construct_ring"
                for node in ast.walk(top)))
     assert callers == ["construct_ring"]
+
+
+def _test_modules():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "tests").glob("test_*.py"))}
+
+
+def _oracles():
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _named_as_oracle(name):
+    return any(fnmatch(name, pattern) for pattern in ORACLE_NAMES)
+
+
+def test_no_test_module_defines_an_oracle():
+    assert ["%s:%s" % (name, node.name) for name, tree in _test_modules().items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and _named_as_oracle(node.name)] == []
+
+
+def test_no_test_module_imports_an_oracle_from_another():
+    oracles = _oracles()
+    assert ["%s:%s.%s" % (name, node.module, alias.name)
+            for name, tree in _test_modules().items() for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("test_")
+            for alias in node.names
+            if alias.name in oracles or _named_as_oracle(alias.name)] == []
+
+
+def _names_in(node):
+    return {name for name, _ in _name_tokens(ast.unparse(node))}
+
+
+def test_every_oracle_is_used_by_a_test():
+    oracles = _oracles()
+    used = set().union(*map(_names_in, _test_modules().values())) & set(oracles)
+    frontier = list(used)
+    while frontier:
+        reached = _names_in(oracles[frontier.pop()]) & set(oracles) - used
+        used |= reached
+        frontier += reached
+    assert sorted(set(oracles) - used) == []

@@ -127,6 +127,16 @@ def test_a_falsifier_chain_outside_the_registry_contradicts_nothing():
     assert report_contradicts_predictions(entry, report) is False
 
 
+@pytest.mark.parametrize("suite_id,side", [("thm-3-3", "right"), ("thm-3-4", "left")])
+def test_a_theorem_certificate_counts_the_pairs_its_probe_drew(suite_id, side):
+    """A truncated model draws a twentieth of the 2,000 samples."""
+    entry = _entry("tser(gf:2:1,N=4)", "endo:id", "drawn")
+    report = run_one(entry, suite_id, RunConfig(seed=42))
+    assert report["certificate"] == (
+        "coefficient conditions verified at scope; %s zero-divisor probe found "
+        "nothing in 100 samples" % side)
+
+
 def test_fixed_pairs_give_the_same_bytes_in_a_process_pool(fixed_pairs):
     """A spawned pool rebuilds each pair's ring and twist from its entry
     alone."""

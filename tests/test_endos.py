@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from oracles import oracle_endomorphism
 from test_structural_rules import CARDS
 
 from skewarch import endos, props, rings
@@ -282,16 +283,6 @@ def test_table_endo_rejects_a_non_additive_table_past_256_elements(tmp_path):
                                  "image_of_sum": "778", "sum_of_images": "777"}
 
 
-def _is_endomorphism(ring, image):
-    """The all-pairs oracle: image fixes 1 and respects + and * on every
-    pair of values."""
-    vals = ring.values()
-    return image[ring.one_v] == ring.one_v and all(
-        image[ring.k_add(a, b)] == ring.k_add(image[a], image[b])
-        and image[ring.k_mul(a, b)] == ring.k_mul(image[a], image[b])
-        for a in vals for b in vals)
-
-
 def _table_builds(ring, image):
     text = "\n".join("%s -> %s" % (ring.text_of_v(v), ring.text_of_v(image[v]))
                      for v in ring.values())
@@ -312,7 +303,7 @@ def test_the_law_check_accepts_every_map_the_all_pairs_oracle_accepts(spec, endo
     for images in itertools.product(vals, repeat=len(vals)):
         image = dict(zip(vals, images))
         builds = _table_builds(ring, image)
-        assert builds == _is_endomorphism(ring, image), image
+        assert builds == oracle_endomorphism(ring, image), image
         accepted += builds
     assert accepted == endomorphisms
 
@@ -334,7 +325,7 @@ def test_the_law_check_matches_the_oracle_on_moved_points_of_the_identity(spec):
         image = dict(zip(vals, vals))
         for _ in range(rng.randint(1, 3)):
             image[rng.choice(vals)] = rng.choice(vals)
-        assert _table_builds(ring, image) == _is_endomorphism(ring, image), image
+        assert _table_builds(ring, image) == oracle_endomorphism(ring, image), image
 
 
 def test_table_endo_names_a_path_it_cannot_read(tmp_path):

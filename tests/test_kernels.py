@@ -1,15 +1,17 @@
 """Differential tests of the ring and skew product and inverse kernels.
 
-The references are written from the definitions, not from the library's
-kernels: schoolbook convolutions that multiply every pair of
-coefficients (zeros included), twists applied one step at a time with
-`apply_v`, the two-variable product expanded monomial by monomial with
-x*y = 0, and GF(p^k) arithmetic as polynomials reduced modulo the
-field's irreducible."""
+The references, in tests/oracles.py, are written from the definitions,
+not from the library's kernels: schoolbook convolutions that multiply
+every pair of coefficients (zeros included), twists applied one step at
+a time with `apply_v`, the two-variable product expanded monomial by
+monomial with x*y = 0, and GF(p^k) arithmetic as polynomials reduced
+modulo the field's irreducible."""
 
 import random
 
 import pytest
+
+from oracles import poly_mulmod, reference_mul, schoolbook
 
 from skewarch.endos import build_endo
 from skewarch.rings import (GaloisFieldRing, RingConstructionError, _digits,
@@ -17,56 +19,6 @@ from skewarch.rings import (GaloisFieldRing, RingConstructionError, _digits,
 from skewarch.skew import SkewPoly, TruncSeries, series_inverse
 
 ROUNDS = 40
-
-
-def schoolbook(add, mul, zero, xs, ys, limit, twist=None):
-    """Coefficients 0..limit of sum x_i * twist^i(y_j) u^(i+j), every
-    pair multiplied; twist is one application of the map."""
-    powers = [list(ys)]
-    for _ in range(len(xs)):
-        powers.append([twist(y) if twist else y for y in powers[-1]])
-    out = [zero] * (limit + 1)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(powers[i]):
-            if i + j <= limit:
-                out[i + j] = add(out[i + j], mul(x, y))
-    return out
-
-
-def xyq_terms(ring, v):
-    """The value, a pair (x-series, y-series) sharing the constant term,
-    as {(x-degree, y-degree): coefficient}."""
-    terms = {(0, 0): v[0][0]}
-    for i, c in enumerate(v[0][1:]):
-        terms[(i + 1, 0)] = c
-    for j, c in enumerate(v[1][1:]):
-        terms[(0, j + 1)] = c
-    return terms
-
-
-def xyq_mul(ring, v, w):
-    """The product expanded monomial by monomial, dropping every mixed
-    monomial (x*y = 0) and every degree past the precision."""
-    F, N = ring.field, ring.precision
-    acc = {}
-    for (a, b), c in xyq_terms(ring, v).items():
-        for (d, e), k in xyq_terms(ring, w).items():
-            dx, dy = a + d, b + e
-            if (dx and dy) or dx > N or dy > N:
-                continue
-            acc[(dx, dy)] = F.k_add(acc.get((dx, dy), F.zero_v), F.k_mul(c, k))
-    return (tuple(acc.get((i, 0), F.zero_v) for i in range(N + 1)),
-            tuple(acc.get((0, j), F.zero_v) for j in range(N + 1)))
-
-
-def reference_mul(ring):
-    if ring.kind == "xyq":
-        return lambda v, w: xyq_mul(ring, v, w)
-    if ring.kind == "tser":
-        b = ring.base
-        return lambda v, w: tuple(schoolbook(b.k_add, b.k_mul, b.zero_v,
-                                             v, w, ring.precision))
-    return ring.k_mul
 
 
 def random_value(ring, rnd):
@@ -254,21 +206,6 @@ FIELDS = (["gf:2:%d" % k for k in range(2, 9)] + ["gf:3:2", "gf:3:3", "gf:3:4",
           "gf:5:2", "gf:7:2"]
           # x^4 + x^3 + 1 in place of the default x^4 + x + 1
           + ["gf:2:4:1,0,0,1,1"])
-
-
-def poly_mulmod(x, y, p, irr):
-    """x*y as polynomials over Z/p, every coefficient pair multiplied,
-    then x^d rewritten through the monic irreducible from the top down."""
-    k = len(irr) - 1
-    prod = [0] * (2 * k - 1)
-    for i in range(k):
-        for j in range(k):
-            prod[i + j] += x[i] * y[j]
-    for d in range(2 * k - 2, k - 1, -1):
-        c = prod[d] % p
-        for j in range(k + 1):
-            prod[d - k + j] -= c * irr[j]
-    return tuple(c % p for c in prod[:k])
 
 
 def coordinates(ring):

@@ -31,7 +31,7 @@ from skewarch.rings import (GaloisFieldRing, SubsetHandle, TruncSeriesRing,
                             XYQuotientRing, ZmodRing, construct_ring, scan_domain)
 from skewarch.suites import report_contradicts_predictions, run_one
 
-from test_shared_work import arithmetic_per_product, two_variable_scans_per_product
+from oracles import arithmetic_per_product, fresh_xyq, two_variable_scans_per_product
 
 
 def run_report(ring, endo, suite_id):
@@ -51,10 +51,6 @@ def run_planted(ring, endo, suite_id):
     report, contradicts = run_report(ring, endo, suite_id)
     assert report["status"] == FAILS and contradicts
     return report
-
-
-def fresh_xyq():
-    return XYQuotientRing(construct_ring("gf:2:1"), 8)
 
 
 def test_a_wrong_product_fails_a_ring_law():

@@ -2,31 +2,20 @@
 
 Every sampled probe, and so every report, reads its operands from
 SplitMix64 streams.  These tests pin the generator's outputs against the
-published sequence and a scalar reference kept here, and pin the texts
-of the polynomials and series the samplers draw, so a faster generator
-or draw path must give the same outputs in the same order."""
+published sequence and the scalar reference in tests/oracles.py, and pin
+the texts of the polynomials and series the samplers draw, so a faster
+generator or draw path must give the same outputs in the same order."""
 
 import hashlib
 
 import pytest
 
+from oracles import MASK64, reference_outputs
+
 from skewarch.endos import build_endo
 from skewarch.prng import SplitMix64, derive_rng
 from skewarch.props import _draw_terms, random_poly, random_series
 from skewarch.rings import construct_ring, scan_domain
-
-MASK64 = (1 << 64) - 1
-
-
-def reference_outputs(seed):
-    """SplitMix64 one output at a time, as Steele, Lea and Flood state it."""
-    state = seed & MASK64
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        yield z ^ (z >> 31)
 
 
 @pytest.mark.parametrize("seed, outputs", [

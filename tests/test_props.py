@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from oracles import geometric_check_per_draw, oracle_idempotents, square_scan_in_full
+
 from skewarch import props
 from skewarch.endos import build_endo
 from skewarch.props import (
@@ -36,7 +38,7 @@ from skewarch.endos import EndoVerdict, IdentityEndo, is_rigid
 from skewarch.prng import derive_rng
 from skewarch.registry import ENTRIES
 from skewarch.rings import (NonEnumerableError, SubsetHandle, XYQuotientRing,
-                            ZmodRing, construct_ring, scan_domain)
+                            ZmodRing, construct_ring)
 from skewarch import skew
 from skewarch.skew import (SkewPoly, TruncSeries, _inverse_of_one_plus,
                            nilpotency_probe, parse_poly_text)
@@ -72,48 +74,8 @@ def _assert_no_floats(obj):
 
 
 # ---------------------------------------------------------------------------
-# oracle: stabilized principal power chains recomputed from raw ring ops
-
-
-def _oracle_stabilized(ring, a, side="right"):
-    # a^{n+1}R <= a^n R, so the chain is stationary from the first repeat
-    prev = None
-    power = a
-    while True:
-        if side == "right":
-            cur = {ring.k_mul(power, r) for r in ring.values()}
-        else:
-            cur = {ring.k_mul(r, power) for r in ring.values()}
-        if cur == prev:
-            return cur
-        prev = cur
-        power = ring.k_mul(power, a)
-
-
-def _oracle_first_archimedean_failure(ring, side="right"):
-    for a in ring.values():
-        if ring.is_unit_v(a) is not None:
-            continue
-        stab = _oracle_stabilized(ring, a, side)
-        if stab != {ring.zero_v}:
-            return a, stab
-    return None, None
-
-
-def test_archimedean_matches_chain_oracle():
-    for spec in FINITE_SPECS:
-        ring = construct_ring(spec)
-        for side in ("right", "left"):
-            v = is_archimedean(ring, side=side)
-            a, stab = _oracle_first_archimedean_failure(ring, side)
-            if a is None:
-                assert v.status == HOLDS
-                assert v.witness is None
-            else:
-                assert v.status == FAILS
-                assert v.witness["a"] == ring.text_of_v(a)
-                assert set(v.witness["stabilized"]) == {
-                    ring.text_of_v(s) for s in stab}
+# the Archimedean chain scan (tests/test_fast_paths.py checks it against
+# its oracle)
 
 
 def test_archimedean_frozen_witnesses():
@@ -192,11 +154,7 @@ def test_derived_archimedean_two_variable_structure():
 
 
 # ---------------------------------------------------------------------------
-# consequence clauses; oracle scans for idempotents and sandwich products
-
-
-def _oracle_idempotents(ring):
-    return {v for v in ring.values() if ring.k_mul(v, v) == v}
+# consequence clauses; sandwich products
 
 
 def test_consequence_suite_clause_keys_and_statuses():
@@ -228,7 +186,7 @@ def test_consequence_suite_contrapositive_on_non_archimedean_ring():
     # the nontrivial idempotent is genuine: e^2 = e with e not in {0, 1}
     z6 = construct_ring("zmod:6")
     e = z6.v_of_text(agg.witness["contrapositive"][2]["witness"]["e"])
-    assert e in _oracle_idempotents(z6) - {z6.zero_v, z6.one_v}
+    assert e in oracle_idempotents(z6) - {z6.zero_v, z6.one_v}
 
 
 def test_sandwich_clause_sides():
@@ -403,50 +361,13 @@ def test_geometric_termination_walks_one_power_chain_per_sample(monkeypatch):
     assert products == [precision + 1] and fu._tops == [2, 4, 0]
 
 
-def _geometric_check_per_draw(ring, endo, samples, seed, precision=16):
-    """geometric_termination_check with every draw checked afresh, on an
-    f*u of its own: the oracle of its one check per distinct sample."""
-    rng = derive_rng(seed, "geometric/%s/%s" % (ring.spec_text, endo.stream_text))
-    samples = scan_domain(ring).sample_count(samples)
-    terminated = 0
-    for _ in range(samples):
-        f = random_poly(ring, endo, rng, max_terms=3)
-        if f.is_zero:
-            continue
-        fu = f.shift(1)
-        res = _inverse_of_one_plus(fu, precision)
-        probe = nilpotency_probe(fu, bound=precision + 1)
-        if res.terminated:
-            terminated += 1
-            if not (probe.zero_power_found and probe.index == res.index):
-                return props.Verdict(
-                    FAILS,
-                    {"f": f.to_text(), "termination_index": res.index,
-                     "probe_index": probe.index},
-                    "expansion terminated at %d but the power probe says %s"
-                    % (res.index, probe.index))
-        elif probe.zero_power_found and probe.genuine:
-            if not any(fu.power(k).order() > precision
-                       for k in range(1, probe.index)):
-                return props.Verdict(
-                    FAILS,
-                    {"f": f.to_text(), "probe_index": probe.index},
-                    "f*u has exact zero power %d inside the window yet the "
-                    "expansion did not terminate" % probe.index)
-    return props.Verdict(
-        HOLDS, None,
-        "two-sided inverse identity and termination/nilpotency agreement "
-        "verified on %d sampled polynomials (%d with polynomial inverse)"
-        % (samples, terminated))
-
-
 @pytest.mark.parametrize("entry", ENTRIES, ids=[e.id for e in ENTRIES])
 def test_geometric_termination_checks_each_distinct_sample_once(monkeypatch, entry):
     """Seeds 0-3: the same verdict as checking every draw, and a draw
     seen before in the call makes no SkewPoly product and no window
     product."""
     ring, endo = entry.build()
-    expected = [_geometric_check_per_draw(ring, endo, 200, seed) for seed in range(4)]
+    expected = [geometric_check_per_draw(ring, endo, 200, seed) for seed in range(4)]
     draws, counts = [], []      # per draw: its coefficients, its products
     draw, multiply, window = props.random_poly, SkewPoly.__mul__, skew.window_mul
 
@@ -477,58 +398,22 @@ def test_geometric_termination_checks_each_distinct_sample_once(monkeypatch, ent
             assert repeats
 
 
-# the two probes with every sampled product built in full: the oracles of
-# their top and lowest coefficient shortcuts
-
-
-def _zero_divisor_probe_in_full(ring, endo, side, samples, seed):
-    rng = derive_rng(seed, "polyzd/%s/%s/%s" % (ring.spec_text, endo.stream_text, side))
-    for _ in range(scan_domain(ring).sample_count(samples)):
-        f = random_poly(ring, endo, rng, max_terms=3)
-        b = random_poly(ring, endo, rng, max_terms=3)
-        if f.is_zero or b.is_zero:
-            continue
-        if (b * f if side == "right" else f * b).is_zero:
-            return {"f": f.to_text(), "b": b.to_text()}
-    return None
-
-
-def _square_scan_in_full(ring, endo, precision, seed):
-    """The sampled branch of series_reduced_check under a rigid twist:
-    its status, witness and count of truncation artifacts."""
-    rng = derive_rng(seed, "series-square/%s/%s" % (ring.spec_text, endo.stream_text))
-    artifacts = 0
-    for _ in range(scan_domain(ring).sample_count(2000)):
-        s = random_series(ring, endo, rng, precision, max_support=precision // 2)
-        if s.is_zero:
-            continue
-        if (s * s).is_zero:
-            probe = nilpotency_probe(s, bound=2)
-            if (probe.zero_power_found and probe.genuine
-                    and props._square_in_base_window(s)):
-                return FAILS, {"s": s.to_text()}, artifacts
-            artifacts += 1
-    return HOLDS, None, artifacts
-
-
 @pytest.mark.parametrize("entry", ENTRIES, ids=[e.id for e in ENTRIES])
-def test_probe_shortcuts_match_the_full_products(entry):
-    """Seeds 0-3: the same zero-divisor pair on both sides, and under a
-    rigid twist (the only case that samples squares) the same verdict,
-    witness and artifact count."""
+def test_square_scan_matches_its_full_products(entry):
+    """Seeds 0-3, under a rigid twist (the only case that samples
+    squares): the same verdict, witness and artifact count as the scan
+    with every square built in full.  The zero-divisor probe's shortcuts
+    are a row of tests/test_fast_paths.py."""
     ring, endo = entry.build()
-    rigid = is_rigid(endo).holds
+    if not is_rigid(endo).holds:
+        return
     for seed in range(4):
-        for side in ("right", "left"):
-            assert props.poly_zero_divisor_probe(ring, endo, side, 2000, seed) == \
-                _zero_divisor_probe_in_full(ring, endo, side, 2000, seed)
-        if rigid:
-            v = series_reduced_check(ring, endo, 16, seed)
-            status, witness, artifacts = _square_scan_in_full(ring, endo, 16, seed)
-            assert (v.status, v.witness) == (status, witness)
-            if status == HOLDS:
-                assert ("%d truncation artifacts" % artifacts in v.certificate
-                        if artifacts else "artifact" not in v.certificate)
+        v = series_reduced_check(ring, endo, 16, seed)
+        status, witness, artifacts = square_scan_in_full(ring, endo, 16, seed)
+        assert (v.status, v.witness) == (status, witness)
+        if status == HOLDS:
+            assert ("%d truncation artifacts" % artifacts in v.certificate
+                    if artifacts else "artifact" not in v.certificate)
 
 
 def test_poly_radical_check_frozen():

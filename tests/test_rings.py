@@ -1,6 +1,7 @@
-import math
-
 import pytest
+
+from oracles import (GF4_MUL, oracle_scope_domain_witness, zn_chain, zn_idempotents,
+                     zn_jacobson, zn_nilpotent, zn_units, zn_zero_divisors)
 
 from skewarch import rings
 from skewarch.endos import SquareVariableEndo, TableEndo
@@ -31,68 +32,19 @@ from skewarch.rings import (
 
 
 # ---------------------------------------------------------------------------
-# plain-integer oracles for Z/n, independent of the library
-
-
-def _zn_units(n):
-    return sorted(a for a in range(n) if math.gcd(a, n) == 1)
-
-
-def _zn_zero_divisors(n):
-    out = set()
-    for a in range(n):
-        for b in range(n):
-            if b != 0 and (a * b) % n == 0:
-                out.add(a)
-    out.add(0)
-    return sorted(out)
-
-
-def _zn_idempotents(n):
-    return sorted(a for a in range(n) if (a * a) % n == a)
-
-
-def _zn_nilpotent(n, a):
-    p = a % n
-    seen = set()
-    while p not in seen:
-        if p == 0:
-            return True
-        seen.add(p)
-        p = (p * a) % n
-    return False
-
-
-def _zn_jacobson(n):
-    # quasi-regularity: r is radical iff 1 - a*r is a unit for every a
-    us = set(_zn_units(n))
-    return sorted(r for r in range(n)
-                  if all((1 - a * r) % n in us for a in range(n)))
-
-
-def _zn_chain(n, a):
-    chain = []
-    seen = set()
-    power = a % n
-    while True:
-        ideal = tuple(sorted({(r * power) % n for r in range(n)}))
-        if ideal in seen:
-            return chain
-        seen.add(ideal)
-        chain.append(list(ideal))
-        power = (power * a) % n
+# Z/n against plain-integer oracles, independent of the library
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 12])
 def test_zmod_predicates_match_integer_oracle(n):
     ring = construct_ring("zmod:%d" % n)
-    assert [int(t) for t in units(ring).texts()] == _zn_units(n)
-    assert [int(t) for t in zero_divisors(ring).texts()] == _zn_zero_divisors(n)
-    assert [int(t) for t in idempotents(ring).texts()] == _zn_idempotents(n)
-    assert [int(t) for t in jacobson_radical(ring).texts()] == _zn_jacobson(n)
+    assert [int(t) for t in units(ring).texts()] == zn_units(n)
+    assert [int(t) for t in zero_divisors(ring).texts()] == zn_zero_divisors(n)
+    assert [int(t) for t in idempotents(ring).texts()] == zn_idempotents(n)
+    assert [int(t) for t in jacobson_radical(ring).texts()] == zn_jacobson(n)
     for a in range(n):
         got = is_nilpotent(ring, ring.element(a))
-        assert got.nilpotent == _zn_nilpotent(n, a)
+        assert got.nilpotent == zn_nilpotent(n, a)
         assert got.exact
 
 
@@ -101,7 +53,7 @@ def test_zmod_power_chains_match_integer_oracle(n):
     ring = construct_ring("zmod:%d" % n)
     for a in range(n):
         chain, stab = principal_power_chain(ring, ring.element(a))
-        oracle = _zn_chain(n, a)
+        oracle = zn_chain(n, a)
         assert [[int(t) for t in c.texts()] for c in chain] == oracle
         assert [int(t) for t in stab.texts()] == oracle[-1]
 
@@ -159,15 +111,6 @@ def test_unit_inverses_round_trip():
 # Galois fields against hand tables
 
 
-# GF(4) as 2-bit integers c0 | c1<<1 with modulus t^2 + t + 1
-_GF4_MUL = [
-    [0, 0, 0, 0],
-    [0, 1, 2, 3],
-    [0, 2, 3, 1],
-    [0, 3, 1, 2],
-]
-
-
 def _gf4_lib_value(bits, ring):
     return ring.from_text("[%d,%d]" % (bits & 1, bits >> 1))
 
@@ -178,7 +121,7 @@ def test_gf4_matches_hand_multiplication_table():
     for a in range(4):
         for b in range(4):
             x, y = _gf4_lib_value(a, ring), _gf4_lib_value(b, ring)
-            assert (x * y).text == _gf4_lib_value(_GF4_MUL[a][b], ring).text
+            assert (x * y).text == _gf4_lib_value(GF4_MUL[a][b], ring).text
             assert (x + y).text == _gf4_lib_value(a ^ b, ring).text
     assert units(ring).texts() == ["[1,0]", "[0,1]", "[1,1]"]
     assert is_domain(ring).domain
@@ -387,26 +330,12 @@ def test_trunc_series_unit_iff_constant_unit():
     assert ring.is_unit_v(ring.from_text("[2,1]").v) is None
 
 
-def _pair_scan(ring):
-    """is_domain by the plain pair scan: the first pair of nonzero scope
-    values, in scope order, whose lifts multiply to zero in the widened
-    copy, or None."""
-    dom = scan_domain(ring)
-    zero = dom.ring.zero_v
-    nonzero = [(a, la) for a, la in zip(dom.values, dom.lifted) if la != zero]
-    for a, la in nonzero:
-        for b, lb in nonzero:
-            if dom.ring.k_mul(la, lb) == zero:
-                return a, b
-    return None
-
-
 @pytest.mark.parametrize("spec", ["tser(gf:3:1,N=4)", "tser(gf:2:2,N=4)",
                                   "tser(zmod:4,N=4)", "tser(prod(zmod:2,zmod:2),N=3)"])
 def test_series_domain_answer_matches_the_pair_scan(spec, monkeypatch):
     """Over a domain base the answer needs no product; otherwise the scan
     finds the same first witness."""
-    witness = _pair_scan(construct_ring(spec))
+    witness = oracle_scope_domain_witness(construct_ring(spec))
     cached = construct_ring(spec)
     ring = TruncSeriesRing(cached.base, cached.precision)   # nothing memoized
     calls = []
@@ -621,8 +550,16 @@ def test_elements_take_only_elements_and_no_negative_power():
     two = construct_ring("zmod:6").element(2)
     with pytest.raises(TypeError, match="cannot combine 1 with ring element"):
         _ = two + 1
-    with pytest.raises(ValueError, match="negative powers"):
+    with pytest.raises(ValueError, match="negative powers need an explicit inverse: exponent -1"):
         _ = two ** -1
+    # one ring of each kind: every k_pow refuses a negative exponent
+    for spec in ("zmod:8", "gf:2:2", "prod(zmod:2,zmod:3)", "tser(zmod:4,N=4)",
+                 "xyq:gf:2:1:N=4", "quot(zmod:12;4)", "sub(prod(zmod:2,zmod:2);(1,0))"):
+        ring = construct_ring(spec)
+        for v in (ring.zero_v, ring.one_v):
+            with pytest.raises(ValueError, match="inverse: exponent -3"):
+                ring.k_pow(v, -3)
+            assert ring.k_pow(v, 0) == ring.one_v
 
 
 def test_equal_elements_and_subsets_of_equal_rings_hash_alike():

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from oracles import oracle_skew_mul
+
 from skewarch.endos import build_endo
 from skewarch.rings import construct_ring
 from skewarch.skew import (
@@ -16,26 +18,7 @@ from skewarch.skew import (
 
 
 # ---------------------------------------------------------------------------
-# oracle: GF(4) as 2-bit ints, twisted product computed with hand tables
-
-
-_GF4_MUL = [
-    [0, 0, 0, 0],
-    [0, 1, 2, 3],
-    [0, 2, 3, 1],
-    [0, 3, 1, 2],
-]
-_GF4_FROB = [0, 1, 3, 2]     # squaring swaps the two non-identity units
-
-
-def _oracle_skew_mul(fs, gs):
-    # coefficient m of the product: sum f_i * frob^i(g_j) over i+j=m
-    out = [0] * (len(fs) + len(gs) - 1)
-    for i, fi in enumerate(fs):
-        for j, gj in enumerate(gs):
-            tw = gj if i % 2 == 0 else _GF4_FROB[gj]
-            out[i + j] ^= _GF4_MUL[fi][tw]
-    return out
+# the twisted product over GF(4) against the hand-table oracle
 
 
 def _lib_poly(bits_list, ring, endo):
@@ -50,7 +33,7 @@ def test_twisted_product_matches_hand_table_oracle():
     for fs in polys:
         for gs in polys:
             got = _lib_poly(list(fs), ring, fr) * _lib_poly(list(gs), ring, fr)
-            want = _lib_poly(_oracle_skew_mul(list(fs), list(gs)), ring, fr)
+            want = _lib_poly(oracle_skew_mul(list(fs), list(gs)), ring, fr)
             assert got == want
 
 
@@ -210,11 +193,15 @@ def test_operands_outside_their_domain_are_rejected():
     with pytest.raises(ValueError, match=r"shift\(\) needs k >= 0, got -1"):
         f.shift(-1)
     assert f.shift(0) == f
+    t4 = construct_ring("tser(zmod:4,N=4)")
     for k in (-1, 5):
         with pytest.raises(ValueError,
                            match="monomial degree must be in 0..4, got %d" % k):
             TruncSeries.monomial(r4, idn, k, 1, 4)
+        with pytest.raises(ValueError, match="monomial degree must be in 0..4, got %d" % k):
+            t4.monomial_v(k)
     assert TruncSeries.monomial(r4, idn, 4, 3, 4).coeffs == (0, 0, 0, 0, 3)
+    assert t4.monomial_v(4) == (0, 0, 0, 0, 1) and t4.monomial_v(0) == t4.one_v
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ support on the two-variable model), the shape the suites sample:
 
 - SkewPoly.power(k) equals the k-fold product taken left to right, and
   so does a series power s ** n, taken by square-and-multiply;
-- geometric_inverse equals a dense reference, the alternating sum of the
-  truncated exact powers of f*u, in series, termination, index and note;
+- geometric_inverse equals a dense reference in tests/oracles.py, the
+  alternating sum of the truncated exact powers of f*u, in series,
+  termination, index and note;
 - series_inverse is a two-sided inverse;
 - the twisted products of SkewPoly and TruncSeries are associative.
 
@@ -36,6 +37,7 @@ from skewarch.rings import construct_ring
 from skewarch.skew import (SkewPoly, TruncSeries, geometric_inverse,
                            lowest_certificate, nilpotency_probe, power_windows,
                            series_inverse, top_certificate)
+from oracles import dense_geometric_inverse
 from test_ring_laws import TWIST_OF_KIND, tser_rings, twisted_rings, value_strategy
 from test_structural_rules import finite_rings
 
@@ -63,24 +65,6 @@ def twisted_coeffs(draw, count, pairs=registry_pairs):
             coeffs[d] = v
         lists.append(coeffs)
     return ring, endo, lists
-
-
-def dense_geometric_inverse(f, precision):
-    """The inverse of 1 + f*u as (series, terminated, index): every power
-    of f*u from one by repeated products, each truncated to a full
-    window and subtracted or added whole."""
-    ring, endo = f.ring, f.endo
-    one = SkewPoly.constant(ring, endo, ring.one_v)
-    fu = f.shift(1)
-    acc, power = one.truncate(precision), one
-    for k in itertools.count(1):
-        power = power * fu
-        if power.is_zero:
-            return acc, True, k
-        term = power.truncate(precision)
-        acc = acc - term if k % 2 else acc + term
-        if power.order() > precision:
-            return acc, False, None
 
 
 @given(twisted_coeffs(1), st.integers(1, 6))

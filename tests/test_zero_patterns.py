@@ -1,6 +1,7 @@
 """Zero patterns, and the zero tests of the twist predicates and of the
 twisted power product scan, checked against the multiplying loops they
-must agree with: same verdicts, same witnesses, same certificate text.
+must agree with (in tests/oracles.py): same verdicts, same witnesses,
+same certificate text.
 Kernel-call bounds show the fast paths are taken; the last tests cover
 the boolean unit test, the cost guards of the pair scans and of the
 principal-quotient search, and the falsifier's product count."""
@@ -11,19 +12,18 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import oracle_compatible, oracle_power_product_equivalence, oracle_rigid
 from test_structural_rules import CARDS, base_specs, counting
 
 from skewarch.endos import (PAIR_SCAN_BUDGET, IdentityEndo, SquareVariableEndo,
-                            build_endo, is_compatible, is_injective, is_rigid,
-                            preserves_nonunits)
-from skewarch.props import (FAILS, HOLDS, HYPOTHESIS_NOT_MET, INCONCLUSIVE,
-                            POWER_PRODUCT_BUDGET, Verdict, archimedean_falsifier,
-                            dedekind_finite_clause, first_incomparable_principal_pair,
+                            build_endo, is_compatible, is_rigid, preserves_nonunits)
+from skewarch.props import (INCONCLUSIVE, archimedean_falsifier, dedekind_finite_clause,
+                            first_incomparable_principal_pair,
                             twisted_power_product_equivalence, von_neumann_regular)
 from skewarch.registry import ENTRIES
 from skewarch.rings import (GaloisFieldRing, NonEnumerableError, ProductRing,
                             XYQuotientRing, ZmodRing, construct_ring, default_irreducible,
-                            is_domain, scan_domain, units, zero_keys)
+                            scan_domain, units, zero_keys)
 
 # ---------------------------------------------------------------------------
 # the zero pattern of the widened F[[x,y]]/(xy), on the products the scans
@@ -55,110 +55,6 @@ def test_xyq_zero_pattern_decides_the_scanned_products(spec):
     lifted = dom.lifted
     images = [xsq.apply_v(b) for b in lifted]
     check_xyq_products(dom.ring, itertools.product(lifted, lifted + images))
-
-# ---------------------------------------------------------------------------
-# multiplying oracles
-
-
-def oracle_rigid(endo):
-    ring = endo.ring
-    for a in ring.values():
-        if a != ring.zero_v and ring.k_mul(a, endo.apply_v(a)) == ring.zero_v:
-            return False, {"a": ring.text_of_v(a)}
-    return True, None
-
-
-def oracle_compatible(endo):
-    ring, z = endo.ring, endo.ring.zero_v
-    for a in ring.values():
-        for b in ring.values():
-            plain = ring.k_mul(a, b) == z
-            if plain != (ring.k_mul(a, endo.apply_v(b)) == z):
-                direction = ("a*b = 0 but a*alpha(b) != 0" if plain
-                             else "a*alpha(b) = 0 but a*b != 0")
-                return False, {"a": ring.text_of_v(a), "b": ring.text_of_v(b),
-                               "direction": direction}
-    return True, None
-
-
-def oracle_power_product_equivalence(ring, endo):
-    """The ordered scan over every base tuple, exponent tuple and twist
-    tuple, multiplying each twisted product out (finite rings)."""
-    rig = is_rigid(endo)
-    vals = [v for v in ring.values() if v != ring.zero_v]
-    n_max, k_max, t_max = 3, 3, 3
-    while (len(vals) * k_max * (t_max + 1)) ** n_max > POWER_PRODUCT_BUDGET:
-        if t_max > 1:
-            t_max -= 1
-        elif k_max > 1:
-            k_max -= 1
-        elif n_max > 1:
-            n_max -= 1
-        else:
-            break
-    bounds = "lengths <= %d, exponents <= %d, twist depths <= %d" % (
-        n_max, k_max, t_max)
-    if is_domain(ring).domain and is_injective(endo).holds:
-        return Verdict(
-            HOLDS, None,
-            "domain with injective twist: every factor of a nonzero-base "
-            "product is nonzero, so both sides vanish only on zero bases "
-            "(exact shortcut)", ())
-    tbl = {a: [[endo.power_apply_v(t, ring.k_pow(a, k))
-                for t in range(t_max + 1)] for k in range(1, k_max + 1)]
-           for a in vals}
-    zero = ring.zero_v
-    violation = None
-    checked = 0
-    for n in range(1, n_max + 1):
-        for tup in itertools.product(vals, repeat=n):
-            flags = set()
-            for perm in itertools.permutations(tup):
-                acc = perm[0]
-                for x in perm[1:]:
-                    acc = ring.k_mul(acc, x)
-                flags.add(acc == zero)
-            if len(flags) > 1:
-                violation = {"bases": [ring.text_of_v(a) for a in tup],
-                             "kind": "arrangement asymmetry"}
-                break
-            rhs_zero = flags.pop()
-            for ks in itertools.product(range(1, k_max + 1), repeat=n):
-                for ts in itertools.product(range(t_max + 1), repeat=n):
-                    acc = tbl[tup[0]][ks[0] - 1][ts[0]]
-                    for i in range(1, n):
-                        acc = ring.k_mul(acc, tbl[tup[i]][ks[i] - 1][ts[i]])
-                    checked += 1
-                    if (acc == zero) != rhs_zero:
-                        violation = {
-                            "bases": [ring.text_of_v(a) for a in tup],
-                            "exponents": list(ks), "twists": list(ts),
-                            "twisted_product": "zero" if acc == zero
-                            else "nonzero",
-                            "plain_product": "zero" if rhs_zero else "nonzero"}
-                        break
-                if violation:
-                    break
-            if violation:
-                break
-        if violation:
-            break
-    if rig.holds:
-        if violation:
-            return Verdict(FAILS, violation,
-                           "rigid twist yet the equivalence broke (%s)" % bounds)
-        return Verdict(HOLDS, None,
-                       "equivalence verified exhaustively over nonzero bases "
-                       "(%s; %d twisted products)" % (bounds, checked))
-    if violation:
-        return Verdict(HYPOTHESIS_NOT_MET, {"demonstration": violation,
-                                            "rigid_witness": rig.witness},
-                       "twist is not rigid (%s); the scan exhibits how the "
-                       "equivalence then breaks (%s)" % (rig.note, bounds))
-    return Verdict(HYPOTHESIS_NOT_MET, {"rigid_witness": rig.witness},
-                   "twist is not rigid (%s); no break found within %s"
-                   % (rig.note, bounds))
-
 
 # ---------------------------------------------------------------------------
 # twisted pairs: the identity on small rings and products, the Frobenius on
