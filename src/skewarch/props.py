@@ -666,9 +666,12 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
     f is checked once and a repeat counts its first draw's termination.
 
     Only a terminated expansion is probed, and its powers are kept on
-    f*u.  One that stops at a zero window of (f*u)^k0 without a zero
-    power can have exact zero powers only above k0, where (f*u)^k0
-    already has order > precision, so there is nothing to check."""
+    f*u.  The expansion stops at k0, the first power of f*u whose window
+    is zero, read from the chain of lowest coefficients of f*u or, when
+    that chain dies first, from the windows themselves.  One that stops
+    without a zero power can have exact zero powers only above k0, where
+    (f*u)^k0 already has order > precision, so there is nothing to
+    check."""
     rng = derive_rng(seed, "geometric/%s/%s" % (ring.spec_text, endo.stream_text))
     samples = scan_domain(ring).sample_count(samples)
     terminated = 0
@@ -719,8 +722,12 @@ def poly_zero_divisor_probe(ring, endo: Endo, side: str = "right",
         if not (f and b):
             continue
         left, right = (b, f) if side == "right" else (f, b)
+        # the top coefficient of the product.  min in place of max would
+        # read its lowest one, x_low*alpha^o(y_low), which also shows the
+        # product nonzero: either way a draw is skipped only when its
+        # product is nonzero, so the returned pair is the same
         if top_certificate(endo, max(left.items()), max(right.items())) != zero:
-            continue        # the top coefficient of the product is nonzero
+            continue
         f, b = (SkewPoly(ring, endo, _dense(t, zero, _POLY_DEGREE + 1))
                 for t in (f, b))
         if (b * f if side == "right" else f * b).is_zero:

@@ -836,12 +836,15 @@ def window_inverse(ring, g, twist=None) -> Optional[list]:
     unit.  This right inverse is also a left one: the terms of positive
     degree span a two-sided ideal, nilpotent in the window, and units
     lift modulo a nilpotent ideal, so g is a unit, and a one-sided
-    inverse of a unit is its two-sided inverse."""
-    g0inv = ring.is_unit_v(g[0])
+    inverse of a unit is its two-sided inverse.  A constant term of one
+    is its own inverse and makes no product: each h_m is then minus the
+    sum of the g_i * twist(i, h_(m-i))."""
+    g0_is_one = g[0] == ring.one_v
+    g0inv = ring.one_v if g0_is_one else ring.is_unit_v(g[0])
     if g0inv is None:
         return None
     zero, layout = ring.zero_v, ring.layout
-    add, mul = ring.k_add, ring.k_mul
+    add, mul, neg = ring.k_add, ring.k_mul, ring.k_neg
     h = [g0inv]
     if layout is not None:
         (base, _, join), width = layout, ring.precision + 1
@@ -853,7 +856,8 @@ def window_inverse(ring, g, twist=None) -> Optional[list]:
                 if g[i] != zero:
                     _add_products(rows, terms[i], h_terms[m - i] if twist is None
                                   else _terms(layout, twist(i, h[m - i])), base)
-            h.append(ring.k_neg(mul(g0inv, join(rows))))
+            acc = join(rows)
+            h.append(neg(acc if g0_is_one else mul(g0inv, acc)))
             if twist is None:
                 h_terms.append(_terms(layout, h[-1]))
         return h
@@ -863,7 +867,7 @@ def window_inverse(ring, g, twist=None) -> Optional[list]:
             if g[i] != zero:
                 hi = h[m - i] if twist is None else twist(i, h[m - i])
                 acc = add(acc, mul(g[i], hi))
-        h.append(ring.k_neg(mul(g0inv, acc)))
+        h.append(neg(acc if g0_is_one else mul(g0inv, acc)))
     return h
 
 

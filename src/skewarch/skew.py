@@ -351,12 +351,22 @@ def power_windows(g: SkewPoly, precision: int):
 
 
 def _inverse_of_one_plus(g: SkewPoly, precision: int) -> GeometricInverseResult:
-    """geometric_inverse for g = f*u: the inverse of 1 + g as the sum of
-    the windows of (-g)^k.  g = f*u has a zero constant term, so g^k has
-    order at least k and the sum is complete at the first k whose window
-    is zero: there g^k is zero, read through g.first_zero_power and
-    shared with probes of the same powers, or its order has passed the
-    precision.
+    """geometric_inverse for g = f*u: the inverse of 1 + g, which the
+    alternating sum of the windows of (-g)^k gives.  g = f*u has a zero
+    constant term, so g^k has order at least k and the sum is complete
+    at the first k0 whose window is zero: there g^k0 is zero, read
+    through g.first_zero_power and shared with probes of the same
+    powers, or its order has passed the precision.
+
+    The chain of lowest coefficients finds k0 without a window.  Let o
+    be the order of g and l_1 its coefficient there; l_(j+1) =
+    l_j * alpha^(j*o)(l_1) is the one term of g^j * g at degree (j+1)*o,
+    so g^j has order exactly j*o while l_j is nonzero.  If l_1 ...
+    l_(K-1) are nonzero, K = precision // o + 1, the windows 1 ... K-1
+    are nonzero and window K is zero: k0 = K, and l_K != 0 shows g^K
+    nonzero.  The sum is then the inverse of 1 + g modulo u^(N+1), which
+    is unique, so window_inverse solves for it in one pass.  A chain that
+    dies below K, or g = 0, leaves the window sum.
 
     One product closes the check.  g^(N+1) = 0 modulo u^(N+1), so 1 + g
     is a unit of R[[u; alpha]]/(u^(N+1)), and in an associative ring a
@@ -364,22 +374,36 @@ def _inverse_of_one_plus(g: SkewPoly, precision: int) -> GeometricInverseResult:
     gives acc = (1 + g)^-1 * (1 + g)*acc = (1 + g)^-1."""
     ring, endo = g.ring, g.endo
     zero = ring.zero_v
-    acc = [ring.one_v] + [zero] * precision
-    for k, window in enumerate(power_windows(g, precision), 1):
-        if all(c == zero for c in window):
-            break
-        # only the nonzero coefficients change acc
-        step = ring.k_sub if k % 2 else ring.k_add
-        for d, c in enumerate(window):
-            if c != zero:
-                acc[d] = step(acc[d], c)
-    index = k if g.first_zero_power(k, k) == k else None
-    terminated = index is not None
-    acc = TruncSeries(ring, endo, precision, acc)
     one = SkewPoly.constant(ring, endo, ring.one_v)
     lhs = (one + g).truncate(precision)
-    unity = one.truncate(precision)
-    if lhs * acc != unity:
+    o, k0, low = g.order(), None, zero
+    if o is not None:
+        first = low = g.coeffs[o]
+        k0 = precision // o + 1
+        for j in range(1, k0):
+            if low == zero:
+                k0 = None
+                break
+            low = _term(endo, low, j * o, first)
+    if k0 is None:
+        acc = [ring.one_v] + [zero] * precision
+        for k0, window in enumerate(power_windows(g, precision), 1):
+            if all(c == zero for c in window):
+                break
+            # only the nonzero coefficients change acc
+            step = ring.k_sub if k0 % 2 else ring.k_add
+            for d, c in enumerate(window):
+                if c != zero:
+                    acc[d] = step(acc[d], c)
+    else:
+        acc = window_inverse(ring, lhs.coeffs, _twist(endo))
+    if low != zero:
+        index = None        # l_K != 0: g^K has order K*o, so it is not zero
+    else:
+        index = k0 if g.first_zero_power(k0, k0) == k0 else None
+    terminated = index is not None
+    acc = TruncSeries(ring, endo, precision, acc)
+    if lhs * acc != one.truncate(precision):
         raise RuntimeError("geometric expansion failed to invert 1 + f*u")
     note = ("power (f*u)^%d vanished exactly" % index if terminated
             else "no exact zero power within the precision window")

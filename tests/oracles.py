@@ -14,8 +14,8 @@ from skewarch.props import (FAILS, HOLDS, HYPOTHESIS_NOT_MET, POWER_PRODUCT_BUDG
 from skewarch.rings import (Element, NilpotenceResult, XYQuotientRing, construct_ring,
                             is_domain, nonunits, principal_power_chain, require_budget,
                             scan_domain)
-from skewarch.skew import (SkewPoly, TruncSeries, _inverse_of_one_plus, nilpotency_probe,
-                           parse_poly_text, solve_right_divisibility)
+from skewarch.skew import (SkewPoly, TruncSeries, nilpotency_probe, parse_poly_text,
+                           solve_right_divisibility)
 
 
 def fresh_xyq():
@@ -360,8 +360,8 @@ def oracle_archimedean(ring, side):
 
 def geometric_check_per_draw(ring, endo, samples, seed, precision=16):
     """props.geometric_termination_check with every draw checked afresh,
-    on an f*u of its own: the oracle of its one check per distinct
-    sample."""
+    on an f*u of its own, and its termination read from the dense sum:
+    the oracle of its one check per distinct sample."""
     rng = derive_rng(seed, "geometric/%s/%s" % (ring.spec_text, endo.stream_text))
     samples = scan_domain(ring).sample_count(samples)
     terminated = 0
@@ -370,17 +370,17 @@ def geometric_check_per_draw(ring, endo, samples, seed, precision=16):
         if f.is_zero:
             continue
         fu = f.shift(1)
-        res = _inverse_of_one_plus(fu, precision)
+        _, stopped, index = dense_geometric_inverse(f, precision)
         probe = nilpotency_probe(fu, bound=precision + 1)
-        if res.terminated:
+        if stopped:
             terminated += 1
-            if not (probe.zero_power_found and probe.index == res.index):
+            if not (probe.zero_power_found and probe.index == index):
                 return props.Verdict(
                     FAILS,
-                    {"f": f.to_text(), "termination_index": res.index,
+                    {"f": f.to_text(), "termination_index": index,
                      "probe_index": probe.index},
                     "expansion terminated at %d but the power probe says %s"
-                    % (res.index, probe.index))
+                    % (index, probe.index))
         elif probe.zero_power_found and probe.genuine:
             if not any(fu.power(k).order() > precision
                        for k in range(1, probe.index)):

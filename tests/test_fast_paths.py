@@ -6,13 +6,16 @@ import pytest
 
 import oracles
 from test_props import FINITE_SPECS
+from test_skew_laws import CUBE_ZERO_UNDER_DIAG
 
 from skewarch import props, suites
-from skewarch.endos import is_rigid
-from skewarch.props import (is_archimedean, poly_zero_divisor_probe,
+from skewarch.endos import TableEndo, build_endo, is_rigid
+from skewarch.prng import derive_rng
+from skewarch.props import (is_archimedean, poly_zero_divisor_probe, random_poly,
                             twisted_power_product_equivalence)
 from skewarch.registry import ENTRIES, RegistryEntry, RunConfig
 from skewarch.rings import construct_ring
+from skewarch.skew import SkewPoly, geometric_inverse
 
 SEEDS = range(4)
 SIDES = ("right", "left")
@@ -29,6 +32,54 @@ def archimedean(ring, side):
 
 def scope_power_products(ring, endo, seed):
     return oracles.scope_power_products_per_product(ring, endo, is_rigid(endo), seed)
+
+
+def geometric(f, precision):
+    res = geometric_inverse(f, precision)
+    return res.series, res.terminated, res.index
+
+
+def geometric_draws(entry, seed, count=3):
+    """The first count distinct f that prop-3-1 draws on the entry."""
+    ring, endo = entry.build()
+    rng = derive_rng(seed, "geometric/%s/%s" % (ring.spec_text, endo.stream_text))
+    fs = {}
+    while len(fs) < count:
+        f = random_poly(ring, endo, rng, max_terms=3)
+        fs.setdefault(f.coeffs, f)
+    return fs.values()
+
+
+def poly(spec, twist, coeffs):
+    """The polynomial with coefficients coeffs(ring) over the ring of spec."""
+    ring = construct_ring(spec)
+    return SkewPoly(ring, build_endo(ring, twist), coeffs(ring))
+
+
+def cube_zero_under_a_cycle():
+    """e + 2e*u^2 over (Z/4)^3, e = (1,0,0), under the cyclic shift alpha:
+    f*u = e*u + 2e*u^3 has cube zero.  Its lowest chain dies at once,
+    e*alpha(e) = 0, while one stepped by the degree 3 reads e, e, ...
+    and never does, since alpha^3 is the identity."""
+    ring = construct_ring("prod(zmod:4,zmod:4,zmod:4)")
+    shift = TableEndo(ring, "table:cycle", "\n".join(
+        "(%d,%d,%d) -> (%d,%d,%d)" % (a, b, c, c, a, b) for a, b, c in ring.values()))
+    return SkewPoly(ring, shift, [(1, 0, 0), ring.zero_v, (2, 0, 0)])
+
+
+# beside the drawn f: f = 0; f*u of order N + 1 > N; the lowest chains
+# 2, 4, 0 and x, x^3, x^7, x^15 = 0, which die below k0; the cubes that
+# vanish under the diagonal twist and a cyclic one
+GEOMETRIC_CASES = {
+    "zero": (poly("zmod:6", "endo:id", lambda ring: []), 16),
+    "order-above-N": (poly("gf:2:2", "endo:frob", lambda ring: [0] * 8 + [2]), 8),
+    "zmod:8-f=2": (poly("zmod:8", "endo:id", lambda ring: [2]), 16),
+    "xyq:gf:2:1:N=8+endo:xsq-f=x": (poly("xyq:gf:2:1:N=8", "endo:xsq",
+                                         lambda ring: [ring.x_v(1)]), 16),
+    "cube-zero-under-diag": (SkewPoly(*CUBE_ZERO_UNDER_DIAG[:2], CUBE_ZERO_UNDER_DIAG[2][0]),
+                             16),
+    "cube-zero-under-a-cycle": (cube_zero_under_a_cycle(), 16),
+}
 
 
 FAST_PATHS = [
@@ -51,6 +102,12 @@ FAST_PATHS = [
     ("poly-zero-divisor-probe", poly_zero_divisor_probe, oracles.zero_divisor_probe_in_full,
      {"%s-%s-seed%d" % (e.id, side, seed): (*e.build(), side, 2000, seed)
       for e in ENTRIES for side in SIDES for seed in SEEDS}),
+    # the triangular solve where the lowest chain fixes the stop, and the
+    # window sum where it dies first
+    ("geometric-inverse", geometric, oracles.dense_geometric_inverse,
+     {**{"%s-seed%d-draw%d" % (e.id, seed, i): (f, 16)
+         for e in ENTRIES for seed in SEEDS for i, f in enumerate(geometric_draws(e, seed))},
+      **GEOMETRIC_CASES}),
 ]
 
 

@@ -15,7 +15,7 @@ from oracles import poly_mulmod, reference_mul, schoolbook
 
 from skewarch.endos import build_endo
 from skewarch.rings import (GaloisFieldRing, RingConstructionError, _digits,
-                            construct_ring, default_irreducible)
+                            construct_ring, default_irreducible, window_inverse)
 from skewarch.skew import SkewPoly, TruncSeries, series_inverse
 
 ROUNDS = 40
@@ -111,6 +111,53 @@ def test_twisted_series_inverse_is_two_sided(ring_spec, endo_spec):
         h = list(series_inverse(TruncSeries(ring, endo, n, g)).coeffs)
         assert schoolbook(ring.k_add, mul, ring.zero_v, g, h, n, endo.apply_v) == one
         assert schoolbook(ring.k_add, mul, ring.zero_v, h, g, n, endo.apply_v) == one
+
+
+@pytest.mark.parametrize("ring_spec,endo_spec", [
+    ("zmod:8", "endo:id"), ("gf:2:2", "endo:frob"), ("prod(zmod:2,zmod:2)", "endo:diag"),
+    ("tser(zmod:4,N=6)", "endo:id"), ("xyq:gf:2:1:N=4", "endo:xsq")])
+def test_a_window_with_constant_term_one_makes_no_product_by_one(
+        monkeypatch, ring_spec, endo_spec):
+    """window_inverse on a g with g_0 = 1 multiplies nothing by g_0^-1 = 1.
+    On a finite ring k_mul runs once per nonzero g_i, 1 <= i <= m, for each
+    degree m of the solve; a truncated model's own k_mul never runs, since
+    its term products are the base ring's.  series_inverse of g still
+    closes with one product."""
+    ring = construct_ring(ring_spec)
+    endo = build_endo(ring, endo_spec)
+    mul = reference_mul(ring)
+    rnd = random.Random(ring_spec + endo_spec)
+    n = 6
+    one = [ring.one_v] + [ring.zero_v] * n
+    twist = None if endo.is_identity else endo.power_apply_v
+    if twist:
+        twist(n, ring.one_v)        # builds the twist's value maps uncounted
+    products, kernel = [], type(ring).k_mul
+    series, series_mul = [], TruncSeries.__mul__
+
+    def counted(self, x, y):
+        if self is ring:
+            products.append((x, y))
+        return kernel(self, x, y)
+
+    def counted_series(x, y):
+        series.append((x, y))
+        return series_mul(x, y)
+
+    monkeypatch.setattr(type(ring), "k_mul", counted)
+    monkeypatch.setattr(TruncSeries, "__mul__", counted_series)
+    for _ in range(ROUNDS // 4):
+        g = [ring.one_v] + [random_coefficient(ring, rnd) for _ in range(n)]
+        products.clear()
+        h = window_inverse(ring, g, twist)
+        terms = 0 if ring.truncated else sum(
+            1 for m in range(1, n + 1) for i in range(1, m + 1) if g[i] != ring.zero_v)
+        assert len(products) == terms
+        assert schoolbook(ring.k_add, mul, ring.zero_v, g, h, n, endo.apply_v) == one
+        assert schoolbook(ring.k_add, mul, ring.zero_v, h, g, n, endo.apply_v) == one
+        series.clear()
+        assert list(series_inverse(TruncSeries(ring, endo, n, g)).coeffs) == h
+        assert len(series) == 1
 
 
 @pytest.mark.parametrize("ring_spec,endo_spec", TRUNCATED_TWISTED)

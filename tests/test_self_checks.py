@@ -5,7 +5,11 @@ Each result check is made to fail by monkeypatching what it checks: the
 divisibility solver's witness replay, the one closing product of each
 series inverse, the inverse checks of the two truncated models, the
 falsifier's constant-stage witnesses, and the power chain's bound on
-its length, by a kernel that changes between calls.  The falsifier also
+its length, by a kernel that changes between calls.  The geometric
+inverse has two paths to its closing product, and each gets a fault: a
+wrong coefficient from the triangular solve, taken when the chain of
+lowest coefficients of f*u fixes where the expansion stops, and a
+dropped window from the window sum, taken when that chain dies first.  The falsifier also
 rejects a depth below one and a negative precision.
 
 Each series inverse closes with exactly one product: a one-sided inverse
@@ -53,10 +57,34 @@ def test_solver_raises_when_its_witness_fails_the_replay(monkeypatch):
 
 
 @pytest.mark.parametrize("spec,twist", TWISTED)
-def test_geometric_inverse_raises_when_its_sum_misses_a_window(monkeypatch, spec, twist):
+def test_geometric_inverse_raises_when_its_solve_is_wrong(monkeypatch, spec, twist):
+    """The lowest chain of f*u = u + a*u^2 is 1, 1, ... under both twists,
+    so the expansion stops at k0 = N + 1 and solves for the inverse."""
     ring, endo, a = _twisted(spec, twist)
     f = SkewPoly(ring, endo, [ring.one_v, a])          # 1 + f*u = 1 + u + a*u^2
     assert not geometric_inverse(f, N).terminated
+    solve, solved = skew.window_inverse, []
+
+    def off_in_the_middle(base, coeffs, twist=None):
+        h = solve(base, coeffs, twist)
+        solved.append(h[N // 2])
+        h[N // 2] = base.k_add(h[N // 2], a)
+        return h
+
+    monkeypatch.setattr(skew, "window_inverse", off_in_the_middle)
+    with pytest.raises(RuntimeError, match=r"geometric expansion failed to invert 1 \+ f\*u"):
+        geometric_inverse(f, N)
+    assert len(solved) == 1
+
+
+@pytest.mark.parametrize("spec,twist", TWISTED[1:])
+def test_geometric_inverse_raises_when_its_sum_misses_a_window(monkeypatch, spec, twist):
+    """f*u = x*u has the lowest chain x, x^3, x^7, x^15 = 0 under x -> x^2,
+    which dies below k0, so the expansion sums the windows of (f*u)^k:
+    x*u, x^3*u^2, x^7*u^3, then zero, where (f*u)^4 vanishes."""
+    ring, endo, _ = _twisted(spec, twist)
+    f = SkewPoly(ring, endo, [ring.x_v(1)])
+    assert geometric_inverse(f, N).index == 4
     windows, dropped = skew.power_windows, []
 
     def without_the_square(g, precision):
