@@ -703,18 +703,50 @@ def geometric_termination_check(ring, endo: Endo, samples: int, seed: int,
         % (samples, terminated))
 
 
+def _no_certificate_vanishes(endo, pool, top: int, budget: int,
+                             diagonal: bool = False) -> bool:
+    """Whether every certificate x*alpha^o(y) a draw can produce is
+    nonzero: x and y nonzero pool values, o in 0..top, and y = x on the
+    diagonal (a lowest term squared).  Each distinct product is made once
+    with the ring's own k_mul, and only when at most budget of them are
+    needed, so the table never makes more products than the draws'
+    certificates would.  False, over budget or at the first zero, says
+    only that the draws must run.  No structural predicate answers here:
+    is_domain decides a field without a product, and a probe that
+    trusted it would not check the prediction it is there to check."""
+    zero, apply, span = endo.ring.zero_v, endo.power_apply_v, range(top + 1)
+    xs = [v for v in pool if v != zero]
+    if diagonal:
+        if len(xs) * len(span) > budget:
+            return False
+        pairs = {(x, apply(o, x)) for x in xs for o in span}
+    else:
+        images = {apply(o, y) for y in xs for o in span}
+        if len(xs) * len(images) > budget:
+            return False
+        pairs = itertools.product(xs, images)
+    mul = endo.ring.k_mul
+    return all(mul(x, z) != zero for x, z in pairs)
+
+
 @memo
 def poly_zero_divisor_probe(ring, endo: Endo, side: str = "right",
                             samples: int = 2000, seed: int = 0) -> Optional[dict]:
     """Sampled hunt for a nonzero pair with b*f = 0 (side="right") or
-    f*b = 0 ("left") in the polynomial model.  Kept per ring, twist,
-    side, samples and seed, so the untwisted right probe of cor-3-2 and
-    thm-3-3 is drawn once.  The returned dict is shared: callers build
-    new dicts from it and never change it."""
+    f*b = 0 ("left") in the polynomial model.  A draw whose product has
+    a nonzero top coefficient is skipped unbuilt, so when the table of
+    every top coefficient a draw can produce has no zero, no draw can
+    succeed and the probe returns None without drawing: the loop's own
+    outcome.  Kept per ring, twist, side, samples and seed, so the
+    untwisted right probe of cor-3-2 and thm-3-3 is drawn once.  The
+    returned dict is shared: callers build new dicts from it and never
+    change it."""
     _need_side(side)
-    rng = derive_rng(seed, "polyzd/%s/%s/%s" % (ring.spec_text, endo.stream_text, side))
     samples = scan_domain(ring).sample_count(samples)
     pool, zero = scan_domain(ring, 2).values, ring.zero_v
+    if _no_certificate_vanishes(endo, pool, _POLY_DEGREE, samples):
+        return None
+    rng = derive_rng(seed, "polyzd/%s/%s/%s" % (ring.spec_text, endo.stream_text, side))
     for _ in range(samples):
         # the draws of random_poly(ring, endo, rng, max_terms=3)
         f = _draw_terms(rng, pool, zero, _POLY_DEGREE, 3)
@@ -835,7 +867,11 @@ def series_reduced_check(ring, endo: Endo, precision: int = 16,
                          seed: int = 0) -> Verdict:
     """The truncated series model is reduced exactly when the twist is
     rigid.  A rigidity failure yields an explicit square-zero monomial;
-    under a rigid twist a sampled square scan stays clean."""
+    under a rigid twist a sampled square scan stays clean.  The scan
+    skips unbuilt a draw whose lowest term (o, a) squares to a nonzero
+    a*alpha^o(a), so when the table of those products over the pool and
+    o in 0..precision // 2 has no zero, it draws nothing and reports its
+    sample count with no artifact, as every draw would."""
     rig = is_rigid(endo)
     if not rig.holds:
         av = ring.v_of_text(rig.witness["a"])
@@ -857,7 +893,8 @@ def series_reduced_check(ring, endo: Endo, precision: int = 16,
     samples = scan_domain(ring).sample_count(2000)
     pool, zero = scan_domain(ring, 2).values, ring.zero_v
     artifacts = 0
-    for _ in range(samples):
+    clean = _no_certificate_vanishes(endo, pool, precision // 2, samples, diagonal=True)
+    for _ in range(0 if clean else samples):
         # the draws of random_series(ring, endo, rng, precision,
         # max_support=precision // 2)
         terms = _draw_terms(rng, pool, zero, precision // 2, 4)

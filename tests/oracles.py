@@ -14,7 +14,7 @@ from skewarch.props import (FAILS, HOLDS, HYPOTHESIS_NOT_MET, POWER_PRODUCT_BUDG
 from skewarch.rings import (Element, NilpotenceResult, XYQuotientRing, construct_ring,
                             is_domain, nonunits, principal_power_chain, require_budget,
                             scan_domain)
-from skewarch.skew import (SkewPoly, TruncSeries, nilpotency_probe, parse_poly_text,
+from skewarch.skew import (SkewPoly, TruncSeries, parse_poly_text,
                            solve_right_divisibility)
 
 
@@ -360,8 +360,9 @@ def oracle_archimedean(ring, side):
 
 def geometric_check_per_draw(ring, endo, samples, seed, precision=16):
     """props.geometric_termination_check with every draw checked afresh,
-    on an f*u of its own, and its termination read from the dense sum:
-    the oracle of its one check per distinct sample."""
+    on an f*u of its own, its termination read from the dense sum and
+    its zero-power index from dense powers: the oracle of its one check
+    per distinct sample."""
     rng = derive_rng(seed, "geometric/%s/%s" % (ring.spec_text, endo.stream_text))
     samples = scan_domain(ring).sample_count(samples)
     terminated = 0
@@ -369,26 +370,23 @@ def geometric_check_per_draw(ring, endo, samples, seed, precision=16):
         f = random_poly(ring, endo, rng, max_terms=3)
         if f.is_zero:
             continue
-        fu = f.shift(1)
         _, stopped, index = dense_geometric_inverse(f, precision)
-        probe = nilpotency_probe(fu, bound=precision + 1)
+        probe_index = dense_zero_power(f.shift(1), precision + 2, precision)
         if stopped:
             terminated += 1
-            if not (probe.zero_power_found and probe.index == index):
+            if probe_index != index:
                 return props.Verdict(
                     FAILS,
                     {"f": f.to_text(), "termination_index": index,
-                     "probe_index": probe.index},
+                     "probe_index": probe_index},
                     "expansion terminated at %d but the power probe says %s"
-                    % (index, probe.index))
-        elif probe.zero_power_found and probe.genuine:
-            if not any(fu.power(k).order() > precision
-                       for k in range(1, probe.index)):
-                return props.Verdict(
-                    FAILS,
-                    {"f": f.to_text(), "probe_index": probe.index},
-                    "f*u has exact zero power %d inside the window yet the "
-                    "expansion did not terminate" % probe.index)
+                    % (index, probe_index))
+        elif probe_index is not None:
+            return props.Verdict(
+                FAILS,
+                {"f": f.to_text(), "probe_index": probe_index},
+                "f*u has exact zero power %d inside the window yet the "
+                "expansion did not terminate" % probe_index)
     return props.Verdict(
         HOLDS, None,
         "two-sided inverse identity and termination/nilpotency agreement "
@@ -396,33 +394,85 @@ def geometric_check_per_draw(ring, endo, samples, seed, precision=16):
         % (samples, terminated))
 
 
+def skew_product(ring, endo, xs, ys, limit=None):
+    """Coefficients 0..limit (all of them when None) of sum x_i *
+    alpha^i(y_j) u^(i+j), by schoolbook on the ring's own kernels: the
+    twisted product with no skew.window_mul.  Trailing zeros are cut
+    first; they add nothing."""
+    zero = ring.zero_v
+
+    def cut(cs):
+        cs = list(cs)
+        while cs and cs[-1] == zero:
+            cs.pop()
+        return cs
+
+    xs, ys = cut(xs), cut(ys)
+    if limit is None:
+        limit = len(xs) + len(ys) - 2
+    return schoolbook(ring.k_add, ring.k_mul, zero, xs, ys, limit,
+                      None if endo.is_identity else endo.apply_v)
+
+
+def dense_zero_power(f, top, precision):
+    """The least k in 1..top with f^k = 0 for a SkewPoly f, when every
+    lower power has order at most precision; None otherwise.  Each power
+    is the product of the one before and f, built whole, with no
+    top-coefficient chain and no SkewPoly.power."""
+    power = f
+    for k in range(1, top + 1):
+        if power.is_zero:
+            return k
+        if power.order() > precision:
+            return None
+        power = power * f
+    return None
+
+
 def zero_divisor_probe_in_full(ring, endo, side, samples, seed):
-    """props.poly_zero_divisor_probe with every sampled product in full."""
+    """props.poly_zero_divisor_probe with every sampled product in full,
+    by skew_product."""
     rng = derive_rng(seed, "polyzd/%s/%s/%s" % (ring.spec_text, endo.stream_text, side))
     for _ in range(scan_domain(ring).sample_count(samples)):
         f = random_poly(ring, endo, rng, max_terms=3)
         b = random_poly(ring, endo, rng, max_terms=3)
         if f.is_zero or b.is_zero:
             continue
-        if (b * f if side == "right" else f * b).is_zero:
+        left, right = (b, f) if side == "right" else (f, b)
+        if all(c == ring.zero_v for c in skew_product(ring, endo, left.coeffs, right.coeffs)):
             return {"f": f.to_text(), "b": b.to_text()}
     return None
 
 
+def _square_is_genuine(s):
+    """skew.nilpotency_probe(s, bound=2).genuine for an s with s*s = 0:
+    s inside the half-precision window and, over a truncated model, a
+    square that still vanishes with widened coefficients at twice the
+    precision, by skew_product."""
+    ring, endo = s.ring, s.endo
+    if s.support() > s.precision // 2:
+        return False
+    if not ring.truncated:
+        return True
+    wide, wendo = ring.widen(), endo.widened()
+    lifted = [ring.lift_v(c) for c in s.coeffs]
+    return all(c == wide.zero_v for c in
+               skew_product(wide, wendo, lifted, lifted, 2 * s.precision))
+
+
 def square_scan_in_full(ring, endo, precision, seed):
     """The sampled branch of props.series_reduced_check under a rigid
-    twist, with every square built in full: its status, witness and
-    count of truncation artifacts."""
+    twist, with every square built in full by skew_product: its status,
+    witness and count of truncation artifacts."""
     rng = derive_rng(seed, "series-square/%s/%s" % (ring.spec_text, endo.stream_text))
     artifacts = 0
     for _ in range(scan_domain(ring).sample_count(2000)):
         s = random_series(ring, endo, rng, precision, max_support=precision // 2)
         if s.is_zero:
             continue
-        if (s * s).is_zero:
-            probe = nilpotency_probe(s, bound=2)
-            if (probe.zero_power_found and probe.genuine
-                    and props._square_in_base_window(s)):
+        if all(c == ring.zero_v for c in skew_product(ring, endo, s.coeffs, s.coeffs,
+                                                      precision)):
+            if _square_is_genuine(s) and props._square_in_base_window(s):
                 return FAILS, {"s": s.to_text()}, artifacts
             artifacts += 1
     return HOLDS, None, artifacts

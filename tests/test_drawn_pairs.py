@@ -30,9 +30,9 @@ from skewarch.rings import NonEnumerableError, construct_ring
 from skewarch.suites import SUITE_IDS, report_contradicts_predictions, run_one
 
 
-def twist_specs(ring, table_dir):
-    """The identity, the built-in twist of the ring's kind, and its table
-    twists, written to `table_dir`."""
+def twist_tables(ring):
+    """The built-in twist specs of the ring's kind, and the text of each
+    of its table twists, by name."""
     specs = ["endo:id"]
     images = {}
     if ring.kind == "gf" and ring.k >= 2:
@@ -45,11 +45,19 @@ def twist_specs(ring, table_dir):
         images["collapse"] = lambda v: (v[1], v[1])
     elif ring.kind == "xyq":
         specs.append("endo:xsq")
+    return specs, {name: "".join("%s -> %s\n" % (ring.text_of_v(v), ring.text_of_v(image(v)))
+                                 for v in ring.values())
+                   for name, image in images.items()}
+
+
+def twist_specs(ring, table_dir):
+    """The identity, the built-in twist of the ring's kind, and its table
+    twists, written to `table_dir`."""
+    specs, tables = twist_tables(ring)
     stem = hashlib.sha256(ring.spec_text.encode()).hexdigest()[:16]
-    for name, image in images.items():
+    for name, text in tables.items():
         path = table_dir / ("%s-%s.txt" % (stem, name))
-        path.write_text("".join("%s -> %s\n" % (ring.text_of_v(v), ring.text_of_v(image(v)))
-                                for v in ring.values()))
+        path.write_text(text)
         specs.append("endo:table:%s" % path)
     return specs
 

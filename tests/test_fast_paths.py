@@ -2,19 +2,22 @@
 row (name, fast, oracle, cases) per pair, cases a dict from case id to
 arguments, and one test that fast(*case) == oracle(*case) on each case."""
 
+import re
+
 import pytest
 
 import oracles
-from test_props import FINITE_SPECS
+from test_drawn_pairs import sweep_specs, twist_tables
+from test_props import FINITE_SPECS, _pair
 from test_skew_laws import CUBE_ZERO_UNDER_DIAG
 
 from skewarch import props, suites
-from skewarch.endos import TableEndo, build_endo, is_rigid
+from skewarch.endos import FrobeniusEndo, TableEndo, build_endo, build_twist, is_rigid
 from skewarch.prng import derive_rng
 from skewarch.props import (is_archimedean, poly_zero_divisor_probe, random_poly,
-                            twisted_power_product_equivalence)
+                            series_reduced_check, twisted_power_product_equivalence)
 from skewarch.registry import ENTRIES, RegistryEntry, RunConfig
-from skewarch.rings import construct_ring
+from skewarch.rings import GaloisFieldRing, construct_ring
 from skewarch.skew import SkewPoly, geometric_inverse
 
 SEEDS = range(4)
@@ -32,6 +35,54 @@ def archimedean(ring, side):
 
 def scope_power_products(ring, endo, seed):
     return oracles.scope_power_products_per_product(ring, endo, is_rigid(endo), seed)
+
+
+def square_scan(ring, endo, precision, seed):
+    """series_reduced_check under a rigid twist as its status, witness
+    and count of truncation artifacts read from its certificate."""
+    v = series_reduced_check(ring, endo, precision, seed)
+    counted = re.search(r"(\d+) truncation artifacts", v.certificate)
+    return v.status, v.witness, int(counted.group(1)) if counted else 0
+
+
+def sweep_pairs(max_card):
+    """(id, ring, twist) for every sweep spec of at most max_card
+    elements under each of its twists, table twists built from their
+    text."""
+    for spec in sweep_specs(max_card):
+        ring = construct_ring(spec)
+        specs, tables = twist_tables(ring)
+        for twist in specs:
+            yield "%s+%s" % (spec, twist), ring, build_endo(ring, twist)
+        for name, text in tables.items():
+            yield "%s+table:%s" % (spec, name), ring, build_twist(ring, "table:" + name, text)
+
+
+def planted_zero_twist():
+    """A Frobenius table of a fresh gf:2:2 altered after its law check to
+    send x to 0: every product of nonzero values stays nonzero, so only
+    the twist powers o >= 1 of the probe's table meet a zero."""
+    ring = GaloisFieldRing(2, 2, (1, 1, 1))
+    endo = TableEndo(ring, "table:planted", "".join(
+        "%s -> %s\n" % (ring.text_of_v(v), ring.text_of_v(ring.k_mul(v, v)))
+        for v in ring.values()))
+    endo.table[2] = 0
+    return ring, endo
+
+
+def planted_square_zero():
+    """A fresh gf:2:3 under the Frobenius with x*alpha^2(x) = x*x^4 = 0
+    planted in its product: x*x and x*alpha(x) are untouched, so the
+    twist stays rigid, and at precision 4 only the last twist power of
+    the square table, o = 2, meets the zero."""
+    ring = GaloisFieldRing(2, 3, construct_ring("gf:2:3").irr)
+    endo, mul = FrobeniusEndo(ring), ring.k_mul
+    planted = (2, endo.power_apply_v(2, 2))
+    ring.k_mul = lambda x, y: 0 if (x, y) == planted else mul(x, y)
+    return ring, endo
+
+
+SWEEP_PAIRS = tuple(sweep_pairs(16))
 
 
 def geometric(f, precision):
@@ -98,10 +149,33 @@ FAST_PATHS = [
     ("is-archimedean", archimedean, oracles.oracle_archimedean,
      {"%s-%s" % (spec, side): (construct_ring(spec), side)
       for spec in FINITE_SPECS for side in SIDES}),
-    # the top and lowest coefficient shortcuts: the same zero-divisor pair
+    # the top coefficient shortcut and the table that spares the draws
+    # when no top coefficient can vanish: the same zero-divisor pair, on
+    # the registry, every twist of the sweep's rings of at most 16
+    # elements at 200 samples, a domain past the table's budget of 2,000
+    # products (48 nonzero values of gf:7:2 by their 48 images), and a
+    # planted twist
     ("poly-zero-divisor-probe", poly_zero_divisor_probe, oracles.zero_divisor_probe_in_full,
-     {"%s-%s-seed%d" % (e.id, side, seed): (*e.build(), side, 2000, seed)
-      for e in ENTRIES for side in SIDES for seed in SEEDS}),
+     {**{"%s-%s-seed%d" % (e.id, side, seed): (*e.build(), side, 2000, seed)
+         for e in ENTRIES for side in SIDES for seed in SEEDS},
+      **{"%s-%s" % (name, side): (ring, endo, side, 200, 0)
+         for name, ring, endo in SWEEP_PAIRS for side in SIDES},
+      **{"gf:7:2+endo:frob-%s" % side: (*_pair("gf:7:2", "endo:frob"), side, 2000, 0)
+         for side in SIDES},
+      **{"planted-x-to-0-%s" % side: (*planted_zero_twist(), side, 2000, 0)
+         for side in SIDES}}),
+    # the lowest coefficient shortcut and the table that spares the draws
+    # when no lowest coefficient can square to zero, under a rigid twist
+    # (the only case that samples squares): the registry, the sweep at
+    # precision 4, a domain past the table's budget (255 nonzero values
+    # of gf:2:8 at 9 twist powers), and a planted product
+    ("series-square-scan", square_scan, oracles.square_scan_in_full,
+     {**{"%s-seed%d" % (e.id, seed): (*e.build(), 16, seed)
+         for e in ENTRIES if is_rigid(e.build()[1]).holds for seed in SEEDS},
+      **{name: (ring, endo, 4, 0)
+         for name, ring, endo in SWEEP_PAIRS if is_rigid(endo).holds},
+      "gf:2:8+endo:frob": (*_pair("gf:2:8", "endo:frob"), 16, 0),
+      "planted-x*alpha^2(x)=0": (*planted_square_zero(), 4, 0)}),
     # the triangular solve where the lowest chain fixes the stop, and the
     # window sum where it dies first
     ("geometric-inverse", geometric, oracles.dense_geometric_inverse,

@@ -288,6 +288,22 @@ def test_a_table_altered_after_its_law_check_fails_the_rigidity_decomposition():
         "square_zero": "2"}
 
 
+def test_a_square_zero_product_under_a_rigid_twist_fails_the_square_scan():
+    # x*x = 0 on GF(4), x = [0,1]: x*alpha(x) = x*x^2 is untouched, so the
+    # Frobenius stays rigid, but the table of a*alpha^o(a) meets the zero
+    # and the draws run until a lowest term x at an even degree squares
+    # to zero
+    ring = GaloisFieldRing(2, 2, (1, 1, 1))
+    mul = ring.k_mul
+    ring.k_mul = lambda x, y: 0 if (x, y) == (2, 2) else mul(x, y)
+    report = run_planted(ring, FrobeniusEndo(ring), "prop-4-1")
+    assert report["certificate"] == ("rigid twist yet a genuine nonzero "
+                                     "square-zero series appeared")
+    assert report["witness"]["s"] == (
+        "[%s]@gf:2:2:1,1,1;endo:frob;N=16"
+        % ",".join("[0,1]" if i == 6 else "[0,0]" for i in range(17)))
+
+
 def test_a_twist_sending_x_to_a_unit_fails_the_twisted_example():
     ring = fresh_xyq()
     xsq, x = SquareVariableEndo(ring), ring.x_v(1)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from oracles import geometric_check_per_draw, oracle_idempotents, square_scan_in_full
+from oracles import geometric_check_per_draw, oracle_idempotents
 
 from skewarch import props
 from skewarch.endos import build_endo
@@ -396,24 +396,6 @@ def test_geometric_termination_checks_each_distinct_sample_once(monkeypatch, ent
         assert repeats == [0] * len(repeats)
         if not ring.truncated:
             assert repeats
-
-
-@pytest.mark.parametrize("entry", ENTRIES, ids=[e.id for e in ENTRIES])
-def test_square_scan_matches_its_full_products(entry):
-    """Seeds 0-3, under a rigid twist (the only case that samples
-    squares): the same verdict, witness and artifact count as the scan
-    with every square built in full.  The zero-divisor probe's shortcuts
-    are a row of tests/test_fast_paths.py."""
-    ring, endo = entry.build()
-    if not is_rigid(endo).holds:
-        return
-    for seed in range(4):
-        v = series_reduced_check(ring, endo, 16, seed)
-        status, witness, artifacts = square_scan_in_full(ring, endo, 16, seed)
-        assert (v.status, v.witness) == (status, witness)
-        if status == HOLDS:
-            assert ("%d truncation artifacts" % artifacts in v.certificate
-                    if artifacts else "artifact" not in v.certificate)
 
 
 def test_poly_radical_check_frozen():
