@@ -838,7 +838,8 @@ def window_inverse(ring, g, twist=None) -> Optional[list]:
     lift modulo a nilpotent ideal, so g is a unit, and a one-sided
     inverse of a unit is its two-sided inverse.  A constant term of one
     is its own inverse and makes no product: each h_m is then minus the
-    sum of the g_i * twist(i, h_(m-i))."""
+    sum of the g_i * twist(i, h_(m-i)), where a zero g_i or h_(m-i) makes
+    no product either."""
     g0_is_one = g[0] == ring.one_v
     g0inv = ring.one_v if g0_is_one else ring.is_unit_v(g[0])
     if g0inv is None:
@@ -864,7 +865,7 @@ def window_inverse(ring, g, twist=None) -> Optional[list]:
     for m in range(1, len(g)):
         acc = zero
         for i in range(1, m + 1):
-            if g[i] != zero:
+            if g[i] != zero and h[m - i] != zero:
                 hi = h[m - i] if twist is None else twist(i, h[m - i])
                 acc = add(acc, mul(g[i], hi))
         h.append(neg(acc if g0_is_one else mul(g0inv, acc)))

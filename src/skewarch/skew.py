@@ -12,6 +12,7 @@ could mistake a truncated tail for zero carry a genuine/artifact flag.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -47,10 +48,9 @@ def _term(endo, x, d, y):
 class SkewPoly:
     """Exact twisted polynomial; coefficients little-endian, trailing
     zeros stripped, the zero polynomial has an empty coefficient tuple.
-    Immutable, so the powers computed by power() and the chain of top
-    coefficients read by first_zero_power() are kept on it."""
+    Immutable, so the powers computed by power() are kept on it."""
 
-    __slots__ = ("ring", "endo", "coeffs", "_powers", "_tops")
+    __slots__ = ("ring", "endo", "coeffs", "_powers")
 
     def __init__(self, ring, endo: Endo, coeffs):
         if endo.ring is not ring and endo.ring != ring:
@@ -62,7 +62,6 @@ class SkewPoly:
         self.endo = endo
         self.coeffs = tuple(cs)
         self._powers = None     # self^2, self^3, ... as far as asked for
-        self._tops = None       # top coefficients of self, self^2, ...
 
     @classmethod
     def constant(cls, ring, endo, value):
@@ -110,7 +109,9 @@ class SkewPoly:
     def power(self, k: int):
         """self^k for k >= 1, each power the previous one times self.
         Computed on first request and kept, so procedures that walk the
-        powers of one polynomial share the products."""
+        powers of one polynomial share the products: a geometric
+        expansion that walks the powers of f*u to its stop, and
+        first_zero_power, hence nilpotency_probe, on the same f*u."""
         if k < 1:
             raise ValueError("power() needs an exponent >= 1")
         if k == 1:
@@ -123,29 +124,12 @@ class SkewPoly:
         return powers[k - 2]
 
     def first_zero_power(self, lo: int, hi: int) -> Optional[int]:
-        """The least k in lo..hi with self^k = 0, or None; lo >= 1.
-        A chain of one product per power shows powers nonzero without
-        building them: tops[j - 1], the top coefficient of self^j at
-        degree j*degree, is the one term of self^j * self at its degree,
-        so tops[j] = tops[j-1] * alpha^(j*degree)(top), the
-        top_certificate of self^j and self.  self^k is nonzero while the
-        chain is, so power(k) is computed in full only from the chain's
-        first zero on."""
+        """The least k in lo..hi with self^k = 0, or None; lo >= 1.  A
+        scan of the powers power() keeps, so the powers a geometric
+        expansion walked are not built again."""
         if lo < 1:
             raise ValueError("first_zero_power() needs an exponent >= 1")
-        if self.is_zero:
-            return lo if lo <= hi else None
-        top, zero = self.coeffs[-1], self.ring.zero_v
-        if self._tops is None:
-            self._tops = [top]
-        tops = self._tops
-        while len(tops) < hi and tops[-1] != zero:
-            tops.append(_term(self.endo, tops[-1], len(tops) * self.degree, top))
-        nonzero_below = len(tops) if tops[-1] == zero else len(tops) + 1
-        for k in range(max(lo, nonzero_below), hi + 1):
-            if self.power(k).is_zero:
-                return k
-        return None
+        return next((k for k in range(lo, hi + 1) if self.power(k).is_zero), None)
 
     def shift(self, k: int = 1):
         """Multiply by u^k on the right, k >= 0."""
@@ -338,35 +322,24 @@ def geometric_inverse(f: SkewPoly, precision: int) -> GeometricInverseResult:
     return _inverse_of_one_plus(f.shift(1), precision)
 
 
-def power_windows(g: SkewPoly, precision: int):
-    """The coefficient windows 0..precision of g, g^2, g^3, ..., without
-    end.  Truncation modulo u^(precision+1) is a ring map on polynomials
-    without negative degrees, so each window is the one before times g,
-    cut at the precision, and no full power is built."""
-    ring, twist = g.ring, _twist(g.endo)
-    window = g.coeffs[:precision + 1]
-    while True:
-        yield window
-        window = window_mul(ring, window, g.coeffs, precision, twist)
-
-
 def _inverse_of_one_plus(g: SkewPoly, precision: int) -> GeometricInverseResult:
-    """geometric_inverse for g = f*u: the inverse of 1 + g, which the
-    alternating sum of the windows of (-g)^k gives.  g = f*u has a zero
-    constant term, so g^k has order at least k and the sum is complete
-    at the first k0 whose window is zero: there g^k0 is zero, read
-    through g.first_zero_power and shared with probes of the same
-    powers, or its order has passed the precision.
+    """geometric_inverse for g = f*u: the inverse of 1 + g modulo
+    u^(N+1), which is unique, so window_inverse solves for it in one
+    pass; it is the alternating sum of the windows of (-g)^k.  g = f*u
+    has a zero constant term, so g^k has order at least k, and the
+    expansion stops at the first power that is zero, where it
+    terminates, or whose order has passed the precision.
 
-    The chain of lowest coefficients finds k0 without a window.  Let o
-    be the order of g and l_1 its coefficient there; l_(j+1) =
-    l_j * alpha^(j*o)(l_1) is the one term of g^j * g at degree (j+1)*o,
-    so g^j has order exactly j*o while l_j is nonzero.  If l_1 ...
-    l_(K-1) are nonzero, K = precision // o + 1, the windows 1 ... K-1
-    are nonzero and window K is zero: k0 = K, and l_K != 0 shows g^K
-    nonzero.  The sum is then the inverse of 1 + g modulo u^(N+1), which
-    is unique, so window_inverse solves for it in one pass.  A chain that
-    dies below K, or g = 0, leaves the window sum.
+    The chain of lowest coefficients often shows the stop without a
+    power.  Let o be the order of g and l_1 its coefficient there;
+    l_(j+1) = l_j * alpha^(j*o)(l_1) is the one term of g^j * g at degree
+    (j+1)*o, so g^j has order exactly j*o while l_j is nonzero.  If l_1
+    ... l_K are nonzero, K = precision // o + 1, no power below g^K is
+    zero or past the precision, and g^K is nonzero with order K*o past
+    it: the expansion stops at K without terminating.  Otherwise (g = 0,
+    a chain that dies below K, or l_K = 0, where g^K may be zero) the
+    stop is read from g, g^2, ... through g.power, the list
+    nilpotency_probe reads too.
 
     One product closes the check.  g^(N+1) = 0 modulo u^(N+1), so 1 + g
     is a unit of R[[u; alpha]]/(u^(N+1)), and in an associative ring a
@@ -376,33 +349,24 @@ def _inverse_of_one_plus(g: SkewPoly, precision: int) -> GeometricInverseResult:
     zero = ring.zero_v
     one = SkewPoly.constant(ring, endo, ring.one_v)
     lhs = (one + g).truncate(precision)
-    o, k0, low = g.order(), None, zero
+    o, low, index = g.order(), zero, None
     if o is not None:
         first = low = g.coeffs[o]
-        k0 = precision // o + 1
-        for j in range(1, k0):
+        for j in range(1, precision // o + 1):
             if low == zero:
-                k0 = None
                 break
             low = _term(endo, low, j * o, first)
-    if k0 is None:
-        acc = [ring.one_v] + [zero] * precision
-        for k0, window in enumerate(power_windows(g, precision), 1):
-            if all(c == zero for c in window):
+    if low == zero:
+        for k in itertools.count(1):
+            power = g.power(k)
+            if power.is_zero:
+                index = k
                 break
-            # only the nonzero coefficients change acc
-            step = ring.k_sub if k0 % 2 else ring.k_add
-            for d, c in enumerate(window):
-                if c != zero:
-                    acc[d] = step(acc[d], c)
-    else:
-        acc = window_inverse(ring, lhs.coeffs, _twist(endo))
-    if low != zero:
-        index = None        # l_K != 0: g^K has order K*o, so it is not zero
-    else:
-        index = k0 if g.first_zero_power(k0, k0) == k0 else None
+            if power.order() > precision:
+                break
     terminated = index is not None
-    acc = TruncSeries(ring, endo, precision, acc)
+    acc = TruncSeries(ring, endo, precision,
+                      window_inverse(ring, lhs.coeffs, _twist(endo)))
     if lhs * acc != one.truncate(precision):
         raise RuntimeError("geometric expansion failed to invert 1 + f*u")
     note = ("power (f*u)^%d vanished exactly" % index if terminated
@@ -447,11 +411,11 @@ def nilpotency_probe(f, bound: int = 16) -> ProbeResult:
     """Search powers f^k for k <= bound.
 
     Exact for polynomials, read through one f.first_zero_power call, so
-    the powers and the top-coefficient chain of f found before are not
-    found again.  For truncated series the verdict is genuine only if every
-    intermediate support stayed within half the precision window (and,
-    when the coefficient ring is itself truncated, a replay with widened
-    coefficients still vanishes)."""
+    the powers of f built before are not built again.  For truncated
+    series the verdict is genuine only if every intermediate support
+    stayed within half the precision window (and, when the coefficient
+    ring is itself truncated, a replay with widened coefficients still
+    vanishes)."""
     if isinstance(f, SkewPoly):
         k = f.first_zero_power(2, bound + 1)
         if k is not None:

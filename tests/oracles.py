@@ -7,13 +7,11 @@ import itertools
 import math
 
 from skewarch import props, suites
-from skewarch.endos import is_injective, is_rigid
 from skewarch.prng import derive_rng
 from skewarch.props import (FAILS, HOLDS, HYPOTHESIS_NOT_MET, POWER_PRODUCT_BUDGET,
                             Verdict, _falsifier_conclusion, random_poly, random_series)
-from skewarch.rings import (Element, NilpotenceResult, XYQuotientRing, construct_ring,
-                            is_domain, nonunits, principal_power_chain, require_budget,
-                            scan_domain)
+from skewarch.rings import (NilpotenceResult, XYQuotientRing, construct_ring,
+                            require_budget, scan_domain)
 from skewarch.skew import (SkewPoly, TruncSeries, parse_poly_text,
                            solve_right_divisibility)
 
@@ -279,10 +277,17 @@ def oracle_endomorphism(ring, image):
 
 
 def oracle_rigid(endo):
-    """endos.is_rigid by multiplying a*alpha(a) for every value."""
+    """endos.is_rigid by multiplying a*alpha(a) for every value; on a
+    truncated model for every scope value, its lift times the widened
+    twist of it in the widened copy."""
     ring = endo.ring
-    for a in ring.values():
-        if a != ring.zero_v and ring.k_mul(a, endo.apply_v(a)) == ring.zero_v:
+    if ring.truncated:
+        dom = scan_domain(ring)
+        wide, apply, pairs = dom.ring, endo.widened().apply_v, zip(dom.values, dom.lifted)
+    else:
+        wide, apply, pairs = ring, endo.apply_v, ((a, a) for a in ring.values())
+    for a, la in pairs:
+        if la != wide.zero_v and wide.k_mul(la, apply(la)) == wide.zero_v:
             return False, {"a": ring.text_of_v(a)}
     return True, None
 
@@ -314,20 +319,27 @@ def oracle_skew_mul(fs, gs):
 
 def dense_geometric_inverse(f, precision):
     """skew.geometric_inverse as (series, terminated, index): the inverse
-    of 1 + f*u from every power of f*u, by repeated products, each
-    truncated to a full window and subtracted or added whole."""
-    ring, endo = f.ring, f.endo
-    one = SkewPoly.constant(ring, endo, ring.one_v)
-    fu = f.shift(1)
-    acc, power = one.truncate(precision), one
+    of 1 + f*u from every power of f*u, each the one before times f*u by
+    skew_product, built whole, truncated to a full window and subtracted
+    or added whole."""
+    ring, endo, zero = f.ring, f.endo, f.ring.zero_v
+    fu = [zero] + list(f.coeffs)
+    acc = TruncSeries.constant(ring, endo, ring.one_v, precision)
+    power = [ring.one_v]
     for k in itertools.count(1):
-        power = power * fu
-        if power.is_zero:
+        power = skew_product(ring, endo, power, fu)
+        order = _order(power, zero)
+        if order is None:
             return acc, True, k
-        term = power.truncate(precision)
+        term = TruncSeries(ring, endo, precision, power[:precision + 1])
         acc = acc - term if k % 2 else acc + term
-        if power.order() > precision:
+        if order > precision:
             return acc, False, None
+
+
+def _order(coeffs, zero):
+    """The least degree with a nonzero coefficient, None for zero."""
+    return next((i for i, c in enumerate(coeffs) if c != zero), None)
 
 
 def oracle_regular(ring):
@@ -395,37 +407,41 @@ def geometric_check_per_draw(ring, endo, samples, seed, precision=16):
 
 
 def skew_product(ring, endo, xs, ys, limit=None):
-    """Coefficients 0..limit (all of them when None) of sum x_i *
-    alpha^i(y_j) u^(i+j), by schoolbook on the ring's own kernels: the
-    twisted product with no skew.window_mul.  Trailing zeros are cut
-    first; they add nothing."""
+    """Coefficients 0..limit (up to the sum of the degrees when None) of
+    sum x_i * alpha^i(y_j) u^(i+j), on the ring's own kernels and one
+    application of the twist at a time: the twisted product with no
+    skew.window_mul.  Zero coefficients are skipped; they add nothing."""
     zero = ring.zero_v
-
-    def cut(cs):
-        cs = list(cs)
-        while cs and cs[-1] == zero:
-            cs.pop()
-        return cs
-
-    xs, ys = cut(xs), cut(ys)
+    xs = [(i, x) for i, x in enumerate(xs) if x != zero]
+    ys = [(j, y) for j, y in enumerate(ys) if y != zero]
     if limit is None:
-        limit = len(xs) + len(ys) - 2
-    return schoolbook(ring.k_add, ring.k_mul, zero, xs, ys, limit,
-                      None if endo.is_identity else endo.apply_v)
+        limit = (xs[-1][0] if xs else -1) + (ys[-1][0] if ys else -1)
+    out = [zero] * (limit + 1)
+    twisted, applied = [y for _, y in ys], 0
+    for i, x in xs:
+        while applied < i and not endo.is_identity:
+            twisted = [endo.apply_v(y) for y in twisted]
+            applied += 1
+        for (j, _), y in zip(ys, twisted):
+            if i + j <= limit:
+                out[i + j] = ring.k_add(out[i + j], ring.k_mul(x, y))
+    return out
 
 
 def dense_zero_power(f, top, precision):
     """The least k in 1..top with f^k = 0 for a SkewPoly f, when every
     lower power has order at most precision; None otherwise.  Each power
-    is the product of the one before and f, built whole, with no
-    top-coefficient chain and no SkewPoly.power."""
-    power = f
+    is the product of the one before and f by skew_product, built whole,
+    with no SkewPoly.power."""
+    ring, endo, zero = f.ring, f.endo, f.ring.zero_v
+    power = list(f.coeffs)
     for k in range(1, top + 1):
-        if power.is_zero:
+        order = _order(power, zero)
+        if order is None:
             return k
-        if power.order() > precision:
+        if order > precision:
             return None
-        power = power * f
+        power = skew_product(ring, endo, power, f.coeffs)
     return None
 
 
@@ -482,7 +498,7 @@ def oracle_power_product_equivalence(ring, endo):
     """props.twisted_power_product_equivalence on a finite ring: the
     ordered scan over every base tuple, exponent tuple and twist tuple,
     multiplying each twisted product out."""
-    rig = is_rigid(endo)
+    rigid, rigid_witness = oracle_rigid(endo)
     vals = [v for v in ring.values() if v != ring.zero_v]
     n_max, k_max, t_max = 3, 3, 3
     while (len(vals) * k_max * (t_max + 1)) ** n_max > POWER_PRODUCT_BUDGET:
@@ -496,7 +512,8 @@ def oracle_power_product_equivalence(ring, endo):
             break
     bounds = "lengths <= %d, exponents <= %d, twist depths <= %d" % (
         n_max, k_max, t_max)
-    if is_domain(ring).domain and is_injective(endo).holds:
+    images = {endo.apply_v(v) for v in ring.values()}
+    if oracle_domain_witness(ring) is None and len(images) == ring.card:
         return Verdict(
             HOLDS, None,
             "domain with injective twist: every factor of a nonzero-base "
@@ -541,21 +558,23 @@ def oracle_power_product_equivalence(ring, endo):
                 break
         if violation:
             break
-    if rig.holds:
+    if rigid:
         if violation:
             return Verdict(FAILS, violation,
                            "rigid twist yet the equivalence broke (%s)" % bounds)
         return Verdict(HOLDS, None,
                        "equivalence verified exhaustively over nonzero bases "
                        "(%s; %d twisted products)" % (bounds, checked))
+    # is_rigid's note on a finite ring
+    note = "a*alpha(a) = 0 with a != 0"
     if violation:
         return Verdict(HYPOTHESIS_NOT_MET, {"demonstration": violation,
-                                            "rigid_witness": rig.witness},
+                                            "rigid_witness": rigid_witness},
                        "twist is not rigid (%s); the scan exhibits how the "
-                       "equivalence then breaks (%s)" % (rig.note, bounds))
-    return Verdict(HYPOTHESIS_NOT_MET, {"rigid_witness": rig.witness},
+                       "equivalence then breaks (%s)" % (note, bounds))
+    return Verdict(HYPOTHESIS_NOT_MET, {"rigid_witness": rigid_witness},
                    "twist is not rigid (%s); no break found within %s"
-                   % (rig.note, bounds))
+                   % (note, bounds))
 
 
 # the three scans that multiply truncated-model values, each with every
@@ -659,12 +678,14 @@ def two_variable_scans_per_product(ring):
     return len(pool), checked, radical_checked
 
 
-def scope_power_products_per_product(ring, endo, rig, seed):
+def scope_power_products_per_product(ring, endo, rigidity, seed):
     """props._scope_power_product_equivalence with no product memo and
-    every twisted power built afresh."""
+    every twisted power built afresh; rigidity is (holds, witness), the
+    twist's rigidity at scope."""
+    rigid, rigid_witness = rigidity
     dom = scan_domain(ring, 2)
     wide = dom.ring
-    wendo = props._twist_on(endo, dom)
+    wendo = endo.widened()
     rng = derive_rng(seed, "powerprod/%s/%s" % (ring.spec_text, endo.stream_text))
     pool, lifts = zip(*((v, lv) for v, lv in zip(dom.values, dom.lifted)
                         if v != ring.zero_v))
@@ -700,21 +721,21 @@ def scope_power_products_per_product(ring, endo, rig, seed):
         if (acc == zero) != plain_zero:
             witness = {"bases": [ring.text_of_v(v) for v in tup],
                        "exponents": ks, "twists": ts}
-            if rig.holds:
+            if rigid:
                 return Verdict(FAILS, witness,
                                "rigid twist yet the equivalence broke in "
                                "the widened model within the degree bound")
             return Verdict(HYPOTHESIS_NOT_MET,
                            {"demonstration": witness},
                            "twist not rigid; equivalence break exhibited")
-    if rig.holds:
+    if rigid:
         return Verdict(
             HOLDS, None,
             "equivalence verified on %d sampled scope tuples whose twisted "
             "degree bounds fit the widened window, so the zero tests are "
             "exact (twist rigid at scope)" % checked)
     return Verdict(
-        HYPOTHESIS_NOT_MET, {"rigid_witness": rig.witness},
+        HYPOTHESIS_NOT_MET, {"rigid_witness": rigid_witness},
         "twist is not rigid at scope; no break found in %d guarded samples"
         % checked)
 
@@ -727,32 +748,39 @@ def reference_falsifier(ring, endo, precision=16, depth=5, budget=10_000, seed=0
     examined = 0
 
     # stage 1: constant divisors; the chain stabilization is exact
-    nus = nonunits(ring).vals
+    vals, zero, umap = ring.values(), ring.zero_v, oracle_unit_map(ring)
+    nus = [v for v in vals if v not in umap]
     require_budget(ring, "constant-stage chains",
                    len(nus) * ring.card * (ring.card.bit_length() + 1))
     for cv in nus:
         examined += 1
-        chain, stab = principal_power_chain(ring, Element(ring, cv))
-        if stab.members != {ring.zero_v}:
-            f0 = next(v for v in stab.vals if v != ring.zero_v)
+        stab = oracle_power_chain(ring, cv, side)[-1]
+        if stab != {zero}:
+            stable = [v for v in vals if v in stab]
+            f0 = next(v for v in stable if v != zero)
             g = TruncSeries.constant(ring, endo, cv, precision)
             f = TruncSeries.constant(ring, endo, f0, precision)
-            h_texts = []
+            h_texts, power = [], ring.one_v
             for n in range(1, depth + 1):
-                res = solve_right_divisibility(f, g, n, side=side,
-                                               node_limit=max(budget, 1000))
-                if res.status != "found":
+                # solve_right_divisibility's least witness of f = h*g^n
+                # (or g^n*h): its constant term is the first value c with
+                # c*cv^n = f0, and each later one the first value that
+                # annihilates, zero, which every ring lists first
+                power = ring.k_mul(power, cv)
+                c = next((c for c in vals if ring.k_mul(c, power) == f0), None)
+                if c is None:
                     raise RuntimeError("constant-stage divisibility witness "
                                        "not found at n = %d" % n)
-                h_texts.append(res.h.to_text())
+                h_texts.append(TruncSeries.constant(ring, endo, c, precision).to_text())
             return Verdict(
                 FAILS,
                 {"f": f.to_text(), "g": g.to_text(), "h": h_texts,
-                 "stabilized": stab.texts()},
+                 "stabilized": [ring.text_of_v(v) for v in stable]},
                 "constant-stage witness: the %s chain of %s stabilizes at "
                 "{%s} (exact), so %s stays divisible by every power; "
                 "witnesses replayed for n = 1..%d"
-                % (side, ring.text_of_v(cv), ",".join(stab.texts()),
+                % (side, ring.text_of_v(cv),
+                   ",".join(ring.text_of_v(v) for v in stable),
                    ring.text_of_v(f0), depth))
     notes.append("constant stage: all %d nonunit chains reach {0} (exact)"
                  % len(nus))
@@ -767,7 +795,7 @@ def reference_falsifier(ring, endo, precision=16, depth=5, budget=10_000, seed=0
             for m in range(1, min(3, precision) + 1):
                 examined += 1
                 e = endo.power_apply_v(m, cv)
-                e_inv = ring.is_unit_v(e)
+                e_inv = umap.get(e)
                 if e_inv is None:
                     continue
                 g = TruncSeries.constant(ring, endo, cv, precision)
@@ -810,15 +838,14 @@ def reference_falsifier(ring, endo, precision=16, depth=5, budget=10_000, seed=0
         tried += 1
         g = random_series(ring, endo, rng, precision, max_support=4)
         g0 = g.coeffs[0]
-        if g0 == ring.zero_v or ring.has_inverse_v(g0):
+        if g0 == zero or g0 in umap:
             continue
         admissible = True
         for m in range(precision + 1):
             cm = endo.power_apply_v(m, g0) if side == "right" else g0
-            if ring.has_inverse_v(cm):
+            if cm in umap:
                 continue
-            _, stab = principal_power_chain(ring, Element(ring, cm))
-            if stab.members == {ring.zero_v}:
+            if oracle_power_chain(ring, cm, side)[-1] == {zero}:
                 admissible = False
                 break
         if admissible:

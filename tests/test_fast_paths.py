@@ -34,7 +34,7 @@ def archimedean(ring, side):
 
 
 def scope_power_products(ring, endo, seed):
-    return oracles.scope_power_products_per_product(ring, endo, is_rigid(endo), seed)
+    return oracles.scope_power_products_per_product(ring, endo, oracles.oracle_rigid(endo), seed)
 
 
 def square_scan(ring, endo, precision, seed):
@@ -119,7 +119,10 @@ def cube_zero_under_a_cycle():
 
 
 # beside the drawn f: f = 0; f*u of order N + 1 > N; the lowest chains
-# 2, 4, 0 and x, x^3, x^7, x^15 = 0, which die below k0; the cubes that
+# 2, 4, 0 and x, x^3, x^7, x^15 = 0, which die below K = N // o + 1; the
+# chains 2, 4, 0 of 2u^6 and 2u^8, alive through l_(K-1) = 4 with
+# l_K = 0 and (f*u)^3 = 0, the second with o dividing N; 2u^6 + u^7,
+# whose chain reads the same but whose cube is not zero; the cubes that
 # vanish under the diagonal twist and a cyclic one
 GEOMETRIC_CASES = {
     "zero": (poly("zmod:6", "endo:id", lambda ring: []), 16),
@@ -127,6 +130,9 @@ GEOMETRIC_CASES = {
     "zmod:8-f=2": (poly("zmod:8", "endo:id", lambda ring: [2]), 16),
     "xyq:gf:2:1:N=8+endo:xsq-f=x": (poly("xyq:gf:2:1:N=8", "endo:xsq",
                                          lambda ring: [ring.x_v(1)]), 16),
+    "zmod:8-f=2x^5": (poly("zmod:8", "endo:id", lambda ring: [0] * 5 + [2]), 16),
+    "zmod:8-f=2x^7": (poly("zmod:8", "endo:id", lambda ring: [0] * 7 + [2]), 16),
+    "zmod:8-f=2x^5+x^6": (poly("zmod:8", "endo:id", lambda ring: [0] * 5 + [2, 1]), 16),
     "cube-zero-under-diag": (SkewPoly(*CUBE_ZERO_UNDER_DIAG[:2], CUBE_ZERO_UNDER_DIAG[2][0]),
                              16),
     "cube-zero-under-a-cycle": (cube_zero_under_a_cycle(), 16),
@@ -176,8 +182,8 @@ FAST_PATHS = [
          for name, ring, endo in SWEEP_PAIRS if is_rigid(endo).holds},
       "gf:2:8+endo:frob": (*_pair("gf:2:8", "endo:frob"), 16, 0),
       "planted-x*alpha^2(x)=0": (*planted_square_zero(), 4, 0)}),
-    # the triangular solve where the lowest chain fixes the stop, and the
-    # window sum where it dies first
+    # the stop read from the lowest chain where it lives through l_K, and
+    # from the power walk in every other case
     ("geometric-inverse", geometric, oracles.dense_geometric_inverse,
      {**{"%s-seed%d-draw%d" % (e.id, seed, i): (f, 16)
          for e in ENTRIES for seed in SEEDS for i, f in enumerate(geometric_draws(e, seed))},

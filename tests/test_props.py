@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -304,31 +303,15 @@ def test_geometric_termination_sampling():
         assert v.witness is None
 
 
-def test_geometric_termination_catches_an_index_disagreement(monkeypatch):
-    """A probe that reports each zero power one step late must fail the
-    cross-check with both indices in the witness."""
-    probe = props.nilpotency_probe
-
-    def late_probe(f, bound=16):
-        res = probe(f, bound)
-        if not res.zero_power_found:
-            return res
-        return dataclasses.replace(res, index=res.index + 1)
-
-    monkeypatch.setattr(props, "nilpotency_probe", late_probe)
-    ring, endo = _pair("zmod:8")
-    v = geometric_termination_check(ring, endo, samples=200, seed=11)
-    assert v.status == FAILS
-    assert v.witness["probe_index"] == v.witness["termination_index"] + 1
-
-
 def test_geometric_termination_walks_one_power_chain_per_sample(monkeypatch):
-    """The expansion and the probe of a terminated expansion read the
-    powers of one f*u: powers 2 to precision + 2 at most, one product
-    each.  Full powers are built only once the chain of top coefficients
-    has hit zero.  It never does over a field with an injective twist; on
-    zmod:8 the top chain of f*u = u + 2u^2 dies at the cube, so the
-    expansion builds its powers 2 to precision + 1 and a probe one more."""
+    """The expansion reads the stop of f*u from its power list, which a
+    probe of the same f*u reads too.  An expansion whose lowest chain
+    lives builds no power; one that walks builds powers 2 to its stop
+    k <= precision + 1, one product each.  Over a field with an
+    injective twist every lowest chain lives.  On zmod:8, f*u = 2u walks
+    4u^2 and 0, and a probe of its zero cube builds nothing more;
+    f*u = u + 2u^2 builds no power, and a probe of it builds the powers
+    2 to precision + 2."""
     precision = 6
     products = []       # SkewPoly products per sampled polynomial
     draw, multiply = props.random_poly, SkewPoly.__mul__
@@ -350,15 +333,22 @@ def test_geometric_termination_walks_one_power_chain_per_sample(monkeypatch):
         v = geometric_termination_check(ring, endo, samples=50, seed=3,
                                         precision=precision)
         assert v.status == HOLDS
-        assert products and max(products) <= precision + 2
+        assert products and max(products) <= precision
         if rs == "gf:2:2":
             assert max(products) == 0
     ring, endo = _pair("zmod:8")
+    fu = SkewPoly.constant(ring, endo, 2).shift(1)
+    products[:] = [0]
+    assert _inverse_of_one_plus(fu, precision).index == 3
+    assert nilpotency_probe(fu, bound=precision + 1).index == 3
+    assert products == [2] and fu._powers == [SkewPoly(ring, endo, [0, 0, 4]),
+                                              SkewPoly(ring, endo, [])]
     fu = SkewPoly(ring, endo, [1, 2]).shift(1)
     products[:] = [0]
     assert not _inverse_of_one_plus(fu, precision).terminated
+    assert products == [0] and fu._powers is None
     assert not nilpotency_probe(fu, bound=precision + 1).zero_power_found
-    assert products == [precision + 1] and fu._tops == [2, 4, 0]
+    assert products == [precision + 1] and not any(p.is_zero for p in fu._powers)
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[e.id for e in ENTRIES])

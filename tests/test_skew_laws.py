@@ -8,25 +8,23 @@ support on the two-variable model), the shape the suites sample:
 - SkewPoly.power(k) equals the k-fold product taken left to right, and
   so does a series power s ** n, taken by square-and-multiply;
 - geometric_inverse equals a dense reference in tests/oracles.py, the
-  alternating sum of the truncated exact powers of f*u, in series,
-  termination, index and note;
+  alternating sum of the truncated exact powers of f*u, each built by
+  the oracle's schoolbook product, in series, termination, index and
+  note;
+- SkewPoly.first_zero_power and nilpotency_probe, which scan the powers
+  power() keeps, agree with the k-fold products;
 - series_inverse is a two-sided inverse;
 - the twisted products of SkewPoly and TruncSeries are associative.
 
-The shortcuts that decide a product or power nonzero without building
-it are checked against the full products on registry entries and on
-drawn rings: finite rings of every derived kind with the identity, and
-the kinds with a built-in twist under that twist:
-
-- SkewPoly.first_zero_power and nilpotency_probe, which read the chain
-  of top coefficients, agree with the k-fold products;
-- power_windows yields the truncated powers;
-- top_certificate and lowest_certificate, given the operands' top and
-  lowest terms, are the coefficients of the full product at the top and
-  lowest degrees they name."""
+The certificates that decide a product nonzero without building it are
+checked against the full products on registry entries and on drawn
+rings: finite rings of every derived kind with the identity, and the
+kinds with a built-in twist under that twist.  top_certificate and
+lowest_certificate, given the operands' top and lowest terms, are the
+coefficients of the full product at the top and lowest degrees they
+name."""
 
 import functools
-import itertools
 import operator
 
 from hypothesis import example, given, settings, strategies as st
@@ -35,8 +33,8 @@ from skewarch.endos import build_endo
 from skewarch.registry import ENTRIES
 from skewarch.rings import construct_ring
 from skewarch.skew import (SkewPoly, TruncSeries, geometric_inverse,
-                           lowest_certificate, nilpotency_probe, power_windows,
-                           series_inverse, top_certificate)
+                           lowest_certificate, nilpotency_probe, series_inverse,
+                           top_certificate)
 from oracles import dense_geometric_inverse
 from test_ring_laws import TWIST_OF_KIND, tser_rings, twisted_rings, value_strategy
 from test_structural_rules import finite_rings
@@ -129,7 +127,7 @@ def test_twisted_products_are_associative(drawn, precision):
 
 
 # ---------------------------------------------------------------------------
-# nonzero certificates against the full products
+# zero powers and nonzero certificates against the full products
 
 
 # (0,1)*u squares to zero under the diagonal twist, (0,1)*diag(0,1) = 0,
@@ -140,8 +138,8 @@ SQUARE_ZERO_UNDER_DIAG = (DIAG, build_endo(DIAG, "endo:diag"),
 
 
 Z8 = construct_ring("zmod:8")
-# u + 2u^2: the top chain 2, 4, 0 dies at k = 3, yet no power is zero,
-# as the lowest coefficients 1, 1, ... show
+# u + 2u^2: the products of top coefficients 2, 4, 0 die at k = 3, yet no
+# power is zero, as the lowest coefficients 1, 1, ... show
 TOP_DIES_LOW_LIVES = (Z8, build_endo(Z8, "endo:id"), [[0, 1, 2, 0, 0]])
 # 2u + u^2 + 2u^3: the top and the lowest coefficients both read 2, 4, 0,
 # yet the cube is 4u^4 + 6u^5 + u^6 + 6u^7 + 4u^8
@@ -149,9 +147,8 @@ BOTH_DIE_CUBE_LIVES = (Z8, build_endo(Z8, "endo:id"), [[0, 2, 1, 2, 0]])
 
 
 P4 = construct_ring("prod(zmod:4,zmod:4)")
-# (2,0) + (0,1)u: its top chain (0,1), (0,1)*diag((0,1)) = 0 dies at the
-# square, which is (0,2)u, and the cube is zero; a chain twisted by the
-# order 0 instead of the degree would read (0,1) on and miss the cube
+# (2,0) + (0,1)u: the product of its top coefficients, (0,1)*diag((0,1)),
+# is zero at the square, which is (0,2)u, and the cube is zero
 CUBE_ZERO_UNDER_DIAG = (P4, build_endo(P4, "endo:diag"),
                         [[(2, 0), (0, 1)] + [(0, 0)] * (MAX_DEGREE - 1)])
 
@@ -163,32 +160,23 @@ CUBE_ZERO_UNDER_DIAG = (P4, build_endo(P4, "endo:diag"),
 @example(BOTH_DIE_CUBE_LIVES, 1, 6)
 @example(CUBE_ZERO_UNDER_DIAG, 1, 3)
 def test_first_zero_power_agrees_with_the_full_power(drawn, lo, span):
-    """first_zero_power(lo, hi) and nilpotency_probe, which read the chain
-    of top coefficients, against the k-fold products."""
+    """first_zero_power(lo, hi) and nilpotency_probe, which scan the kept
+    powers, against the k-fold products."""
     ring, endo, (coeffs,) = drawn
     hi = lo + span
     f = SkewPoly(ring, endo, coeffs)
     zero = [functools.reduce(operator.mul, [f] * k).is_zero
             for k in range(1, hi + 1)]
     least = next((k for k in range(lo, hi + 1) if zero[k - 1]), None)
-    # straight to the asked exponents, where the chain alone may answer
+    # straight to the asked exponents, on a fresh power list
     assert (SkewPoly(ring, endo, coeffs).first_zero_power(hi, hi) == hi) == zero[-1]
     assert SkewPoly(ring, endo, coeffs).first_zero_power(lo, hi) == least
-    # every exponent up to hi, on a chain that may die on the way
+    # every exponent up to hi, on one power list grown on the way
     assert [f.first_zero_power(k, k) == k for k in range(1, hi + 1)] == zero
     assert f.first_zero_power(lo, hi) == least
     probe = nilpotency_probe(SkewPoly(ring, endo, coeffs), bound=hi - 1)
     index = next((k for k in range(2, hi + 1) if zero[k - 1]), None)
     assert (probe.zero_power_found, probe.index) == (index is not None, index)
-
-
-@settings(max_examples=100)   # a dropped twist shows on few draws
-@given(twisted_coeffs(1, drawn_pairs), st.integers(0, 8), st.integers(1, 6))
-def test_power_windows_are_the_truncated_powers(drawn, precision, k):
-    ring, endo, (coeffs,) = drawn
-    f = SkewPoly(ring, endo, coeffs)
-    for j, window in enumerate(itertools.islice(power_windows(f, precision), k), 1):
-        assert TruncSeries(ring, endo, precision, window) == f.power(j).truncate(precision)
 
 
 @settings(max_examples=100)
