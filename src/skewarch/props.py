@@ -25,10 +25,10 @@ from typing import Optional
 from .endos import (Endo, _twist_on, build_endo, is_compatible, is_injective,
                     is_rigid, preserves_nonunits, rigid_decomposition_check)
 from .prng import SplitMix64, derive_rng
-from .rings import (Element, SubsetHandle, _power, construct_ring, idempotents,
+from .rings import (Element, SubsetHandle, construct_ring, idempotents,
                     is_domain, is_reduced, jacobson_radical, memo,
                     nilpotent_values, nonunits, principal_power_chain,
-                    product_memo, quotient_by_ideal, require_budget, scan_domain,
+                    quotient_by_ideal, require_budget, scan_domain,
                     subring_generated, units, zero_divisors, zero_keys)
 from .skew import (SkewPoly, TruncSeries, _inverse_of_one_plus, _need_side,
                    lowest_certificate, nilpotency_probe, parse_poly_text,
@@ -271,10 +271,13 @@ def _two_variable_scans(ring):
     verdict of the first scan that breaks, else the three counts
     (scope values, products verified, radical products).
 
-    The block-collapse scan takes each distinct series product once,
-    through a product memo local to this call, and the model's own
-    product afresh for every pair, so no pair's check reads the product
-    it checks."""
+    The block-collapse scan compares the model's product with the two
+    series products it is made of.  Inside a suite cell both sides read
+    the cell's series_products() memo, so the comparison is true by
+    construction there, as the pair representation already makes it
+    (the model's product is defined half by half); its count stays in
+    the report text.  A call outside every cell takes each product
+    afresh on each side."""
     ser = ring.series
     pool = scan_domain(ring).values
     for v in pool:
@@ -287,13 +290,12 @@ def _two_variable_scans(ring):
     sample = pool[::stride]
     gens = [ring.one_v, ring.x_v(1), ring.y_v(1),
             ring.k_add(ring.x_v(1), ring.y_v(1))]
-    ser_mul = product_memo(ser)
     checked = 0
     for u in sample + gens:
         for v in sample + gens:
             w = ring.k_mul(u, v)
-            if (w[0] != ser_mul(u[0], v[0])
-                    or w[1] != ser_mul(u[1], v[1])):
+            if (w[0] != ser.k_mul(u[0], v[0])
+                    or w[1] != ser.k_mul(u[1], v[1])):
                 return Verdict(FAILS,
                                {"u": ring.text_of_v(u), "v": ring.text_of_v(v)},
                                "block collapse failed to respect a product")
@@ -1053,8 +1055,9 @@ def _scope_power_product_equivalence(ring, endo: Endo, rig, seed: int) -> Verdic
     twisted degree bound fits the widened window, so every zero test is
     exact rather than a truncation artifact.  Draws repeat bases, powers
     and partial products: each twisted power is built once per (pool
-    index, exponent, twist depth), and each distinct product, powers
-    included, taken once, through a product memo local to this call."""
+    index, exponent, twist depth), and inside a suite cell the series
+    products under every model product are read from the cell's
+    series_products() memo after their first time."""
     dom = scan_domain(ring, 2)
     wide = dom.ring
     wendo = _twist_on(endo, dom)
@@ -1063,7 +1066,7 @@ def _scope_power_product_equivalence(ring, endo: Endo, rig, seed: int) -> Verdic
                         if v != ring.zero_v))
     degs = [ring.block_degrees(v) for v in pool]
     zero = wide.zero_v
-    mul, powers = product_memo(wide), {}
+    powers = {}
     checked = 0
     draws = 0
     while checked < POWER_PRODUCT_SAMPLES and draws < POWER_PRODUCT_SAMPLES * 20:
@@ -1083,10 +1086,9 @@ def _scope_power_product_equivalence(ring, endo: Endo, rig, seed: int) -> Verdic
         keys = list(zip(picks, ks, ts))
         for i, k, t in keys:
             if (i, k, t) not in powers:
-                powers[i, k, t] = wendo.power_apply_v(
-                    t, _power(mul, wide.one_v, lifts[i], k))
-        acc = functools.reduce(mul, [powers[key] for key in keys])
-        plain_zero = functools.reduce(mul, [lifts[i] for i in picks]) == zero
+                powers[i, k, t] = wendo.power_apply_v(t, wide.k_pow(lifts[i], k))
+        acc = functools.reduce(wide.k_mul, [powers[key] for key in keys])
+        plain_zero = functools.reduce(wide.k_mul, [lifts[i] for i in picks]) == zero
         checked += 1
         if (acc == zero) != plain_zero:
             witness = {"bases": [ring.text_of_v(pool[i]) for i in picks],

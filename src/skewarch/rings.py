@@ -44,6 +44,7 @@ import inspect
 import itertools
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Optional
@@ -184,10 +185,12 @@ def _power(mul, one, x, n: int):
 
 def product_memo(ring):
     """A mul(x, y) that calls ring.k_mul once per distinct pair and reads
-    the result from a dict after that.  A scan makes one per call and
-    drops it on return.  It is no cache on the ring: memory stays
-    bounded by one call's distinct pairs, and no other check reads a
-    product from it."""
+    the result from a dict after that.  The ring-law loop of the
+    arithmetic suite makes one per call and drops it on return; it
+    spares repeated products on finite rings, which series_products
+    does not cover.  It is no cache on the ring: memory stays bounded by
+    one call's distinct pairs, and no other check reads a product from
+    it."""
     products, k_mul = {}, ring.k_mul
 
     def mul(x, y):
@@ -196,6 +199,26 @@ def product_memo(ring):
             p = products[x, y] = k_mul(x, y)
         return p
     return mul
+
+
+_SERIES_PRODUCTS = None   # the dict of the innermost series_products(), or None
+
+
+@contextmanager
+def series_products():
+    """While the block runs, TruncSeriesRing.k_mul makes each distinct
+    (ring spec, x, y) product once and reads repeats from a dict, which
+    the block yields; on exit, by return or by an exception, the dict is
+    dropped and any outer one is back in use.  suites.run_one runs each
+    (entry, suite) cell inside one, so memory stays bounded by one
+    cell's distinct series products.  Outside every block, as in library
+    calls, each product is taken afresh."""
+    global _SERIES_PRODUCTS
+    outer, _SERIES_PRODUCTS = _SERIES_PRODUCTS, {}
+    try:
+        yield _SERIES_PRODUCTS
+    finally:
+        _SERIES_PRODUCTS = outer
 
 
 def _digits(i, base, length):
@@ -932,7 +955,17 @@ class TruncSeriesRing(TruncatedModel):
         return tuple(map(self.base.k_neg, x))
 
     def k_mul(self, x, y):
-        return tuple(window_mul(self.base, x, y, self.precision))
+        # read from the series_products() memo when one is installed; the
+        # key names the ring, since an equal tuple multiplies differently
+        # over another base
+        products = _SERIES_PRODUCTS
+        if products is None:
+            return tuple(window_mul(self.base, x, y, self.precision))
+        key = self.spec_text, x, y
+        p = products.get(key)
+        if p is None:
+            p = products[key] = tuple(window_mul(self.base, x, y, self.precision))
+        return p
 
     def is_unit_v(self, v):
         # unit iff the constant term is; truncation-model semantics

@@ -55,7 +55,7 @@ from .props import (
     _unmet_parts,
 )
 from .registry import RunConfig
-from .rings import is_domain, product_memo, scan_domain
+from .rings import is_domain, product_memo, scan_domain, series_products
 from .skew import SkewPoly, TruncSeries, parse_poly_text
 
 REPORT_FIELDS = ("entry", "suite", "status", "witness", "certificate",
@@ -502,7 +502,9 @@ _FINITE_ONLY = {
 
 
 def run_one(entry, suite_id: str, config: RunConfig) -> dict:
-    """Run one suite on one registry entry and shape the report."""
+    """Run one suite on one registry entry and shape the report.  The
+    runner runs inside one series_products() memo, dropped when it
+    returns or raises."""
     if suite_id not in _RUNNERS:
         raise KeyError("unknown suite id: %r" % suite_id)
     ring, endo = entry.build()
@@ -512,7 +514,8 @@ def run_one(entry, suite_id: str, config: RunConfig) -> dict:
                     "%s needs an enumerable coefficient ring" % statement,
                     (tag,))
     else:
-        v = _RUNNERS[suite_id](entry, ring, endo, config)
+        with series_products():
+            v = _RUNNERS[suite_id](entry, ring, endo, config)
     return {
         "entry": entry.id,
         "suite": suite_id,

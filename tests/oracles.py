@@ -266,6 +266,12 @@ def reference_mul(ring):
     return ring.k_mul
 
 
+def series_products_per_product(triples):
+    """TruncSeriesRing.k_mul inside one series_products() memo: each
+    (ring, x, y) multiplied afresh by schoolbook over its own base."""
+    return [reference_mul(ring)(x, y) for ring, x, y in triples]
+
+
 def oracle_endomorphism(ring, image):
     """The all-pairs law check of TableEndo: image fixes 1 and respects
     + and * on every pair of values."""

@@ -17,7 +17,7 @@ from skewarch.prng import derive_rng
 from skewarch.props import (is_archimedean, poly_zero_divisor_probe, random_poly,
                             series_reduced_check, twisted_power_product_equivalence)
 from skewarch.registry import ENTRIES, RegistryEntry, RunConfig
-from skewarch.rings import GaloisFieldRing, construct_ring
+from skewarch.rings import GaloisFieldRing, construct_ring, series_products
 from skewarch.skew import SkewPoly, geometric_inverse
 
 SEEDS = range(4)
@@ -26,6 +26,28 @@ SMALL_XYQ = tuple(RegistryEntry("xyq:gf:2:1:N=4" + suffix, "xyq:gf:2:1:N=4",
                                 endo_spec, "two-variable model at N = 4")
                   for suffix, endo_spec in (("", "endo:id"), ("+endo:xsq", "endo:xsq")))
 XYQ_ENTRIES = tuple(e for e in ENTRIES if e.ring_spec.startswith("xyq:")) + SMALL_XYQ
+
+
+def in_a_cell(fn):
+    """fn run inside one series_products() memo, as run_one runs a runner."""
+    def run(*args):
+        with series_products():
+            return fn(*args)
+    return run
+
+
+def series_products_in_one_cell(triples):
+    """ring.k_mul(x, y) for each (ring, x, y), all inside one memo."""
+    with series_products():
+        return [ring.k_mul(x, y) for ring, x, y in triples]
+
+
+def series_triples(spec, count):
+    """(ring, x, y) for the series ring of spec and every ordered pair of
+    its first count support-2 scope values, twice over."""
+    ring = construct_ring(spec)
+    vals = ring.scope_values(2)[:count]
+    return [(ring, x, y) for x in vals for y in vals] * 2
 
 
 def archimedean(ring, side):
@@ -139,18 +161,34 @@ GEOMETRIC_CASES = {
 }
 
 
+# the equal value 1 + u over two bases: its square is (1,2,1,0) over
+# Z/4 and (1,0,1,0) over Z/2, so a memo key without the ring mixes them
+ONE_PLUS_U = [(construct_ring(spec), (1, 1, 0, 0), (1, 1, 0, 0))
+              for spec in ("tser(zmod:4,N=3)", "tser(zmod:2,N=3)")]
+
+
 FAST_PATHS = [
-    # the three scans with per-call product memos, against their loops
-    # with every product taken afresh; the two-variable scans bypass the
-    # ring memo, so they run on every call
+    # the law loop with its per-call product memo, and the two scans
+    # that read a cell's series memo, run inside one, against their
+    # loops with every product taken afresh outside every memo; the
+    # two-variable scans bypass the ring memo, so they run on every call
     ("arithmetic", suites._suite_arithmetic, oracles.arithmetic_per_product,
      {"%s-seed%d" % (e.id, seed): (e, *e.build(), RunConfig(seed=seed).validated())
       for e in ENTRIES + SMALL_XYQ for seed in SEEDS}),
-    ("two-variable-scans", props._two_variable_scans.__wrapped__,
+    ("two-variable-scans", in_a_cell(props._two_variable_scans.__wrapped__),
      oracles.two_variable_scans_per_product,
      {spec: (construct_ring(spec),) for spec in sorted({e.ring_spec for e in XYQ_ENTRIES})}),
-    ("scope-power-products", twisted_power_product_equivalence, scope_power_products,
+    ("scope-power-products", in_a_cell(twisted_power_product_equivalence),
+     scope_power_products,
      {"%s-seed%d" % (e.id, seed): (*e.build(), seed) for e in XYQ_ENTRIES for seed in SEEDS}),
+    # products read from one cell memo, repeats and equal tuples over
+    # other rings included, against schoolbook products
+    ("series-product-memo", series_products_in_one_cell, oracles.series_products_per_product,
+     {"one-plus-u-over-zmod:4-then-zmod:2": (ONE_PLUS_U * 2,),
+      "one-plus-u-over-zmod:2-then-zmod:4": (ONE_PLUS_U[::-1] * 2,),
+      "tser(gf:2:2,N=4)": (series_triples("tser(gf:2:2,N=4)", 12),),
+      "xyq-series-and-its-widening": (series_triples("tser(gf:2:1,N=8)", 8)
+                                      + series_triples("tser(gf:2:1,N=16)", 8),)}),
     # the chain scan: status, witness and certificate
     ("is-archimedean", archimedean, oracles.oracle_archimedean,
      {"%s-%s" % (spec, side): (construct_ring(spec), side)
